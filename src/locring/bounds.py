@@ -3,11 +3,11 @@ case-by-case feasibility reports that mechanize the order-of-f elimination
 arithmetic.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
 from .errors import BudgetExceeded
+from .poly import monomials_of_degree
 
 ELIMINATED = "ELIMINATED"
 UNRESOLVED = "UNRESOLVED"
@@ -51,21 +51,6 @@ def macaulay_bound(d, n):
     return sum(comb(k + 1, i + 1) for k, i in rep.ks)
 
 
-def _monomials_of_degree(v, n):
-    """Degree-n exponent tuples in v variables, descending lex."""
-    out = []
-    for bars in itertools.combinations(range(n + v - 1), v - 1):
-        prev = -1
-        exps = []
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(n + v - 1 - prev - 1)
-        out.append(tuple(exps))
-    out.sort(reverse=True)
-    return out
-
-
 def lex_segment_oracle(d, n, v, max_monomials=2_000_000):
     """Growth of the lex-segment quotient: keep the d lex-smallest degree-n
     monomials in the quotient and count the surviving degree-(n+1) ones.
@@ -80,7 +65,7 @@ def lex_segment_oracle(d, n, v, max_monomials=2_000_000):
         return 0
     if d > total_n:
         raise ValueError("d exceeds the number of degree-n monomials")
-    monos = _monomials_of_degree(v, n)
+    monos = monomials_of_degree(v, n)
     in_ideal = monos[:total_n - d]  # the lex-largest go into the ideal
     next_ideal = set()
     for m in in_ideal:

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from . import __version__
 from .arith import QQ, PrimeField
 from .bounds import macaulay_bound, order_case_report
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, LocringError, ParseError
 from .groebner import is_member
 from .ideal import Ideal, all_monomials, max_ideal_power
 from .localring import LocalRing, weighted_homogeneity_check
 from .monomial import MonomialIdeal
-from .poly import DegRevLex, Lex, Polynomial, PolyRing
+from .poly import Polynomial, PolyRing
 from .polytope import is_integer_irreducible, newton_polygon
 from .subalgebra import kernel, parse_map_file, verify_in_kernel
 
@@ -70,9 +70,6 @@ class RingDescription:
 
     def ideal(self):
         return Ideal(self.ring(), list(self.gen_exprs))
-
-    def order(self):
-        return Lex() if self.order_name == "lex" else DegRevLex()
 
     def local_ring(self):
         return LocalRing(self.ring(), self.ideal())
@@ -571,11 +568,11 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (OSError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceeded as exc:
         print(f"error: computation budget exceeded: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, LocringError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,17 +1,20 @@
 """Ideal arithmetic on top of the Groebner kernel.
 
-Intersections go through the auxiliary-variable elimination trick
-(eliminate t from t*I + (1-t)*J); quotients reduce to intersections with
-principal ideals followed by exact division.
+``Ideal.eliminate`` is the one elimination routine: intersections (eliminate
+an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
+(``subalgebra.kernel``) build their generators in a ring extended by
+``_aux_name`` and call it.  Quotients reduce to intersections with principal
+ideals followed by exact division.
 """
 
 import itertools
 import math
 
 from . import groebner
-from .errors import RingMismatch, ZeroColon
+from .errors import BudgetExceeded, RingMismatch, ZeroColon
 from .groebner import DEFAULT_MAX_PAIRS
-from .poly import BlockOrder, DegRevLex, Polynomial, PolyRing, mono_divides
+from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
+                   mono_divides, monomials_of_degree)
 
 INFINITE = math.inf
 
@@ -19,19 +22,8 @@ _AUX = "_t"
 
 
 def all_monomials(ring, d):
-    """All exponent tuples of total degree d, in a fixed (lex) order."""
-    n = ring.nvars
-    out = []
-    for bars in itertools.combinations(range(d + n - 1), n - 1):
-        prev = -1
-        exps = []
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + n - 1 - prev - 1)
-        out.append(tuple(exps))
-    out.sort(reverse=True)
-    return out
+    """All exponent tuples of total degree d, in descending lex order."""
+    return monomials_of_degree(ring.nvars, d)
 
 
 def max_ideal(ring):
@@ -55,7 +47,6 @@ def exact_div(f, g, order=None):
     while not r.is_zero():
         lt_r, c_r = r.leading_term(order)
         lt_g, c_g = g.leading_term(order)
-        from .poly import mono_div
         m = mono_div(lt_r, lt_g)
         if m is None:
             raise ValueError("exact_div: division is not exact")
@@ -152,18 +143,15 @@ class Ideal:
         self._same_ring(other)
         if self.is_zero_ideal() or other.is_zero_ideal():
             return Ideal(self.ring, [])
-        ext = self.ring.extend(_aux_name(self.ring), front=True)
+        aux = _aux_name(self.ring)
+        ext = self.ring.extend(aux, front=True)
         t = ext.var(0)
         one = ext.one()
         pos = list(range(1, ext.nvars))
         gens = [t * f.map_to(ext, pos) for f in self.generators]
         gens += [(one - t) * g.map_to(ext, pos) for g in other.generators]
-        order = BlockOrder(1)
-        gb = groebner.buchberger(gens, order, max_pairs=max_pairs,
-                                 time_budget=time_budget)
-        kept = [_drop_first_var(g, self.ring) for g in gb.generators
-                if all(e[0] == 0 for e in g.terms)]
-        return Ideal(self.ring, kept)
+        return Ideal(ext, gens).eliminate([aux], max_pairs=max_pairs,
+                                          time_budget=time_budget)
 
     def quotient_element(self, g, max_pairs=DEFAULT_MAX_PAIRS,
                          time_budget=None):
@@ -193,7 +181,6 @@ class Ideal:
     def saturate(self, f, max_iter=100, max_pairs=DEFAULT_MAX_PAIRS,
                  time_budget=None):
         """I : f^infinity by iterated colon until stabilization."""
-        from .errors import BudgetExceeded
         if f.is_zero():
             raise ZeroColon("saturation by zero")
         cur = self
@@ -280,11 +267,6 @@ def _aux_name(ring):
     while name in ring.names:
         name += "_"
     return name
-
-
-def _drop_first_var(p, target):
-    terms = {e[1:]: c for e, c in p.terms.items()}
-    return Polynomial(target, terms)
 
 
 def _dedupe_monomial_gens(ring, gens):

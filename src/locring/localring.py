@@ -9,14 +9,14 @@ that I equals its own local contraction (``contraction_assumed``) nor that
 dim R = 1; both caveats are surfaced in reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, ZeroPolynomial)
 from .ideal import Ideal, max_ideal, max_ideal_power
-from .poly import BlockOrder, DegRevLex, Lex, Polynomial, PolyRing
+from .poly import BlockOrder, DegRevLex, Lex, PolyRing
 
 
 class _Sentinel:
@@ -74,10 +74,6 @@ class LocalRing:
 
     # -- length plumbing ----------------------------------------------------
 
-    def _lam(self, J):
-        """Vector-space dimension of S/J (finite or INFINITE)."""
-        return J.vector_space_dim()
-
     def truncation(self, d):
         """I + n^d (cached)."""
         key = ("trunc", d)
@@ -87,39 +83,41 @@ class LocalRing:
             self._colength_cache[key] = cached
         return cached
 
-    def colength_local(self, J, bound=None):
-        """Length of S_n/(J localized): stabilized colength of J + n^M."""
+    def local_model(self, J, bound=None):
+        """m-primary representative J + n^M equal to the contraction of the
+        localization of J: the first J + n^M whose colength equals that of
+        J + n^(M-1).  Its degrevlex basis is already cached."""
         bound = bound or self.stabilization_bound
         prev = None
         for M in range(1, bound + 2):
-            lam = self._lam(J + max_ideal_power(self.ring, M))
+            model = J + max_ideal_power(self.ring, M)
+            lam = model.vector_space_dim()
             if lam == prev:
-                return lam
+                return model
             prev = lam
         raise NotArtinianLocally(
             f"no colength stabilization within n^{bound}")
 
-    def local_model(self, J, bound=None):
-        """m-primary representative J + n^M equal to the contraction of the
-        localization of J."""
-        bound = bound or self.stabilization_bound
-        prev = None
-        for M in range(1, bound + 2):
-            lam = self._lam(J + max_ideal_power(self.ring, M))
-            if lam == prev:
-                return J + max_ideal_power(self.ring, M)
-            prev = lam
-        raise NotArtinianLocally(
-            f"no colength stabilization within n^{bound}")
+    def colength_local(self, J, bound=None):
+        """Length of S_n/(J localized): the colength of its local model."""
+        return self.local_model(J, bound).vector_space_dim()
 
     # -- Hilbert function and multiplicity ----------------------------------
 
-    def hilbert_function(self, max_degree, window=3):
-        """HF(d) = lambda(S/(I+n^{d+1})) - lambda(S/(I+n^d)) for d <= D."""
-        lams = [0]
+    def _hilbert_values(self, max_degree):
+        """Yield HF(d) = lambda(S/(I+n^{d+1})) - lambda(S/(I+n^d)) for
+        d = 0..max_degree, from the truncation colengths."""
+        lam_prev = 0
         for d in range(1, max_degree + 2):
-            lams.append(self._lam(self.truncation(d)))
-        values = [lams[d + 1] - lams[d] for d in range(max_degree + 1)]
+            lam = self.truncation(d).vector_space_dim()
+            yield lam - lam_prev
+            lam_prev = lam
+
+    def hilbert_function(self, max_degree, window=3):
+        """HF(d) for d <= max_degree, and where it first stays constant."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
+        values = list(self._hilbert_values(max_degree))
         stabilized_at = None
         mult = None
         for s in range(len(values)):
@@ -133,11 +131,7 @@ class LocalRing:
         """Stable Hilbert-function value (dimension-one multiplicity)."""
         run = 0
         prev = None
-        lam_prev = 0
-        for d in range(1, max_degree + 2):
-            lam = self._lam(self.truncation(d))
-            hf = lam - lam_prev
-            lam_prev = lam
+        for hf in self._hilbert_values(max_degree):
             if hf == prev:
                 run += 1
             else:
@@ -220,13 +214,10 @@ class LocalRing:
 
     # -- delta invariant and index ------------------------------------------
 
-    def _colon_by_max_ideal(self, J):
-        return J.quotient(self.n)
-
     def _colon_by_max_ideal_power(self, J, k):
         out = J
         for _ in range(k):
-            out = self._colon_by_max_ideal(out)
+            out = out.quotient(self.n)
         return out
 
     def delta_one_test(self, x, n):
@@ -237,7 +228,7 @@ class LocalRing:
         Ix = self.local_model(I + Ideal(S, [x]))
         # (iii): x*m^n : m  inside (x)
         J3 = self.local_model(I + Ideal(S, [x]) * max_ideal_power(S, n))
-        colon3 = self._colon_by_max_ideal(J3)
+        colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
         # (ii): x^n in m*((x^n) : m^n)
         C = self._colon_by_max_ideal_power(
@@ -245,7 +236,7 @@ class LocalRing:
         nC = self.local_model(I + self.n * C)
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m
-        soc = self._colon_by_max_ideal(Ix)
+        soc = Ix.quotient(self.n)
         cond_iv = Ix.contains(soc.intersect(colon3))
         if not (cond_ii == cond_iii == cond_iv):
             raise InternalInconsistency(
@@ -291,7 +282,7 @@ class LocalRing:
         """dim_k of ((I+J) : m)/(I+J) for an m-primary I+J."""
         M = self.local_model(self.I + J)
         lam_M = self.colength_local(M)
-        lam_soc = self.colength_local(self._colon_by_max_ideal(M))
+        lam_soc = self.colength_local(M.quotient(self.n))
         return lam_M - lam_soc
 
 

@@ -6,6 +6,7 @@ monomial.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import ParseError, RingMismatch, VariableClash, ZeroPolynomial
 
@@ -37,6 +38,22 @@ def mono_divides(b, a):
 
 def mono_degree(a):
     return sum(a)
+
+
+def monomials_of_degree(nvars, d):
+    """All exponent tuples of total degree d in nvars variables, in
+    descending lex order (stars and bars)."""
+    out = []
+    for bars in combinations(range(d + nvars - 1), nvars - 1):
+        prev = -1
+        exps = []
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(d + nvars - 1 - prev - 1)
+        out.append(tuple(exps))
+    out.sort(reverse=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

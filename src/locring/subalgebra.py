@@ -3,9 +3,9 @@ generated by polynomials with zero constant term.
 """
 
 from .errors import ParseError
-from .groebner import DEFAULT_MAX_PAIRS, buchberger
-from .ideal import Ideal
-from .poly import BlockOrder, Polynomial, PolyRing
+from .groebner import DEFAULT_MAX_PAIRS
+from .ideal import Ideal, _aux_name
+from .poly import PolyRing
 
 
 class ParametrizedMap:
@@ -40,21 +40,13 @@ def kernel(pmap, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     """The kernel ideal in the source ring, by eliminating t from
     (x_1 - g_1(t), ..., x_n - g_n(t))."""
     src = pmap.source
-    ext = PolyRing(src.field, ("t",) + src.names)
-    t_positions = [0]
-    gens = []
-    for i, g in enumerate(pmap.images):
-        lifted_g = g.map_to(ext, t_positions)
-        xi = ext.var(i + 1)
-        gens.append(xi - lifted_g)
-    order = BlockOrder(1, second=inner_order)
-    gb = buchberger(gens, order, max_pairs=max_pairs, time_budget=time_budget)
-    kept = []
-    for g in gb.generators:
-        if all(e[0] == 0 for e in g.terms):
-            terms = {e[1:]: c for e, c in g.terms.items()}
-            kept.append(Polynomial(src, terms))
-    return Ideal(src, kept)
+    aux = _aux_name(src)
+    ext = src.extend(aux, front=True)
+    gens = [ext.var(i + 1) - g.map_to(ext, [0])
+            for i, g in enumerate(pmap.images)]
+    return Ideal(ext, gens).eliminate([aux], max_pairs=max_pairs,
+                                      time_budget=time_budget,
+                                      inner_order=inner_order)
 
 
 def verify_in_kernel(f, pmap):

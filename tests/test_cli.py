@@ -145,6 +145,18 @@ def test_cli_missing_file_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["loewy", "--element", "x^2-y^5"],    # f in I: not Artinian locally
+    ["loewy", "--element", "1/0"],        # division by zero
+    ["hilbert", "--max-degree", "-3"],
+])
+def test_cli_library_errors_exit_2(ring_file, capsys, argv):
+    assert main(argv[:1] + ["--ring", ring_file] + argv[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
 def test_cli_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--bogus"])

@@ -48,6 +48,14 @@ def test_intersection_of_principal_ideals(R):
     assert K.equals(Ideal(R, ["x*y"]))
 
 
+def test_intersection_with_variable_named_like_aux():
+    R2 = PolyRing(QQ, ("_t", "x"))
+    t, x = R2.gens()
+    K = Ideal(R2, [t * x]).intersect(Ideal(R2, [x ** 2]))
+    assert K.equals(Ideal(R2, [t * x ** 2]))
+    assert K.ring == R2
+
+
 def test_quotient_principal(R):
     I = Ideal(R, ["x*y", "x*z"])
     Q = I.quotient_element(R.parse("x"))

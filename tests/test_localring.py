@@ -6,7 +6,7 @@ from locring.ideal import Ideal
 from locring.localring import (INSIDE_I, LocalRing, weight_search,
                                weighted_degrees, weighted_homogeneity_check)
 from locring.monomial import MonomialIdeal
-from locring.poly import PolyRing
+from locring.poly import DegRevLex, PolyRing
 
 
 def test_defining_ideal_must_avoid_units(xyz):
@@ -23,6 +23,13 @@ def test_hilbert_function_table(cusp_ring):
 
 def test_multiplicity(cusp_ring):
     assert cusp_ring.multiplicity() == 8
+    assert cusp_ring.multiplicity() == \
+        cusp_ring.hilbert_function(12).multiplicity
+
+
+def test_hilbert_function_rejects_negative_degree(cusp_ring):
+    with pytest.raises(ValueError):
+        cusp_ring.hilbert_function(-3)
 
 
 def test_ord(cusp_ring, xyz):
@@ -43,6 +50,13 @@ def test_colength_and_superficiality(cusp_ring, xyz):
     assert cusp_ring.colength(y) == 10
     # 10 > 1 * 8, so y is not superficial
     assert not cusp_ring.is_superficial(y)
+
+
+def test_colength_is_colength_of_local_model(cusp_ring, xyz):
+    J = cusp_ring.I + Ideal(xyz, ["y"])
+    model = cusp_ring.local_model(J)
+    assert DegRevLex() in model.gb_cache
+    assert cusp_ring.colength_local(J) == model.vector_space_dim() == 10
 
 
 def test_loewy_length(cusp_ring, xyz):

@@ -37,6 +37,13 @@ def test_monomial_curve_kernels(T, a, b):
     assert all(verify_in_kernel(g, pm) for g in K.generators)
 
 
+def test_kernel_source_variable_named_t():
+    # the eliminated parameter must not clash with a source variable
+    pm = parse_map_file("s\nt = s^2\nu = s^3\n", QQ)
+    K = kernel(pm)
+    assert [g.to_str() for g in K.groebner().generators] == ["t^3 - u^2"]
+
+
 def test_verify_in_kernel(T):
     pm = _monomial_map(T, (2, 3), ("x", "y"))
     src = pm.source
