@@ -161,7 +161,8 @@ class Report:
 
 
 class Runner:
-    """Executes checks, timing each and trapping budget exhaustion."""
+    """Executes checks, timing each.  Budget exhaustion skips a check; any
+    other exception fails it, and the report goes on to the next check."""
 
     def __init__(self, report):
         self.report = report
@@ -180,6 +181,12 @@ class Runner:
         except BudgetExceeded as exc:
             actual = f"budget exceeded: {exc}"
             status = SKIPPED_HEAVY
+        except Exception as exc:
+            import traceback  # only on this path: keeps it out of start-up
+
+            traceback.print_exc(file=sys.stderr)
+            actual = f"error: {type(exc).__name__}: {exc}"
+            status = FAIL
         ms = int((time.perf_counter() - t0) * 1000)
         self.report.checks.append(Check(name, status, expected, actual, ms))
         return status

@@ -3,8 +3,16 @@
 ``Ideal.eliminate`` is the one elimination routine: intersections (eliminate
 an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
 (``subalgebra.kernel``) build their generators in a ring extended by
-``_aux_name`` and call it.  Quotients reduce to intersections with principal
-ideals followed by exact division.
+``_aux_name`` and call it.
+
+``Ideal.quotient`` takes one of two routes.  When S/I is finite-dimensional
+(``vector_space_dim`` is finite) it is linear algebra on S/I: (I : J)/I is
+the kernel of multiplication by the generators of J on the standard
+monomials of I's degrevlex basis, and the reduced basis of I : J is read off
+the kernel's echelon form, as in FGLM (Faugere, Gianni, Lazard, Mora 1993),
+with no Buchberger run.  Otherwise it intersects the single-element colons
+I : (g), each an intersection with (g) followed by exact division;
+``quotient_element`` and ``saturate`` always take that route.
 """
 
 import itertools
@@ -14,7 +22,7 @@ from . import groebner
 from .errors import BudgetExceeded, RingMismatch, ZeroColon
 from .groebner import DEFAULT_MAX_PAIRS
 from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
-                   mono_divides, monomials_of_degree)
+                   mono_divides, mono_mul, monomials_of_degree)
 
 INFINITE = math.inf
 
@@ -166,10 +174,15 @@ class Ideal:
 
     def quotient(self, other, max_pairs=DEFAULT_MAX_PAIRS,
                  time_budget=None):
-        """I : J, as the intersection of the single-element colons."""
+        """I : J.  By linear algebra on S/I when that space is
+        finite-dimensional, with the reduced degrevlex basis of the result
+        cached; otherwise as the intersection of the single-element colons."""
         self._same_ring(other)
         if other.is_zero_ideal():
             raise ZeroColon("colon by zero ideal")
+        if self.vector_space_dim(max_pairs=max_pairs,
+                                 time_budget=time_budget) != INFINITE:
+            return self._artinian_quotient(other)
         out = None
         for g in other.generators:
             q = self.quotient_element(g, max_pairs=max_pairs,
@@ -192,6 +205,55 @@ class Ideal:
             cur = nxt
         raise BudgetExceeded("saturation did not stabilize",
                              {"iterations": max_iter})
+
+    def _artinian_quotient(self, other):
+        """I : J for a zero-dimensional I.  With columns the standard
+        monomials b of I in ascending degrevlex order, (I : J)/I is the
+        kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J.
+        The free column j in the echelon form of that map gives the kernel
+        vector std[j] - sum_p row_p[j] * std[p] over pivots p < j;
+        these vectors vanish on each other's leading monomials, so they are
+        the kernel's reduced echelon form with the columns descending.  The
+        leading ideal of I : J is LT(I) plus those leading monomials."""
+        order = DegRevLex()
+        key = order.key
+        field = self.ring.field
+        gb = self.groebner()
+        lts = gb.leading_monomials()
+        divisors = [(lt, g.terms[lt], g.terms)
+                    for lt, g in zip(lts, gb.generators)]
+        std = sorted(_standard_monomials(lts, self.ring.nvars), key=key)
+        rows = {}  # (generator index, monomial of the image) -> {column: c}
+        for j, b in enumerate(std):
+            for i, g in enumerate(other.generators):
+                prod = {mono_mul(e, b): c for e, c in g.terms.items()}
+                image = groebner._nf_dict(prod, divisors, key, field)
+                for e, c in image.items():
+                    rows.setdefault((i, e), {})[j] = c
+        pivots = _rref(rows.values(), field)
+        kernel = {}  # leading monomial -> monic kernel vector as term dict
+        for j, b in enumerate(std):
+            if j not in pivots:
+                vec = {b: field.one()}
+                for p, row in pivots.items():
+                    if j in row:
+                        vec[std[p]] = -row[j]
+                kernel[b] = vec
+        basis = []
+        for lt, g in zip(lts, gb.generators):
+            if not any(mono_divides(p, lt) for p in kernel):
+                terms = dict(g.terms)
+                for e, c in g.terms.items():
+                    if e in kernel:
+                        _sub_scaled(terms, c, kernel[e])
+                basis.append(terms)
+        basis += [vec for p, vec in kernel.items()
+                  if not any(q != p and mono_divides(q, p) for q in kernel)]
+        basis.sort(key=lambda terms: key(max(terms, key=key)))
+        polys = [Polynomial(self.ring, terms) for terms in basis]
+        out = Ideal(self.ring, polys)
+        out.gb_cache[order] = groebner.GroebnerBasis(polys, order)
+        return out
 
     # -- elimination --------------------------------------------------------
 
@@ -225,23 +287,8 @@ class Ideal:
         if self.is_zero_ideal():
             return INFINITE
         gb = self.groebner(max_pairs=max_pairs, time_budget=time_budget)
-        if not gb.generators:
-            return INFINITE
-        lts = gb.leading_monomials()
-        if any(sum(e) == 0 for e in lts):
-            return 0  # unit ideal: S/I = 0... length 0 quotient
-        n = self.ring.nvars
-        bounds = []
-        for i in range(n):
-            pure = [e[i] for e in lts if sum(e) == e[i]]
-            if not pure:
-                return INFINITE
-            bounds.append(min(pure))
-        count = 0
-        for exps in itertools.product(*(range(b) for b in bounds)):
-            if not any(mono_divides(l, exps) for l in lts):
-                count += 1
-        return count
+        std = _standard_monomials(gb.leading_monomials(), self.ring.nvars)
+        return INFINITE if std is None else len(std)
 
     def min_power_of_max_ideal_in(self, bound,
                                   max_pairs=DEFAULT_MAX_PAIRS,
@@ -260,6 +307,51 @@ class Ideal:
             if ok:
                 return N
         return None
+
+
+def _standard_monomials(lts, nvars):
+    """Exponent tuples divisible by none of lts, or None if infinitely
+    many (some variable has no pure power among lts)."""
+    bounds = []
+    for i in range(nvars):
+        pure = [e[i] for e in lts if sum(e) == e[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return [exps for exps in itertools.product(*(range(b) for b in bounds))
+            if not any(mono_divides(l, exps) for l in lts)]
+
+
+def _sub_scaled(dst, c, src):
+    """dst -= c * src on term dicts, in place, dropping zero terms."""
+    for e, x in src.items():
+        s = dst.get(e)
+        s = -c * x if s is None else s - c * x
+        if s:
+            dst[e] = s
+        else:
+            del dst[e]
+
+
+def _rref(rows, field):
+    """Reduced row-echelon form of sparse rows ({column: coefficient}) as
+    {pivot: row}: each row's pivot is its smallest column, where it is 1,
+    and every other row is 0 there."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        for p in [col for col in row if col in pivots]:
+            _sub_scaled(row, row[p], pivots[p])
+        if not row:
+            continue
+        p = min(row)
+        inv = field.inverse(row[p])
+        row = {col: x * inv for col, x in row.items()}
+        for other in pivots.values():
+            if p in other:
+                _sub_scaled(other, other[p], row)
+        pivots[p] = row
+    return pivots
 
 
 def _aux_name(ring):

@@ -180,6 +180,10 @@ class LocalRing:
 
     def loewy_length_mod(self, f, bound=DEFAULT_LOEWY_BOUND):
         """Smallest N with m^N contained in (f) in R."""
+        if self.I.member(f):
+            raise NotArtinianLocally(
+                f"{f.to_str()} lies in the defining ideal, so R/(f) = R is "
+                "not Artinian")
         model = self.local_model(self.I + Ideal(self.ring, [f]))
         N = model.min_power_of_max_ideal_in(bound)
         if N is None:

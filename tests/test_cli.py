@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from locring.cli import (SplitMix64, gll_search, main, parse_ring_file,
-                         run_scenario, sample_element)
-from locring.errors import ParseError
+from locring.cli import (FAIL, PASS, Report, Runner, SplitMix64, gll_search,
+                         main, parse_ring_file, run_scenario, sample_element)
+from locring.errors import InternalInconsistency, ParseError
 
 MAIN_RING_TEXT = """\
 field Q
@@ -155,6 +155,29 @@ def test_cli_library_errors_exit_2(ring_file, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ")
+
+
+def test_cli_loewy_of_element_in_defining_ideal(ring_file, capsys):
+    argv = ["loewy", "--ring", ring_file, "--element", "x^2-y^5"]
+    assert main(argv) == 2
+    assert "lies in the defining ideal" in capsys.readouterr().err
+
+
+def test_runner_records_other_errors_as_fail(capsys):
+    report = Report("errors", 0)
+    runner = Runner(report)
+
+    def disagree():
+        raise InternalInconsistency("delta criteria disagree at n=3")
+
+    assert runner.run("broken", True, disagree) == FAIL
+    assert runner.run("next", 1, lambda: 1) == PASS
+    broken, nxt = report.checks
+    assert broken.actual == ("error: InternalInconsistency: delta criteria "
+                             "disagree at n=3")
+    assert (broken.expected, nxt.status) == ("True", PASS)
+    assert not report.passed()
+    assert "InternalInconsistency" in capsys.readouterr().err
 
 
 def test_cli_bad_flags_exit_2():

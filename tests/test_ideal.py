@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from locring.arith import QQ
+from locring.arith import QQ, PrimeField
 from locring.errors import RingMismatch, ZeroColon
+from locring.groebner import buchberger
 from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
-from locring.poly import PolyRing
+from locring.poly import DegRevLex, Polynomial, PolyRing
 
 
 @pytest.fixture
@@ -66,6 +69,57 @@ def test_quotient_by_ideal(R):
     I = Ideal(R, ["x^2", "x*y"])
     Q = I.quotient(Ideal(R, ["x"]))
     assert Q.equals(Ideal(R, ["x", "y"]))
+
+
+def _random_poly(ring, rng, lo, hi):
+    """About a third of the monomials of degree lo..hi, coefficients in
+    [-3, 3]."""
+    terms = {}
+    for d in range(lo, hi + 1):
+        for e in all_monomials(ring, d):
+            c = rng.randint(-3, 3) if rng.randint(0, 2) == 0 else 0
+            if c:
+                terms[e] = ring.field.from_int(c)
+    return Polynomial(ring, terms)
+
+
+def _colon_oracle(J, K):
+    """J : K as the intersection of the colons by single generators."""
+    out = None
+    for g in K.generators:
+        q = J.quotient_element(g)
+        out = q if out is None else out.intersect(q)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+def test_artinian_quotient_matches_intersection_oracle(field):
+    rng = random.Random(2015)
+    for names in (("x", "y"), ("x", "y", "z"), ("x", "y", "z")):
+        ring = PolyRing(field, names)
+        gens = [_random_poly(ring, rng, 2, 3) for _ in names[1:]]
+        J = Ideal(ring, gens) + max_ideal_power(ring, 5)
+        assert J.vector_space_dim() != INFINITE
+        assert not all(g.is_monomial() for g in J.groebner().generators)
+        K = Ideal(ring, [_random_poly(ring, rng, 1, 2) for _ in range(2)])
+        for colon_by in (max_ideal(ring), K):
+            got = J.quotient(colon_by)
+            installed = got.gb_cache[DegRevLex()].generators
+            assert installed == _colon_oracle(J, colon_by).groebner() \
+                .generators
+            assert buchberger(list(got.generators), DegRevLex()) \
+                .generators == installed
+
+
+def test_artinian_quotient_edge_cases(R):
+    unit = Ideal(R, [R.one()])
+    J = Ideal(R, ["x^2 - y*z", "y^3", "z^2"])
+    n = max_ideal(R)
+    for ideal in (unit.quotient(n), J.quotient(J), J.quotient(n * J)):
+        assert ideal.gb_cache[DegRevLex()].generators == [R.one()]
+        assert ideal.is_unit_ideal()
+    same = J.quotient(unit)
+    assert same.gb_cache[DegRevLex()].generators == J.groebner().generators
 
 
 def test_quotient_by_zero_raises(R):
