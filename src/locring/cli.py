@@ -381,7 +381,22 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
 
     Membership is decided modulo n^(N+1): for an m-primary situation,
     n^N lies in the localized J iff n^N lies in J + n^(N+1) (Nakayama).
+    Raises ValueError on arguments that would make the search loop forever
+    (no nonzero draw possible) or report false hits (N < 1, constants in f).
     """
+    lo, hi = order_range
+    if target_n < 1:
+        raise ValueError(f"gll-search: target must be at least 1, "
+                         f"got {target_n}")
+    if lo < 1 or hi < lo:
+        raise ValueError(f"gll-search: orders must be A..B with "
+                         f"1 <= A <= B, got {lo}..{hi}")
+    if coeff_box < 1:
+        raise ValueError(f"gll-search: coeff-box must be at least 1, "
+                         f"got {coeff_box}")
+    if samples < 0:
+        raise ValueError(f"gll-search: samples must be at least 0, "
+                         f"got {samples}")
     R = desc.local_ring()
     ring = R.ring
     rng = SplitMix64(seed)

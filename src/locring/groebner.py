@@ -5,15 +5,26 @@ functions take and return Polynomial objects.  Determinism: divisors are
 tried in list order during reduction, the pair queue breaks ties by
 (sugar, lcm degree, order key of lcm, indices), and the reduced basis is
 sorted by leading monomial.
+
+Bookkeeping: each pending pair keeps the lcm of its leading monomials, so
+the Gebauer-Moeller criteria compute one lcm per basis element on every
+insertion.  A pair of two single-term elements is never queued, since its
+S-polynomial is 0; it still takes part in the lcm grouping, so the chain
+criterion and the evolution of the basis are as if it had been reduced.
+In reduction a divisor whose leading monomial has higher total degree than
+the term is skipped before the exponent-wise test; the first divisor in
+list order that divides the term still reduces it.
 """
 
 import heapq
 import time
 from fractions import Fraction
 from math import gcd
+from operator import ge, sub
 
 from .errors import BudgetExceeded, RingMismatch
-from .poly import Polynomial, mono_degree, mono_div, mono_lcm, mono_mul
+from .poly import (Polynomial, mono_degree, mono_div, mono_divides, mono_lcm,
+                   mono_mul)
 
 DEFAULT_MAX_PAIRS = 2_000_000
 
@@ -76,31 +87,32 @@ def _lt(terms, key):
 def _nf_dict(terms, divisors, key, field):
     """Full normal form of a term dict against divisors.
 
-    divisors: list of (lt_exps, lt_coeff, terms_dict), tried in order.
+    divisors: list of (lt_exps, lt_coeff, terms_dict), tried in order; the
+    first whose leading monomial divides a term reduces it.  A divisor of
+    higher total degree than the term cannot divide it and is skipped
+    before the exponent-wise test.
     """
     if not terms:
         return {}
+    divs = [(sum(lt_e), lt_e, lt_c, div_terms)
+            for lt_e, lt_c, div_terms in divisors]
     work = dict(terms)
     heap = [tuple(-x for x in key(e)) + (e,) for e in work]
     heapq.heapify(heap)
-    nv = len(next(iter(work)))
     remainder = {}
     while heap:
-        entry = heapq.heappop(heap)
-        e = entry[-1]
+        e = heapq.heappop(heap)[-1]
         c = work.get(e)
         if c is None:
             continue
-        hit = None
-        for lt_e, lt_c, div_terms in divisors:
-            q = mono_div(e, lt_e)
-            if q is not None:
-                hit = (q, lt_e, lt_c, div_terms)
+        deg = sum(e)
+        for lt_deg, lt_e, lt_c, div_terms in divs:
+            if lt_deg <= deg and all(map(ge, e, lt_e)):
                 break
-        if hit is None:
+        else:
             remainder[e] = work.pop(e)
             continue
-        q, lt_e, lt_c, div_terms = hit
+        q = tuple(map(sub, e, lt_e))
         factor = c / lt_c
         del work[e]
         for de, dc in div_terms.items():
@@ -175,7 +187,12 @@ def spoly(f, g, order):
 
 
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
-    """Reduced Groebner basis of the ideal generated by gens."""
+    """Reduced Groebner basis of the ideal generated by gens.
+
+    max_pairs bounds the S-pairs actually reduced: pairs removed by the
+    criteria and monomial x monomial pairs, which are never queued, do not
+    count.  Either budget raises BudgetExceeded with diagnostics.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis([], order, reduced=True)
@@ -187,47 +204,48 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     key = order.key
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    G = []        # term dicts
-    lts = []      # (exps, coeff)
+    G = []          # (lt exps, lt coeff, terms), the divisors of _nf_dict
+    lt_degs = []
     sugars = []
-    pairs = set()
+    pairs = {}      # pending (i, j) -> lcm of their leading monomials
     heap = []
-
-    def push_pair(i, j):
-        lcm = mono_lcm(lts[i][0], lts[j][0])
-        s = max(sugars[i] + mono_degree(lcm) - mono_degree(lts[i][0]),
-                sugars[j] + mono_degree(lcm) - mono_degree(lts[j][0]))
-        heapq.heappush(heap, (s, mono_degree(lcm), key(lcm), i, j))
-        pairs.add((i, j))
 
     def add_poly(terms, sugar):
         t = len(G)
         lt_e = _lt(terms, key)
-        lt_new = (lt_e, terms[lt_e])
-        # Gebauer-Moeller: prune existing pairs made redundant by the new lt
-        for (i, j) in list(pairs):
-            lcm_ij = mono_lcm(lts[i][0], lts[j][0])
-            if (mono_div(lcm_ij, lt_e) is not None
-                    and lcm_ij != mono_lcm(lts[i][0], lt_e)
-                    and lcm_ij != mono_lcm(lts[j][0], lt_e)):
-                pairs.discard((i, j))
-        G.append(terms)
-        lts.append(lt_new)
+        deg_e = mono_degree(lt_e)
+        new_lcms = [mono_lcm(g[0], lt_e) for g in G]
+        # Gebauer-Moeller: prune pending pairs made redundant by the new lt
+        doomed = [ij for ij, L in pairs.items()
+                  if mono_divides(lt_e, L)
+                  and L != new_lcms[ij[0]] and L != new_lcms[ij[1]]]
+        for ij in doomed:
+            del pairs[ij]
+        G.append((lt_e, terms[lt_e], terms))
+        lt_degs.append(deg_e)
         sugars.append(sugar)
         # group candidate pairs by lcm, minimalize, apply coprime criterion
         lcm_groups = {}
-        for i in range(t):
-            lcm_groups.setdefault(mono_lcm(lts[i][0], lt_e), []).append(i)
+        for i, L in enumerate(new_lcms):
+            lcm_groups.setdefault(L, []).append(i)
+        # a proper divisor has lower degree, so a degree sort is enough to
+        # meet every divisor of L before L
         minimal = []
-        for L in sorted(lcm_groups, key=lambda m: (mono_degree(m), key(m))):
-            if all(mono_div(L, M) is None for M in minimal):
+        for L in sorted(lcm_groups, key=mono_degree):
+            if not any(mono_divides(M, L) for M in minimal):
                 minimal.append(L)
+        monomial = len(terms) == 1
         for L in minimal:
             members = lcm_groups[L]
-            if any(mono_lcm(lts[i][0], lt_e) == mono_mul(lts[i][0], lt_e)
-                   for i in members):
+            deg_L = mono_degree(L)
+            if any(deg_L == lt_degs[i] + deg_e for i in members):
                 continue  # a coprime pair covers this lcm
-            push_pair(min(members), t)
+            i = min(members)
+            if monomial and len(G[i][2]) == 1:
+                continue  # the S-polynomial of two monomials is 0
+            s = max(sugars[i] + deg_L - lt_degs[i], sugar + deg_L - deg_e)
+            heapq.heappush(heap, (s, deg_L, key(L), i, t))
+            pairs[i, t] = L
 
     for g in sorted(gens, key=lambda p: key(p.leading_monomial(order))):
         terms = _normalize(dict(g.terms), field)
@@ -237,9 +255,8 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     while heap:
         entry = heapq.heappop(heap)
         i, j = entry[3], entry[4]
-        if (i, j) not in pairs:
+        if pairs.pop((i, j), None) is None:
             continue
-        pairs.discard((i, j))
         processed += 1
         if processed > max_pairs:
             raise BudgetExceeded(
@@ -251,33 +268,22 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
                 "buchberger: time budget exceeded",
                 {"pairs_processed": processed, "basis_size": len(G),
                  "pairs_pending": len(pairs)})
-        s = _spoly_dict(G[i], lts[i], G[j], lts[j], field)
-        divisors = [(lts[t][0], lts[t][1], G[t]) for t in range(len(G))]
-        r = _nf_dict(s, divisors, key, field)
+        s = _spoly_dict(G[i][2], G[i][:2], G[j][2], G[j][:2], field)
+        r = _nf_dict(s, G, key, field)
         if r:
             add_poly(_normalize(r, field), entry[0])
 
     # minimalize: drop generators whose lt is divisible by another lt
-    order_idx = sorted(range(len(G)), key=lambda t: key(lts[t][0]))
-    minimal_idx = []
-    for t in order_idx:
-        if all(mono_div(lts[t][0], lts[u][0]) is None for u in minimal_idx):
-            minimal_idx.append(t)
-    # interreduce
-    reduced = []
-    for pos, t in enumerate(minimal_idx):
-        others = [(lts[u][0], lts[u][1], G[u]) for u in minimal_idx if u != t]
-        r = _nf_dict(G[t], others, key, field)
-        r = _monic(r, _lt(r, key), field)
-        reduced.append(r)
-    # re-interreduce tails against the final monic set for full reduction
+    minimal = []
+    for g in sorted(G, key=lambda g: key(g[0])):
+        if all(mono_div(g[0], h[0]) is None for h in minimal):
+            minimal.append(g)
+    # interreduce: a tail term below lt(g) cannot be a multiple of lt(g),
+    # so one normal form against the others leaves g fully reduced
     final = []
-    lt_list = [(_lt(r, key), r[_lt(r, key)], r) for r in reduced]
-    for idx, r in enumerate(reduced):
-        others = [lt_list[u] for u in range(len(reduced)) if u != idx]
-        rr = _nf_dict(r, others, key, field)
-        final.append(_monic(rr, _lt(rr, key), field))
-    final.sort(key=lambda terms: key(_lt(terms, key)))
+    for g in minimal:
+        r = _nf_dict(g[2], [h for h in minimal if h is not g], key, field)
+        final.append(_monic(r, g[0], field))
     return GroebnerBasis([Polynomial(ring, t) for t in final], order,
                          reduced=True)
 

@@ -7,6 +7,7 @@ monomial.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add, ge
 
 from .errors import ParseError, RingMismatch, VariableClash, ZeroPolynomial
 
@@ -15,7 +16,7 @@ from .errors import ParseError, RingMismatch, VariableClash, ZeroPolynomial
 # monomial helpers (exponent tuples)
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
@@ -29,11 +30,11 @@ def mono_div(a, b):
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_divides(b, a):
-    return all(x >= y for x, y in zip(a, b))
+    return all(map(ge, a, b))
 
 
 def mono_degree(a):

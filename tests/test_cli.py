@@ -195,6 +195,23 @@ def test_cli_gll_search_hit_exit_1(ring_file, capsys):
     assert "y" in report["checks"][0]["actual"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--target", "-1"],                      # false hits
+    ["--target", "0"],
+    ["--orders", "0..2"],                    # constants in f: every f a unit
+    ["--orders", "3..1"],                    # no monomials: loops forever
+    ["--coeff-box", "0"],                    # every draw 0: loops forever
+    ["--samples", "-1"],
+])
+def test_cli_gll_search_bad_arguments_exit_2(ring_file, capsys, flags):
+    argv = ["gll-search", "--ring", ring_file, "--target", "5",
+            "--samples", "3"] + flags
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: gll-search: ")
+
+
 def test_unknown_scenario():
     with pytest.raises(ValueError):
         run_scenario("nope")
