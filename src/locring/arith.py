@@ -99,6 +99,7 @@ class RationalField:
     """The field Q, with Fraction coefficients."""
 
     name = "Q"
+    characteristic = 0
 
     def zero(self):
         return Fraction(0)
@@ -138,6 +139,7 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
+        self.characteristic = p
         self.name = f"F{p}"
 
     def zero(self):

@@ -107,11 +107,18 @@ def parse_ring_file(text):
                 raise ParseError(f"bad order line {line!r}", i)
             order_name = parts[1]
         elif kw == "weights":
+            if not all(w.isdigit() and int(w) > 0 for w in parts[1:]):
+                raise ParseError(f"bad weights line {line!r}: weights must "
+                                 "be positive integers", i)
             weights = tuple(int(w) for w in parts[1:])
+            weights_at = i
         else:
             raise ParseError(f"unknown keyword {kw!r}", i)
     if fld is None or names is None:
         raise ParseError("ring file needs field and vars lines", 0)
+    if weights is not None and len(weights) != len(names):
+        raise ParseError(f"weights line has {len(weights)} entries for "
+                         f"{len(names)} variables", weights_at)
     desc = RingDescription(fld, names, tuple(gens), order_name, weights)
     desc.local_ring()  # validates generators and I inside (vars)
     return desc
@@ -368,9 +375,9 @@ def sample_element(ring, rng, order_range, coeff_box):
     terms = {}
     for d in range(lo, hi + 1):
         for e in all_monomials(ring, d):
-            c = rng.randint(-coeff_box, coeff_box)
-            if c:
-                terms[e] = ring.field.from_int(c)
+            c = ring.field.from_int(rng.randint(-coeff_box, coeff_box))
+            if c:  # over F_p a nonzero draw can still be 0
+                terms[e] = c
     return Polynomial(ring, terms)
 
 

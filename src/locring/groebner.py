@@ -1,10 +1,24 @@
 """Buchberger's algorithm with sugar selection and Gebauer-Moeller pruning.
 
-The engine works on term dicts (exps tuple -> coeff) for speed; the public
+The engine works on raw term dicts (exps tuple -> int) for speed; the public
 functions take and return Polynomial objects.  Determinism: divisors are
 tried in list order during reduction, the pair queue breaks ties by
 (sugar, lcm degree, order key of lcm, indices), and the reduced basis is
 sorted by leading monomial.
+
+Raw coefficients: over F_p a coefficient is its residue in [0, p); over Q a
+polynomial is an integer polynomial, and basis elements are primitive.
+Reduction over Q is fraction-free: a term c*e is removed by a divisor g with
+leading coefficient a by multiplying the work and the remainder by
+a/gcd(c, a) and subtracting (c/gcd(c, a)) * q * g, so the remainder comes
+back as lambda * NF for a positive rational scale lambda; dividing out the
+content when the multipliers grow keeps coefficients small.  A raw
+polynomial is always a positive multiple of what field arithmetic would
+give, so it has the same terms, and every divisor and pair choice is the
+same.  ``buchberger`` converts its generators once and builds Fraction or
+PrimeFieldElement values only for the final monic basis; ``normal_form``
+and ``spoly`` divide by the scale to return exact field elements, and a
+``GroebnerBasis`` converts its generators to raw divisors once.
 
 Bookkeeping: each pending pair keeps the lcm of its leading monomials, so
 the Gebauer-Moeller criteria compute one lcm per basis element on every
@@ -19,14 +33,20 @@ list order that divides the term still reduces it.
 import heapq
 import time
 from fractions import Fraction
-from math import gcd
-from operator import ge, sub
+from functools import cached_property
+from math import gcd, lcm
+from operator import add, ge, neg, sub
 
+from .arith import PrimeFieldElement
 from .errors import BudgetExceeded, RingMismatch
 from .poly import (Polynomial, mono_degree, mono_div, mono_divides, mono_lcm,
                    mono_mul)
 
 DEFAULT_MAX_PAIRS = 2_000_000
+
+# Over Q, the content of the work polynomial is divided out once the
+# multipliers since the last division exceed this.
+_CONTENT_GROWTH = 1 << 64
 
 
 class GroebnerBasis:
@@ -46,99 +66,171 @@ class GroebnerBasis:
     def leading_monomials(self):
         return [g.leading_monomial(self.order) for g in self.generators]
 
+    @cached_property
+    def divisors(self):
+        """The generators as raw divisors of _nf_dict, converted once."""
+        if not self.generators:
+            return []
+        p = self.generators[0].ring.field.characteristic
+        return [_raw_divisor(g.terms, self.order.key, p)
+                for g in self.generators]
+
     def __repr__(self):
         return f"GroebnerBasis({len(self.generators)} gens, {self.order})"
 
 
 # ---------------------------------------------------------------------------
-# term-dict helpers
+# raw term dicts
 
-def _normalize(terms, field):
-    """Canonical scaling: monic over a finite field; over Q, integer
-    coefficients with content 1 and positive leading-ish sign left to the
-    caller (we normalize so that gcd of numerators is 1)."""
-    if not terms:
+class _Remainder(dict):
+    """A raw remainder: the normal form of the reduced input is
+    self / scale, for a positive rational scale (1 over F_p)."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, terms, scale):
+        super().__init__(terms)
+        self.scale = scale
+
+
+def _to_raw(terms, p):
+    """A term dict of field elements as (raw, scale), raw = scale * terms:
+    residues over F_p with scale 1; over Q integers, with scale the lcm of
+    the denominators."""
+    if p:
+        return {e: c.value for e, c in terms.items()}, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in terms.items()}, den
+
+
+def _from_raw(raw, scale, field):
+    """The term dict of field elements raw / scale (scale an int or a
+    Fraction, nonzero); terms that vanish mod p are dropped."""
+    p = field.characteristic
+    if p:
+        inv = pow(scale, -1, p)
+        out = {}
+        for e, c in raw.items():
+            c = c * inv % p
+            if c:
+                out[e] = PrimeFieldElement(c, p)
+        return out
+    num, den = scale.numerator, scale.denominator
+    return {e: Fraction(c * den, num) for e, c in raw.items()}
+
+
+def _normalize(terms, lead, p):
+    """Canonical scaling of a raw polynomial with leading coefficient lead:
+    primitive over Q (the content divided out, signs kept), monic over F_p."""
+    if p:
+        if lead == 1:
+            return terms
+        inv = pow(lead, -1, p)
+        return {e: c * inv % p for e, c in terms.items()}
+    content = gcd(*terms.values())
+    if content == 1:
         return terms
-    sample = next(iter(terms.values()))
-    if isinstance(sample, Fraction):
-        num_gcd = 0
-        den_lcm = 1
-        for c in terms.values():
-            num_gcd = gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        return {e: c * scale for e, c in terms.items()}
-    inv = field.inverse(sample)
-    return {e: c * inv for e, c in terms.items()}
+    return {e: c // content for e, c in terms.items()}
 
 
-def _monic(terms, lt_exps, field):
-    c = terms[lt_exps]
-    if c == field.one():
-        return terms
-    inv = field.inverse(c)
-    return {e: x * inv for e, x in terms.items()}
+def _raw_divisor(terms, key, p):
+    """The divisor (lt exps, lt coeff, raw terms, lt degree) of a nonzero
+    polynomial's term dict, primitive over Q and monic over F_p."""
+    raw = _to_raw(terms, p)[0]
+    lt_e = _lt(raw, key)
+    raw = _normalize(raw, raw[lt_e], p)
+    return lt_e, raw[lt_e], raw, sum(lt_e)
 
 
 def _lt(terms, key):
     return max(terms, key=key)
 
 
-def _nf_dict(terms, divisors, key, field):
-    """Full normal form of a term dict against divisors.
+def _nf_dict(terms, divisors, key, p):
+    """Full normal form of a raw term dict against raw divisors, over F_p
+    for p > 0 and over Q for p = 0.
 
-    divisors: list of (lt_exps, lt_coeff, terms_dict), tried in order; the
-    first whose leading monomial divides a term reduces it.  A divisor of
-    higher total degree than the term cannot divide it and is skipped
-    before the exponent-wise test.
+    divisors: list of (lt_exps, lt_coeff, terms_dict, lt_degree), monic over
+    F_p, tried in order; the first whose leading monomial divides a term
+    reduces it.  A divisor of higher total degree than the term cannot
+    divide it and is skipped before the exponent-wise test.  Returns a
+    _Remainder, empty exactly when the normal form is 0.
     """
     if not terms:
-        return {}
-    divs = [(sum(lt_e), lt_e, lt_c, div_terms)
-            for lt_e, lt_c, div_terms in divisors]
+        return _Remainder({}, 1)
+    push, pop = heapq.heappush, heapq.heappop
+    # Terms that cancel stay in work as 0 (or a multiple of p) and are
+    # skipped when popped; a term is pushed once, when it enters work, since
+    # every product q * tail is below the term being removed.
     work = dict(terms)
-    heap = [tuple(-x for x in key(e)) + (e,) for e in work]
+    heap = [(*map(neg, key(e)), e) for e in work]
     heapq.heapify(heap)
     remainder = {}
+    num = den = grown = 1   # scale num/den; multipliers since the last content
     while heap:
-        e = heapq.heappop(heap)[-1]
-        c = work.get(e)
-        if c is None:
+        e = pop(heap)[-1]
+        c = work.pop(e)
+        if p:
+            c %= p
+        if not c:
             continue
         deg = sum(e)
-        for lt_deg, lt_e, lt_c, div_terms in divs:
+        for lt_e, a, div_terms, lt_deg in divisors:
             if lt_deg <= deg and all(map(ge, e, lt_e)):
                 break
         else:
-            remainder[e] = work.pop(e)
+            remainder[e] = c
             continue
         q = tuple(map(sub, e, lt_e))
-        factor = c / lt_c
-        del work[e]
+        if p or a == 1:
+            factor = c
+        else:
+            h = gcd(c, a)
+            factor, m = c // h, a // h
+            if m < 0:
+                factor, m = -factor, -m
+            if m != 1:
+                for x in work:
+                    work[x] *= m
+                for x in remainder:
+                    remainder[x] *= m
+                num *= m
+                grown *= m
+                if grown > _CONTENT_GROWTH:
+                    h = gcd(*work.values(), *remainder.values(), factor)
+                    if h > 1:
+                        work = {x: v // h for x, v in work.items()}
+                        remainder = {x: v // h for x, v in remainder.items()}
+                        factor //= h
+                        den *= h
+                    grown = 1
         for de, dc in div_terms.items():
             if de == lt_e:
                 continue
-            ne = mono_mul(de, q)
+            ne = tuple(map(add, de, q))
             s = work.get(ne)
             if s is None:
                 work[ne] = -factor * dc
-                heapq.heappush(heap, tuple(-x for x in key(ne)) + (ne,))
+                push(heap, (*map(neg, key(ne)), ne))
             else:
-                s = s - factor * dc
-                if s:
-                    work[ne] = s
-                else:
-                    del work[ne]
-    return remainder
+                work[ne] = s - factor * dc
+    return _Remainder(remainder, num if den == 1 else Fraction(num, den))
 
 
-def _spoly_dict(f, lt_f, g, lt_g, field):
-    """S-polynomial of term dicts f, g with known leading terms."""
-    lcm = mono_lcm(lt_f[0], lt_g[0])
-    qf = mono_div(lcm, lt_f[0])
-    qg = mono_div(lcm, lt_g[0])
-    cf = field.one() / lt_f[1]
-    cg = field.one() / lt_g[1]
+def _spoly_dict(f, lt_f, g, lt_g):
+    """S-polynomial of raw term dicts with known leading terms (a, b their
+    coefficients), times lcm(|a|, |b|): (b/h)*qf*f - (a/h)*qg*g, h = gcd(a, b),
+    both signs flipped if a*b < 0.  Over F_p the coefficients are left
+    unreduced mod p."""
+    lcm_e = mono_lcm(lt_f[0], lt_g[0])
+    qf = mono_div(lcm_e, lt_f[0])
+    qg = mono_div(lcm_e, lt_g[0])
+    a, b = lt_f[1], lt_g[1]
+    h = gcd(a, b)
+    cf, cg = b // h, a // h
+    if (a < 0) != (b < 0):
+        cf, cg = -cf, -cg
     out = {}
     for e, c in f.items():
         out[mono_mul(e, qf)] = c * cf
@@ -160,34 +252,46 @@ def _spoly_dict(f, lt_f, g, lt_g, field):
 # public operations
 
 def normal_form(f, G, order):
-    """Remainder of f on division by the list G (divisors in list order)."""
+    """Remainder of f on division by G, divisors in list order: a list of
+    polynomials, or a GroebnerBasis for this order, whose raw divisors are
+    reused."""
     ring = f.ring
-    for g in G:
-        if g.ring != ring:
-            raise RingMismatch("normal_form: mixed rings")
     key = order.key
-    divisors = []
-    for g in G:
-        if g.is_zero():
-            continue
-        lt_e = _lt(g.terms, key)
-        divisors.append((lt_e, g.terms[lt_e], g.terms))
-    return Polynomial(ring, _nf_dict(f.terms, divisors, key, ring.field))
+    p = ring.field.characteristic
+    if isinstance(G, GroebnerBasis):
+        if G.generators and G.generators[0].ring != ring:
+            raise RingMismatch("normal_form: mixed rings")
+        divisors = G.divisors
+    else:
+        for g in G:
+            if g.ring != ring:
+                raise RingMismatch("normal_form: mixed rings")
+        divisors = [_raw_divisor(g.terms, key, p) for g in G
+                    if not g.is_zero()]
+    raw, scale = _to_raw(f.terms, p)
+    r = _nf_dict(raw, divisors, key, p)
+    return Polynomial(ring, _from_raw(r, scale * r.scale, ring.field))
 
 
 def spoly(f, g, order):
     """S-polynomial of two nonzero polynomials."""
     key = order.key
-    field = f.ring.field
-    lt_f = _lt(f.terms, key)
-    lt_g = _lt(g.terms, key)
-    terms = _spoly_dict(f.terms, (lt_f, f.terms[lt_f]), g.terms,
-                        (lt_g, g.terms[lt_g]), field)
-    return Polynomial(f.ring, terms)
+    p = f.ring.field.characteristic
+    lt_f, a, raw_f, _ = _raw_divisor(f.terms, key, p)
+    lt_g, b, raw_g, _ = _raw_divisor(g.terms, key, p)
+    terms = _spoly_dict(raw_f, (lt_f, a), raw_g, (lt_g, b))
+    return Polynomial(f.ring, _from_raw(terms, lcm(a, b), f.ring.field))
 
 
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     """Reduced Groebner basis of the ideal generated by gens.
+
+    The generators are converted once to raw form (residues over F_p,
+    integers over Q), and the run stays on raw ints.  An S-polynomial and
+    its remainder come back as positive multiples lambda * NF of the field
+    values; lambda is dropped, since every new basis element is made
+    primitive (Q) or monic (F_p) before it is added.  Only the final monic
+    basis is converted back to Fraction or PrimeFieldElement coefficients.
 
     max_pairs bounds the S-pairs actually reduced: pairs removed by the
     criteria and monomial x monomial pairs, which are never queued, do not
@@ -201,11 +305,11 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
         if g.ring != ring:
             raise RingMismatch("buchberger: mixed rings")
     field = ring.field
+    p = field.characteristic
     key = order.key
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    G = []          # (lt exps, lt coeff, terms), the divisors of _nf_dict
-    lt_degs = []
+    G = []          # (lt exps, lt coeff, raw terms, lt degree): the divisors
     sugars = []
     pairs = {}      # pending (i, j) -> lcm of their leading monomials
     heap = []
@@ -213,6 +317,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     def add_poly(terms, sugar):
         t = len(G)
         lt_e = _lt(terms, key)
+        terms = _normalize(terms, terms[lt_e], p)
         deg_e = mono_degree(lt_e)
         new_lcms = [mono_lcm(g[0], lt_e) for g in G]
         # Gebauer-Moeller: prune pending pairs made redundant by the new lt
@@ -221,8 +326,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
                   and L != new_lcms[ij[0]] and L != new_lcms[ij[1]]]
         for ij in doomed:
             del pairs[ij]
-        G.append((lt_e, terms[lt_e], terms))
-        lt_degs.append(deg_e)
+        G.append((lt_e, terms[lt_e], terms, deg_e))
         sugars.append(sugar)
         # group candidate pairs by lcm, minimalize, apply coprime criterion
         lcm_groups = {}
@@ -238,17 +342,17 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
         for L in minimal:
             members = lcm_groups[L]
             deg_L = mono_degree(L)
-            if any(deg_L == lt_degs[i] + deg_e for i in members):
+            if any(deg_L == G[i][3] + deg_e for i in members):
                 continue  # a coprime pair covers this lcm
             i = min(members)
             if monomial and len(G[i][2]) == 1:
                 continue  # the S-polynomial of two monomials is 0
-            s = max(sugars[i] + deg_L - lt_degs[i], sugar + deg_L - deg_e)
+            s = max(sugars[i] + deg_L - G[i][3], sugar + deg_L - deg_e)
             heapq.heappush(heap, (s, deg_L, key(L), i, t))
             pairs[i, t] = L
 
-    for g in sorted(gens, key=lambda p: key(p.leading_monomial(order))):
-        terms = _normalize(dict(g.terms), field)
+    for g in sorted(gens, key=lambda g: key(g.leading_monomial(order))):
+        terms = _to_raw(g.terms, p)[0]
         add_poly(terms, max(mono_degree(e) for e in terms))
 
     processed = 0
@@ -268,10 +372,10 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
                 "buchberger: time budget exceeded",
                 {"pairs_processed": processed, "basis_size": len(G),
                  "pairs_pending": len(pairs)})
-        s = _spoly_dict(G[i][2], G[i][:2], G[j][2], G[j][:2], field)
-        r = _nf_dict(s, G, key, field)
+        s = _spoly_dict(G[i][2], G[i][:2], G[j][2], G[j][:2])
+        r = _nf_dict(s, G, key, p)
         if r:
-            add_poly(_normalize(r, field), entry[0])
+            add_poly(r, entry[0])
 
     # minimalize: drop generators whose lt is divisible by another lt
     minimal = []
@@ -282,14 +386,13 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     # so one normal form against the others leaves g fully reduced
     final = []
     for g in minimal:
-        r = _nf_dict(g[2], [h for h in minimal if h is not g], key, field)
-        final.append(_monic(r, g[0], field))
-    return GroebnerBasis([Polynomial(ring, t) for t in final], order,
-                         reduced=True)
+        r = _nf_dict(g[2], [h for h in minimal if h is not g], key, p)
+        final.append(Polynomial(ring, _from_raw(r, r[g[0]], field)))
+    return GroebnerBasis(final, order, reduced=True)
 
 
 def is_member(f, gb):
     """Ideal membership via a cached Groebner basis."""
     if f.is_zero():
         return True
-    return normal_form(f, gb.generators, gb.order).is_zero()
+    return normal_form(f, gb, gb.order).is_zero()

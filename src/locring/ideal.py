@@ -220,14 +220,15 @@ class Ideal:
         field = self.ring.field
         gb = self.groebner()
         lts = gb.leading_monomials()
-        divisors = [(lt, g.terms[lt], g.terms)
-                    for lt, g in zip(lts, gb.generators)]
         std = sorted(_standard_monomials(lts, self.ring.nvars), key=key)
+        p = field.characteristic
+        raw_gens = [groebner._to_raw(g.terms, p) for g in other.generators]
         rows = {}  # (generator index, monomial of the image) -> {column: c}
         for j, b in enumerate(std):
-            for i, g in enumerate(other.generators):
-                prod = {mono_mul(e, b): c for e, c in g.terms.items()}
-                image = groebner._nf_dict(prod, divisors, key, field)
+            for i, (raw, scale) in enumerate(raw_gens):
+                prod = {mono_mul(e, b): c for e, c in raw.items()}
+                r = groebner._nf_dict(prod, gb.divisors, key, p)
+                image = groebner._from_raw(r, scale * r.scale, field)
                 for e, c in image.items():
                     rows.setdefault((i, e), {})[j] = c
         pivots = _rref(rows.values(), field)

@@ -117,6 +117,8 @@ class LocalRing:
         """HF(d) for d <= max_degree, and where it first stays constant."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
+        if window < 1:
+            raise ValueError("window must be >= 1")
         values = list(self._hilbert_values(max_degree))
         stabilized_at = None
         mult = None
@@ -129,6 +131,8 @@ class LocalRing:
 
     def multiplicity(self, window=3, max_degree=30):
         """Stable Hilbert-function value (dimension-one multiplicity)."""
+        if window < 1:
+            raise ValueError("window must be >= 1")
         run = 0
         prev = None
         for hf in self._hilbert_values(max_degree):

@@ -97,6 +97,20 @@ def test_sample_element_degrees():
     assert 1 <= f.order() <= f.total_degree() <= 2
 
 
+def test_gll_search_over_f3_with_coefficients_up_to_3(tmp_path, capsys):
+    # draws of +-3 are 0 in F_3; they used to be stored as zero terms and
+    # the search failed with "inverse of 0 in F_3"
+    ring = parse_ring_file(MAIN_RING_TEXT.replace("Q", "Fp 3")).ring()
+    rng = SplitMix64(1)
+    for _ in range(50):
+        f = sample_element(ring, rng, (1, 2), 3)
+        assert all(f.terms.values())
+    p = tmp_path / "f3.ring"
+    p.write_text(MAIN_RING_TEXT.replace("Q", "Fp 3"))
+    assert main(["gll-search", "--ring", str(p), "--target", "5",
+                 "--samples", "5"]) == 0
+
+
 def test_cli_macaulay_bound(capsys):
     assert main(["macaulay-bound", "5", "2"]) == 0
     assert capsys.readouterr().out.strip() == "7"
@@ -155,6 +169,19 @@ def test_cli_library_errors_exit_2(ring_file, capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("weights", ["0 -1 2", "2 0 3", "2 x 3", "2 3",
+                                     "2 3 5 7", ""],
+                         ids=["negative", "zero", "not-integer", "too-few",
+                              "too-many", "empty"])
+def test_cli_hilbert_bad_weights_exit_2(tmp_path, capsys, weights):
+    p = tmp_path / "weighted.ring"
+    p.write_text(MAIN_RING_TEXT + f"weights {weights}\n")
+    assert main(["hilbert", "--ring", str(p), "--max-degree", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and "weights" in out.err
 
 
 def test_cli_loewy_of_element_in_defining_ideal(ring_file, capsys):

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from locring.arith import QQ, PrimeField
+from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.errors import BudgetExceeded
 from locring.groebner import buchberger, is_member, normal_form, spoly
 from locring.ideal import max_ideal_power
@@ -87,14 +88,49 @@ def test_content_is_removed(R):
     assert gb.generators[0] == R.parse("x^2 - 2*y")
 
 
+def _divide(f, G, order):
+    """Test-local remainder of f on division by G in Polynomial arithmetic:
+    the leading term is reduced by the first divisor in list order whose
+    leading monomial divides it, or else moved to the remainder."""
+    ring = f.ring
+    remainder = ring.zero()
+    while not f.is_zero():
+        e, c = f.leading_term(order)
+        for g in G:
+            lt, lc = g.leading_term(order)
+            if mono_divides(lt, e):
+                q = tuple(a - b for a, b in zip(e, lt))
+                f = f - ring.monomial(q, c / lc) * g
+                break
+        else:
+            term = ring.monomial(e, c)
+            remainder = remainder + term
+            f = f - term
+    return remainder
+
+
+def _spoly(f, g, order):
+    """Test-local S-polynomial in Polynomial arithmetic."""
+    ring = f.ring
+    ef, cf = f.leading_term(order)
+    eg, cg = g.leading_term(order)
+    lcm = tuple(map(max, ef, eg))
+
+    def cofactor(e, c):  # lcm / (c * x^e)
+        return ring.monomial(tuple(a - b for a, b in zip(lcm, e)),
+                             ring.field.one() / c)
+    return cofactor(ef, cf) * f - cofactor(eg, cg) * g
+
+
 def _naive_reduced_basis(gens, order):
     """Oracle: Buchberger over every pair with no criteria, then
-    minimalization and interreduction by normal_form."""
+    minimalization and interreduction, all by the test-local division, so
+    that no step runs on the library's reduction kernel."""
     G = [g for g in gens if not g.is_zero()]
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         i, j = pairs.pop()
-        r = normal_form(spoly(G[i], G[j], order), G, order)
+        r = _divide(_spoly(G[i], G[j], order), G, order)
         if not r.is_zero():
             pairs.extend((k, len(G)) for k in range(len(G)))
             G.append(r)
@@ -107,26 +143,46 @@ def _naive_reduced_basis(gens, order):
             minimal.append(g)
     reduced = []
     for g in minimal:
-        r = normal_form(g, [h for h in minimal if h is not g], order)
+        r = _divide(g, [h for h in minimal if h is not g], order)
         lead = r.leading_term(order)[1]
         reduced.append(r.scale(r.ring.field.one() / lead))
     return reduced
 
 
-def _random_poly(ring, rng):
-    """Two to four terms of degree 2..3, coefficients in [-3, 3]."""
+def _assert_field_coefficients(polys, field):
+    """Every coefficient is a nonzero element of field itself: a Fraction
+    over Q, a PrimeFieldElement of the right modulus over F_p; never a raw
+    int."""
+    for f in polys:
+        for c in f.terms.values():
+            if field == QQ:
+                assert type(c) is Fraction and c != 0
+            else:
+                assert type(c) is PrimeFieldElement
+                assert c.modulus == field.p and 0 < c.value < field.p
+
+
+def _random_poly(ring, rng, draw=lambda rng: rng.randint(-3, 3)):
+    """Two to four terms of degree 2..3, coefficients from draw (an int or
+    a Fraction) mapped into the field; terms that are 0 there are dropped."""
     monos = [e for d in (2, 3) for e in monomials_of_degree(ring.nvars, d)]
     terms = {}
     for e in rng.sample(monos, rng.randint(2, 4)):
-        c = rng.randint(-3, 3)
+        c = draw(rng)
+        c = ring.field.from_fraction(c.numerator, c.denominator)
         if c:
-            terms[e] = ring.field.from_int(c)
+            terms[e] = c
     return Polynomial(ring, terms)
 
 
-@pytest.mark.parametrize("order", [DegRevLex(), Lex(), BlockOrder(1)],
-                         ids=["degrevlex", "lex", "block1"])
-@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+ORDERS = [DegRevLex(), Lex(), BlockOrder(1)]
+ORDER_IDS = ["degrevlex", "lex", "block1"]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("field", [
+    QQ, PrimeField(32003), PrimeField(2), PrimeField(3),
+    PrimeField(2 ** 31 - 1)], ids=["Q", "Fp", "F2", "F3", "F2147483647"])
 def test_buchberger_matches_naive_oracle(field, order):
     # local models J + n^M: mostly monomial inputs, so the monomial-pair
     # skip, the stored pair lcms and the degree pre-filter all fire
@@ -135,8 +191,81 @@ def test_buchberger_matches_naive_oracle(field, order):
     for M in (3, 4, 5) * 3:
         gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
         gens += [ring.monomial(e) for e in monomials_of_degree(3, M)]
-        assert buchberger(gens, order).generators == \
-            _naive_reduced_basis(gens, order)
+        gb = buchberger(gens, order)
+        assert gb.generators == _naive_reduced_basis(gens, order)
+        _assert_field_coefficients(gb.generators, field)
+
+
+# Coefficient draws over Q that a unit-coefficient input never exercises in
+# the fraction-free kernel: non-unit leading coefficients (every draw is
+# +-2..+-9, so each gcd step has a multiplier), coefficients above 2^64, and
+# fractions with non-trivial denominators.
+Q_DRAWS = {
+    "nonunit": lambda rng: rng.choice([-1, 1]) * rng.randint(2, 9),
+    "big": lambda rng: rng.choice([-1, 1]) * rng.randint(2 ** 64, 2 ** 80),
+    "fractions": lambda rng: Fraction(rng.randint(-7, 7), rng.randint(1, 6)),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("draw", Q_DRAWS.values(), ids=Q_DRAWS.keys())
+def test_buchberger_q_coefficients_match_naive_oracle(draw, order):
+    rng = random.Random(2015)
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    for M in (3, 4, 4):
+        gens = [_random_poly(ring, rng, draw) for _ in range(2)]
+        gens += [ring.monomial(e) for e in monomials_of_degree(3, M)]
+        gb = buchberger(gens, order)
+        assert gb.generators == _naive_reduced_basis(gens, order)
+        _assert_field_coefficients(gb.generators, QQ)
+
+
+def test_buchberger_without_truncation_matches_naive_oracle(R):
+    # a positive-dimensional ideal with non-unit leads and fractional tails
+    f = R.parse("6*x^3 - 4/3*x*y + 5/7")
+    g = R.parse("-10*x^2*y + 9/2*y^2 - 3*x")
+    for order in (DegRevLex(), Lex()):
+        gb = buchberger([f, g], order)
+        assert gb.generators == _naive_reduced_basis([f, g], order)
+        _assert_field_coefficients(gb.generators, QQ)
+
+
+@pytest.mark.parametrize("field, draw", [
+    (QQ, "fractions"), (QQ, "big"), (PrimeField(3), "nonunit"),
+    (PrimeField(32003), "nonunit")], ids=["Q", "Q-big", "F3", "Fp"])
+def test_normal_form_and_spoly_match_local_division(field, draw):
+    # divisors with non-unit leading coefficients and fractional or large
+    # coefficients (large ones make the kernel divide out the content), not
+    # a Groebner basis, compared exactly with the test-local division
+    rng = random.Random(5)
+    ring = PolyRing(field, ("x", "y", "z"))
+    draw = Q_DRAWS[draw]
+    for _ in range(20):
+        G = []
+        while len(G) < 3:
+            g = _random_poly(ring, rng, draw)
+            if not g.is_zero():
+                G.append(g)
+        f = _random_poly(ring, rng, draw) * _random_poly(ring, rng, draw)
+        for order in (DegRevLex(), Lex()):
+            r = normal_form(f, G, order)
+            assert r == _divide(f, G, order)
+            _assert_field_coefficients([r], field)
+            s = spoly(G[0], G[1], order)
+            assert s == _spoly(G[0], G[1], order)
+            _assert_field_coefficients([s], field)
+
+
+def test_normal_form_by_basis_keeps_fractional_tails(R):
+    gb = buchberger([R.parse("3*x^2 - 2*y"), R.parse("5*y^2 - 7*x")],
+                    DegRevLex())
+    # gb is x^2 - 2/3*y, y^2 - 7/5*x: x^3 -> 2/3*x*y and y^3 -> 7/5*x*y
+    f = R.parse("x^3 + 1/2*x*y + y^3 - 1/3*x + 2")
+    r = normal_form(f, gb, DegRevLex())
+    assert r == normal_form(f, gb.generators, DegRevLex())
+    assert r == _divide(f, gb.generators, DegRevLex())
+    assert r == R.parse("77/30*x*y - 1/3*x + 2")
+    _assert_field_coefficients([r], QQ)
 
 
 def test_monomial_pairs_are_never_reduced():

@@ -32,6 +32,20 @@ def test_hilbert_function_rejects_negative_degree(cusp_ring):
         cusp_ring.hilbert_function(-3)
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_hilbert_function_rejects_window_below_1(cusp_ring, window):
+    # window 0 used to report multiplicity 7, stabilized at degree 4
+    with pytest.raises(ValueError):
+        cusp_ring.hilbert_function(4, window=window)
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_multiplicity_rejects_window_below_1(cusp_ring, window):
+    # window 0 used to return 1 (HF(0)); the multiplicity is 8
+    with pytest.raises(ValueError):
+        cusp_ring.multiplicity(window=window)
+
+
 def test_ord(cusp_ring, xyz):
     assert cusp_ring.ord_mod(xyz.parse("y")) == 1
     assert cusp_ring.ord_mod(xyz.parse("x^2")) == 5  # x^2 = y^5 in R
