@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from . import __version__
 from .arith import QQ, PrimeField
 from .bounds import macaulay_bound, order_case_report
-from .errors import BudgetExceeded, LocringError, ParseError
-from .groebner import is_member
+from .errors import (BudgetExceeded, LocringError, NotArtinianLocally,
+                     ParseError)
+from .groebner import buchberger
 from .ideal import Ideal, all_monomials, max_ideal_power
-from .localring import LocalRing, weighted_homogeneity_check
+from .localring import DS, LocalRing, weighted_homogeneity_check
 from .monomial import MonomialIdeal
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, mono_divides
 from .polytope import is_integer_irreducible, newton_polygon
 from .subalgebra import kernel, parse_map_file, verify_in_kernel
 
@@ -387,9 +388,13 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
     witness that the Loewy length drops to N for some principal reduction.
 
     Membership is decided modulo n^(N+1): for an m-primary situation,
-    n^N lies in the localized J iff n^N lies in J + n^(N+1) (Nakayama).
+    n^N lies in the localized J iff n^N lies in J + n^(N+1) (Nakayama), that
+    is iff J has no ds standard monomial of degree N.  So each f costs one
+    ds basis of I + (f) truncated at N + 1, and is a hit iff every degree-N
+    monomial is a multiple of one of its leading monomials.
     Raises ValueError on arguments that would make the search loop forever
-    (no nonzero draw possible) or report false hits (N < 1, constants in f).
+    (no nonzero draw possible) or report false hits (N < 1, constants in f,
+    a forced element that is a unit or lies in I).
     """
     lo, hi = order_range
     if target_n < 1:
@@ -408,20 +413,22 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
     ring = R.ring
     rng = SplitMix64(seed)
     nN = all_monomials(ring, target_n)
-    nN1 = max_ideal_power(ring, target_n + 1)
     hits = []
     t0 = time.perf_counter()
 
     def test(f):
-        J = R.I + Ideal(ring, [f]) + nN1
-        gb = J.groebner()
-        if all(is_member(ring.monomial(e), gb) for e in nN):
+        gb = buchberger(list(R.I.generators) + [f], DS, truncate=target_n + 1)
+        lts = gb.leading_monomials()
+        if all(any(mono_divides(lt, e) for lt in lts) for e in nN):
             hits.append(f.to_str())
 
     for f in forced:
         f = ring.parse(f) if isinstance(f, str) else f
-        if not f.is_zero() and not R.I.member(f):
-            test(f)
+        try:
+            R.check_parameter(f)
+        except (ValueError, NotArtinianLocally) as exc:
+            raise ValueError(f"gll-search: witness {exc}") from exc
+        test(f)
     tested = 0
     while tested < samples:
         f = sample_element(ring, rng, order_range, coeff_box)

@@ -28,6 +28,21 @@ criterion and the evolution of the basis are as if it had been reduced.
 In reduction a divisor whose leading monomial has higher total degree than
 the term is skipped before the exponent-wise test; the first divisor in
 list order that divides the term still reduces it.
+
+Truncation (the highest-corner trick of Mora's tangent cone algorithm;
+Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
+section 1.7): ``buchberger(gens, NegDegRevLex(), truncate=N)`` computes a
+standard basis of (gens) + m^N in the local order ``ds`` (lowest degree
+leads), with every term of degree >= N dropped, since it lies in m^N.  On
+that finite set of monomials reduction terminates without Mora's ecart,
+and a pair whose lcm has degree >= N is skipped, because every term of its
+S-polynomial is ds-below the lcm and so has degree >= N.  The leading ideal
+is then L(J*) + m^N for J* the ideal of initial forms, so the standard
+monomials of degree d < N count the Hilbert-Samuel function of (gens) in
+degree d.  The final tail interreduction is skipped: in a local order a
+tail term can be a multiple of its own lead (x - x^2 has lead x), so
+reducing tails need not terminate and is not needed for lengths.  The
+basis is still minimal and monic.
 """
 
 import heapq
@@ -147,16 +162,20 @@ def _lt(terms, key):
     return max(terms, key=key)
 
 
-def _nf_dict(terms, divisors, key, p):
+def _nf_dict(terms, divisors, key, p, truncate):
     """Full normal form of a raw term dict against raw divisors, over F_p
-    for p > 0 and over Q for p = 0.
+    for p > 0 and over Q for p = 0, modulo m^truncate if truncate > 0.
 
     divisors: list of (lt_exps, lt_coeff, terms_dict, lt_degree), monic over
     F_p, tried in order; the first whose leading monomial divides a term
     reduces it.  A divisor of higher total degree than the term cannot
-    divide it and is skipped before the exponent-wise test.  Returns a
-    _Remainder, empty exactly when the normal form is 0.
+    divide it and is skipped before the exponent-wise test.  With truncate
+    N > 0 every term of degree >= N is dropped, on entry and whenever a
+    reduction forms it; 0 means no truncation.  Returns a _Remainder, empty
+    exactly when the normal form is 0.
     """
+    if truncate:
+        terms = {e: c for e, c in terms.items() if sum(e) < truncate}
     if not terms:
         return _Remainder({}, 1)
     push, pop = heapq.heappush, heapq.heappop
@@ -209,6 +228,8 @@ def _nf_dict(terms, divisors, key, p):
             if de == lt_e:
                 continue
             ne = tuple(map(add, de, q))
+            if truncate and sum(ne) >= truncate:
+                continue
             s = work.get(ne)
             if s is None:
                 work[ne] = -factor * dc
@@ -251,10 +272,10 @@ def _spoly_dict(f, lt_f, g, lt_g):
 # ---------------------------------------------------------------------------
 # public operations
 
-def normal_form(f, G, order):
+def normal_form(f, G, order, truncate=0):
     """Remainder of f on division by G, divisors in list order: a list of
     polynomials, or a GroebnerBasis for this order, whose raw divisors are
-    reused."""
+    reused.  With truncate = N > 0, terms of degree >= N are dropped."""
     ring = f.ring
     key = order.key
     p = ring.field.characteristic
@@ -269,7 +290,7 @@ def normal_form(f, G, order):
         divisors = [_raw_divisor(g.terms, key, p) for g in G
                     if not g.is_zero()]
     raw, scale = _to_raw(f.terms, p)
-    r = _nf_dict(raw, divisors, key, p)
+    r = _nf_dict(raw, divisors, key, p, truncate)
     return Polynomial(ring, _from_raw(r, scale * r.scale, ring.field))
 
 
@@ -283,8 +304,11 @@ def spoly(f, g, order):
     return Polynomial(f.ring, _from_raw(terms, lcm(a, b), f.ring.field))
 
 
-def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
-    """Reduced Groebner basis of the ideal generated by gens.
+def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
+               truncate=0):
+    """Reduced Groebner basis of the ideal generated by gens; with
+    truncate = N > 0, a minimal standard basis of (gens) + m^N, every term
+    of degree >= N dropped (see the module docstring).
 
     The generators are converted once to raw form (residues over F_p,
     integers over Q), and the run stays on raw ints.  An S-polynomial and
@@ -297,6 +321,9 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     criteria and monomial x monomial pairs, which are never queued, do not
     count.  Either budget raises BudgetExceeded with diagnostics.
     """
+    if truncate:
+        gens = [Polynomial(g.ring, {e: c for e, c in g.terms.items()
+                                    if sum(e) < truncate}) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GroebnerBasis([], order, reduced=True)
@@ -342,6 +369,8 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
         for L in minimal:
             members = lcm_groups[L]
             deg_L = mono_degree(L)
+            if truncate and deg_L >= truncate:
+                continue  # every term of the S-polynomial lies in m^N
             if any(deg_L == G[i][3] + deg_e for i in members):
                 continue  # a coprime pair covers this lcm
             i = min(members)
@@ -373,7 +402,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
                 {"pairs_processed": processed, "basis_size": len(G),
                  "pairs_pending": len(pairs)})
         s = _spoly_dict(G[i][2], G[i][:2], G[j][2], G[j][:2])
-        r = _nf_dict(s, G, key, p)
+        r = _nf_dict(s, G, key, p, truncate)
         if r:
             add_poly(r, entry[0])
 
@@ -382,11 +411,15 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None):
     for g in sorted(G, key=lambda g: key(g[0])):
         if all(mono_div(g[0], h[0]) is None for h in minimal):
             minimal.append(g)
+    if truncate:
+        final = [Polynomial(ring, _from_raw(g[2], g[1], field))
+                 for g in minimal]
+        return GroebnerBasis(final, order, reduced=False)
     # interreduce: a tail term below lt(g) cannot be a multiple of lt(g),
     # so one normal form against the others leaves g fully reduced
     final = []
     for g in minimal:
-        r = _nf_dict(g[2], [h for h in minimal if h is not g], key, p)
+        r = _nf_dict(g[2], [h for h in minimal if h is not g], key, p, 0)
         final.append(Polynomial(ring, _from_raw(r, r[g[0]], field)))
     return GroebnerBasis(final, order, reduced=True)
 

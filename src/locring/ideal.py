@@ -9,10 +9,11 @@ an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
 (``vector_space_dim`` is finite) it is linear algebra on S/I: (I : J)/I is
 the kernel of multiplication by the generators of J on the standard
 monomials of I's degrevlex basis, and the reduced basis of I : J is read off
-the kernel's echelon form, as in FGLM (Faugere, Gianni, Lazard, Mora 1993),
-with no Buchberger run.  Otherwise it intersects the single-element colons
-I : (g), each an intersection with (g) followed by exact division;
-``quotient_element`` and ``saturate`` always take that route.
+by the FGLM walk (Faugere, Gianni, Lazard, Mora 1993), with no Buchberger
+run.  Otherwise it intersects the single-element colons I : (g), each an
+intersection with (g) followed by exact division; ``quotient_element`` and
+``saturate`` always take that route.  ``fglm`` runs the same walk to turn a
+truncated standard basis in the local order ds into a degrevlex basis.
 """
 
 import itertools
@@ -207,53 +208,28 @@ class Ideal:
                              {"iterations": max_iter})
 
     def _artinian_quotient(self, other):
-        """I : J for a zero-dimensional I.  With columns the standard
-        monomials b of I in ascending degrevlex order, (I : J)/I is the
-        kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J.
-        The free column j in the echelon form of that map gives the kernel
-        vector std[j] - sum_p row_p[j] * std[p] over pivots p < j;
-        these vectors vanish on each other's leading monomials, so they are
-        the kernel's reduced echelon form with the columns descending.  The
-        leading ideal of I : J is LT(I) plus those leading monomials."""
-        order = DegRevLex()
-        key = order.key
+        """I : J for a zero-dimensional I: (I : J)/I is the kernel of
+        c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on the
+        standard monomials b of I."""
         field = self.ring.field
-        gb = self.groebner()
-        lts = gb.leading_monomials()
-        std = sorted(_standard_monomials(lts, self.ring.nvars), key=key)
         p = field.characteristic
+        gb = self.groebner()
         raw_gens = [groebner._to_raw(g.terms, p) for g in other.generators]
-        rows = {}  # (generator index, monomial of the image) -> {column: c}
-        for j, b in enumerate(std):
+
+        def image(b):
+            out = {}
             for i, (raw, scale) in enumerate(raw_gens):
                 prod = {mono_mul(e, b): c for e, c in raw.items()}
-                r = groebner._nf_dict(prod, gb.divisors, key, p)
-                image = groebner._from_raw(r, scale * r.scale, field)
-                for e, c in image.items():
-                    rows.setdefault((i, e), {})[j] = c
-        pivots = _rref(rows.values(), field)
-        kernel = {}  # leading monomial -> monic kernel vector as term dict
-        for j, b in enumerate(std):
-            if j not in pivots:
-                vec = {b: field.one()}
-                for p, row in pivots.items():
-                    if j in row:
-                        vec[std[p]] = -row[j]
-                kernel[b] = vec
-        basis = []
-        for lt, g in zip(lts, gb.generators):
-            if not any(mono_divides(p, lt) for p in kernel):
-                terms = dict(g.terms)
-                for e, c in g.terms.items():
-                    if e in kernel:
-                        _sub_scaled(terms, c, kernel[e])
-                basis.append(terms)
-        basis += [vec for p, vec in kernel.items()
-                  if not any(q != p and mono_divides(q, p) for q in kernel)]
-        basis.sort(key=lambda terms: key(max(terms, key=key)))
-        polys = [Polynomial(self.ring, terms) for terms in basis]
-        out = Ideal(self.ring, polys)
-        out.gb_cache[order] = groebner.GroebnerBasis(polys, order)
+                r = groebner._nf_dict(prod, gb.divisors, gb.order.key, p, 0)
+                for e, c in groebner._from_raw(r, scale * r.scale,
+                                               field).items():
+                    out[i, e] = c
+            return out
+
+        std = _standard_monomials(gb.leading_monomials(), self.ring.nvars)
+        basis = _extend_by_kernel(gb, sorted(std, key=gb.order.key), image)
+        out = Ideal(self.ring, basis.generators)
+        out.gb_cache[basis.order] = basis
         return out
 
     # -- elimination --------------------------------------------------------
@@ -291,24 +267,6 @@ class Ideal:
         std = _standard_monomials(gb.leading_monomials(), self.ring.nvars)
         return INFINITE if std is None else len(std)
 
-    def min_power_of_max_ideal_in(self, bound,
-                                  max_pairs=DEFAULT_MAX_PAIRS,
-                                  time_budget=None):
-        """Smallest N <= bound with every degree-N monomial in the ideal,
-        or None if there is none."""
-        if bound < 1:
-            raise ValueError("bound must be >= 1")
-        gb = self.groebner(max_pairs=max_pairs, time_budget=time_budget)
-        for N in range(1, bound + 1):
-            ok = True
-            for e in all_monomials(self.ring, N):
-                if not groebner.is_member(self.ring.monomial(e), gb):
-                    ok = False
-                    break
-            if ok:
-                return N
-        return None
-
 
 def _standard_monomials(lts, nvars):
     """Exponent tuples divisible by none of lts, or None if infinitely
@@ -323,6 +281,80 @@ def _standard_monomials(lts, nvars):
             if not any(mono_divides(l, exps) for l in lts)]
 
 
+def _extend_by_kernel(gb, columns, image):
+    """The reduced degrevlex basis of I + K, for I zero-dimensional with
+    reduced degrevlex basis gb and K/I the kernel of a linear map on S/I;
+    columns: the standard monomials of I in ascending degrevlex order;
+    image(b): the image of the column b, as {row: c}.
+
+    The FGLM walk: each column's image is reduced against a row echelon
+    form of the earlier ones, keeping the combination of columns it came
+    from.  A column b that reduces to 0 gives the kernel vector b - sum
+    c_s * s over earlier independent columns s: the reduced element of
+    I + K with leading monomial b.  A column divisible by such a b is
+    dependent too and is skipped, unless a tail of gb uses it.
+    """
+    key = gb.order.key
+    ring = gb.generators[0].ring
+    one = ring.field.one()
+    tails = {e for g in gb.generators for e in g.terms}
+    rows = []    # (pivot, vector, combination): image(combination) = vector
+    kernel = {}  # leading monomial -> monic kernel vector as term dict
+    for b in columns:
+        if b not in tails and any(mono_divides(q, b) for q in kernel):
+            continue
+        vec = image(b)
+        comb = {b: one}
+        for pivot, row, row_comb in rows:
+            c = vec.get(pivot)
+            if c is not None:
+                _sub_scaled(vec, c, row)
+                _sub_scaled(comb, c, row_comb)
+        if not vec:
+            kernel[b] = comb
+            continue
+        pivot = next(iter(vec))
+        inv = one / vec[pivot]
+        rows.append((pivot, {r: x * inv for r, x in vec.items()},
+                     {e: x * inv for e, x in comb.items()}))
+    basis = []
+    for lt, g in zip(gb.leading_monomials(), gb.generators):
+        if not any(mono_divides(q, lt) for q in kernel):
+            terms = dict(g.terms)
+            for e, c in g.terms.items():
+                if e in kernel:
+                    _sub_scaled(terms, c, kernel[e])
+            basis.append(terms)
+    basis += [vec for q, vec in kernel.items()
+              if not any(r != q and mono_divides(r, q) for r in kernel)]
+    basis.sort(key=lambda terms: key(max(terms, key=key)))
+    return groebner.GroebnerBasis(
+        [Polynomial(ring, terms) for terms in basis], gb.order)
+
+
+def fglm(ds_basis, truncate, d):
+    """The reduced degrevlex basis of the ideal J with standard basis
+    ds_basis in the local order ds, truncated at degree ``truncate``, given
+    m^d inside J for some d <= truncate.  FGLM from S/m^d: each monomial of
+    degree < d maps to its truncated ds normal form."""
+    ring = ds_basis.generators[0].ring
+    field = ring.field
+    p = field.characteristic
+    order = DegRevLex()
+    base = groebner.GroebnerBasis(
+        [ring.monomial(e)
+         for e in sorted(all_monomials(ring, d), key=order.key)], order)
+    columns = sorted((e for k in range(d) for e in all_monomials(ring, k)),
+                     key=order.key)
+    key = ds_basis.order.key
+
+    def image(b):
+        r = groebner._nf_dict({b: 1}, ds_basis.divisors, key, p, truncate)
+        return groebner._from_raw(r, r.scale, field)
+
+    return _extend_by_kernel(base, columns, image)
+
+
 def _sub_scaled(dst, c, src):
     """dst -= c * src on term dicts, in place, dropping zero terms."""
     for e, x in src.items():
@@ -332,27 +364,6 @@ def _sub_scaled(dst, c, src):
             dst[e] = s
         else:
             del dst[e]
-
-
-def _rref(rows, field):
-    """Reduced row-echelon form of sparse rows ({column: coefficient}) as
-    {pivot: row}: each row's pivot is its smallest column, where it is 1,
-    and every other row is 0 there."""
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        for p in [col for col in row if col in pivots]:
-            _sub_scaled(row, row[p], pivots[p])
-        if not row:
-            continue
-        p = min(row)
-        inv = field.inverse(row[p])
-        row = {col: x * inv for col, x in row.items()}
-        for other in pivots.values():
-            if p in other:
-                _sub_scaled(other, other[p], row)
-        pivots[p] = row
-    return pivots
 
 
 def _aux_name(ring):

@@ -1,12 +1,23 @@
 """Invariants of R = (k[vars]/I) localized at the ideal of the variables.
 
 Lengths and memberships are evaluated in the polynomial ring on m-primary
-representatives: a quotient ideal J is replaced by J + n^M where M is the
-smallest exponent at which the colength of S/(J + n^M) stabilizes.  That
-stabilized ideal equals the contraction of the localized ideal, so
-polynomial-ring answers agree with local ones.  The tool does not verify
-that I equals its own local contraction (``contraction_assumed``) nor that
-dim R = 1; both caveats are surfaced in reports.
+representatives: a quotient ideal J is replaced by its local model J + n^M,
+where M is the smallest exponent at which the colength of S/(J + n^M)
+stabilizes.  That stabilized ideal equals the contraction of the localized
+ideal, so polynomial-ring answers agree with local ones.  The tool does not
+verify that I equals its own local contraction (``contraction_assumed``)
+nor that dim R = 1; both caveats are surfaced in reports.
+
+Every length comes from a standard basis in the local order ds truncated
+at a degree N (``buchberger(..., truncate=N)``): its standard monomials of
+degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever
+N is.  M is max(2, d + 1) for the first degree d with no standard monomial;
+N grows by one from 2 until such a d < N appears, so the last basis is the
+one of J + n^M, and FGLM turns it into the degrevlex basis the model
+carries.  The Hilbert function of R is the staircase of one truncated basis
+of I, ord(f) the lowest degree of f's truncated ds normal form, and the
+Loewy length of R/(f) one more than the top degree of the staircase of the
+local model of I + (f).
 """
 
 from dataclasses import dataclass
@@ -15,8 +26,10 @@ from math import gcd
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, ZeroPolynomial)
-from .ideal import Ideal, max_ideal, max_ideal_power
-from .poly import BlockOrder, DegRevLex, Lex, PolyRing
+from .groebner import buchberger, normal_form
+from .ideal import Ideal, fglm, max_ideal, max_ideal_power
+from .poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing,
+                   mono_divides, mono_mul)
 
 
 class _Sentinel:
@@ -33,6 +46,8 @@ DEFAULT_ORD_BOUND = 12
 DEFAULT_LOEWY_BOUND = 12
 DEFAULT_INDEX_BOUND = 10
 DEFAULT_STABILIZATION_BOUND = 20
+
+DS = NegDegRevLex()
 
 
 @dataclass
@@ -70,48 +85,52 @@ class LocalRing:
         self.n = max_ideal(ring)
         self.contraction_assumed = contraction_assumed
         self.stabilization_bound = stabilization_bound
-        self._colength_cache = {}
+        self._ds_bases = {}  # N -> truncated ds basis of I + n^N
 
     # -- length plumbing ----------------------------------------------------
 
-    def truncation(self, d):
-        """I + n^d (cached)."""
-        key = ("trunc", d)
-        cached = self._colength_cache.get(key)
-        if cached is None:
-            cached = self.I + max_ideal_power(self.ring, d)
-            self._colength_cache[key] = cached
-        return cached
+    def _ds_basis_of_I(self, N):
+        gb = self._ds_bases.get(N)
+        if gb is None:
+            gb = self._ds_bases[N] = buchberger(list(self.I.generators), DS,
+                                                truncate=N)
+        return gb
+
+    def _stabilize(self, J, bound=None):
+        """(M, ds basis of J + n^M truncated at M, HF(0..M-1) of S/J) for
+        the local model J + n^M; the first zero of HF is at M - 1, or at 0
+        when J contains a unit (then M = 2)."""
+        bound = bound or self.stabilization_bound
+        staircase = _Staircase(self.ring.nvars)
+        for N in range(2, bound + 2):
+            gb = buchberger(list(J.generators), DS, truncate=N)
+            hf = staircase.grow(gb.leading_monomials(), N)
+            if not hf[-1]:
+                return N, gb, hf
+        raise NotArtinianLocally(
+            f"no colength stabilization within n^{bound}")
 
     def local_model(self, J, bound=None):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
-        J + n^(M-1).  Its degrevlex basis is already cached."""
-        bound = bound or self.stabilization_bound
-        prev = None
-        for M in range(1, bound + 2):
-            model = J + max_ideal_power(self.ring, M)
-            lam = model.vector_space_dim()
-            if lam == prev:
-                return model
-            prev = lam
-        raise NotArtinianLocally(
-            f"no colength stabilization within n^{bound}")
+        J + n^(M-1).  Its degrevlex basis, by FGLM, is already cached."""
+        M, gb, hf = self._stabilize(J, bound)
+        model = J + max_ideal_power(self.ring, M)
+        model.gb_cache[DegRevLex()] = fglm(gb, M, hf.index(0))
+        return model
 
     def colength_local(self, J, bound=None):
         """Length of S_n/(J localized): the colength of its local model."""
-        return self.local_model(J, bound).vector_space_dim()
+        return sum(self._stabilize(J, bound)[2])
 
     # -- Hilbert function and multiplicity ----------------------------------
 
     def _hilbert_values(self, max_degree):
-        """Yield HF(d) = lambda(S/(I+n^{d+1})) - lambda(S/(I+n^d)) for
-        d = 0..max_degree, from the truncation colengths."""
-        lam_prev = 0
-        for d in range(1, max_degree + 2):
-            lam = self.truncation(d).vector_space_dim()
-            yield lam - lam_prev
-            lam_prev = lam
+        """HF(d) = lambda(S/(I+n^{d+1})) - lambda(S/(I+n^d)) for
+        d = 0..max_degree, from one ds basis of I + n^(max_degree+1)."""
+        N = max_degree + 1
+        lts = self._ds_basis_of_I(N).leading_monomials()
+        return _Staircase(self.ring.nvars).grow(lts, N)
 
     def hilbert_function(self, max_degree, window=3):
         """HF(d) for d <= max_degree, and where it first stays constant."""
@@ -119,7 +138,7 @@ class LocalRing:
             raise ValueError("max_degree must be >= 0")
         if window < 1:
             raise ValueError("window must be >= 1")
-        values = list(self._hilbert_values(max_degree))
+        values = self._hilbert_values(max_degree)
         stabilized_at = None
         mult = None
         for s in range(len(values)):
@@ -133,16 +152,12 @@ class LocalRing:
         """Stable Hilbert-function value (dimension-one multiplicity)."""
         if window < 1:
             raise ValueError("window must be >= 1")
-        run = 0
-        prev = None
-        for hf in self._hilbert_values(max_degree):
-            if hf == prev:
-                run += 1
-            else:
-                run = 1
-                prev = hf
-            if run >= window:
-                return prev
+        # one degree more at a time: a basis truncated far above the window
+        # it needs costs more than all the lower ones together
+        for d in range(max_degree + 1):
+            values = self._hilbert_values(d)
+            if len(values) >= window and len(set(values[-window:])) == 1:
+                return values[-1]
         raise NoStabilization(
             f"Hilbert function not constant on a window of {window} "
             f"by degree {max_degree}")
@@ -150,18 +165,16 @@ class LocalRing:
     # -- orders, zerodivisors, colengths ------------------------------------
 
     def ord_mod(self, f, bound=DEFAULT_ORD_BOUND):
-        """Largest d <= bound with f in I + n^d; INSIDE_I if f lies in I."""
+        """Largest d <= bound with f in I + n^d; INSIDE_I if f lies in I.
+        That is the lowest degree of the ds normal form of f modulo
+        I + n^(bound+1), or bound if the normal form is 0."""
         if f.is_zero():
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
             return INSIDE_I
-        ord_d = 0
-        for d in range(1, bound + 1):
-            if self.truncation(d).member(f):
-                ord_d = d
-            else:
-                break
-        return ord_d
+        N = bound + 1
+        r = normal_form(f, self._ds_basis_of_I(N), DS, truncate=N)
+        return bound if r.is_zero() else r.order()
 
     def is_nonzerodivisor(self, f):
         """True iff I : f = I (valid under contraction_assumed)."""
@@ -183,14 +196,12 @@ class LocalRing:
         return self.colength(f) == d * self.multiplicity()
 
     def loewy_length_mod(self, f, bound=DEFAULT_LOEWY_BOUND):
-        """Smallest N with m^N contained in (f) in R."""
-        if self.I.member(f):
-            raise NotArtinianLocally(
-                f"{f.to_str()} lies in the defining ideal, so R/(f) = R is "
-                "not Artinian")
-        model = self.local_model(self.I + Ideal(self.ring, [f]))
-        N = model.min_power_of_max_ideal_in(bound)
-        if N is None:
+        """Smallest N with m^N contained in (f) in R: one more than the top
+        degree of a ds standard monomial of the local model of I + (f)."""
+        self.check_parameter(f)
+        hf = self._stabilize(self.I + Ideal(self.ring, [f]))[2]
+        N = hf.index(0)
+        if N > bound:
             raise NotFound(f"no N <= {bound} with m^N inside the ideal")
         return N
 
@@ -228,9 +239,21 @@ class LocalRing:
             out = out.quotient(self.n)
         return out
 
+    def check_parameter(self, x):
+        """Raise unless x lies in m and outside I, so that R/(x) can be
+        Artinian: a unit or an element of I cannot be a witness."""
+        s = x.to_str()
+        if (0,) * self.ring.nvars in x.terms:
+            raise ValueError(f"{s} is a unit of R: it does not lie in the "
+                             "maximal ideal")
+        if self.I.member(x):
+            raise NotArtinianLocally(f"{s} lies in the defining ideal, so "
+                                     f"R/({s}) = R is not Artinian")
+
     def delta_one_test(self, x, n):
         """Evaluate the three colon criteria for delta(R/m^n) = 1 and check
         that they agree."""
+        self.check_parameter(x)
         I = self.I
         S = self.ring
         Ix = self.local_model(I + Ideal(S, [x]))
@@ -255,6 +278,7 @@ class LocalRing:
 
     def delta_via_mu(self, x, n):
         """delta(R/m^n) via 1 + mu(C/(x^n)) - mu(C) with C = (x^n) : m^n."""
+        self.check_parameter(x)
         I = self.I
         S = self.ring
         C = self._colon_by_max_ideal_power(
@@ -269,6 +293,7 @@ class LocalRing:
 
     def index(self, x, max_n=DEFAULT_INDEX_BOUND, verify_monotone=True):
         """Smallest n with delta(R/m^n) = 1, tested on the witness x."""
+        self.check_parameter(x)
         hit = None
         for n in range(1, max_n + 1):
             if self.delta_one_test(x, n).verdict:
@@ -292,6 +317,31 @@ class LocalRing:
         lam_M = self.colength_local(M)
         lam_soc = self.colength_local(M.quotient(self.n))
         return lam_M - lam_soc
+
+
+class _Staircase:
+    """counts[d]: the number of standard monomials of degree d of a
+    truncated ds basis, grown a degree at a time (a standard monomial is a
+    variable times one a degree lower).  Below degree N they do not depend
+    on the truncation N' >= N, so bases truncated ever higher can grow one
+    staircase.  After a degree with none, no degree has any."""
+
+    def __init__(self, nvars):
+        self.counts = []
+        self._candidates = {(0,) * nvars}
+        self._units = [tuple(int(i == j) for j in range(nvars))
+                       for i in range(nvars)]
+
+    def grow(self, lts, N):
+        """Extend counts up to degree N - 1 with the leading monomials lts
+        of a ds basis truncated at N or higher."""
+        while len(self.counts) < N:
+            layer = [e for e in self._candidates
+                     if not any(mono_divides(lt, e) for lt in lts)]
+            self.counts.append(len(layer))
+            self._candidates = {mono_mul(e, u) for e in layer
+                                for u in self._units}
+        return self.counts
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,18 @@ class DegRevLex(TermOrder):
         return "degrevlex"
 
 
+class NegDegRevLex(TermOrder):
+    """Singular's local degree order ``ds``: lowest total degree leads,
+    ties broken by degrevlex.  Not a well-order (1 > x > x^2 > ...), so it
+    is used only with a truncation degree (see ``groebner.buchberger``)."""
+
+    def key(self, exps):
+        return (-sum(exps),) + tuple(-e for e in reversed(exps))
+
+    def __repr__(self):
+        return "ds"
+
+
 class WeightedDegRevLex(TermOrder):
     """Weighted degree first, ties broken by degrevlex."""
 

@@ -207,6 +207,29 @@ def test_runner_records_other_errors_as_fail(capsys):
     assert "InternalInconsistency" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # used to raise "delta criteria disagree", which reads like a library bug
+    (["index", "--witness", "1+y"], "does not lie in the maximal ideal"),
+    # these two computed for 0.6 s and then reported no stabilization
+    (["index", "--witness", "0"], "lies in the defining ideal"),
+    (["index", "--witness", "x^2-y^5"], "lies in the defining ideal"),
+    # used to print 1
+    (["loewy", "--element", "1+x"], "does not lie in the maximal ideal"),
+    # used to report a false hit and exit 1
+    (["gll-search", "--target", "6", "--samples", "0", "--witness", "1+y"],
+     "does not lie in the maximal ideal"),
+    (["gll-search", "--target", "6", "--samples", "0", "--witness",
+      "x^2-y^5"], "lies in the defining ideal"),
+], ids=["index-unit", "index-zero", "index-in-I", "loewy-unit",
+        "gll-unit", "gll-in-I"])
+def test_cli_rejects_units_and_elements_of_I(ring_file, capsys, argv,
+                                             message):
+    assert main(argv[:1] + ["--ring", ring_file] + argv[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and message in out.err
+
+
 def test_cli_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--bogus"])

@@ -7,8 +7,9 @@ from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.errors import BudgetExceeded
 from locring.groebner import buchberger, is_member, normal_form, spoly
 from locring.ideal import max_ideal_power
-from locring.poly import (BlockOrder, DegRevLex, Lex, Polynomial, PolyRing,
-                          mono_divides, monomials_of_degree)
+from locring.poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex,
+                          Polynomial, PolyRing, mono_divides,
+                          monomials_of_degree)
 
 
 @pytest.fixture
@@ -283,3 +284,37 @@ def test_normal_form_reduces_by_first_listed_divisor(R):
     first, second = R.parse("x^2*y - 1"), R.parse("x*y - 1")
     assert normal_form(f, [first, second], DegRevLex()) == R.parse("y")
     assert normal_form(f, [second, first], DegRevLex()) == R.parse("1")
+
+
+def test_ds_order_puts_lowest_degree_first():
+    key = NegDegRevLex().key
+    # lower degree leads; within a degree, the degrevlex order
+    assert key((1, 0)) > key((2, 0)) > key((0, 3))
+    assert sorted([(0, 2), (1, 1), (2, 0)], key=key) == \
+        sorted([(0, 2), (1, 1), (2, 0)], key=DegRevLex().key)
+
+
+def test_truncated_ds_basis_keeps_a_tail_that_its_lead_divides():
+    # x - x^2 = x*(1 - x) has lead x in ds; tail interreduction would not
+    # terminate, and reduction stops only because x^5 is dropped
+    S = PolyRing(QQ, ("x",))
+    ds = NegDegRevLex()
+    gb = buchberger([S.parse("x - x^2")], ds, truncate=5)
+    assert gb.generators == [S.parse("x - x^2")]
+    assert gb.leading_monomials() == [(1,)]
+    assert normal_form(S.parse("x^3 + 2"), gb, ds, truncate=5) == \
+        S.parse("2")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_truncation_drops_high_degree_terms_and_pairs(field):
+    S = PolyRing(field, ("x", "y"))
+    ds = NegDegRevLex()
+    # the generator's y^4 and every S-polynomial of degree >= 4 vanish
+    gb = buchberger([S.parse("x^2 + y^4"), S.parse("x*y - y^3")], ds,
+                    truncate=4)
+    assert gb.generators == [S.parse("x*y - y^3"), S.parse("x^2")]
+    assert normal_form(S.parse("x^3*y + y^2"), gb, ds, truncate=4) == \
+        S.parse("y^2")
+    assert buchberger([S.parse("x^4 + y^5")], ds, truncate=4).generators \
+        == []

@@ -147,12 +147,6 @@ def test_vector_space_dim(R):
     assert max_ideal_power(R, 3).vector_space_dim() == 10
 
 
-def test_min_power_of_max_ideal(R):
-    I = Ideal(R, ["x^2", "y^2", "z^2", "x*y", "x*z", "y*z"])
-    assert I.min_power_of_max_ideal_in(5) == 2
-    assert Ideal(R, ["x"]).min_power_of_max_ideal_in(5) is None
-
-
 def test_ring_mismatch(R):
     other = PolyRing(QQ, ("a", "b"))
     with pytest.raises(RingMismatch):

@@ -1,0 +1,255 @@
+"""The local length engine against the slower paths it replaced.
+
+Every length of ``LocalRing`` now comes from one standard basis in the local
+order ds truncated at a degree N, and local models get their degrevlex basis
+by FGLM.  The oracles below are the old computations, kept here: the
+J + n^M loop of ``local_model`` with one degrevlex Buchberger run per M,
+colengths of the truncations I + n^d, membership in I + n^d for ``ord_mod``,
+the per-N membership loop for the Loewy length, and degrevlex membership for
+the gll test.  All comparisons are exact.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from locring import cli
+from locring.arith import QQ, PrimeField, PrimeFieldElement
+from locring.errors import NotArtinianLocally
+from locring.groebner import buchberger, is_member
+from locring.ideal import Ideal, all_monomials, max_ideal_power
+from locring.localring import INSIDE_I, LocalRing
+from locring.poly import DegRevLex, Polynomial, PolyRing
+from locring.subalgebra import kernel
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
+FIELD_IDS = ["Q", "F2", "F3", "Fp"]
+
+
+def _old_local_model(J, bound):
+    """The J + n^M loop: the first J + n^M whose colength equals that of
+    J + n^(M-1), each colength from a degrevlex Buchberger run."""
+    prev = None
+    for M in range(1, bound + 2):
+        model = J + max_ideal_power(J.ring, M)
+        lam = model.vector_space_dim()
+        if lam == prev:
+            return M, model
+        prev = lam
+    raise NotArtinianLocally(f"no colength stabilization within n^{bound}")
+
+
+def _truncation_colengths(R, top):
+    """lambda(S/(I + n^d)) for d = 1..top, by degrevlex bases."""
+    return [(R.I + max_ideal_power(R.ring, d)).vector_space_dim()
+            for d in range(1, top + 1)]
+
+
+def _min_power_of_max_ideal_in(ideal, bound):
+    """The per-N membership loop: the smallest N <= bound with every
+    degree-N monomial in the ideal, or None."""
+    gb = ideal.groebner()
+    for N in range(1, bound + 1):
+        if all(is_member(ideal.ring.monomial(e), gb)
+               for e in all_monomials(ideal.ring, N)):
+            return N
+    return None
+
+
+def _assert_same_model(R, J, bound):
+    """local_model agrees with the loop: the same M and generators (hence
+    generator count) and the same installed reduced degrevlex basis, or
+    NotArtinianLocally on both paths.  Returns whether a model exists."""
+    try:
+        M, old = _old_local_model(J, bound)
+    except NotArtinianLocally:
+        with pytest.raises(NotArtinianLocally):
+            R.local_model(J, bound)
+        return False
+    new = R.local_model(J, bound)
+    assert new.generators == old.generators
+    assert len(new.generators) == len(J.generators) + len(
+        all_monomials(R.ring, M))
+    assert new.gb_cache[DegRevLex()].generators == old.groebner().generators
+    assert R.colength_local(J, bound) == old.vector_space_dim()
+    return True
+
+
+def _ex2_ring():
+    pm = cli.parse_map_file(cli.EX2_MAP_TEXT, QQ)
+    return LocalRing(pm.source, kernel(pm))
+
+
+SCENARIO_RINGS = {
+    "main": (lambda: cli.MAIN_RING.local_ring(), "y"),
+    "ex1": (lambda: cli.EX1_RING.local_ring(), "z"),
+    "ex2": (_ex2_ring, "x"),
+}
+
+
+@pytest.fixture(scope="module")
+def scenario_rings():
+    return {name: (make(), witness)
+            for name, (make, witness) in SCENARIO_RINGS.items()}
+
+
+@pytest.mark.parametrize("name", SCENARIO_RINGS)
+def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
+                                                     monkeypatch):
+    # every model the delta tests at n = 3, 4 ask for
+    R, witness = scenario_rings[name]
+    seen = []
+    original = LocalRing.local_model
+
+    def record(self, J, bound=None):
+        seen.append(J)
+        return original(self, J, bound)
+
+    monkeypatch.setattr(LocalRing, "local_model", record)
+    for n in (3, 4):
+        R.delta_one_test(R.ring.parse(witness), n)
+    monkeypatch.undo()
+    assert len(seen) == 8
+    for J in seen:
+        assert _assert_same_model(R, J, R.stabilization_bound)
+
+
+def _random_poly(ring, rng, lo, hi, unit=False):
+    """About a third of the monomials of degree lo..hi with coefficients in
+    [-3, 3], plus a constant term if unit."""
+    terms = {}
+    for d in range(lo, hi + 1):
+        for e in all_monomials(ring, d):
+            c = ring.field.from_int(rng.randint(-3, 3))
+            if c and rng.randint(0, 2) == 0:
+                terms[e] = c
+    if unit:
+        terms[(0,) * ring.nvars] = ring.field.one()
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_local_model_matches_loop_on_random_ideals(field):
+    # two or three generators in two or three variables: m-primary locally
+    # or not (NotArtinianLocally on both paths), and now and then a unit
+    rng = random.Random(1993)
+    bound = 7
+    outcomes = []
+    for trial in range(24):
+        names = ("x", "y", "z")[:rng.randint(2, 3)]
+        ring = PolyRing(field, names)
+        R = LocalRing(ring, Ideal(ring, []), stabilization_bound=bound)
+        gens = [_random_poly(ring, rng, 1, 3, unit=(trial % 8 == 7))
+                for _ in range(rng.randint(2, 3))]
+        outcomes.append(_assert_same_model(R, Ideal(ring, gens), bound))
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_fglm_basis_is_canonical(field):
+    ring = PolyRing(field, ("x", "y", "z"))
+    R = LocalRing(ring, Ideal(ring, ["x^2 - y^5", "x*y^2 + y*z^3 - z^5"]))
+    for extra in ("y", "z^2 + x*y", "x + y - z"):
+        model = R.local_model(R.I + Ideal(ring, [extra]))
+        installed = model.gb_cache[DegRevLex()].generators
+        again = buchberger(list(installed), DegRevLex())
+        assert again.generators == installed
+        assert buchberger(list(model.generators), DegRevLex()).generators \
+            == installed
+        for g in installed:
+            for c in g.terms.values():
+                if field == QQ:
+                    assert type(c) is Fraction and c != 0
+                else:
+                    assert type(c) is PrimeFieldElement
+                    assert c.modulus == field.p and c.value != 0
+
+
+def test_hilbert_function_matches_truncation_colengths(scenario_rings):
+    for name, (R, _witness) in scenario_rings.items():
+        lam = [0] + _truncation_colengths(R, 15)
+        oracle = [lam[d + 1] - lam[d] for d in range(15)]
+        assert R.hilbert_function(14).values == oracle
+        if name == "ex2":
+            # the false plateau before the multiplicity
+            assert oracle[4:8] == [7, 7, 7, 8]
+            assert R.multiplicity(window=5) == 8
+        else:
+            assert R.multiplicity() == 8
+
+
+def _old_ord(R, f, bound):
+    """Largest d <= bound with f in I + n^d, by degrevlex membership."""
+    if R.I.member(f):
+        return INSIDE_I
+    ord_d = 0
+    for d in range(1, bound + 1):
+        if not (R.I + max_ideal_power(R.ring, d)).member(f):
+            break
+        ord_d = d
+    return ord_d
+
+
+def test_ord_matches_truncation_membership(cusp_ring, xyz):
+    rng = cli.SplitMix64(7)
+    elements = [xyz.parse(s) for s in ("y", "x^2", "x^2 - y^5", "x*y^2",
+                                       "y*z^3 - z^5", "1 + x", "z^7")]
+    while len(elements) < 20:
+        f = cli.sample_element(xyz, rng, (1, 3), 3)
+        if not f.is_zero():
+            elements.append(f)
+    for bound in (4, 12):
+        for f in elements:
+            assert cusp_ring.ord_mod(f, bound) == _old_ord(cusp_ring, f, bound)
+
+
+def test_loewy_length_matches_membership_loop(cusp_ring, xyz):
+    # the deleted Ideal.min_power_of_max_ideal_in, now the oracle
+    assert _min_power_of_max_ideal_in(
+        Ideal(xyz, ["x^2", "y^2", "z^2", "x*y", "x*z", "y*z"]), 5) == 2
+    assert _min_power_of_max_ideal_in(Ideal(xyz, ["x"]), 5) is None
+    for s in ("y", "z", "x", "y - z", "x + y^2", "y*z", "z^2 + x*y"):
+        f = xyz.parse(s)
+        _M, model = _old_local_model(cusp_ring.I + Ideal(xyz, [f]),
+                                     cusp_ring.stabilization_bound)
+        assert cusp_ring.loewy_length_mod(f, 20) == \
+            _min_power_of_max_ideal_in(model, 20)
+    # the same for a plain power series ring: m^N inside (f) = (x^3)
+    S = PolyRing(QQ, ("x",))
+    assert LocalRing(S, Ideal(S, [])).loewy_length_mod(S.parse("x^3")) == 3
+
+
+def _old_gll_hits(desc, target, samples, seed):
+    """gll_search's hits by the old test: n^N inside I + (f) + n^(N+1),
+    by degrevlex membership of every degree-N monomial."""
+    R = desc.local_ring()
+    ring = R.ring
+    rng = cli.SplitMix64(seed)
+    nN1 = max_ideal_power(ring, target + 1)
+    hits = []
+    tested = 0
+    while tested < samples:
+        f = cli.sample_element(ring, rng, (1, 2), 3)
+        if f.is_zero() or R.I.member(f):
+            continue
+        gb = (R.I + Ideal(ring, [f]) + nN1).groebner()
+        if all(is_member(ring.monomial(e), gb)
+               for e in all_monomials(ring, target)):
+            hits.append(f.to_str())
+        tested += 1
+    return hits
+
+
+@pytest.mark.parametrize("p, samples", [(32003, 100), (3, 50)],
+                         ids=["Fp", "F3"])
+def test_gll_test_matches_degrevlex_membership(p, samples):
+    # target 5 has no hit (the Loewy length is 6); target 6 has many
+    main = cli.MAIN_RING
+    desc = cli.RingDescription(PrimeField(p), main.names, main.gen_exprs)
+    for target in (5, 6):
+        _report, hits = cli.gll_search(desc, target, (1, 2), samples,
+                                       seed=target)
+        assert hits == _old_gll_hits(desc, target, samples, seed=target)
+        assert bool(hits) == (target == 6)
+

@@ -1,7 +1,7 @@
 import pytest
 
 from locring.arith import QQ
-from locring.errors import NotFound, ZeroPolynomial
+from locring.errors import NotArtinianLocally, NotFound, ZeroPolynomial
 from locring.ideal import Ideal
 from locring.localring import (INSIDE_I, LocalRing, weight_search,
                                weighted_degrees, weighted_homogeneity_check)
@@ -171,3 +171,16 @@ def test_weight_search_fails_on_main():
     R = PolyRing(QQ, ("x", "y", "z"))
     gens = [R.parse("x^2 - y^5"), R.parse("x*y^2 + y*z^3 - z^5")]
     assert weight_search(gens, 20) is None
+
+
+@pytest.mark.parametrize("witness, error", [
+    ("1 + y", ValueError), ("0", NotArtinianLocally),
+    ("x^2 - y^5", NotArtinianLocally)], ids=["unit", "zero", "in-I"])
+def test_witness_must_lie_in_m_outside_I(cusp_ring, xyz, witness, error):
+    x = xyz.parse(witness)
+    for check in (lambda: cusp_ring.index(x),
+                  lambda: cusp_ring.delta_one_test(x, 2),
+                  lambda: cusp_ring.delta_via_mu(x, 2),
+                  lambda: cusp_ring.loewy_length_mod(x)):
+        with pytest.raises(error):
+            check()
