@@ -12,8 +12,10 @@ monomials of I's degrevlex basis, and the reduced basis of I : J is read off
 by the FGLM walk (Faugere, Gianni, Lazard, Mora 1993), with no Buchberger
 run.  Otherwise it intersects the single-element colons I : (g), each an
 intersection with (g) followed by exact division; ``quotient_element`` and
-``saturate`` always take that route.  ``fglm`` runs the same walk to turn a
-truncated standard basis in the local order ds into a degrevlex basis.
+``saturate`` always take that route.  Each ideal keeps its colons, keyed by
+the divisor's generators, as it keeps its Groebner bases.  ``fglm`` runs the
+same walk to turn a truncated standard basis in the local order ds into a
+degrevlex basis.
 """
 
 import itertools
@@ -80,6 +82,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self.gb_cache = {}
+        self.colon_cache = {}  # J.generators -> self : J
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} gens in {self.ring})"
@@ -177,19 +180,25 @@ class Ideal:
                  time_budget=None):
         """I : J.  By linear algebra on S/I when that space is
         finite-dimensional, with the reduced degrevlex basis of the result
-        cached; otherwise as the intersection of the single-element colons."""
+        cached; otherwise as the intersection of the single-element colons.
+        The result is kept in ``colon_cache``: the same generators of J give
+        the same instance."""
         self._same_ring(other)
         if other.is_zero_ideal():
             raise ZeroColon("colon by zero ideal")
+        out = self.colon_cache.get(other.generators)
+        if out is not None:
+            return out
         if self.vector_space_dim(max_pairs=max_pairs,
                                  time_budget=time_budget) != INFINITE:
-            return self._artinian_quotient(other)
-        out = None
-        for g in other.generators:
-            q = self.quotient_element(g, max_pairs=max_pairs,
-                                      time_budget=time_budget)
-            out = q if out is None else out.intersect(
-                q, max_pairs=max_pairs, time_budget=time_budget)
+            out = self._artinian_quotient(other)
+        else:
+            for g in other.generators:
+                q = self.quotient_element(g, max_pairs=max_pairs,
+                                          time_budget=time_budget)
+                out = q if out is None else out.intersect(
+                    q, max_pairs=max_pairs, time_budget=time_budget)
+        self.colon_cache[other.generators] = out
         return out
 
     def saturate(self, f, max_iter=100, max_pairs=DEFAULT_MAX_PAIRS,

@@ -12,12 +12,16 @@ Every length comes from a standard basis in the local order ds truncated
 at a degree N (``buchberger(..., truncate=N)``): its standard monomials of
 degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever
 N is.  M is max(2, d + 1) for the first degree d with no standard monomial;
-N grows by one from 2 until such a d < N appears, so the last basis is the
-one of J + n^M, and FGLM turns it into the degrevlex basis the model
-carries.  The Hilbert function of R is the staircase of one truncated basis
-of I, ord(f) the lowest degree of f's truncated ds normal form, and the
-Loewy length of R/(f) one more than the top degree of the staircase of the
-local model of I + (f).
+N doubles from 2 (2, 4, 8, ..., capped at the bound plus one) until such a
+d < N appears.  Then N >= M, and the truncation at N is a basis of the same
+ideal J + n^N = J + n^M, so FGLM turns it into the degrevlex basis the model
+carries.  Each ring keeps, for as long as it lives, a memo of its models
+keyed by J's generators and the bound: M, HF(0..M-1) and, once a caller has
+asked for it, the model itself, whose ds basis is then dropped.  The Hilbert
+function of R is the staircase of one truncated basis of I, ord(f) the
+lowest degree of f's truncated ds normal form, and the Loewy length of
+R/(f) one more than the top degree of the staircase of the local model of
+I + (f).
 """
 
 from dataclasses import dataclass
@@ -74,6 +78,8 @@ class LocalRing:
 
     def __init__(self, ring, defining_ideal, contraction_assumed=True,
                  stabilization_bound=DEFAULT_STABILIZATION_BOUND):
+        if stabilization_bound < 1:
+            raise ValueError("stabilization_bound must be >= 1")
         if not isinstance(defining_ideal, Ideal):
             defining_ideal = Ideal(ring, defining_ideal)
         for g in defining_ideal.generators:
@@ -86,6 +92,7 @@ class LocalRing:
         self.contraction_assumed = contraction_assumed
         self.stabilization_bound = stabilization_bound
         self._ds_bases = {}  # N -> truncated ds basis of I + n^N
+        self._models = {}    # (J.generators, bound) -> _Model
 
     # -- length plumbing ----------------------------------------------------
 
@@ -97,31 +104,49 @@ class LocalRing:
         return gb
 
     def _stabilize(self, J, bound=None):
-        """(M, ds basis of J + n^M truncated at M, HF(0..M-1) of S/J) for
-        the local model J + n^M; the first zero of HF is at M - 1, or at 0
-        when J contains a unit (then M = 2)."""
-        bound = bound or self.stabilization_bound
+        """The memo entry of the local model J + n^M: M and HF(0..M-1) of
+        S/J, whose first zero is at M - 1, or at 0 when J contains a unit
+        (then M = 2).  On a miss, ds bases of J + n^N truncated at
+        N = 2, 4, 8, ..., capped at bound + 1, grow one staircase until it
+        has an empty degree; the last basis is kept for FGLM."""
+        if bound is None:
+            bound = self.stabilization_bound
+        elif bound < 1:
+            raise ValueError("bound must be >= 1")
+        key = (J.generators, bound)
+        model = self._models.get(key)
+        if model is not None:
+            return model
         staircase = _Staircase(self.ring.nvars)
-        for N in range(2, bound + 2):
+        N = 2
+        while True:
             gb = buchberger(list(J.generators), DS, truncate=N)
             hf = staircase.grow(gb.leading_monomials(), N)
             if not hf[-1]:
-                return N, gb, hf
-        raise NotArtinianLocally(
-            f"no colength stabilization within n^{bound}")
+                M = max(2, hf.index(0) + 1)
+                model = self._models[key] = _Model(M, hf[:M], gb, N)
+                return model
+            if N > bound:
+                raise NotArtinianLocally(
+                    f"no colength stabilization within n^{bound}")
+            N = min(2 * N, bound + 1)
 
     def local_model(self, J, bound=None):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
-        J + n^(M-1).  Its degrevlex basis, by FGLM, is already cached."""
-        M, gb, hf = self._stabilize(J, bound)
-        model = J + max_ideal_power(self.ring, M)
-        model.gb_cache[DegRevLex()] = fglm(gb, M, hf.index(0))
-        return model
+        J + n^(M-1).  Its degrevlex basis, by FGLM, is already cached, and
+        the same instance is returned for the same J and bound."""
+        model = self._stabilize(J, bound)
+        if model.ideal is None:
+            model.ideal = J + max_ideal_power(self.ring, model.M)
+            model.ideal.gb_cache[DegRevLex()] = fglm(
+                model.ds_basis, model.truncate, model.hf.index(0))
+            model.ds_basis = None
+        return model.ideal
 
     def colength_local(self, J, bound=None):
         """Length of S_n/(J localized): the colength of its local model."""
-        return sum(self._stabilize(J, bound)[2])
+        return sum(self._stabilize(J, bound).hf)
 
     # -- Hilbert function and multiplicity ----------------------------------
 
@@ -168,6 +193,8 @@ class LocalRing:
         """Largest d <= bound with f in I + n^d; INSIDE_I if f lies in I.
         That is the lowest degree of the ds normal form of f modulo
         I + n^(bound+1), or bound if the normal form is 0."""
+        if bound < 0:
+            raise ValueError("bound must be >= 0")
         if f.is_zero():
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
@@ -199,7 +226,7 @@ class LocalRing:
         """Smallest N with m^N contained in (f) in R: one more than the top
         degree of a ds standard monomial of the local model of I + (f)."""
         self.check_parameter(f)
-        hf = self._stabilize(self.I + Ideal(self.ring, [f]))[2]
+        hf = self._stabilize(self.I + Ideal(self.ring, [f])).hf
         N = hf.index(0)
         if N > bound:
             raise NotFound(f"no N <= {bound} with m^N inside the ideal")
@@ -309,14 +336,20 @@ class LocalRing:
                     f"delta not monotone: true at {hit}, false at {hit + 1}")
         return hit
 
-    # -- socle --------------------------------------------------------------
 
-    def socle_dimension(self, J):
-        """dim_k of ((I+J) : m)/(I+J) for an m-primary I+J."""
-        M = self.local_model(self.I + J)
-        lam_M = self.colength_local(M)
-        lam_soc = self.colength_local(M.quotient(self.n))
-        return lam_M - lam_soc
+class _Model:
+    """A memo entry of ``LocalRing``: M, HF(0..M-1) of S/J, and the ds basis
+    truncated at ``truncate`` >= M until FGLM has turned it into the
+    degrevlex basis of ``ideal``, the local model J + n^M."""
+
+    __slots__ = ("M", "hf", "ds_basis", "truncate", "ideal")
+
+    def __init__(self, M, hf, ds_basis, truncate):
+        self.M = M
+        self.hf = hf
+        self.ds_basis = ds_basis
+        self.truncate = truncate
+        self.ideal = None
 
 
 class _Staircase:

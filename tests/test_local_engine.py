@@ -146,6 +146,19 @@ def test_local_model_matches_loop_on_random_ideals(field):
     assert any(outcomes) and not all(outcomes)
 
 
+@pytest.mark.parametrize("k", [4, 8, 16])
+def test_local_model_matches_loop_at_the_doubling_edge(xyz, k):
+    # J = (x^k, y, z) has M = k + 1, just above the power of two k, so the
+    # truncation degrees 2, 4, ..., k fall short and the next one is capped
+    # at bound + 1: exactly M for bound k, one short of it for bound k - 1
+    R = LocalRing(xyz, Ideal(xyz, []))
+    J = Ideal(xyz, [f"x^{k}", "y", "z"])
+    assert _assert_same_model(R, J, k)
+    assert R.local_model(J, k).generators[3:] == \
+        max_ideal_power(xyz, k + 1).generators
+    assert not _assert_same_model(R, J, k - 1)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
 def test_fglm_basis_is_canonical(field):
     ring = PolyRing(field, ("x", "y", "z"))

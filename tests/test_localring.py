@@ -1,5 +1,6 @@
 import pytest
 
+from locring import cli, localring
 from locring.arith import QQ
 from locring.errors import NotArtinianLocally, NotFound, ZeroPolynomial
 from locring.ideal import Ideal
@@ -148,9 +149,61 @@ def test_index(cusp_ring, xyz):
     assert cusp_ring.index(xyz.parse("y")) == 5
 
 
-def test_socle_dimension(cusp_ring, xyz):
-    # R/(y) is Gorenstein Artinian, so its socle is one-dimensional
-    assert cusp_ring.socle_dimension(Ideal(xyz, ["y"])) == 1
+@pytest.mark.parametrize("bound", [0, -1])
+def test_stabilization_bound_must_be_positive(cusp_ring, xyz, bound):
+    # bound 0 used to fall back to the default 20 and give colength 10
+    J = cusp_ring.I + Ideal(xyz, ["y"])
+    for call in (cusp_ring.local_model, cusp_ring.colength_local):
+        with pytest.raises(ValueError):
+            call(J, bound=bound)
+    # and a ring built with it used to fail every call
+    with pytest.raises(ValueError):
+        LocalRing(xyz, cusp_ring.I, stabilization_bound=bound)
+
+
+def test_ord_rejects_negative_bound(cusp_ring, xyz):
+    # bound -1 used to run an untruncated ds basis and return 1 > bound
+    with pytest.raises(ValueError):
+        cusp_ring.ord_mod(xyz.parse("y"), bound=-1)
+    assert cusp_ring.ord_mod(xyz.parse("y"), bound=0) == 0
+
+
+def _count_ds_runs(monkeypatch):
+    calls = []
+    original = localring.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(localring, "buchberger", counted)
+    return calls
+
+
+def test_delta_test_reuses_models_and_colons(xyz, monkeypatch):
+    R = LocalRing(xyz, Ideal(xyz, ["x^2 - y^5", "x*y^2 + y*z^3 - z^5"]))
+    y = xyz.parse("y")
+    calls = _count_ds_runs(monkeypatch)
+    first = R.delta_one_test(y, 4)
+    ran = len(calls)
+    assert ran > 0
+    assert R.delta_one_test(y, 4) == first
+    assert len(calls) == ran
+    Ix = R.local_model(R.I + Ideal(xyz, [y]))
+    assert R.local_model(R.I + Ideal(xyz, [y])) is Ix
+    assert Ix.quotient(R.n) is Ix.quotient(R.n)
+    assert len(calls) == ran
+
+
+def test_no_memo_outlives_its_ring(monkeypatch):
+    calls = _count_ds_runs(monkeypatch)
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        report = cli.run_scenario("main")
+        assert all(c.status == cli.PASS for c in report.checks)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 def test_weighted_homogeneity():
