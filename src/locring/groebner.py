@@ -409,7 +409,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     # minimalize: drop generators whose lt is divisible by another lt
     minimal = []
     for g in sorted(G, key=lambda g: key(g[0])):
-        if all(mono_div(g[0], h[0]) is None for h in minimal):
+        if not any(mono_divides(h[0], g[0]) for h in minimal):
             minimal.append(g)
     if truncate:
         final = [Polynomial(ring, _from_raw(g[2], g[1], field))

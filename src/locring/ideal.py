@@ -15,11 +15,17 @@ intersection with (g) followed by exact division; ``quotient_element`` and
 ``saturate`` always take that route.  Each ideal keeps its colons, keyed by
 the divisor's generators, as it keeps its Groebner bases.  ``fglm`` runs the
 same walk to turn a truncated standard basis in the local order ds into a
-degrevlex basis.
+degrevlex basis, reducing each monomial modulo m^d for the first degree d
+in which the ideal has no standard monomial.
+
+The walk runs on plain ints, like ``groebner._nf_dict``: each image is a raw
+vector with an integer multiplier, rows are eliminated fraction-free over Q
+and on residues over F_p, and a kernel vector gets Fraction or F_p
+coefficients only when it is made monic.
 """
 
 import itertools
-import math
+from math import gcd, inf, lcm
 
 from . import groebner
 from .errors import BudgetExceeded, RingMismatch, ZeroColon
@@ -27,7 +33,7 @@ from .groebner import DEFAULT_MAX_PAIRS
 from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
                    mono_divides, mono_mul, monomials_of_degree)
 
-INFINITE = math.inf
+INFINITE = inf
 
 _AUX = "_t"
 
@@ -220,20 +226,27 @@ class Ideal:
         """I : J for a zero-dimensional I: (I : J)/I is the kernel of
         c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on the
         standard monomials b of I."""
-        field = self.ring.field
-        p = field.characteristic
+        p = self.ring.field.characteristic
         gb = self.groebner()
         raw_gens = [groebner._to_raw(g.terms, p) for g in other.generators]
 
         def image(b):
-            out = {}
+            # block i, the normal form of g_i * b, is r / s for the scale
+            # s = scale * r.scale (1 over F_p); the blocks are brought to
+            # one multiplier m, the lcm of the numerators of the scales
+            blocks = []
             for i, (raw, scale) in enumerate(raw_gens):
                 prod = {mono_mul(e, b): c for e, c in raw.items()}
                 r = groebner._nf_dict(prod, gb.divisors, gb.order.key, p, 0)
-                for e, c in groebner._from_raw(r, scale * r.scale,
-                                               field).items():
-                    out[i, e] = c
-            return out
+                if r:
+                    blocks.append((i, r, scale * r.scale))
+            m = lcm(*(s.numerator for _, _, s in blocks))
+            out = {}
+            for i, r, s in blocks:
+                f = s.denominator * (m // s.numerator)
+                for e, c in r.items():
+                    out[i, e] = c * f
+            return out, m
 
         std = _standard_monomials(gb.leading_monomials(), self.ring.nvars)
         basis = _extend_by_kernel(gb, sorted(std, key=gb.order.key), image)
@@ -294,38 +307,63 @@ def _extend_by_kernel(gb, columns, image):
     """The reduced degrevlex basis of I + K, for I zero-dimensional with
     reduced degrevlex basis gb and K/I the kernel of a linear map on S/I;
     columns: the standard monomials of I in ascending degrevlex order;
-    image(b): the image of the column b, as {row: c}.
+    image(b): the raw image of the column b, a pair (vec, m) of a dict
+    {row: int} and an int m > 0, nonzero mod p, such that vec is the image
+    of m * b (residues in [0, p) over F_p).
 
     The FGLM walk: each column's image is reduced against a row echelon
     form of the earlier ones, keeping the combination of columns it came
-    from.  A column b that reduces to 0 gives the kernel vector b - sum
-    c_s * s over earlier independent columns s: the reduced element of
-    I + K with leading monomial b.  A column divisible by such a b is
-    dependent too and is skipped, unless a tail of gb uses it.
+    from, which starts as {b: m}.  A column b that reduces to 0 gives the
+    kernel vector b - sum c_s * s over earlier independent columns s: the
+    reduced element of I + K with leading monomial b.  A column divisible
+    by such a b is dependent too and is skipped, unless a tail of gb uses
+    it.
+
+    The walk runs on plain ints, as ``groebner._nf_dict`` does.  A row with
+    pivot coefficient a removes the entry c of the vector being reduced by
+    vec := (a/h) * vec - (c/h) * row, h = gcd(a, c), and the same on the
+    combination; over F_p rows are monic and entries stay residues.  A new
+    row and its combination have their content divided out and a positive
+    pivot (over F_p: are made monic).  Every vector is a nonzero multiple
+    of what field arithmetic gives, so every pivot and zero is the same,
+    and a kernel vector becomes Fraction or F_p elements only once, when
+    it is made monic.
     """
     key = gb.order.key
     ring = gb.generators[0].ring
-    one = ring.field.one()
+    field = ring.field
+    p = field.characteristic
     tails = {e for g in gb.generators for e in g.terms}
-    rows = []    # (pivot, vector, combination): image(combination) = vector
+    rows = []    # (pivot, a, vector, combination): vector = image(comb)
     kernel = {}  # leading monomial -> monic kernel vector as term dict
     for b in columns:
         if b not in tails and any(mono_divides(q, b) for q in kernel):
             continue
-        vec = image(b)
-        comb = {b: one}
-        for pivot, row, row_comb in rows:
+        vec, m = image(b)
+        comb = {b: m}
+        for pivot, a, row, row_comb in rows:
             c = vec.get(pivot)
             if c is not None:
-                _sub_scaled(vec, c, row)
-                _sub_scaled(comb, c, row_comb)
+                h = gcd(a, c)
+                s, t = a // h, c // h
+                _combine(vec, s, t, row, p)
+                _combine(comb, s, t, row_comb, p)
         if not vec:
-            kernel[b] = comb
+            kernel[b] = groebner._from_raw(comb, comb[b], field)
             continue
         pivot = next(iter(vec))
-        inv = one / vec[pivot]
-        rows.append((pivot, {r: x * inv for r, x in vec.items()},
-                     {e: x * inv for e, x in comb.items()}))
+        lead = vec[pivot]
+        if p:
+            vec = groebner._normalize(vec, lead, p)
+            comb = groebner._normalize(comb, lead, p)
+        else:
+            h = gcd(*vec.values(), *comb.values())
+            if lead < 0:
+                h = -h
+            if h != 1:
+                vec = {r: x // h for r, x in vec.items()}
+                comb = {e: x // h for e, x in comb.items()}
+        rows.append((pivot, vec[pivot], vec, comb))
     basis = []
     for lt, g in zip(gb.leading_monomials(), gb.generators):
         if not any(mono_divides(q, lt) for q in kernel):
@@ -341,14 +379,16 @@ def _extend_by_kernel(gb, columns, image):
         [Polynomial(ring, terms) for terms in basis], gb.order)
 
 
-def fglm(ds_basis, truncate, d):
-    """The reduced degrevlex basis of the ideal J with standard basis
-    ds_basis in the local order ds, truncated at degree ``truncate``, given
-    m^d inside J for some d <= truncate.  FGLM from S/m^d: each monomial of
-    degree < d maps to its truncated ds normal form."""
+def fglm(ds_basis, d):
+    """The reduced degrevlex basis of J + m^N, for ds_basis a standard
+    basis of J in the local order ds truncated at a degree N, given
+    d <= N with m^d inside J + m^N (d the first degree with no standard
+    monomial).  FGLM from S/m^d: each monomial b of degree < d maps to its
+    ds normal form truncated at d, which m^d inside J + m^N makes exact;
+    a raw remainder r of scale num/den is the image of num * b as den * r.
+    """
     ring = ds_basis.generators[0].ring
-    field = ring.field
-    p = field.characteristic
+    p = ring.field.characteristic
     order = DegRevLex()
     base = groebner.GroebnerBasis(
         [ring.monomial(e)
@@ -358,10 +398,30 @@ def fglm(ds_basis, truncate, d):
     key = ds_basis.order.key
 
     def image(b):
-        r = groebner._nf_dict({b: 1}, ds_basis.divisors, key, p, truncate)
-        return groebner._from_raw(r, r.scale, field)
+        r = groebner._nf_dict({b: 1}, ds_basis.divisors, key, p, d)
+        num, den = r.scale.numerator, r.scale.denominator
+        if den != 1:
+            r = {e: c * den for e, c in r.items()}
+        return r, num
 
     return _extend_by_kernel(base, columns, image)
+
+
+def _combine(dst, s, t, src, p):
+    """dst := s * dst - t * src on raw term dicts, in place, dropping zero
+    terms; over F_p (p > 0) s is 1 and entries stay residues mod p."""
+    if s != 1:
+        for e in dst:
+            dst[e] *= s
+    for e, x in src.items():
+        v = dst.get(e)
+        v = -t * x if v is None else v - t * x
+        if p:
+            v %= p
+        if v:
+            dst[e] = v
+        else:
+            del dst[e]
 
 
 def _sub_scaled(dst, c, src):

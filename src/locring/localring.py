@@ -15,13 +15,14 @@ N is.  M is max(2, d + 1) for the first degree d with no standard monomial;
 N doubles from 2 (2, 4, 8, ..., capped at the bound plus one) until such a
 d < N appears.  Then N >= M, and the truncation at N is a basis of the same
 ideal J + n^N = J + n^M, so FGLM turns it into the degrevlex basis the model
-carries.  Each ring keeps, for as long as it lives, a memo of its models
-keyed by J's generators and the bound: M, HF(0..M-1) and, once a caller has
-asked for it, the model itself, whose ds basis is then dropped.  The Hilbert
-function of R is the staircase of one truncated basis of I, ord(f) the
-lowest degree of f's truncated ds normal form, and the Loewy length of
-R/(f) one more than the top degree of the staircase of the local model of
-I + (f).
+carries; FGLM reads it modulo n^d for that first empty degree d.  Each ring
+keeps, for as long as it lives, a memo of its models keyed by J's
+generators (a bound only decides whether d comes too late): M, HF(0..M-1)
+and, once a caller has asked for it, the model itself, whose ds basis is
+then dropped.  The Hilbert function of R is the staircase of one truncated
+basis of I, ord(f) the lowest degree of f's truncated ds normal form, and
+the Loewy length of R/(f) one more than the top degree of the staircase of
+the local model of I + (f).
 """
 
 from dataclasses import dataclass
@@ -92,7 +93,7 @@ class LocalRing:
         self.contraction_assumed = contraction_assumed
         self.stabilization_bound = stabilization_bound
         self._ds_bases = {}  # N -> truncated ds basis of I + n^N
-        self._models = {}    # (J.generators, bound) -> _Model
+        self._models = {}    # J.generators -> _Model
 
     # -- length plumbing ----------------------------------------------------
 
@@ -108,14 +109,19 @@ class LocalRing:
         S/J, whose first zero is at M - 1, or at 0 when J contains a unit
         (then M = 2).  On a miss, ds bases of J + n^N truncated at
         N = 2, 4, 8, ..., capped at bound + 1, grow one staircase until it
-        has an empty degree; the last basis is kept for FGLM."""
+        has an empty degree; the last basis is kept for FGLM.  The entry
+        does not depend on the bound, which only decides whether the first
+        empty degree comes too late: NotArtinianLocally when it exceeds the
+        bound, on a hit as on a miss."""
         if bound is None:
             bound = self.stabilization_bound
         elif bound < 1:
             raise ValueError("bound must be >= 1")
-        key = (J.generators, bound)
-        model = self._models.get(key)
+        model = self._models.get(J.generators)
         if model is not None:
+            if model.hf.index(0) > bound:
+                raise NotArtinianLocally(
+                    f"no colength stabilization within n^{bound}")
             return model
         staircase = _Staircase(self.ring.nvars)
         N = 2
@@ -124,7 +130,7 @@ class LocalRing:
             hf = staircase.grow(gb.leading_monomials(), N)
             if not hf[-1]:
                 M = max(2, hf.index(0) + 1)
-                model = self._models[key] = _Model(M, hf[:M], gb, N)
+                model = self._models[J.generators] = _Model(M, hf[:M], gb)
                 return model
             if N > bound:
                 raise NotArtinianLocally(
@@ -140,7 +146,7 @@ class LocalRing:
         if model.ideal is None:
             model.ideal = J + max_ideal_power(self.ring, model.M)
             model.ideal.gb_cache[DegRevLex()] = fglm(
-                model.ds_basis, model.truncate, model.hf.index(0))
+                model.ds_basis, model.hf.index(0))
             model.ds_basis = None
         return model.ideal
 
@@ -223,12 +229,16 @@ class LocalRing:
         return self.colength(f) == d * self.multiplicity()
 
     def loewy_length_mod(self, f, bound=DEFAULT_LOEWY_BOUND):
-        """Smallest N with m^N contained in (f) in R: one more than the top
-        degree of a ds standard monomial of the local model of I + (f)."""
+        """Smallest N <= bound with m^N contained in (f) in R: one more than
+        the top degree of a ds standard monomial of the local model of
+        I + (f), which is stabilized within this bound."""
         self.check_parameter(f)
-        hf = self._stabilize(self.I + Ideal(self.ring, [f])).hf
-        N = hf.index(0)
-        if N > bound:
+        try:
+            N = self._stabilize(self.I + Ideal(self.ring, [f]),
+                                max(bound, 1)).hf.index(0)
+        except NotArtinianLocally:
+            N = None
+        if N is None or N > bound:
             raise NotFound(f"no N <= {bound} with m^N inside the ideal")
         return N
 
@@ -338,17 +348,16 @@ class LocalRing:
 
 
 class _Model:
-    """A memo entry of ``LocalRing``: M, HF(0..M-1) of S/J, and the ds basis
-    truncated at ``truncate`` >= M until FGLM has turned it into the
+    """A memo entry of ``LocalRing``: M, HF(0..M-1) of S/J, and a ds basis
+    of J truncated at some N >= M until FGLM has turned it into the
     degrevlex basis of ``ideal``, the local model J + n^M."""
 
-    __slots__ = ("M", "hf", "ds_basis", "truncate", "ideal")
+    __slots__ = ("M", "hf", "ds_basis", "ideal")
 
-    def __init__(self, M, hf, ds_basis, truncate):
+    def __init__(self, M, hf, ds_basis):
         self.M = M
         self.hf = hf
         self.ds_basis = ds_basis
-        self.truncate = truncate
         self.ideal = None
 
 

@@ -190,6 +190,16 @@ def test_cli_loewy_of_element_in_defining_ideal(ring_file, capsys):
     assert "lies in the defining ideal" in capsys.readouterr().err
 
 
+def test_cli_loewy_beyond_its_bound(tmp_path, capsys):
+    # used to report "no colength stabilization within n^20"
+    p = tmp_path / "line.ring"
+    p.write_text("field Q\nvars x\n")
+    assert main(["loewy", "--ring", str(p), "--element", "x^25"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: no N <= 12 with m^N inside the ideal\n"
+
+
 def test_runner_records_other_errors_as_fail(capsys):
     report = Report("errors", 0)
     runner = Runner(report)

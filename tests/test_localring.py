@@ -85,6 +85,18 @@ def test_loewy_not_found():
         L.loewy_length_mod(R1.parse("x^3"), bound=2)
 
 
+def test_loewy_length_stabilizes_within_its_own_bound():
+    # R/(x^25) has Loewy length 25, above the ring's stabilization bound 20
+    # that the model of I + (f) used to be stabilized with
+    R1 = PolyRing(QQ, ("x",))
+    L = LocalRing(R1, Ideal(R1, []))
+    x25 = R1.parse("x^25")
+    assert L.stabilization_bound < 25
+    assert L.loewy_length_mod(x25, bound=30) == 25
+    with pytest.raises(NotFound, match="no N <= 24"):
+        L.loewy_length_mod(x25, bound=24)
+
+
 def test_tangent_cone(cusp_ring):
     tc = cusp_ring.tangent_cone()
     P = tc.ring
