@@ -1,33 +1,47 @@
 """Buchberger's algorithm with sugar selection and Gebauer-Moeller pruning.
 
-The engine works on raw term dicts (exps tuple -> int) for speed; the public
+The engine works on raw term dicts (packed monomial -> int); the public
 functions take and return Polynomial objects.  Determinism: divisors are
 tried in list order during reduction, the pair queue breaks ties by
-(sugar, lcm degree, order key of lcm, indices), and the reduced basis is
-sorted by leading monomial.
+(sugar, lcm degree, order of lcm, indices), and the reduced basis is sorted
+by leading monomial.
+
+Packed monomials (after Bachmann and Schoenemann, "Monomial representations
+for Groebner bases computations", ISSAC 1998): in the kernel a monomial of
+an n-variable ring is one int.  Its low bits P hold a 16-bit field per
+exponent, variable 0 lowest, and the total degree in the field above; the
+top bit of each field is a guard that stays 0, since every degree stays
+below ``DEGREE_BOUND``.  Above P sits W(e), the order's tuple key read as
+one integer (``_order_form``).  Both parts are linear in e, so a product is
+a sum, ``lt | e`` is the mask test ``not (e - lt) & guard``, and the
+smallest int is the largest monomial: the ds int is P itself, the degrevlex
+int P - (deg << bits of P).  Exponent tuples and ``order.key`` stay the
+public representation, converted at the boundary: generators in, final
+basis out, ``normal_form`` in and out, ``GroebnerBasis.divisors`` once per
+basis.  A degree that would not fit raises ValueError on conversion, for an
+S-pair or for a product in reduction, so nothing is ever mis-ordered.
 
 Raw coefficients: over F_p a coefficient is its residue in [0, p); over Q a
 polynomial is an integer polynomial, and basis elements are primitive.
 Reduction over Q is fraction-free: a term c*e is removed by a divisor g with
 leading coefficient a by multiplying the work and the remainder by
-a/gcd(c, a) and subtracting (c/gcd(c, a)) * q * g, so the remainder comes
-back as lambda * NF for a positive rational scale lambda; dividing out the
-content when the multipliers grow keeps coefficients small.  A raw
-polynomial is always a positive multiple of what field arithmetic would
-give, so it has the same terms, and every divisor and pair choice is the
-same.  ``buchberger`` converts its generators once and builds Fraction or
-PrimeFieldElement values only for the final monic basis; ``normal_form``
-and ``spoly`` divide by the scale to return exact field elements, and a
-``GroebnerBasis`` converts its generators to raw divisors once.
+a/gcd(c, a) and subtracting (c/gcd(c, a)) * q * g, q = e - lt(g) packed, so
+the remainder comes back as lambda * NF for a positive rational scale
+lambda; dividing out the content when the multipliers grow keeps
+coefficients small.  A raw polynomial is always a positive multiple of what
+field arithmetic would give, so it has the same terms, and every divisor
+and pair choice is the same.  A divisor is (lead, lead coefficient, tail,
+top degree field), primitive over Q and monic over F_p.
 
-Bookkeeping: each pending pair keeps the lcm of its leading monomials, so
-the Gebauer-Moeller criteria compute one lcm per basis element on every
-insertion.  A pair of two single-term elements is never queued, since its
-S-polynomial is 0; it still takes part in the lcm grouping, so the chain
-criterion and the evolution of the basis are as if it had been reduced.
-In reduction a divisor whose leading monomial has higher total degree than
-the term is skipped before the exponent-wise test; the first divisor in
-list order that divides the term still reduces it.
+Bookkeeping: each pending pair keeps the lcm of its leading monomials as an
+int of exponent fields, the larger of fields x and y being y + (x - y) where
+the guard of (x | guard) - y is set.  So the Gebauer-Moeller and coprime
+criteria are int operations: one lcm per basis element on every insertion,
+mask tests after that.  Only a queued pair's lcm is packed with its order
+part, from the leads' exponent tuples.  A pair of two single-term elements
+is never queued, since its S-polynomial is 0; it still takes part in the
+lcm grouping, so the chain criterion and the evolution of the basis are as
+if it had been reduced.
 
 Truncation (the highest-corner trick of Mora's tangent cone algorithm;
 Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
@@ -48,20 +62,78 @@ basis is still minimal and monic.
 import heapq
 import time
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
-from operator import add, ge, neg, sub
+from operator import mul
 
 from .arith import PrimeFieldElement
 from .errors import BudgetExceeded, RingMismatch
-from .poly import (Polynomial, mono_degree, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
+from .poly import Polynomial, mono_div, mono_lcm
 
 DEFAULT_MAX_PAIRS = 2_000_000
 
 # Over Q, the content of the work polynomial is divided out once the
 # multipliers since the last division exceed this.
 _CONTENT_GROWTH = 1 << 64
+
+_FIELD = 16                       # bits per packed field, guard bit on top
+DEGREE_BOUND = 1 << (_FIELD - 1)  # every exponent and degree stays below
+
+
+def _check_degree(d):
+    if d >= DEGREE_BOUND:
+        raise ValueError(f"monomial degree {d} does not fit a packed "
+                         f"monomial: degrees must stay below {DEGREE_BOUND}")
+
+
+class Packing:
+    """Packed monomials of an n-variable ring under one term order (see the
+    module docstring): ``pack`` and ``unpack`` convert exponent tuples,
+    ``guard`` and ``degree`` mask the guard bits and the degree field, whose
+    lowest bit is ``1 << shift``."""
+
+    def __init__(self, order, nvars):
+        fields = [_FIELD * i for i in range(nvars)]
+        self.shift = _FIELD * nvars
+        self.guard = sum(1 << (s + _FIELD - 1) for s in fields)
+        self.degree = ((1 << _FIELD) - 1) << self.shift
+        width = self.shift + _FIELD
+        form = _order_form(order, nvars)
+        self._weights = tuple((w << width) + (1 << s) + (1 << self.shift)
+                              for w, s in zip(form, fields))
+        self._fields = fields
+
+    def pack(self, e):
+        return sum(map(mul, e, self._weights))
+
+    def unpack(self, m):
+        return tuple([m >> s & (DEGREE_BOUND - 1) for s in self._fields])
+
+
+packing = lru_cache(maxsize=64)(Packing)
+
+
+def _order_form(order, n):
+    """Per-variable weights of the linear form W: W(e) ascending is
+    order.key(e) descending.  Every key is a tuple of integer linear forms in
+    e; W reads it as one integer in a base that no form can overflow while
+    degrees stay below DEGREE_BOUND.  P itself, ascending, is the order
+    (-deg, -e_{n-1}, ..., -e_0) descending, so a key ending in that revlex
+    tail after a component +-deg leaves the tail (and -deg) to P."""
+    forms = list(zip(*(order.key(tuple(int(i == j) for j in range(n)))
+                       for i in range(n))))
+    tail = [tuple(-int(i == j) for i in range(n)) for j in reversed(range(n))]
+    if n and len(forms) > n and forms[-n:] == tail:
+        if forms[-n - 1] == (1,) * n:
+            forms = forms[:-n]
+        elif forms[-n - 1] == (-1,) * n:
+            forms = forms[:-n - 1]
+    top = max((abs(c) for form in forms for c in form), default=1)
+    base = 1 << (_FIELD + (top - 1).bit_length())
+    weights = [0] * n
+    for form in forms:
+        weights = [w * base - c for w, c in zip(weights, form)]
+    return weights
 
 
 class GroebnerBasis:
@@ -83,12 +155,12 @@ class GroebnerBasis:
 
     @cached_property
     def divisors(self):
-        """The generators as raw divisors of _nf_dict, converted once."""
+        """The generators as packed divisors of _nf_dict, converted once."""
         if not self.generators:
             return []
-        p = self.generators[0].ring.field.characteristic
-        return [_raw_divisor(g.terms, self.order.key, p)
-                for g in self.generators]
+        ring = self.generators[0].ring
+        return _divisors(self.generators, packing(self.order, ring.nvars),
+                         ring.field.characteristic)
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.generators)} gens, {self.order})"
@@ -108,31 +180,38 @@ class _Remainder(dict):
         self.scale = scale
 
 
-def _to_raw(terms, p):
-    """A term dict of field elements as (raw, scale), raw = scale * terms:
-    residues over F_p with scale 1; over Q integers, with scale the lcm of
-    the denominators."""
+def _to_raw(terms, p, pk):
+    """A term dict of field elements as (raw, scale), raw = scale * terms
+    with packed monomials: residues over F_p with scale 1; over Q integers,
+    with scale the lcm of the denominators.  ValueError if a degree does not
+    fit."""
+    _check_degree(max(map(sum, terms), default=0))
+    pack = pk.pack
     if p:
-        return {e: c.value for e, c in terms.items()}, 1
+        return {pack(e): c.value for e, c in terms.items()}, 1
     den = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator)
+    return {pack(e): c.numerator * (den // c.denominator)
             for e, c in terms.items()}, den
 
 
-def _from_raw(raw, scale, field):
+def _from_raw(raw, scale, field, unpack=None):
     """The term dict of field elements raw / scale (scale an int or a
-    Fraction, nonzero); terms that vanish mod p are dropped."""
+    Fraction, nonzero), its monomials unpacked by unpack if given; terms
+    that vanish mod p are dropped."""
     p = field.characteristic
+    if unpack is None:
+        def unpack(e):
+            return e
     if p:
         inv = pow(scale, -1, p)
         out = {}
         for e, c in raw.items():
             c = c * inv % p
             if c:
-                out[e] = PrimeFieldElement(c, p)
+                out[unpack(e)] = PrimeFieldElement(c, p)
         return out
     num, den = scale.numerator, scale.denominator
-    return {e: Fraction(c * den, num) for e, c in raw.items()}
+    return {unpack(e): Fraction(c * den, num) for e, c in raw.items()}
 
 
 def _normalize(terms, lead, p):
@@ -149,59 +228,64 @@ def _normalize(terms, lead, p):
     return {e: c // content for e, c in terms.items()}
 
 
-def _raw_divisor(terms, key, p):
-    """The divisor (lt exps, lt coeff, raw terms, lt degree) of a nonzero
-    polynomial's term dict, primitive over Q and monic over F_p."""
-    raw = _to_raw(terms, p)[0]
-    lt_e = _lt(raw, key)
-    raw = _normalize(raw, raw[lt_e], p)
-    return lt_e, raw[lt_e], raw, sum(lt_e)
+def _divisor(raw, p, pk):
+    """The divisor (lead, lead coefficient, tail, top) of a nonzero packed
+    raw polynomial: primitive over Q and monic over F_p, top the largest
+    degree field of its terms."""
+    lt = min(raw)
+    raw = _normalize(raw, raw[lt], p)
+    tail = {e: c for e, c in raw.items() if e != lt}
+    return lt, raw[lt], tail, max(map(pk.degree.__and__, raw))
 
 
-def _lt(terms, key):
-    return max(terms, key=key)
+def _divisors(polys, pk, p):
+    return [_divisor(_to_raw(g.terms, p, pk)[0], p, pk) for g in polys
+            if not g.is_zero()]
 
 
-def _nf_dict(terms, divisors, key, p, truncate):
-    """Full normal form of a raw term dict against raw divisors, over F_p
-    for p > 0 and over Q for p = 0, modulo m^truncate if truncate > 0.
+def _nf_dict(terms, divisors, pk, p, truncate):
+    """Full normal form of a packed raw term dict against divisors, over
+    F_p for p > 0 and over Q for p = 0, modulo m^truncate if truncate > 0.
 
-    divisors: list of (lt_exps, lt_coeff, terms_dict, lt_degree), monic over
-    F_p, tried in order; the first whose leading monomial divides a term
-    reduces it.  A divisor of higher total degree than the term cannot
-    divide it and is skipped before the exponent-wise test.  With truncate
-    N > 0 every term of degree >= N is dropped, on entry and whenever a
-    reduction forms it; 0 means no truncation.  Returns a _Remainder, empty
-    exactly when the normal form is 0.
+    divisors: list of (lead, lead coeff, tail, top), monic over F_p, tried
+    in order; the first whose leading monomial divides a term reduces it.
+    With truncate N > 0 every term of degree >= N is dropped, on entry and
+    whenever a reduction forms it; 0 means no truncation, and a reduction
+    that would form a degree of DEGREE_BOUND or more raises ValueError.
+    Returns a _Remainder, empty exactly when the normal form is 0.
     """
+    guard, degree = pk.guard, pk.degree
+    cap = (truncate or DEGREE_BOUND) << pk.shift
     if truncate:
-        terms = {e: c for e, c in terms.items() if sum(e) < truncate}
+        terms = {e: c for e, c in terms.items() if e & degree < cap}
     if not terms:
         return _Remainder({}, 1)
     push, pop = heapq.heappush, heapq.heappop
     # Terms that cancel stay in work as 0 (or a multiple of p) and are
     # skipped when popped; a term is pushed once, when it enters work, since
-    # every product q * tail is below the term being removed.
+    # every product q * tail is below the term being removed.  The smallest
+    # packed int is the largest monomial.
     work = dict(terms)
-    heap = [(*map(neg, key(e)), e) for e in work]
+    heap = list(work)
     heapq.heapify(heap)
     remainder = {}
     num = den = grown = 1   # scale num/den; multipliers since the last content
     while heap:
-        e = pop(heap)[-1]
+        e = pop(heap)
         c = work.pop(e)
         if p:
             c %= p
         if not c:
             continue
-        deg = sum(e)
-        for lt_e, a, div_terms, lt_deg in divisors:
-            if lt_deg <= deg and all(map(ge, e, lt_e)):
+        for lt, a, tail, top in divisors:
+            if not (e - lt) & guard:
                 break
         else:
             remainder[e] = c
             continue
-        q = tuple(map(sub, e, lt_e))
+        q = e - lt
+        if not truncate and (q & degree) + top >= cap:
+            _check_degree(((q & degree) + top) >> pk.shift)
         if p or a == 1:
             factor = c
         else:
@@ -224,39 +308,42 @@ def _nf_dict(terms, divisors, key, p, truncate):
                         factor //= h
                         den *= h
                     grown = 1
-        for de, dc in div_terms.items():
-            if de == lt_e:
-                continue
-            ne = tuple(map(add, de, q))
-            if truncate and sum(ne) >= truncate:
+        for de, dc in tail.items():
+            ne = de + q
+            if truncate and ne & degree >= cap:
                 continue
             s = work.get(ne)
             if s is None:
                 work[ne] = -factor * dc
-                push(heap, (*map(neg, key(ne)), ne))
+                push(heap, ne)
             else:
                 work[ne] = s - factor * dc
     return _Remainder(remainder, num if den == 1 else Fraction(num, den))
 
 
-def _spoly_dict(f, lt_f, g, lt_g):
-    """S-polynomial of raw term dicts with known leading terms (a, b their
-    coefficients), times lcm(|a|, |b|): (b/h)*qf*f - (a/h)*qg*g, h = gcd(a, b),
-    both signs flipped if a*b < 0.  Over F_p the coefficients are left
-    unreduced mod p."""
-    lcm_e = mono_lcm(lt_f[0], lt_g[0])
-    qf = mono_div(lcm_e, lt_f[0])
-    qg = mono_div(lcm_e, lt_g[0])
-    a, b = lt_f[1], lt_g[1]
+def _spoly_dict(f, lt_f, g, lt_g, pk, check):
+    """S-polynomial of two divisors with leading exponent tuples lt_f, lt_g
+    (a, b their leading coefficients), times lcm(|a|, |b|):
+    (b/h)*qf*f - (a/h)*qg*g, h = gcd(a, b), both signs flipped if a*b < 0.
+    The leading terms cancel, so only the tails are multiplied.  Over F_p
+    the coefficients are left unreduced mod p.  With check, ValueError if a
+    product's degree would not fit; without, the caller truncates at some
+    N <= DEGREE_BOUND, which drops every such product."""
+    lcm_e = mono_lcm(lt_f, lt_g)
+    qf = mono_div(lcm_e, lt_f)
+    qg = mono_div(lcm_e, lt_g)
+    if check:
+        _check_degree(max((f[3] >> pk.shift) + sum(qf),
+                          (g[3] >> pk.shift) + sum(qg)))
+    qf, qg = pk.pack(qf), pk.pack(qg)
+    a, b = f[1], g[1]
     h = gcd(a, b)
     cf, cg = b // h, a // h
     if (a < 0) != (b < 0):
         cf, cg = -cf, -cg
-    out = {}
-    for e, c in f.items():
-        out[mono_mul(e, qf)] = c * cf
-    for e, c in g.items():
-        ne = mono_mul(e, qg)
+    out = {e + qf: c * cf for e, c in f[2].items()}
+    for e, c in g[2].items():
+        ne = e + qg
         s = out.get(ne)
         if s is None:
             out[ne] = -c * cg
@@ -274,34 +361,39 @@ def _spoly_dict(f, lt_f, g, lt_g):
 
 def normal_form(f, G, order, truncate=0):
     """Remainder of f on division by G, divisors in list order: a list of
-    polynomials, or a GroebnerBasis for this order, whose raw divisors are
+    polynomials, or a GroebnerBasis for this order, whose divisors are
     reused.  With truncate = N > 0, terms of degree >= N are dropped."""
     ring = f.ring
-    key = order.key
     p = ring.field.characteristic
+    pk = packing(order, ring.nvars)
+    _check_degree(truncate - 1)
     if isinstance(G, GroebnerBasis):
         if G.generators and G.generators[0].ring != ring:
             raise RingMismatch("normal_form: mixed rings")
-        divisors = G.divisors
+        divisors = G.divisors if G.order == order else \
+            _divisors(G.generators, pk, p)
     else:
         for g in G:
             if g.ring != ring:
                 raise RingMismatch("normal_form: mixed rings")
-        divisors = [_raw_divisor(g.terms, key, p) for g in G
-                    if not g.is_zero()]
-    raw, scale = _to_raw(f.terms, p)
-    r = _nf_dict(raw, divisors, key, p, truncate)
-    return Polynomial(ring, _from_raw(r, scale * r.scale, ring.field))
+        divisors = _divisors(G, pk, p)
+    terms = f.terms
+    if truncate:
+        terms = {e: c for e, c in terms.items() if sum(e) < truncate}
+    raw, scale = _to_raw(terms, p, pk)
+    r = _nf_dict(raw, divisors, pk, p, truncate)
+    return Polynomial(ring, _from_raw(r, scale * r.scale, ring.field,
+                                      pk.unpack))
 
 
 def spoly(f, g, order):
     """S-polynomial of two nonzero polynomials."""
-    key = order.key
-    p = f.ring.field.characteristic
-    lt_f, a, raw_f, _ = _raw_divisor(f.terms, key, p)
-    lt_g, b, raw_g, _ = _raw_divisor(g.terms, key, p)
-    terms = _spoly_dict(raw_f, (lt_f, a), raw_g, (lt_g, b))
-    return Polynomial(f.ring, _from_raw(terms, lcm(a, b), f.ring.field))
+    field = f.ring.field
+    pk = packing(order, f.ring.nvars)
+    df, dg = _divisors([f, g], pk, field.characteristic)
+    terms = _spoly_dict(df, pk.unpack(df[0]), dg, pk.unpack(dg[0]), pk, True)
+    return Polynomial(f.ring, _from_raw(terms, lcm(df[1], dg[1]), field,
+                                        pk.unpack))
 
 
 def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
@@ -310,17 +402,20 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     truncate = N > 0, a minimal standard basis of (gens) + m^N, every term
     of degree >= N dropped (see the module docstring).
 
-    The generators are converted once to raw form (residues over F_p,
-    integers over Q), and the run stays on raw ints.  An S-polynomial and
+    The generators are converted once to packed raw form (residues over
+    F_p, integers over Q), and the run stays on ints.  An S-polynomial and
     its remainder come back as positive multiples lambda * NF of the field
     values; lambda is dropped, since every new basis element is made
     primitive (Q) or monic (F_p) before it is added.  Only the final monic
-    basis is converted back to Fraction or PrimeFieldElement coefficients.
+    basis is converted back to exponent tuples and Fraction or
+    PrimeFieldElement coefficients.  ValueError if a degree of
+    DEGREE_BOUND or more would arise.
 
     max_pairs bounds the S-pairs actually reduced: pairs removed by the
     criteria and monomial x monomial pairs, which are never queued, do not
     count.  Either budget raises BudgetExceeded with diagnostics.
     """
+    _check_degree(truncate - 1)
     if truncate:
         gens = [Polynomial(g.ring, {e: c for e, c in g.terms.items()
                                     if sum(e) < truncate}) for g in gens]
@@ -333,56 +428,71 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
             raise RingMismatch("buchberger: mixed rings")
     field = ring.field
     p = field.characteristic
-    key = order.key
+    pk = packing(order, ring.nvars)
+    guard, degree, shift = pk.guard, pk.degree, pk.shift
+    exps = (1 << shift) - 1
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    G = []          # (lt exps, lt coeff, raw terms, lt degree): the divisors
+    G = []          # the divisors (lead, lead coeff, tail, top)
+    xs = []         # the exponent fields of their leads
+    lts = []        # their leading exponent tuples
     sugars = []
-    pairs = {}      # pending (i, j) -> lcm of their leading monomials
+    pairs = {}      # pending (i, j) -> exponent fields of the leads' lcm
     heap = []
 
     def add_poly(terms, sugar):
         t = len(G)
-        lt_e = _lt(terms, key)
-        terms = _normalize(terms, terms[lt_e], p)
-        deg_e = mono_degree(lt_e)
-        new_lcms = [mono_lcm(g[0], lt_e) for g in G]
+        g = _divisor(terms, p, pk)
+        lt_e = pk.unpack(g[0])
+        x = g[0] & exps
+        # lcms of the exponent fields: y + (x - y where x >= y), field-wise
+        new_lcms = []
+        for y in xs:
+            d = (x | guard) - y
+            m = d & guard
+            new_lcms.append(y + (d & (m - (m >> (_FIELD - 1)))))
         # Gebauer-Moeller: prune pending pairs made redundant by the new lt
         doomed = [ij for ij, L in pairs.items()
-                  if mono_divides(lt_e, L)
+                  if not (L - x) & guard
                   and L != new_lcms[ij[0]] and L != new_lcms[ij[1]]]
         for ij in doomed:
             del pairs[ij]
-        G.append((lt_e, terms[lt_e], terms, deg_e))
-        sugars.append(sugar)
-        # group candidate pairs by lcm, minimalize, apply coprime criterion
+        # group candidate pairs by lcm, minimalize, apply coprime criterion;
+        # a proper divisor is a smaller int, so ascending order meets every
+        # divisor of L before L
         lcm_groups = {}
         for i, L in enumerate(new_lcms):
             lcm_groups.setdefault(L, []).append(i)
-        # a proper divisor has lower degree, so a degree sort is enough to
-        # meet every divisor of L before L
         minimal = []
-        for L in sorted(lcm_groups, key=mono_degree):
-            if not any(mono_divides(M, L) for M in minimal):
+        for L in sorted(lcm_groups):
+            for M in minimal:
+                if not (L - M) & guard:
+                    break
+            else:
                 minimal.append(L)
-        monomial = len(terms) == 1
         for L in minimal:
             members = lcm_groups[L]
-            deg_L = mono_degree(L)
-            if truncate and deg_L >= truncate:
-                continue  # every term of the S-polynomial lies in m^N
-            if any(deg_L == G[i][3] + deg_e for i in members):
+            if any(L == xs[i] + x for i in members):
                 continue  # a coprime pair covers this lcm
             i = min(members)
-            if monomial and len(G[i][2]) == 1:
+            if not g[2] and not G[i][2]:
                 continue  # the S-polynomial of two monomials is 0
-            s = max(sugars[i] + deg_L - G[i][3], sugar + deg_L - deg_e)
-            heapq.heappush(heap, (s, deg_L, key(L), i, t))
+            lcm_e = mono_lcm(lts[i], lt_e)
+            deg_L = sum(lcm_e)
+            if truncate and deg_L >= truncate:
+                continue  # every term of the S-polynomial lies in m^N
+            s = max(sugars[i] + deg_L - sum(lts[i]),
+                    sugar + deg_L - sum(lt_e))
+            heapq.heappush(heap, (s, deg_L, -pk.pack(lcm_e), i, t))
             pairs[i, t] = L
+        G.append(g)
+        xs.append(x)
+        lts.append(lt_e)
+        sugars.append(sugar)
 
-    for g in sorted(gens, key=lambda g: key(g.leading_monomial(order))):
-        terms = _to_raw(g.terms, p)[0]
-        add_poly(terms, max(mono_degree(e) for e in terms))
+    raws = [_to_raw(g.terms, p, pk)[0] for g in gens]
+    for terms in sorted(raws, key=lambda terms: -min(terms)):
+        add_poly(terms, max(map(degree.__and__, terms)) >> shift)
 
     processed = 0
     while heap:
@@ -401,26 +511,29 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
                 "buchberger: time budget exceeded",
                 {"pairs_processed": processed, "basis_size": len(G),
                  "pairs_pending": len(pairs)})
-        s = _spoly_dict(G[i][2], G[i][:2], G[j][2], G[j][:2])
-        r = _nf_dict(s, G, key, p, truncate)
+        s = _spoly_dict(G[i], lts[i], G[j], lts[j], pk, not truncate)
+        r = _nf_dict(s, G, pk, p, truncate)
         if r:
             add_poly(r, entry[0])
 
     # minimalize: drop generators whose lt is divisible by another lt
     minimal = []
-    for g in sorted(G, key=lambda g: key(g[0])):
-        if not any(mono_divides(h[0], g[0]) for h in minimal):
+    for g in sorted(G, key=lambda g: -g[0]):
+        if all((g[0] - h[0]) & guard for h in minimal):
             minimal.append(g)
     if truncate:
-        final = [Polynomial(ring, _from_raw(g[2], g[1], field))
+        final = [Polynomial(ring, _from_raw({g[0]: g[1], **g[2]}, g[1],
+                                            field, pk.unpack))
                  for g in minimal]
         return GroebnerBasis(final, order, reduced=False)
     # interreduce: a tail term below lt(g) cannot be a multiple of lt(g),
     # so one normal form against the others leaves g fully reduced
     final = []
     for g in minimal:
-        r = _nf_dict(g[2], [h for h in minimal if h is not g], key, p, 0)
-        final.append(Polynomial(ring, _from_raw(r, r[g[0]], field)))
+        r = _nf_dict({g[0]: g[1], **g[2]}, [h for h in minimal if h is not g],
+                     pk, p, 0)
+        final.append(Polynomial(ring, _from_raw(r, r[g[0]], field,
+                                                pk.unpack)))
     return GroebnerBasis(final, order, reduced=True)
 
 

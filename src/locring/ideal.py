@@ -18,10 +18,13 @@ same walk to turn a truncated standard basis in the local order ds into a
 degrevlex basis, reducing each monomial modulo m^d for the first degree d
 in which the ideal has no standard monomial.
 
-The walk runs on plain ints, like ``groebner._nf_dict``: each image is a raw
-vector with an integer multiplier, rows are eliminated fraction-free over Q
-and on residues over F_p, and a kernel vector gets Fraction or F_p
-coefficients only when it is made monic.
+The walk runs on plain ints, like ``groebner._nf_dict``: each image is the
+kernel's packed normal form of a packed product (one int per monomial, a
+product an addition), kept as a raw vector with packed monomials as row
+labels and an integer multiplier; rows are eliminated fraction-free over Q
+and on residues over F_p, and only the kernel vectors, indexed by the
+exponent tuples of the columns, get Fraction or F_p coefficients, when they
+are made monic.
 """
 
 import itertools
@@ -31,7 +34,7 @@ from . import groebner
 from .errors import BudgetExceeded, RingMismatch, ZeroColon
 from .groebner import DEFAULT_MAX_PAIRS
 from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
-                   mono_divides, mono_mul, monomials_of_degree)
+                   mono_divides, monomials_of_degree)
 
 INFINITE = inf
 
@@ -228,16 +231,20 @@ class Ideal:
         standard monomials b of I."""
         p = self.ring.field.characteristic
         gb = self.groebner()
-        raw_gens = [groebner._to_raw(g.terms, p) for g in other.generators]
+        pk = groebner.packing(gb.order, self.ring.nvars)
+        raw_gens = [groebner._to_raw(g.terms, p, pk) for g in other.generators]
+        top = max(g.total_degree() for g in other.generators)
 
         def image(b):
             # block i, the normal form of g_i * b, is r / s for the scale
             # s = scale * r.scale (1 over F_p); the blocks are brought to
             # one multiplier m, the lcm of the numerators of the scales
+            groebner._check_degree(top + sum(b))
+            b = pk.pack(b)
             blocks = []
             for i, (raw, scale) in enumerate(raw_gens):
-                prod = {mono_mul(e, b): c for e, c in raw.items()}
-                r = groebner._nf_dict(prod, gb.divisors, gb.order.key, p, 0)
+                prod = {e + b: c for e, c in raw.items()}
+                r = groebner._nf_dict(prod, gb.divisors, pk, p, 0)
                 if r:
                     blocks.append((i, r, scale * r.scale))
             m = lcm(*(s.numerator for _, _, s in blocks))
@@ -395,10 +402,10 @@ def fglm(ds_basis, d):
          for e in sorted(all_monomials(ring, d), key=order.key)], order)
     columns = sorted((e for k in range(d) for e in all_monomials(ring, k)),
                      key=order.key)
-    key = ds_basis.order.key
+    pk = groebner.packing(ds_basis.order, ring.nvars)
 
     def image(b):
-        r = groebner._nf_dict({b: 1}, ds_basis.divisors, key, p, d)
+        r = groebner._nf_dict({pk.pack(b): 1}, ds_basis.divisors, pk, p, d)
         num, den = r.scale.numerator, r.scale.denominator
         if den != 1:
             r = {e: c * den for e, c in r.items()}

@@ -37,10 +37,6 @@ def mono_divides(b, a):
     return all(map(ge, a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 def monomials_of_degree(nvars, d):
     """All exponent tuples of total degree d in nvars variables, in
     descending lex order (stars and bars)."""
@@ -215,7 +211,9 @@ class Polynomial:
 
     def __init__(self, ring, terms):
         self.ring = ring
-        self.terms = terms  # exps tuple -> nonzero coeff
+        # exps tuple -> nonzero coeff; coefficients 0 in the field are dropped
+        self.terms = terms if all(terms.values()) else \
+            {e: c for e, c in terms.items() if c}
 
     # -- basic predicates ---------------------------------------------------
 

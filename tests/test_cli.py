@@ -154,6 +154,19 @@ def test_cli_kernel(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "x^3 - y^2"
 
 
+def test_cli_kernel_degree_at_the_packing_bound(tmp_path, capsys):
+    # degree 32767 is the largest a packed monomial holds
+    mf = tmp_path / "high.map"
+    mf.write_text("t\nx = t^32767\ny = t\n")
+    assert main(["kernel", str(mf)]) == 0
+    assert capsys.readouterr().out.strip() == "y^32767 - x"
+    mf.write_text("t\nx = t^40000\ny = t\n")
+    assert main(["kernel", str(mf)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: monomial degree 40000 does not fit")
+
+
 def test_cli_missing_file_exits_2(capsys):
     assert main(["hilbert", "--ring", "/nonexistent.ring"]) == 2
     assert "error" in capsys.readouterr().err

@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from locring.arith import QQ, PrimeField, PrimeFieldElement
+from locring import cli
 from locring.errors import BudgetExceeded
-from locring.groebner import buchberger, is_member, normal_form, spoly
+from locring.groebner import (DEGREE_BOUND, buchberger, is_member,
+                              normal_form, packing, spoly)
 from locring.ideal import max_ideal_power
 from locring.poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex,
-                          Polynomial, PolyRing, mono_divides,
-                          monomials_of_degree)
+                          Polynomial, PolyRing, WeightedDegRevLex,
+                          mono_divides, monomials_of_degree)
+from locring.subalgebra import kernel
 
 
 @pytest.fixture
@@ -176,8 +179,11 @@ def _random_poly(ring, rng, draw=lambda rng: rng.randint(-3, 3)):
     return Polynomial(ring, terms)
 
 
-ORDERS = [DegRevLex(), Lex(), BlockOrder(1)]
-ORDER_IDS = ["degrevlex", "lex", "block1"]
+# the weighted order of ex1 and the tangent-cone order (lex on x, then
+# degrevlex) take the general packed order form, not the revlex shortcut
+ORDERS = [DegRevLex(), Lex(), BlockOrder(1), WeightedDegRevLex((15, 6, 7)),
+          BlockOrder(1, first=Lex())]
+ORDER_IDS = ["degrevlex", "lex", "block1", "wdegrevlex", "block1-lex"]
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
@@ -195,6 +201,18 @@ def test_buchberger_matches_naive_oracle(field, order):
         gb = buchberger(gens, order)
         assert gb.generators == _naive_reduced_basis(gens, order)
         _assert_field_coefficients(gb.generators, field)
+
+
+@pytest.mark.parametrize("order", [DegRevLex(), Lex(), BlockOrder(2)],
+                         ids=["degrevlex", "lex", "block2"])
+def test_buchberger_matches_naive_oracle_in_four_variables(order):
+    rng = random.Random(4)
+    ring = PolyRing(PrimeField(32003), ("w", "x", "y", "z"))
+    for M in (3, 4):
+        gens = [_random_poly(ring, rng) for _ in range(3)]
+        gens += [ring.monomial(e) for e in monomials_of_degree(4, M)]
+        gb = buchberger(gens, order)
+        assert gb.generators == _naive_reduced_basis(gens, order)
 
 
 # Coefficient draws over Q that a unit-coefficient input never exercises in
@@ -318,3 +336,169 @@ def test_truncation_drops_high_degree_terms_and_pairs(field):
         S.parse("y^2")
     assert buchberger([S.parse("x^4 + y^5")], ds, truncate=4).generators \
         == []
+
+
+ALL_ORDERS = ORDERS + [NegDegRevLex(), WeightedDegRevLex((1, 2)),
+                       BlockOrder(2, first=Lex(), second=NegDegRevLex())]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", ALL_ORDERS, ids=repr)
+def test_packed_monomials_follow_the_tuple_key(order, nvars):
+    # the kernel's int order is order.key descending, a product is a sum
+    # and the mask test is divisibility, up to degrees at the field boundary
+    rng = random.Random(nvars)
+    pk = packing(order, nvars)
+    top = DEGREE_BOUND - 1
+
+    def draw(d):
+        cuts = sorted(rng.randint(0, d) for _ in range(nvars - 1))
+        return tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+
+    exps = [draw(rng.choice([0, 1, 2, 7, top // 2, top - 1, top]))
+            for _ in range(200)]
+    # neighbours, one unit moved between two variables: keys that differ
+    # only late, next to exponents at the field boundary
+    for e in exps[:]:
+        i, j = rng.randrange(nvars), rng.randrange(nvars)
+        if e[i]:
+            exps.append(tuple(x - (k == i) + (k == j)
+                              for k, x in enumerate(e)))
+    exps = list(dict.fromkeys(exps))
+    assert sorted(exps, key=pk.pack) == \
+        sorted(exps, key=order.key, reverse=True)
+    for a, b in zip(exps, exps[1:] + exps[:1]):
+        assert pk.unpack(pk.pack(a)) == a
+        if sum(a) + sum(b) <= top:
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert pk.pack(a) + pk.pack(b) == pk.pack(ab)
+        assert (not (pk.pack(a) - pk.pack(b)) & pk.guard) == \
+            mono_divides(b, a)
+
+
+def test_degrees_past_the_packing_bound_raise():
+    R = PolyRing(QQ, ("x", "y"))
+    below = R.parse(f"x^{DEGREE_BOUND - 1} - y")
+    assert buchberger([below], DegRevLex()).generators == [below]
+    assert normal_form(R.parse(f"x^{DEGREE_BOUND - 1} + x"), [below],
+                       Lex()) == R.parse("x + y")
+    for text in (f"x^{DEGREE_BOUND} - y", "x^40000 - y"):
+        with pytest.raises(ValueError, match="does not fit"):
+            buchberger([R.parse(text)], DegRevLex())
+        with pytest.raises(ValueError, match="does not fit"):
+            normal_form(R.parse(text), [below], DegRevLex())
+    # truncation drops the high terms before they are packed
+    assert buchberger([R.parse("x^40000 - y")], NegDegRevLex(),
+                      truncate=5).generators == [R.parse("y")]
+    buchberger([below], NegDegRevLex(), truncate=DEGREE_BOUND)
+    with pytest.raises(ValueError, match="does not fit"):
+        buchberger([below], NegDegRevLex(), truncate=DEGREE_BOUND + 1)
+
+
+def test_degrees_formed_in_a_run_past_the_packing_bound_raise():
+    R = PolyRing(QQ, ("x", "y"))
+    # lex reduction raises the degree: x^2 -> x*y^h -> y^(2h)
+    h = DEGREE_BOUND // 2
+    gb = buchberger([R.parse(f"x - y^{h - 1}"), R.parse("x^2")], Lex())
+    assert gb.generators == [R.parse(f"y^{2 * h - 2}"),
+                             R.parse(f"x - y^{h - 1}")]
+    with pytest.raises(ValueError, match="does not fit"):
+        buchberger([R.parse(f"x - y^{h}"), R.parse("x^2")], Lex())
+    # a degrevlex S-pair whose lcm has degree 2h
+    with pytest.raises(ValueError, match="does not fit"):
+        buchberger([R.parse(f"x^{h}*y - 1"), R.parse(f"x*y^{h} - 1")],
+                   DegRevLex())
+    with pytest.raises(ValueError, match="does not fit"):
+        spoly(R.parse(f"x^{h}*y - 1"), R.parse(f"x*y^{h} - 1"), DegRevLex())
+
+
+# Generator strings of buchberger(I.generators, ds, truncate=N) for the
+# paper's ideals, computed by the tuple kernel this one replaced.  The
+# bases are not canonical, so they pin divisor and pair order as well.
+PINNED_DS_BASES = {
+    ("main", 8): (
+        "y*z^6",
+        "y^7 - x*z^5 + x*y*z^3",
+        "-z^5 + y*z^3 + x*y^2",
+        "-y^5 + x^2",
+    ),
+    ("main", 16): (
+        "-y^7*z^2 - y^8 + x*z^7 - z^8 + y*z^6",
+        "y^7 - x*z^5 + x*y*z^3",
+        "-z^5 + y*z^3 + x*y^2",
+        "-y^5 + x^2",
+    ),
+    ("ex1", 8): (
+        "y*z^6",
+        "y^7 + x*y*z^3",
+        "y*z^3 + x*y^2",
+        "-y^5 + x^2",
+    ),
+    ("ex1", 16): (
+        "-y^8 + y*z^6",
+        "y^7 + x*y*z^3",
+        "y*z^3 + x*y^2",
+        "-y^5 + x^2",
+    ),
+    ("ex2", 8): (
+        "-x^7 + 7*x^5*y^2 - 14*x^3*y^4 + 7*x*y^6 + y^4*z",
+        "-x^3*y^4 + 3*x*y^6 + x^6*z - 7*x^4*y^2*z + 15*x^2*y^4*z "
+        "- 9*y^6*z + x^4*y^2 - 6*x^2*y^4 + 7*y^6 - x^5 + 5*x^3*y^2 "
+        "- 5*x*y^4 + x^4*z - 5*x^2*y^2*z + 5*y^4*z - y^4 + x^2*z "
+        "- 2*y^2*z",
+        "-x^5*y^2 + 5*x^3*y^4 - 5*x*y^6 + x^2*y^4*z - 2*y^6*z "
+        "+ x^4*y^2 - 5*x^2*y^4 + 4*y^6 - x^5 + 5*x^3*y^2 - 5*x*y^4 "
+        "+ x^4*z - 4*x^2*y^2*z + 2*y^4*z - x^2*z^2 + 2*y^2*z^2 "
+        "+ z^2",
+    ),
+    ("ex2", 16): (
+        "y^10 - x^9 + 9*x^7*y^2 - 27*x^5*y^4 + 30*x^3*y^6 - 9*x*y^8 "
+        "+ y^8",
+        "-x^7*y^8 + 7*x^5*y^10 - 14*x^3*y^12 + 7*x*y^14 + x^2*y^12 "
+        "- 2*y^14 - x^7*y^6 + 7*x^5*y^8 - 14*x^3*y^10 + 7*x*y^12 "
+        "+ x^2*y^10 - 2*y^12 - x^7*y^4 + 7*x^5*y^6 - 14*x^3*y^8 "
+        "+ 7*x*y^10 + x^2*y^8 - 2*y^10 - x^7*y^2 + 7*x^5*y^4 "
+        "- 14*x^3*y^6 + 7*x*y^8 + x^2*y^6 - 3*y^8 - x^7 + 7*x^5*y^2 "
+        "- 14*x^3*y^4 + 7*x*y^6 + y^4*z",
+        "-x^15 + 15*x^13*y^2 - 94*x^11*y^4 + 319*x^9*y^6 "
+        "- 633*x^7*y^8 + 734*x^5*y^10 - 460*x^3*y^12 + 120*x*y^14 "
+        "+ x^14*z - 15*x^12*y^2*z + 95*x^10*y^4*z - 329*x^8*y^6*z "
+        "+ 672*x^6*y^8*z - 808*x^4*y^10*z + 528*x^2*y^12*z "
+        "- 144*y^14*z + x^12*y^2 - 14*x^10*y^4 + 79*x^8*y^6 "
+        "- 230*x^6*y^8 + 364*x^4*y^10 - 296*x^2*y^12 + 96*y^14 "
+        "- x^13 + 13*x^11*y^2 - 68*x^9*y^4 + 183*x^7*y^6 "
+        "- 267*x^5*y^8 + 200*x^3*y^10 - 60*x*y^12 + x^12*z "
+        "- 13*x^10*y^2*z + 69*x^8*y^4*z - 191*x^6*y^6*z "
+        "+ 290*x^4*y^8*z - 228*x^2*y^10*z + 72*y^12*z + x^10*y^2 "
+        "- 12*x^8*y^4 + 55*x^6*y^6 - 120*x^4*y^8 + 124*x^2*y^10 "
+        "- 48*y^12 - x^11 + 11*x^9*y^2 - 46*x^7*y^4 + 91*x^5*y^6 "
+        "- 85*x^3*y^8 + 30*x*y^10 + x^10*z - 11*x^8*y^2*z "
+        "+ 47*x^6*y^4*z - 97*x^4*y^6*z + 96*x^2*y^8*z - 36*y^10*z "
+        "+ x^8*y^2 - 10*x^6*y^4 + 35*x^4*y^6 - 50*x^2*y^8 + 24*y^10 "
+        "- x^9 + 9*x^7*y^2 - 28*x^5*y^4 + 35*x^3*y^6 - 15*x*y^8 "
+        "+ x^8*z - 9*x^6*y^2*z + 29*x^4*y^4*z - 39*x^2*y^6*z "
+        "+ 18*y^8*z + x^6*y^2 - 8*x^4*y^4 + 19*x^2*y^6 - 12*y^8 "
+        "- x^3*y^4 + 3*x*y^6 + x^6*z - 7*x^4*y^2*z + 15*x^2*y^4*z "
+        "- 9*y^6*z + x^4*y^2 - 6*x^2*y^4 + 7*y^6 - x^5 + 5*x^3*y^2 "
+        "- 5*x*y^4 + x^4*z - 5*x^2*y^2*z + 5*y^4*z - y^4 + x^2*z "
+        "- 2*y^2*z",
+        "-x^5*y^2 + 5*x^3*y^4 - 5*x*y^6 + x^2*y^4*z - 2*y^6*z "
+        "+ x^4*y^2 - 5*x^2*y^4 + 4*y^6 - x^5 + 5*x^3*y^2 - 5*x*y^4 "
+        "+ x^4*z - 4*x^2*y^2*z + 2*y^4*z - x^2*z^2 + 2*y^2*z^2 "
+        "+ z^2",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def paper_ideals():
+    return {"main": cli.MAIN_RING.ideal(), "ex1": cli.EX1_RING.ideal(),
+            "ex2": kernel(cli.parse_map_file(cli.EX2_MAP_TEXT, QQ))}
+
+
+@pytest.mark.parametrize("name, N", sorted(PINNED_DS_BASES))
+def test_truncated_ds_bases_of_the_paper_are_pinned(paper_ideals, name, N):
+    gb = buchberger(list(paper_ideals[name].generators), NegDegRevLex(),
+                    truncate=N)
+    assert tuple(g.to_str() for g in gb.generators) == \
+        PINNED_DS_BASES[name, N]

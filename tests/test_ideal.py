@@ -4,7 +4,7 @@ import pytest
 
 from locring.arith import QQ, PrimeField
 from locring.errors import RingMismatch, ZeroColon
-from locring.groebner import buchberger
+from locring.groebner import DEGREE_BOUND, buchberger
 from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
 from locring.poly import DegRevLex, Polynomial, PolyRing
@@ -167,3 +167,26 @@ def test_max_ideal(R):
     n = max_ideal(R)
     assert n.member(R.parse("x + 2*y"))
     assert not n.member(R.parse("x + 1"))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_coefficients_zero_in_the_field_are_dropped(p):
+    # p*x used to stay a term with coefficient 0, the leading term of f
+    F = PrimeField(p)
+    S = PolyRing(F, ("x", "y"))
+    f = Polynomial(S, {(1, 0): F.from_int(p), (0, 1): F.from_int(1)})
+    assert f == S.parse("y") and f.leading_monomial(DegRevLex()) == (0, 1)
+    assert Ideal(S, [f]).member(S.parse("y"))
+    assert not Ideal(S, [f]).member(S.parse("x"))
+    colon = Ideal(S, ["x*y"]).quotient_element(f)
+    assert colon.equals(Ideal(S, ["x"]))
+
+
+def test_artinian_colon_past_the_packing_bound_raises():
+    S = PolyRing(QQ, ("x", "y"))
+    I = Ideal(S, ["x^2", "y^2"])
+    # the image of the column y, x^(DEGREE_BOUND - 1)*y + y^2, does not fit
+    with pytest.raises(ValueError, match="does not fit"):
+        I.quotient(Ideal(S, [f"x^{DEGREE_BOUND - 1} + y"]))
+    colon = I.quotient(Ideal(S, [f"x^{DEGREE_BOUND - 2} + y"]))
+    assert colon.equals(Ideal(S, ["x^2", "y"]))
