@@ -18,7 +18,7 @@ from .groebner import buchberger
 from .ideal import Ideal, all_monomials, max_ideal_power
 from .localring import DS, LocalRing, weighted_homogeneity_check
 from .monomial import MonomialIdeal
-from .poly import Polynomial, PolyRing, mono_divides
+from .poly import Polynomial, PolyRing
 from .polytope import is_integer_irreducible, newton_polygon
 from .subalgebra import kernel, parse_map_file, verify_in_kernel
 
@@ -63,8 +63,6 @@ class RingDescription:
     field_spec: object      # QQ or a PrimeField
     names: tuple
     gen_exprs: tuple
-    order_name: str = "degrevlex"
-    weights: tuple = None
 
     def ring(self):
         return PolyRing(self.field_spec, self.names)
@@ -77,13 +75,10 @@ class RingDescription:
 
 
 def parse_ring_file(text):
-    """field Q | field Fp <p>; vars ...; gen <expr> per line; optional
-    order degrevlex|lex and weights <w1> <w2> ..."""
+    """field Q | field Fp <p>; vars ...; gen <expr> per line."""
     fld = None
     names = None
     gens = []
-    order_name = "degrevlex"
-    weights = None
     for i, raw in enumerate(text.splitlines()):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -103,24 +98,11 @@ def parse_ring_file(text):
             names = tuple(parts[1:])
         elif kw == "gen":
             gens.append(line[len("gen"):].strip())
-        elif kw == "order":
-            if len(parts) != 2 or parts[1] not in ("degrevlex", "lex"):
-                raise ParseError(f"bad order line {line!r}", i)
-            order_name = parts[1]
-        elif kw == "weights":
-            if not all(w.isdigit() and int(w) > 0 for w in parts[1:]):
-                raise ParseError(f"bad weights line {line!r}: weights must "
-                                 "be positive integers", i)
-            weights = tuple(int(w) for w in parts[1:])
-            weights_at = i
         else:
             raise ParseError(f"unknown keyword {kw!r}", i)
     if fld is None or names is None:
         raise ParseError("ring file needs field and vars lines", 0)
-    if weights is not None and len(weights) != len(names):
-        raise ParseError(f"weights line has {len(weights)} entries for "
-                         f"{len(names)} variables", weights_at)
-    desc = RingDescription(fld, names, tuple(gens), order_name, weights)
+    desc = RingDescription(fld, names, tuple(gens))
     desc.local_ring()  # validates generators and I inside (vars)
     return desc
 
@@ -211,8 +193,8 @@ def _ideal_sig(ideal):
 MAIN_RING = RingDescription(QQ, ("x", "y", "z"),
                             ("x^2 - y^5", "x*y^2 + y*z^3 - z^5"))
 EX1_RING = RingDescription(QQ, ("x", "y", "z"),
-                           ("x^2 - y^5", "x*y^2 + y*z^3"),
-                           weights=(15, 6, 7))
+                           ("x^2 - y^5", "x*y^2 + y*z^3"))
+EX1_WEIGHTS = (15, 6, 7)
 EX2_MAP_TEXT = "t\nx = t^8 + t^10\ny = t^9\nz = t^20 + t^36\n"
 
 TANGENT_CONE_GENS = ("X^2", "X*Y^2", "X*Y*Z^3", "Y*Z^6")
@@ -259,14 +241,14 @@ def _case_report_summary():
 
 
 def _scenario_main_ex1(runner, desc, witness_name, loewy_expr, colon_gens,
-                       check_weights):
+                       weights):
     R = desc.local_ring()
     ring = R.ring
     w = ring.parse(witness_name)
-    if check_weights:
+    if weights:
         runner.run("weighted-homogeneous-15-6-7", True,
                    lambda: weighted_homogeneity_check(
-                       R.I.generators, desc.weights))
+                       R.I.generators, weights))
     runner.run("hilbert-function-0-8", [1, 3, 5, 6, 7, 7, 8, 8, 8],
                lambda: R.hilbert_function(8).values)
     runner.run("multiplicity", 8, R.multiplicity)
@@ -356,9 +338,10 @@ def run_scenario(name, seed=DEFAULT_SEED, budget_seconds=600):
     report = Report(name, seed)
     runner = Runner(report)
     if name == "main":
-        _scenario_main_ex1(runner, MAIN_RING, "y", "y", MAIN_COLON5, False)
+        _scenario_main_ex1(runner, MAIN_RING, "y", "y", MAIN_COLON5, None)
     elif name == "ex1":
-        _scenario_main_ex1(runner, EX1_RING, "z", "y - z", EX1_COLON5, True)
+        _scenario_main_ex1(runner, EX1_RING, "z", "y - z", EX1_COLON5,
+                           EX1_WEIGHTS)
     elif name == "ex2":
         _scenario_ex2(runner, budget_seconds)
     else:
@@ -390,8 +373,8 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
     Membership is decided modulo n^(N+1): for an m-primary situation,
     n^N lies in the localized J iff n^N lies in J + n^(N+1) (Nakayama), that
     is iff J has no ds standard monomial of degree N.  So each f costs one
-    ds basis of I + (f) truncated at N + 1, and is a hit iff every degree-N
-    monomial is a multiple of one of its leading monomials.
+    ds basis of I + (f) truncated at N + 1, and is a hit iff the last layer
+    of its staircase below N + 1 is empty.
     Raises ValueError on arguments that would make the search loop forever
     (no nonzero draw possible) or report false hits (N < 1, constants in f,
     a forced element that is a unit or lies in I).
@@ -412,14 +395,12 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
     R = desc.local_ring()
     ring = R.ring
     rng = SplitMix64(seed)
-    nN = all_monomials(ring, target_n)
     hits = []
     t0 = time.perf_counter()
 
     def test(f):
         gb = buchberger(list(R.I.generators) + [f], DS, truncate=target_n + 1)
-        lts = gb.leading_monomials()
-        if all(any(mono_divides(lt, e) for lt in lts) for e in nN):
+        if not gb.staircase(ring.nvars, target_n + 1)[-1]:
             hits.append(f.to_str())
 
     for f in forced:

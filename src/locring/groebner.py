@@ -57,6 +57,14 @@ degree d.  The final tail interreduction is skipped: in a local order a
 tail term can be a multiple of its own lead (x - x^2 has lead x), so
 reducing tails need not terminate and is not needed for lengths.  The
 basis is still minimal and monic.
+
+Staircases: ``GroebnerBasis.staircase`` is the one enumeration of standard
+monomials.  It walks them a degree at a time on the packed leads that
+``buchberger`` hands to the basis (``leads``), so a divisibility test is
+one mask; a layer is the previous one times the variables, minus the
+multiples of a lead.  Callers read counts (Hilbert functions, colengths),
+the monomials themselves (the columns of the FGLM walk) or whether the
+last layer below a degree is empty (the gll-search hit test).
 """
 
 import heapq
@@ -150,8 +158,58 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.generators)
 
+    @cached_property
+    def leads(self):
+        """The packed leading monomials of the generators, in order;
+        ``buchberger`` fills them in from its run."""
+        if not self.generators:
+            return []
+        lts = [g.leading_monomial(self.order) for g in self.generators]
+        _check_degree(max(map(sum, lts)))
+        return list(map(packing(self.order, len(lts[0])).pack, lts))
+
     def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.generators]
+        if not self.generators:
+            return []
+        pk = packing(self.order, self.generators[0].ring.nvars)
+        return list(map(pk.unpack, self.leads))
+
+    def staircase(self, nvars, below=None):
+        """The standard monomials of the leading ideal in nvars variables,
+        as layers of exponent tuples by degree.  The walk runs on packed
+        ints: layer 0 is the monomial 1 unless a lead is, and layer d + 1
+        is layer d times the variables, minus the multiples of a lead (a
+        lead enters the test at its own degree).  It stops after the first
+        empty layer, past which no monomial is standard, or before degree
+        below.  With below None, returns None if the staircase is infinite:
+        some variable has no pure power among the leads.  nvars is an
+        argument because an empty basis has no ring to read it from."""
+        pk = packing(self.order, nvars)
+        guard, shift = pk.guard, pk.shift
+        if below is None:
+            exps = (1 << shift) - 1
+            for i in range(nvars):
+                others = exps ^ (((1 << _FIELD) - 1) << (_FIELD * i))
+                if all(lt & others for lt in self.leads):
+                    return None
+            below = DEGREE_BOUND
+        entering = {}
+        for lt in self.leads:
+            entering.setdefault((lt & pk.degree) >> shift, []).append(lt)
+        units = [pk.pack(tuple(int(i == j) for j in range(nvars)))
+                 for i in range(nvars)]
+        active = []
+        layers = []
+        layer = {0}
+        for d in range(below):
+            active += entering.get(d, ())
+            layer = [e for e in layer
+                     if all((e - lt) & guard for lt in active)]
+            layers.append(layer)
+            if not layer:
+                break
+            layer = {e + u for e in layer for u in units}
+        return [list(map(pk.unpack, layer)) for layer in layers]
 
     @cached_property
     def divisors(self):
@@ -525,16 +583,19 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
         final = [Polynomial(ring, _from_raw({g[0]: g[1], **g[2]}, g[1],
                                             field, pk.unpack))
                  for g in minimal]
-        return GroebnerBasis(final, order, reduced=False)
-    # interreduce: a tail term below lt(g) cannot be a multiple of lt(g),
-    # so one normal form against the others leaves g fully reduced
-    final = []
-    for g in minimal:
-        r = _nf_dict({g[0]: g[1], **g[2]}, [h for h in minimal if h is not g],
-                     pk, p, 0)
-        final.append(Polynomial(ring, _from_raw(r, r[g[0]], field,
-                                                pk.unpack)))
-    return GroebnerBasis(final, order, reduced=True)
+    else:
+        # interreduce: a tail term below lt(g) cannot be a multiple of
+        # lt(g), so one normal form against the others leaves g fully
+        # reduced
+        final = []
+        for g in minimal:
+            r = _nf_dict({g[0]: g[1], **g[2]},
+                         [h for h in minimal if h is not g], pk, p, 0)
+            final.append(Polynomial(ring, _from_raw(r, r[g[0]], field,
+                                                    pk.unpack)))
+    basis = GroebnerBasis(final, order, reduced=not truncate)
+    basis.leads = [g[0] for g in minimal]
+    return basis
 
 
 def is_member(f, gb):

@@ -5,10 +5,15 @@ an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
 (``subalgebra.kernel``) build their generators in a ring extended by
 ``_aux_name`` and call it.
 
+Standard monomials come from one place, ``GroebnerBasis.staircase``, which
+walks them layer by layer on the basis's packed leading monomials.
+``vector_space_dim`` counts them; it is INFINITE when some variable has no
+pure power among the leads, so that the staircase is infinite.
+
 ``Ideal.quotient`` takes one of two routes.  When S/I is finite-dimensional
 (``vector_space_dim`` is finite) it is linear algebra on S/I: (I : J)/I is
-the kernel of multiplication by the generators of J on the standard
-monomials of I's degrevlex basis, and the reduced basis of I : J is read off
+the kernel of multiplication by the generators of J on the staircase of
+I's degrevlex basis, and the reduced basis of I : J is read off
 by the FGLM walk (Faugere, Gianni, Lazard, Mora 1993), with no Buchberger
 run.  Otherwise it intersects the single-element colons I : (g), each an
 intersection with (g) followed by exact division; ``quotient_element`` and
@@ -27,12 +32,12 @@ exponent tuples of the columns, get Fraction or F_p coefficients, when they
 are made monic.
 """
 
-import itertools
 from math import gcd, inf, lcm
 
 from . import groebner
 from .errors import BudgetExceeded, RingMismatch, ZeroColon
 from .groebner import DEFAULT_MAX_PAIRS
+from .monomial import _minimalize
 from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
                    mono_divides, monomials_of_degree)
 
@@ -141,7 +146,10 @@ class Ideal:
     def __mul__(self, other):
         self._same_ring(other)
         gens = [f * g for f in self.generators for g in other.generators]
-        return Ideal(self.ring, _dedupe_monomial_gens(self.ring, gens))
+        if gens and all(g.is_monomial() for g in gens):
+            gens = [self.ring.monomial(e) for e in reversed(
+                _minimalize(next(iter(g.terms)) for g in gens))]
+        return Ideal(self.ring, gens)
 
     def power(self, n):
         if n < 0:
@@ -255,7 +263,7 @@ class Ideal:
                     out[i, e] = c * f
             return out, m
 
-        std = _standard_monomials(gb.leading_monomials(), self.ring.nvars)
+        std = [e for layer in gb.staircase(self.ring.nvars) for e in layer]
         basis = _extend_by_kernel(gb, sorted(std, key=gb.order.key), image)
         out = Ideal(self.ring, basis.generators)
         out.gb_cache[basis.order] = basis
@@ -293,21 +301,8 @@ class Ideal:
         if self.is_zero_ideal():
             return INFINITE
         gb = self.groebner(max_pairs=max_pairs, time_budget=time_budget)
-        std = _standard_monomials(gb.leading_monomials(), self.ring.nvars)
-        return INFINITE if std is None else len(std)
-
-
-def _standard_monomials(lts, nvars):
-    """Exponent tuples divisible by none of lts, or None if infinitely
-    many (some variable has no pure power among lts)."""
-    bounds = []
-    for i in range(nvars):
-        pure = [e[i] for e in lts if sum(e) == e[i]]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    return [exps for exps in itertools.product(*(range(b) for b in bounds))
-            if not any(mono_divides(l, exps) for l in lts)]
+        layers = gb.staircase(self.ring.nvars)
+        return INFINITE if layers is None else sum(map(len, layers))
 
 
 def _extend_by_kernel(gb, columns, image):
@@ -447,15 +442,3 @@ def _aux_name(ring):
     while name in ring.names:
         name += "_"
     return name
-
-
-def _dedupe_monomial_gens(ring, gens):
-    """If all generators are monomials, keep only divisibility-minimal ones."""
-    if not gens or not all(g.is_monomial() for g in gens):
-        return gens
-    exps = sorted({next(iter(g.terms)) for g in gens})
-    minimal = []
-    for e in sorted(exps, key=sum):
-        if not any(mono_divides(m, e) for m in minimal):
-            minimal.append(e)
-    return [ring.monomial(e) for e in sorted(minimal, reverse=True)]

@@ -8,33 +8,32 @@ ideal, so polynomial-ring answers agree with local ones.  The tool does not
 verify that I equals its own local contraction (``contraction_assumed``)
 nor that dim R = 1; both caveats are surfaced in reports.
 
-Every length comes from a standard basis in the local order ds truncated
-at a degree N (``buchberger(..., truncate=N)``): its standard monomials of
+Every length comes from a standard basis in the local order ds truncated at
+a degree N (``buchberger(..., truncate=N)``): its standard monomials of
 degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever
-N is.  M is max(2, d + 1) for the first degree d with no standard monomial;
-N doubles from 2 (2, 4, 8, ..., capped at the bound plus one) until such a
-d < N appears.  Then N >= M, and the truncation at N is a basis of the same
-ideal J + n^N = J + n^M, so FGLM turns it into the degrevlex basis the model
-carries; FGLM reads it modulo n^d for that first empty degree d.  Each ring
-keeps, for as long as it lives, a memo of its models keyed by J's
-generators (a bound only decides whether d comes too late): M, HF(0..M-1)
-and, once a caller has asked for it, the model itself, whose ds basis is
-then dropped.  The Hilbert function of R is the staircase of one truncated
-basis of I, ord(f) the lowest degree of f's truncated ds normal form, and
-the Loewy length of R/(f) one more than the top degree of the staircase of
-the local model of I + (f).
+N is.  ``GroebnerBasis.staircase(nvars, N)`` walks them layer by layer on
+the basis's packed leads.  M is max(2, d + 1) for the first degree d with
+no standard monomial; N doubles from 2 (2, 4, 8, ..., capped at the bound
+plus one) until such a d < N appears, each round walking its own basis's
+staircase from degree 0.  Then N >= M, and the truncation at N is a basis
+of the same ideal J + n^N = J + n^M, so FGLM turns it into the degrevlex
+basis the model carries; FGLM reads it modulo n^d for that first empty
+degree d.  Each ring keeps, for as long as it lives, a memo of its models
+keyed by J's generators (a bound only decides whether d comes too late): M,
+HF(0..M-1) and, once a caller has asked for it, the model itself, whose ds
+basis is then dropped.  The Hilbert function of R is the staircase of one
+truncated basis of I, ord(f) the lowest degree of f's truncated ds normal
+form, and the Loewy length of R/(f) one more than the top degree of the
+staircase of the local model of I + (f).
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from math import gcd
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, ZeroPolynomial)
 from .groebner import buchberger, normal_form
 from .ideal import Ideal, fglm, max_ideal, max_ideal_power
-from .poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing,
-                   mono_divides, mono_mul)
+from .poly import BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing
 
 
 class _Sentinel:
@@ -108,8 +107,8 @@ class LocalRing:
         """The memo entry of the local model J + n^M: M and HF(0..M-1) of
         S/J, whose first zero is at M - 1, or at 0 when J contains a unit
         (then M = 2).  On a miss, ds bases of J + n^N truncated at
-        N = 2, 4, 8, ..., capped at bound + 1, grow one staircase until it
-        has an empty degree; the last basis is kept for FGLM.  The entry
+        N = 2, 4, 8, ..., capped at bound + 1, are built until the staircase
+        of one has an empty degree; that basis is kept for FGLM.  The entry
         does not depend on the bound, which only decides whether the first
         empty degree comes too late: NotArtinianLocally when it exceeds the
         bound, on a hit as on a miss."""
@@ -123,14 +122,14 @@ class LocalRing:
                 raise NotArtinianLocally(
                     f"no colength stabilization within n^{bound}")
             return model
-        staircase = _Staircase(self.ring.nvars)
         N = 2
         while True:
             gb = buchberger(list(J.generators), DS, truncate=N)
-            hf = staircase.grow(gb.leading_monomials(), N)
+            hf = [len(layer) for layer in gb.staircase(self.ring.nvars, N)]
             if not hf[-1]:
-                M = max(2, hf.index(0) + 1)
-                model = self._models[J.generators] = _Model(M, hf[:M], gb)
+                M = max(2, len(hf))
+                hf += [0] * (M - len(hf))
+                model = self._models[J.generators] = _Model(M, hf, gb)
                 return model
             if N > bound:
                 raise NotArtinianLocally(
@@ -160,8 +159,8 @@ class LocalRing:
         """HF(d) = lambda(S/(I+n^{d+1})) - lambda(S/(I+n^d)) for
         d = 0..max_degree, from one ds basis of I + n^(max_degree+1)."""
         N = max_degree + 1
-        lts = self._ds_basis_of_I(N).leading_monomials()
-        return _Staircase(self.ring.nvars).grow(lts, N)
+        layers = self._ds_basis_of_I(N).staircase(self.ring.nvars, N)
+        return [len(layer) for layer in layers] + [0] * (N - len(layers))
 
     def hilbert_function(self, max_degree, window=3):
         """HF(d) for d <= max_degree, and where it first stays constant."""
@@ -193,7 +192,7 @@ class LocalRing:
             f"Hilbert function not constant on a window of {window} "
             f"by degree {max_degree}")
 
-    # -- orders, zerodivisors, colengths ------------------------------------
+    # -- orders and colengths -----------------------------------------------
 
     def ord_mod(self, f, bound=DEFAULT_ORD_BOUND):
         """Largest d <= bound with f in I + n^d; INSIDE_I if f lies in I.
@@ -208,14 +207,6 @@ class LocalRing:
         N = bound + 1
         r = normal_form(f, self._ds_basis_of_I(N), DS, truncate=N)
         return bound if r.is_zero() else r.order()
-
-    def is_nonzerodivisor(self, f):
-        """True iff I : f = I (valid under contraction_assumed)."""
-        if f.is_zero():
-            return False
-        if self.I.is_zero_ideal():
-            return True
-        return self.I.quotient_element(f).equals(self.I)
 
     def colength(self, f):
         """Length of R/(f) for a nonzerodivisor f."""
@@ -361,31 +352,6 @@ class _Model:
         self.ideal = None
 
 
-class _Staircase:
-    """counts[d]: the number of standard monomials of degree d of a
-    truncated ds basis, grown a degree at a time (a standard monomial is a
-    variable times one a degree lower).  Below degree N they do not depend
-    on the truncation N' >= N, so bases truncated ever higher can grow one
-    staircase.  After a degree with none, no degree has any."""
-
-    def __init__(self, nvars):
-        self.counts = []
-        self._candidates = {(0,) * nvars}
-        self._units = [tuple(int(i == j) for j in range(nvars))
-                       for i in range(nvars)]
-
-    def grow(self, lts, N):
-        """Extend counts up to degree N - 1 with the leading monomials lts
-        of a ds basis truncated at N or higher."""
-        while len(self.counts) < N:
-            layer = [e for e in self._candidates
-                     if not any(mono_divides(lt, e) for lt in lts)]
-            self.counts.append(len(layer))
-            self._candidates = {mono_mul(e, u) for e in layer
-                                for u in self._units}
-        return self.counts
-
-
 # ---------------------------------------------------------------------------
 # quasi-homogeneity
 
@@ -399,20 +365,3 @@ def weighted_homogeneity_check(gens, weights):
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
     return all(len(weighted_degrees(g, weights)) <= 1 for g in gens)
-
-
-def weight_search(gens, bound):
-    """First weight vector (lex order, entries 1..bound, gcd 1) making every
-    generator weighted-homogeneous, or None."""
-    if not gens:
-        return None
-    nvars = gens[0].ring.nvars
-    for w in iproduct(range(1, bound + 1), repeat=nvars):
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        if g != 1:
-            continue
-        if weighted_homogeneity_check(gens, w):
-            return w
-    return None

@@ -3,8 +3,6 @@
 A MonomialIdeal stores its minimal generating set as sorted exponent tuples.
 """
 
-from itertools import combinations
-
 from .errors import UnitIdeal
 from .poly import mono_divides, mono_lcm
 
@@ -139,37 +137,3 @@ class MonomialIdeal:
             if not any(m < s for m in minimal):
                 minimal.append(s)
         return [s for s in minimal if not any(m < s for m in minimal)]
-
-
-def linear_nzd_exists(A, field_size=None):
-    """Degree-one form avoiding all minimal primes of A (diagnostic).
-
-    Only minimal primes are tested (embedded primes of the tangent cone are
-    not computed), so a True verdict checks a necessary fragment of the
-    Cohen-Macaulay-plus-linear-nonzerodivisor hypothesis, not all of it.
-
-    Returns (exists, witness_support_or_vector, caveat).  Over an infinite
-    field the witness is a set of variable indices (their sum works); for a
-    finite field of size q pass field_size=q to brute-force coefficient
-    vectors.
-    """
-    caveat = "minimal-primes-only"
-    primes = A.minimal_primes()
-    n = A.nvars
-    if field_size is not None:
-        from itertools import product
-        for coeffs in product(range(field_size), repeat=n):
-            if not any(coeffs):
-                continue
-            support = {i for i, c in enumerate(coeffs) if c}
-            if all(not support <= p for p in primes):
-                return True, coeffs, caveat
-        return False, None, caveat
-    # infinite field: a linear form lies in a monomial prime iff its support
-    # is contained in that prime, so search supports by size then lex
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            s = set(support)
-            if all(not s <= p for p in primes):
-                return True, frozenset(support), caveat
-    return False, None, caveat

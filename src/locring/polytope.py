@@ -12,9 +12,6 @@ from math import gcd
 
 from .errors import ZeroPolynomial
 
-IRREDUCIBLE = "IRREDUCIBLE"
-INCONCLUSIVE = "INCONCLUSIVE"
-
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -196,19 +193,3 @@ def is_integer_irreducible(P):
     if split is None:
         return IrreducibilityResult(True, "edge-splitting", None)
     return IrreducibilityResult(False, "edge-splitting", split)
-
-
-def poly_irreducibility_criterion(f):
-    """One-directional polynomial irreducibility from the Newton polygon:
-    IRREDUCIBLE is a proof, INCONCLUSIVE is not a reducibility claim."""
-    if f.is_zero():
-        raise ZeroPolynomial("criterion on 0")
-    for i in range(2):
-        if min(e[i] for e in f.terms) > 0:
-            return INCONCLUSIVE  # divisible by a variable
-    P = newton_polygon(f)
-    if P.lattice_point_count() < 2:
-        return INCONCLUSIVE
-    if is_integer_irreducible(P).irreducible:
-        return IRREDUCIBLE
-    return INCONCLUSIVE

@@ -40,10 +40,10 @@ def test_parse_ring_file():
     desc = parse_ring_file(MAIN_RING_TEXT)
     assert desc.names == ("x", "y", "z")
     assert len(desc.gen_exprs) == 2
-    desc2 = parse_ring_file("field Fp 7\nvars x y\ngen x^2\norder lex\n"
-                            "weights 2 3\n")
-    assert desc2.order_name == "lex"
-    assert desc2.weights == (2, 3)
+    # order and weights lines changed no computation and are not keywords
+    for line in ("order lex", "order degrevlex", "weights 2 3"):
+        with pytest.raises(ParseError, match="unknown keyword"):
+            parse_ring_file(f"field Fp 7\nvars x y\ngen x^2\n{line}\n")
 
 
 def test_parse_ring_file_errors():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring import cli
 from locring.errors import BudgetExceeded
-from locring.groebner import (DEGREE_BOUND, buchberger, is_member,
-                              normal_form, packing, spoly)
+from locring.groebner import (DEGREE_BOUND, GroebnerBasis, buchberger,
+                              is_member, normal_form, packing, spoly)
 from locring.ideal import max_ideal_power
 from locring.poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex,
                           Polynomial, PolyRing, WeightedDegRevLex,
@@ -410,6 +411,108 @@ def test_degrees_formed_in_a_run_past_the_packing_bound_raise():
                    DegRevLex())
     with pytest.raises(ValueError, match="does not fit"):
         spoly(R.parse(f"x^{h}*y - 1"), R.parse(f"x*y^{h} - 1"), DegRevLex())
+
+
+def _standard_monomials(lts, nvars):
+    """The box filter ``staircase`` replaced: exponent tuples divisible by
+    none of lts, or None if infinitely many (some variable has no pure
+    power among lts)."""
+    bounds = []
+    for i in range(nvars):
+        pure = [e[i] for e in lts if sum(e) == e[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return [exps for exps in itertools.product(*(range(b) for b in bounds))
+            if not any(mono_divides(l, exps) for l in lts)]
+
+
+def _layers_below(lts, nvars, below):
+    """Every monomial of degree < below divisible by none of lts, as
+    sorted layers by degree, up to and including the first empty one."""
+    layers = []
+    for d in range(below):
+        layers.append(sorted(e for e in monomials_of_degree(nvars, d)
+                             if not any(mono_divides(l, e) for l in lts)))
+        if not layers[-1]:
+            break
+    return layers
+
+
+def _random_leads(rng, nvars):
+    leads = [tuple(rng.randint(0, 3) for _ in range(nvars))
+             for _ in range(rng.randint(0, 5))]
+    # a pure power per variable, mostly, so that many staircases are finite
+    leads += [tuple(rng.randint(1, 5) * (i == j) for j in range(nvars))
+              for i in range(nvars) if rng.random() < 0.85]
+    return leads
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_staircase_matches_brute_force_filter(nvars):
+    rng = random.Random(nvars)
+    ring = PolyRing(QQ, ("w", "x", "y", "z")[:nvars])
+    for _ in range(60):
+        lts = _random_leads(rng, nvars)
+        for order in (DegRevLex(), NegDegRevLex(), Lex()):
+            gb = GroebnerBasis([ring.monomial(e) for e in lts], order)
+            for below in (1, 2, 5, 9):
+                layers = gb.staircase(nvars, below)
+                assert [sorted(layer) for layer in layers] == \
+                    _layers_below(lts, nvars, below)
+            layers = gb.staircase(nvars)
+            box = _standard_monomials(lts, nvars)
+            if box is None:
+                assert layers is None
+            else:
+                assert not layers[-1]
+                assert sorted(e for layer in layers for e in layer) == \
+                    sorted(box)
+                assert all(sum(e) == d for d, layer in enumerate(layers)
+                           for e in layer)
+
+
+def test_staircase_edge_cases():
+    S = PolyRing(QQ, ("x", "y", "z"))
+    units = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert GroebnerBasis([], DegRevLex()).staircase(3) is None
+    # a ds basis truncated at 2 of generators of degree >= 2 is empty, and
+    # its staircase below 2 is 1 and the variables
+    gb = buchberger([S.parse("x^2 - y^5"), S.parse("x*y^2 + y*z^3 - z^5")],
+                    NegDegRevLex(), truncate=2)
+    assert gb.generators == []
+    layers = gb.staircase(3, 2)
+    assert layers[0] == [(0, 0, 0)] and sorted(layers[1]) == units
+    # the unit ideal has no standard monomial
+    unit = buchberger([S.parse("x"), S.parse("x + 1")], DegRevLex())
+    assert unit.staircase(3) == [[]] and unit.staircase(3, 5) == [[]]
+    # infinite: z has no pure power
+    infinite = buchberger([S.parse("x^2"), S.parse("y^3 - x*z")], DegRevLex())
+    assert infinite.staircase(3) is None
+    assert [len(layer) for layer in infinite.staircase(3, 5)] == \
+        [len(layer) for layer in _layers_below(
+            infinite.leading_monomials(), 3, 5)]
+
+
+LEAD_ORDERS = {"lex": Lex(), "degrevlex": DegRevLex(), "ds": NegDegRevLex(),
+               "weighted": WeightedDegRevLex((15, 6, 7)),
+               "block": BlockOrder(1, first=Lex())}
+
+
+@pytest.mark.parametrize("order", LEAD_ORDERS.values(),
+                         ids=LEAD_ORDERS.keys())
+def test_buchberger_leads_equal_lazy_leads(order):
+    rng = random.Random(7)
+    ring = PolyRing(PrimeField(32003), ("x", "y", "z"))
+    truncate = 6 if order == NegDegRevLex() else 0
+    for _ in range(8):
+        gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
+        gens += [ring.monomial(e) for e in monomials_of_degree(3, 4)]
+        gb = buchberger(gens, order, truncate=truncate)
+        lazy = GroebnerBasis(gb.generators, order)
+        assert gb.leads == lazy.leads
+        assert gb.leading_monomials() == \
+            [g.leading_monomial(order) for g in gb.generators]
 
 
 # Generator strings of buchberger(I.generators, ds, truncate=N) for the

@@ -4,8 +4,8 @@ from locring import cli, localring
 from locring.arith import QQ
 from locring.errors import NotArtinianLocally, NotFound, ZeroPolynomial
 from locring.ideal import Ideal
-from locring.localring import (INSIDE_I, LocalRing, weight_search,
-                               weighted_degrees, weighted_homogeneity_check)
+from locring.localring import (INSIDE_I, LocalRing, weighted_degrees,
+                               weighted_homogeneity_check)
 from locring.monomial import MonomialIdeal
 from locring.poly import DegRevLex, PolyRing
 
@@ -53,11 +53,6 @@ def test_ord(cusp_ring, xyz):
     assert cusp_ring.ord_mod(xyz.parse("x^2 - y^5")) is INSIDE_I
     with pytest.raises(ZeroPolynomial):
         cusp_ring.ord_mod(xyz.zero())
-
-
-def test_nonzerodivisor(cusp_ring, xyz):
-    assert cusp_ring.is_nonzerodivisor(xyz.parse("y"))
-    assert not cusp_ring.is_nonzerodivisor(xyz.zero())
 
 
 def test_colength_and_superficiality(cusp_ring, xyz):
@@ -224,18 +219,6 @@ def test_weighted_homogeneity():
     assert weighted_homogeneity_check(gens, (15, 6, 7))
     assert not weighted_homogeneity_check(gens, (1, 1, 1))
     assert weighted_degrees(gens[0], (15, 6, 7)) == [30]
-
-
-def test_weight_search_finds_ex1_weights():
-    R = PolyRing(QQ, ("x", "y", "z"))
-    gens = [R.parse("x^2 - y^5"), R.parse("x*y^2 + y*z^3")]
-    assert weight_search(gens, 15) == (15, 6, 7)
-
-
-def test_weight_search_fails_on_main():
-    R = PolyRing(QQ, ("x", "y", "z"))
-    gens = [R.parse("x^2 - y^5"), R.parse("x*y^2 + y*z^3 - z^5")]
-    assert weight_search(gens, 20) is None
 
 
 @pytest.mark.parametrize("witness, error", [

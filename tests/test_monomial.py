@@ -3,7 +3,7 @@ import pytest
 from locring.arith import QQ
 from locring.errors import UnitIdeal
 from locring.ideal import Ideal
-from locring.monomial import MonomialIdeal, linear_nzd_exists
+from locring.monomial import MonomialIdeal
 from locring.poly import PolyRing
 
 
@@ -73,33 +73,3 @@ def test_unit_ideal_has_no_decomposition():
 def test_minimal_primes():
     A = M((2, 0, 0), (1, 2, 0), (1, 1, 3), (0, 1, 6))
     assert A.minimal_primes() == [frozenset({0, 1}), frozenset({0, 2})]
-
-
-def test_linear_nzd_infinite_field():
-    A = M((2, 0, 0), (1, 2, 0), (1, 1, 3), (0, 1, 6))
-    exists, witness, caveat = linear_nzd_exists(A)
-    assert exists
-    assert caveat == "minimal-primes-only"
-    # the witness support avoids both minimal primes
-    for p in A.minimal_primes():
-        assert not witness <= p
-
-
-def test_linear_nzd_finite_field():
-    A = M((2, 0, 0), (1, 2, 0), (1, 1, 3), (0, 1, 6))
-    exists, coeffs, _ = linear_nzd_exists(A, field_size=2)
-    assert exists
-    support = {i for i, c in enumerate(coeffs) if c}
-    for p in A.minimal_primes():
-        assert not support <= p
-
-
-def test_linear_nzd_can_fail():
-    # primes (x), (y), (z) together cover every linear form over F_2? no,
-    # but the full variable cover does:
-    A = MonomialIdeal(2, [(1, 1)])  # primes (x), (y)
-    exists, w, _ = linear_nzd_exists(A)
-    assert exists  # x + y avoids both over Q
-    B = MonomialIdeal(1, [(1,)])    # single prime (x) in one variable
-    exists, _, _ = linear_nzd_exists(B)
-    assert not exists

@@ -3,11 +3,10 @@ import pytest
 from locring.arith import QQ
 from locring.errors import ZeroPolynomial
 from locring.poly import PolyRing
-from locring.polytope import (INCONCLUSIVE, IRREDUCIBLE, LatticePolygon,
-                              axis_triangle_fast_path, convex_hull,
-                              edge_splitting_search, is_integer_irreducible,
-                              minkowski_sum, newton_polygon,
-                              poly_irreducibility_criterion)
+from locring.polytope import (LatticePolygon, axis_triangle_fast_path,
+                              convex_hull, edge_splitting_search,
+                              is_integer_irreducible, minkowski_sum,
+                              newton_polygon)
 
 
 @pytest.fixture
@@ -56,7 +55,6 @@ def test_headline_polygon(R):
     assert edge_splitting_search(P) is None
     res = is_integer_irreducible(P)
     assert res.irreducible
-    assert poly_irreducibility_criterion(f) == IRREDUCIBLE
 
 
 def test_square_splits_with_certificate():
@@ -83,15 +81,6 @@ def test_unit_triangle_irreducible():
 def test_single_point_rejected():
     with pytest.raises(ValueError):
         is_integer_irreducible(LatticePolygon([(1, 1)]))
-
-
-def test_product_polynomial_is_inconclusive(R):
-    f = R.parse("z + y") * R.parse("z^3 + y^2")
-    assert poly_irreducibility_criterion(f) == INCONCLUSIVE
-
-
-def test_variable_divisor_is_inconclusive(R):
-    assert poly_irreducibility_criterion(R.parse("z*y + z^2")) == INCONCLUSIVE
 
 
 def _brute_force_reducible(P):
