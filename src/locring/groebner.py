@@ -15,11 +15,13 @@ below ``DEGREE_BOUND``.  Above P sits W(e), the order's tuple key read as
 one integer (``_order_form``).  Both parts are linear in e, so a product is
 a sum, ``lt | e`` is the mask test ``not (e - lt) & guard``, and the
 smallest int is the largest monomial: the ds int is P itself, the degrevlex
-int P - (deg << bits of P).  Exponent tuples and ``order.key`` stay the
-public representation, converted at the boundary: generators in, final
-basis out, ``normal_form`` in and out, ``GroebnerBasis.divisors`` once per
-basis.  A degree that would not fit raises ValueError on conversion, for an
-S-pair or for a product in reduction, so nothing is ever mis-ordered.
+int P - (deg << bits of P).  This module is the only one that knows the
+format.  Exponent tuples and ``order.key`` stay the public representation,
+converted at the boundary: generators in, final basis out, ``normal_form``
+in and out, ``GroebnerBasis.divisors`` once per basis; other modules get
+packed ints only as staircase layers, which they count.  A degree that
+would not fit raises ValueError on conversion, for an S-pair or for a
+product in reduction, so nothing is ever mis-ordered.
 
 Raw coefficients: over F_p a coefficient is its residue in [0, p); over Q a
 polynomial is an integer polynomial, and basis elements are primitive.
@@ -62,9 +64,25 @@ Staircases: ``GroebnerBasis.staircase`` is the one enumeration of standard
 monomials.  It walks them a degree at a time on the packed leads that
 ``buchberger`` hands to the basis (``leads``), so a divisibility test is
 one mask; a layer is the previous one times the variables, minus the
-multiples of a lead.  Callers read counts (Hilbert functions, colengths),
-the monomials themselves (the columns of the FGLM walk) or whether the
-last layer below a degree is empty (the gll-search hit test).
+multiples of a lead.  The layers are lists of packed ints, never unpacked:
+callers read counts (Hilbert functions, colengths), whether the last layer
+below a degree is empty (the gll-search hit test), or the monomials
+themselves as the columns of the FGLM walk.
+
+The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
+zero-dimensional Groebner bases by change of ordering", 1993) reads the
+reduced basis of I + K off a linear map on S/I whose kernel is K/I.
+``artinian_colon`` takes, for a zero-dimensional I, the map that multiplies
+by the generators of J, so I + K = I : J with no Buchberger run; ``fglm``
+turns a truncated ds standard basis of J into the degrevlex basis of J + m^N
+from S/m^d, reducing each monomial of degree < d modulo m^d for the first
+degree d in which J has no standard monomial.  The walk stays on ints, like
+``_nf_dict``: the columns are staircase ints, each image is the packed raw
+normal form of a packed product with an integer multiplier, rows are
+eliminated fraction-free over Q and on residues over F_p, and divisibility
+of columns and leads is the guard-mask test.  Only a kernel vector gets
+Fraction or F_p coefficients, when it is made monic, and only the final
+basis is unpacked; its ``leads`` come from the walk.
 """
 
 import heapq
@@ -76,7 +94,7 @@ from operator import mul
 
 from .arith import PrimeFieldElement
 from .errors import BudgetExceeded, RingMismatch
-from .poly import Polynomial, mono_div, mono_lcm
+from .poly import DegRevLex, Polynomial, mono_div, mono_lcm
 
 DEFAULT_MAX_PAIRS = 2_000_000
 
@@ -147,10 +165,9 @@ def _order_form(order, n):
 class GroebnerBasis:
     """A (reduced) Groebner basis with its order."""
 
-    def __init__(self, generators, order, reduced=True):
+    def __init__(self, generators, order):
         self.generators = list(generators)
         self.order = order
-        self.reduced = reduced
 
     def __iter__(self):
         return iter(self.generators)
@@ -161,23 +178,17 @@ class GroebnerBasis:
     @cached_property
     def leads(self):
         """The packed leading monomials of the generators, in order;
-        ``buchberger`` fills them in from its run."""
+        ``buchberger`` and the FGLM walk fill them in from their runs."""
         if not self.generators:
             return []
         lts = [g.leading_monomial(self.order) for g in self.generators]
         _check_degree(max(map(sum, lts)))
         return list(map(packing(self.order, len(lts[0])).pack, lts))
 
-    def leading_monomials(self):
-        if not self.generators:
-            return []
-        pk = packing(self.order, self.generators[0].ring.nvars)
-        return list(map(pk.unpack, self.leads))
-
     def staircase(self, nvars, below=None):
         """The standard monomials of the leading ideal in nvars variables,
-        as layers of exponent tuples by degree.  The walk runs on packed
-        ints: layer 0 is the monomial 1 unless a lead is, and layer d + 1
+        as layers of packed ints by degree, packed under the basis's order:
+        layer 0 is the monomial 1 unless a lead is, and layer d + 1
         is layer d times the variables, minus the multiples of a lead (a
         lead enters the test at its own degree).  It stops after the first
         empty layer, past which no monomial is standard, or before degree
@@ -209,7 +220,7 @@ class GroebnerBasis:
             if not layer:
                 break
             layer = {e + u for e in layer for u in units}
-        return [list(map(pk.unpack, layer)) for layer in layers]
+        return layers
 
     @cached_property
     def divisors(self):
@@ -479,7 +490,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
                                     if sum(e) < truncate}) for g in gens]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return GroebnerBasis([], order, reduced=True)
+        return GroebnerBasis([], order)
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
@@ -593,7 +604,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
                          [h for h in minimal if h is not g], pk, p, 0)
             final.append(Polynomial(ring, _from_raw(r, r[g[0]], field,
                                                     pk.unpack)))
-    basis = GroebnerBasis(final, order, reduced=not truncate)
+    basis = GroebnerBasis(final, order)
     basis.leads = [g[0] for g in minimal]
     return basis
 
@@ -603,3 +614,166 @@ def is_member(f, gb):
     if f.is_zero():
         return True
     return normal_form(f, gb, gb.order).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the FGLM walk
+
+def artinian_colon(gb, gens):
+    """The reduced basis of I : J, for gb the reduced basis of a
+    zero-dimensional ideal I and gens the generators of J: (I : J)/I is the
+    kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on
+    the standard monomials b of I.  ValueError if a product's degree would
+    not fit."""
+    ring = gb.generators[0].ring
+    p = ring.field.characteristic
+    pk = packing(gb.order, ring.nvars)
+    raw_gens = [_to_raw(g.terms, p, pk) for g in gens]
+    top = max(g.total_degree() for g in gens)
+
+    def image(b):
+        # block i, the normal form of g_i * b, is r / s for the scale
+        # s = scale * r.scale (1 over F_p); the blocks are brought to
+        # one multiplier m, the lcm of the numerators of the scales
+        _check_degree(top + ((b & pk.degree) >> pk.shift))
+        blocks = []
+        for i, (raw, scale) in enumerate(raw_gens):
+            prod = {e + b: c for e, c in raw.items()}
+            r = _nf_dict(prod, gb.divisors, pk, p, 0)
+            if r:
+                blocks.append((i, r, scale * r.scale))
+        m = lcm(*(s.numerator for _, _, s in blocks))
+        out = {}
+        for i, r, s in blocks:
+            f = s.denominator * (m // s.numerator)
+            for e, c in r.items():
+                out[i, e] = c * f
+        return out, m
+
+    columns = [e for layer in gb.staircase(ring.nvars) for e in layer]
+    base = [{pk.pack(e): c for e, c in g.terms.items()}
+            for g in gb.generators]
+    return _extend_by_kernel(ring, gb.order, base, columns, image)
+
+
+def fglm(ds_basis, d):
+    """The reduced degrevlex basis of J + m^N, for ds_basis a standard
+    basis of J in the local order ds truncated at a degree N, given
+    d <= N with m^d inside J + m^N (d the first degree with no standard
+    monomial).  FGLM from S/m^d: each monomial b of degree < d maps to its
+    ds normal form truncated at d, which m^d inside J + m^N makes exact;
+    a raw remainder r of scale num/den is the image of num * b as den * r.
+    The monomials come from the staircase of the empty basis."""
+    ring = ds_basis.generators[0].ring
+    p = ring.field.characteristic
+    order = DegRevLex()
+    pk = packing(ds_basis.order, ring.nvars)
+    unpack = packing(order, ring.nvars).unpack
+    layers = GroebnerBasis([], order).staircase(ring.nvars, d + 1)
+    one = ring.field.one()
+
+    def image(b):
+        r = _nf_dict({pk.pack(unpack(b)): 1}, ds_basis.divisors, pk, p, d)
+        num, den = r.scale.numerator, r.scale.denominator
+        if den != 1:
+            r = {e: c * den for e, c in r.items()}
+        return r, num
+
+    return _extend_by_kernel(ring, order, [{e: one} for e in layers[d]],
+                             [e for layer in layers[:d] for e in layer],
+                             image)
+
+
+def _extend_by_kernel(ring, order, base, columns, image):
+    """The reduced basis of I + K under order, for I zero-dimensional and
+    K/I the kernel of a linear map on S/I, everything packed under order:
+    base, the reduced basis of I as term dicts of field elements; columns,
+    the standard monomials of I; image(b), the raw image of the column b, a
+    pair (vec, m) of a dict {row: int} and an int m > 0, nonzero mod p,
+    such that vec is the image of m * b (residues in [0, p) over F_p).
+
+    The columns are walked in ascending order (descending ints).  Each
+    column's image is reduced against a row echelon form of the earlier
+    ones, keeping the combination of columns it came from, which starts as
+    {b: m}.  A column b that reduces to 0 gives the kernel vector
+    b - sum c_s * s over earlier independent columns s: the reduced element
+    of I + K with leading monomial b.  A column divisible by such a b is
+    dependent too and is skipped, unless a tail of base uses it.
+
+    A row with pivot coefficient a removes the entry c of the vector being
+    reduced by vec := (a/h) * vec - (c/h) * row, h = gcd(a, c), and the same
+    on the combination; over F_p rows are monic and entries stay residues.
+    A new row and its combination have their content divided out and a
+    positive pivot (over F_p: are made monic).  Every vector is a nonzero
+    multiple of what field arithmetic gives, so every pivot and zero is the
+    same.
+    """
+    field = ring.field
+    p = field.characteristic
+    pk = packing(order, ring.nvars)
+    guard = pk.guard
+    tails = {e for g in base for e in g}
+    rows = []    # (pivot, a, vector, combination): vector = image(comb)
+    kernel = {}  # leading monomial -> monic kernel vector, packed
+    for b in sorted(columns, reverse=True):
+        if b not in tails and any(not (b - q) & guard for q in kernel):
+            continue
+        vec, m = image(b)
+        comb = {b: m}
+        for pivot, a, row, row_comb in rows:
+            c = vec.get(pivot)
+            if c is not None:
+                h = gcd(a, c)
+                s, t = a // h, c // h
+                _combine(vec, s, t, row, p)
+                _combine(comb, s, t, row_comb, p)
+        if not vec:
+            kernel[b] = _from_raw(comb, comb[b], field)
+            continue
+        pivot = next(iter(vec))
+        lead = vec[pivot]
+        if p:
+            vec = _normalize(vec, lead, p)
+            comb = _normalize(comb, lead, p)
+        else:
+            h = gcd(*vec.values(), *comb.values())
+            if lead < 0:
+                h = -h
+            if h != 1:
+                vec = {r: x // h for r, x in vec.items()}
+                comb = {e: x // h for e, x in comb.items()}
+        rows.append((pivot, vec[pivot], vec, comb))
+    basis = []
+    for g in base:
+        if all((min(g) - q) & guard for q in kernel):
+            terms = dict(g)
+            for e, c in g.items():
+                if e in kernel:
+                    _combine(terms, 1, c, kernel[e], 0)
+            basis.append(terms)
+    basis += [vec for q, vec in kernel.items()
+              if all(r == q or (q - r) & guard for r in kernel)]
+    basis.sort(key=min, reverse=True)
+    out = GroebnerBasis([Polynomial(ring, {pk.unpack(e): c
+                                           for e, c in terms.items()})
+                         for terms in basis], order)
+    out.leads = list(map(min, basis))
+    return out
+
+
+def _combine(dst, s, t, src, p):
+    """dst := s * dst - t * src on term dicts, in place, dropping zero
+    terms.  On raw dicts over F_p (p > 0) s is 1 and entries stay residues
+    mod p; p = 0 for raw dicts over Q and for dicts of field elements."""
+    if s != 1:
+        for e in dst:
+            dst[e] *= s
+    for e, x in src.items():
+        v = dst.get(e)
+        v = -t * x if v is None else v - t * x
+        if p:
+            v %= p
+        if v:
+            dst[e] = v
+        else:
+            del dst[e]

@@ -12,12 +12,12 @@ Every length comes from a standard basis in the local order ds truncated at
 a degree N (``buchberger(..., truncate=N)``): its standard monomials of
 degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever
 N is.  ``GroebnerBasis.staircase(nvars, N)`` walks them layer by layer on
-the basis's packed leads.  M is max(2, d + 1) for the first degree d with
+the basis's packed leads, and this module only counts its layers.  M is max(2, d + 1) for the first degree d with
 no standard monomial; N doubles from 2 (2, 4, 8, ..., capped at the bound
 plus one) until such a d < N appears, each round walking its own basis's
 staircase from degree 0.  Then N >= M, and the truncation at N is a basis
-of the same ideal J + n^N = J + n^M, so FGLM turns it into the degrevlex
-basis the model carries; FGLM reads it modulo n^d for that first empty
+of the same ideal J + n^N = J + n^M, so ``groebner.fglm`` turns it into
+the degrevlex basis the model carries; FGLM reads it modulo n^d for that first empty
 degree d.  Each ring keeps, for as long as it lives, a memo of its models
 keyed by J's generators (a bound only decides whether d comes too late): M,
 HF(0..M-1) and, once a caller has asked for it, the model itself, whose ds
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, ZeroPolynomial)
-from .groebner import buchberger, normal_form
-from .ideal import Ideal, fglm, max_ideal, max_ideal_power
+from .groebner import buchberger, fglm, normal_form
+from .ideal import Ideal, max_ideal, max_ideal_power
 from .poly import BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing
 
 
@@ -76,7 +76,7 @@ class LocalRing:
     """Presentation of a local ring: ambient ring, defining ideal, and the
     maximal ideal generated by all variables."""
 
-    def __init__(self, ring, defining_ideal, contraction_assumed=True,
+    def __init__(self, ring, defining_ideal,
                  stabilization_bound=DEFAULT_STABILIZATION_BOUND):
         if stabilization_bound < 1:
             raise ValueError("stabilization_bound must be >= 1")
@@ -89,7 +89,6 @@ class LocalRing:
         self.ring = ring
         self.I = defining_ideal
         self.n = max_ideal(ring)
-        self.contraction_assumed = contraction_assumed
         self.stabilization_bound = stabilization_bound
         self._ds_bases = {}  # N -> truncated ds basis of I + n^N
         self._models = {}    # J.generators -> _Model
@@ -319,7 +318,7 @@ class LocalRing:
         mu_Cxn = lam_nCx - lam_C
         return 1 + mu_Cxn - mu_C
 
-    def index(self, x, max_n=DEFAULT_INDEX_BOUND, verify_monotone=True):
+    def index(self, x, max_n=DEFAULT_INDEX_BOUND):
         """Smallest n with delta(R/m^n) = 1, tested on the witness x."""
         self.check_parameter(x)
         hit = None
@@ -329,7 +328,7 @@ class LocalRing:
                 break
         if hit is None:
             raise NotFound(f"delta(R/m^n) = 0 for all n <= {max_n}")
-        if verify_monotone and hit < max_n:
+        if hit < max_n:
             # one step past the hit; the full 1..6 chain is exercised by the
             # property suite
             if not self.delta_one_test(x, hit + 1).verdict:

@@ -75,10 +75,6 @@ class MonomialIdeal:
         return frozenset(i for g in self.generators for i in range(self.nvars)
                          if g[i] > 0)
 
-    def is_irreducible(self):
-        """Generated by pure variable powers."""
-        return all(sum(1 for e in g if e > 0) <= 1 for g in self.generators)
-
     def irreducible_decomposition(self):
         """Irredundant list of irreducible components, canonically sorted.
 

@@ -320,15 +320,6 @@ class Polynomial:
         d = self.order()
         return Polynomial(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    def homogeneous_component(self, d):
-        return Polynomial(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {sum(e) for e in self.terms}
-        return len(degs) == 1
-
     # -- leading terms ------------------------------------------------------
 
     def sorted_terms(self, order):

@@ -47,14 +47,6 @@ class LatticePolygon:
     def __init__(self, points):
         self.vertices = convex_hull(points)
 
-    @property
-    def is_point(self):
-        return len(self.vertices) == 1
-
-    @property
-    def is_segment(self):
-        return len(self.vertices) == 2
-
     def edges(self):
         """(primitive vector, lattice length) pairs, in traversal order.
         A segment contributes its vector and its negation."""

@@ -3,7 +3,6 @@ generated by polynomials with zero constant term.
 """
 
 from .errors import ParseError
-from .groebner import DEFAULT_MAX_PAIRS
 from .ideal import Ideal, _aux_name
 from .poly import PolyRing
 
@@ -31,12 +30,8 @@ class ParametrizedMap:
         """Substitute x_i <- g_i(t)."""
         return f.substitute(list(self.images))
 
-    def image_orders(self):
-        return tuple(min(e[0] for e in g.terms) for g in self.images)
 
-
-def kernel(pmap, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
-           inner_order=None):
+def kernel(pmap, time_budget=None):
     """The kernel ideal in the source ring, by eliminating t from
     (x_1 - g_1(t), ..., x_n - g_n(t))."""
     src = pmap.source
@@ -44,9 +39,7 @@ def kernel(pmap, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     ext = src.extend(aux, front=True)
     gens = [ext.var(i + 1) - g.map_to(ext, [0])
             for i, g in enumerate(pmap.images)]
-    return Ideal(ext, gens).eliminate([aux], max_pairs=max_pairs,
-                                      time_budget=time_budget,
-                                      inner_order=inner_order)
+    return Ideal(ext, gens).eliminate([aux], time_budget=time_budget)
 
 
 def verify_in_kernel(f, pmap):

@@ -320,7 +320,7 @@ def test_truncated_ds_basis_keeps_a_tail_that_its_lead_divides():
     ds = NegDegRevLex()
     gb = buchberger([S.parse("x - x^2")], ds, truncate=5)
     assert gb.generators == [S.parse("x - x^2")]
-    assert gb.leading_monomials() == [(1,)]
+    assert gb.leads == [packing(ds, 1).pack((1,))]
     assert normal_form(S.parse("x^3 + 2"), gb, ds, truncate=5) == \
         S.parse("2")
 
@@ -456,11 +456,14 @@ def test_staircase_matches_brute_force_filter(nvars):
         lts = _random_leads(rng, nvars)
         for order in (DegRevLex(), NegDegRevLex(), Lex()):
             gb = GroebnerBasis([ring.monomial(e) for e in lts], order)
+            unpack = packing(order, nvars).unpack
             for below in (1, 2, 5, 9):
                 layers = gb.staircase(nvars, below)
-                assert [sorted(layer) for layer in layers] == \
+                assert [sorted(map(unpack, layer)) for layer in layers] == \
                     _layers_below(lts, nvars, below)
             layers = gb.staircase(nvars)
+            if layers is not None:
+                layers = [list(map(unpack, layer)) for layer in layers]
             box = _standard_monomials(lts, nvars)
             if box is None:
                 assert layers is None
@@ -481,8 +484,10 @@ def test_staircase_edge_cases():
     gb = buchberger([S.parse("x^2 - y^5"), S.parse("x*y^2 + y*z^3 - z^5")],
                     NegDegRevLex(), truncate=2)
     assert gb.generators == []
+    unpack = packing(NegDegRevLex(), 3).unpack
     layers = gb.staircase(3, 2)
-    assert layers[0] == [(0, 0, 0)] and sorted(layers[1]) == units
+    assert list(map(unpack, layers[0])) == [(0, 0, 0)]
+    assert sorted(map(unpack, layers[1])) == units
     # the unit ideal has no standard monomial
     unit = buchberger([S.parse("x"), S.parse("x + 1")], DegRevLex())
     assert unit.staircase(3) == [[]] and unit.staircase(3, 5) == [[]]
@@ -491,7 +496,20 @@ def test_staircase_edge_cases():
     assert infinite.staircase(3) is None
     assert [len(layer) for layer in infinite.staircase(3, 5)] == \
         [len(layer) for layer in _layers_below(
-            infinite.leading_monomials(), 3, 5)]
+            [g.leading_monomial(DegRevLex()) for g in infinite], 3, 5)]
+
+
+@pytest.mark.parametrize("order", [DegRevLex(), NegDegRevLex(), Lex()],
+                         ids=["degrevlex", "ds", "lex"])
+def test_empty_basis_staircase_is_every_monomial(order):
+    # fglm takes its columns and the monomials of m^d from this staircase
+    for nvars in (1, 2, 3, 4):
+        unpack = packing(order, nvars).unpack
+        layers = GroebnerBasis([], order).staircase(nvars, 8)
+        assert len(layers) == 8
+        for d, layer in enumerate(layers):
+            assert sorted(map(unpack, layer)) == \
+                sorted(monomials_of_degree(nvars, d))
 
 
 LEAD_ORDERS = {"lex": Lex(), "degrevlex": DegRevLex(), "ds": NegDegRevLex(),
@@ -511,7 +529,7 @@ def test_buchberger_leads_equal_lazy_leads(order):
         gb = buchberger(gens, order, truncate=truncate)
         lazy = GroebnerBasis(gb.generators, order)
         assert gb.leads == lazy.leads
-        assert gb.leading_monomials() == \
+        assert list(map(packing(order, 3).unpack, gb.leads)) == \
             [g.leading_monomial(order) for g in gb.generators]
 
 

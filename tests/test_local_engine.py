@@ -17,7 +17,7 @@ import pytest
 from locring import cli
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.errors import NotArtinianLocally
-from locring.groebner import buchberger, is_member
+from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import Ideal, all_monomials, max_ideal_power
 from locring.localring import INSIDE_I, LocalRing
 from locring.poly import DegRevLex, Polynomial, PolyRing
@@ -166,6 +166,9 @@ def test_fglm_basis_is_canonical(field):
     for extra in ("y", "z^2 + x*y", "x + y - z"):
         model = R.local_model(R.I + Ideal(ring, [extra]))
         installed = model.gb_cache[DegRevLex()].generators
+        # the walk sets the leads that every later staircase reads
+        assert model.gb_cache[DegRevLex()].leads == \
+            GroebnerBasis(installed, DegRevLex()).leads
         again = buchberger(list(installed), DegRevLex())
         assert again.generators == installed
         assert buchberger(list(model.generators), DegRevLex()).generators \

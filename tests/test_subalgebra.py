@@ -69,7 +69,7 @@ def test_map_file_roundtrip():
     text = "t\nx = t^8 + t^10\ny = t^9\nz = t^20 + t^36\n"
     pm = parse_map_file(text, QQ)
     assert pm.source.names == ("x", "y", "z")
-    assert pm.image_orders() == (8, 9, 20)
+    assert [g.order() for g in pm.images] == [8, 9, 20]
 
 
 def test_map_file_errors():
