@@ -469,7 +469,8 @@ def _build_parser():
     sp.add_argument("d_max", type=int)
 
     sp = sub.add_parser("newton",
-                        help="Newton polygon and irreducibility verdict")
+                        help="Newton polygon, its decomposability and any "
+                             "monomial factor")
     ring_flag(sp)
     sp.add_argument("--element", required=True, metavar="EXPR")
 
@@ -551,9 +552,15 @@ def _dispatch(args):
         f = ring.parse(args.element)
         P = newton_polygon(f)
         print("vertices:", " ".join(f"({a},{b})" for a, b in P.vertices))
+        # the verdict is on the polygon: a monomial factor moves the
+        # polygon off an axis without changing its shape
         res = is_integer_irreducible(P)
-        print("integer-irreducible:" if res.irreducible
-              else "integer-reducible:", res.method)
+        print("polygon integer-indecomposable:" if res.irreducible
+              else "polygon integer-decomposable:", res.method)
+        factor = ring.monomial(map(min, zip(*f.terms)))
+        if not factor.is_constant():
+            print("monomial factor:", factor.to_str(),
+                  "(the polygon misses an axis)")
         return 0
     if cmd == "kernel":
         with open(args.map_file) as fh:

@@ -57,5 +57,9 @@ class NotFound(LocringError):
     pass
 
 
+class NotGorenstein(LocringError):
+    """R is not Gorenstein, so the delta criteria need not agree."""
+
+
 class InternalInconsistency(LocringError):
     pass

@@ -17,11 +17,14 @@ a sum, ``lt | e`` is the mask test ``not (e - lt) & guard``, and the
 smallest int is the largest monomial: the ds int is P itself, the degrevlex
 int P - (deg << bits of P).  This module is the only one that knows the
 format.  Exponent tuples and ``order.key`` stay the public representation,
-converted at the boundary: generators in, final basis out, ``normal_form``
-in and out, ``GroebnerBasis.divisors`` once per basis; other modules get
-packed ints only as staircase layers, which they count.  A degree that
-would not fit raises ValueError on conversion, for an S-pair or for a
-product in reduction, so nothing is ever mis-ordered.
+converted at the boundary: generators in, ``normal_form`` in and out, and
+``GroebnerBasis.divisors`` once for a basis built from Polynomials.  A basis
+from ``buchberger`` stays packed: it keeps the run's divisors and leads,
+and builds its ``generators`` only when a caller first reads them, so a
+basis that is only counted (the gll-search test) is never converted.
+Other modules get packed ints only as staircase layers, which they count.
+A degree that would not fit raises ValueError on conversion, for an S-pair
+or for a product in reduction, so nothing is ever mis-ordered.
 
 Raw coefficients: over F_p a coefficient is its residue in [0, p); over Q a
 polynomial is an integer polynomial, and basis elements are primitive.
@@ -116,7 +119,7 @@ class Packing:
     """Packed monomials of an n-variable ring under one term order (see the
     module docstring): ``pack`` and ``unpack`` convert exponent tuples,
     ``guard`` and ``degree`` mask the guard bits and the degree field, whose
-    lowest bit is ``1 << shift``."""
+    lowest bit is ``1 << shift``, and ``units`` are the variables."""
 
     def __init__(self, order, nvars):
         fields = [_FIELD * i for i in range(nvars)]
@@ -125,12 +128,13 @@ class Packing:
         self.degree = ((1 << _FIELD) - 1) << self.shift
         width = self.shift + _FIELD
         form = _order_form(order, nvars)
-        self._weights = tuple((w << width) + (1 << s) + (1 << self.shift)
-                              for w, s in zip(form, fields))
+        # the packed variables, which are also the weights of pack
+        self.units = tuple((w << width) + (1 << s) + (1 << self.shift)
+                           for w, s in zip(form, fields))
         self._fields = fields
 
     def pack(self, e):
-        return sum(map(mul, e, self._weights))
+        return sum(map(mul, e, self.units))
 
     def unpack(self, m):
         return tuple([m >> s & (DEGREE_BOUND - 1) for s in self._fields])
@@ -163,17 +167,35 @@ def _order_form(order, n):
 
 
 class GroebnerBasis:
-    """A (reduced) Groebner basis with its order."""
+    """A (reduced) Groebner basis with its order and ring (None when it is
+    empty).  ``buchberger`` hands over its packed divisors and leads, and
+    the generators are built from them when a caller first reads them."""
 
     def __init__(self, generators, order):
         self.generators = list(generators)
         self.order = order
+        self.ring = self.generators[0].ring if self.generators else None
+
+    @classmethod
+    def _packed(cls, ring, order, divisors):
+        basis = cls.__new__(cls)
+        basis.order, basis.ring, basis.divisors = order, ring, divisors
+        basis.leads = [g[0] for g in divisors]
+        return basis
 
     def __iter__(self):
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.leads)
+
+    @cached_property
+    def generators(self):
+        """The monic generators, from the divisors of a packed basis."""
+        unpack = packing(self.order, self.ring.nvars).unpack
+        return [Polynomial(self.ring, _from_raw({lt: a, **tail}, a,
+                                                self.ring.field, unpack))
+                for lt, a, tail, _ in self.divisors]
 
     @cached_property
     def leads(self):
@@ -207,8 +229,7 @@ class GroebnerBasis:
         entering = {}
         for lt in self.leads:
             entering.setdefault((lt & pk.degree) >> shift, []).append(lt)
-        units = [pk.pack(tuple(int(i == j) for j in range(nvars)))
-                 for i in range(nvars)]
+        units = pk.units
         active = []
         layers = []
         layer = {0}
@@ -224,15 +245,15 @@ class GroebnerBasis:
 
     @cached_property
     def divisors(self):
-        """The generators as packed divisors of _nf_dict, converted once."""
+        """The generators as packed divisors of _nf_dict, converted once
+        unless ``buchberger`` handed them over."""
         if not self.generators:
             return []
-        ring = self.generators[0].ring
-        return _divisors(self.generators, packing(self.order, ring.nvars),
-                         ring.field.characteristic)
+        return _divisors(self.generators, packing(self.order, self.ring.nvars),
+                         self.ring.field.characteristic)
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.generators)} gens, {self.order})"
+        return f"GroebnerBasis({len(self)} gens, {self.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +458,7 @@ def normal_form(f, G, order, truncate=0):
     pk = packing(order, ring.nvars)
     _check_degree(truncate - 1)
     if isinstance(G, GroebnerBasis):
-        if G.generators and G.generators[0].ring != ring:
+        if G.ring is not None and G.ring != ring:
             raise RingMismatch("normal_form: mixed rings")
         divisors = G.divisors if G.order == order else \
             _divisors(G.generators, pk, p)
@@ -475,10 +496,11 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     F_p, integers over Q), and the run stays on ints.  An S-polynomial and
     its remainder come back as positive multiples lambda * NF of the field
     values; lambda is dropped, since every new basis element is made
-    primitive (Q) or monic (F_p) before it is added.  Only the final monic
-    basis is converted back to exponent tuples and Fraction or
-    PrimeFieldElement coefficients.  ValueError if a degree of
-    DEGREE_BOUND or more would arise.
+    primitive (Q) or monic (F_p) before it is added.  The basis is returned
+    packed, as its final divisors; it converts them to monic generators
+    with exponent tuples and Fraction or PrimeFieldElement coefficients
+    only when they are read.  ValueError if a degree of DEGREE_BOUND or
+    more would arise.
 
     max_pairs bounds the S-pairs actually reduced: pairs removed by the
     criteria and monomial x monomial pairs, which are never queued, do not
@@ -495,8 +517,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("buchberger: mixed rings")
-    field = ring.field
-    p = field.characteristic
+    p = ring.field.characteristic
     pk = packing(order, ring.nvars)
     guard, degree, shift = pk.guard, pk.degree, pk.shift
     exps = (1 << shift) - 1
@@ -590,23 +611,15 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     for g in sorted(G, key=lambda g: -g[0]):
         if all((g[0] - h[0]) & guard for h in minimal):
             minimal.append(g)
-    if truncate:
-        final = [Polynomial(ring, _from_raw({g[0]: g[1], **g[2]}, g[1],
-                                            field, pk.unpack))
-                 for g in minimal]
-    else:
+    if not truncate:
         # interreduce: a tail term below lt(g) cannot be a multiple of
         # lt(g), so one normal form against the others leaves g fully
         # reduced
-        final = []
-        for g in minimal:
-            r = _nf_dict({g[0]: g[1], **g[2]},
-                         [h for h in minimal if h is not g], pk, p, 0)
-            final.append(Polynomial(ring, _from_raw(r, r[g[0]], field,
-                                                    pk.unpack)))
-    basis = GroebnerBasis(final, order)
-    basis.leads = [g[0] for g in minimal]
-    return basis
+        minimal = [_divisor(_nf_dict({g[0]: g[1], **g[2]},
+                                     [h for h in minimal if h is not g],
+                                     pk, p, 0), p, pk)
+                   for g in minimal]
+    return GroebnerBasis._packed(ring, order, minimal)
 
 
 def is_member(f, gb):
@@ -625,7 +638,7 @@ def artinian_colon(gb, gens):
     kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on
     the standard monomials b of I.  ValueError if a product's degree would
     not fit."""
-    ring = gb.generators[0].ring
+    ring = gb.ring
     p = ring.field.characteristic
     pk = packing(gb.order, ring.nvars)
     raw_gens = [_to_raw(g.terms, p, pk) for g in gens]
@@ -651,8 +664,8 @@ def artinian_colon(gb, gens):
         return out, m
 
     columns = [e for layer in gb.staircase(ring.nvars) for e in layer]
-    base = [{pk.pack(e): c for e, c in g.terms.items()}
-            for g in gb.generators]
+    base = [_from_raw({lt: a, **tail}, a, ring.field)
+            for lt, a, tail, _ in gb.divisors]
     return _extend_by_kernel(ring, gb.order, base, columns, image)
 
 
@@ -664,7 +677,7 @@ def fglm(ds_basis, d):
     ds normal form truncated at d, which m^d inside J + m^N makes exact;
     a raw remainder r of scale num/den is the image of num * b as den * r.
     The monomials come from the staircase of the empty basis."""
-    ring = ds_basis.generators[0].ring
+    ring = ds_basis.ring
     p = ring.field.characteristic
     order = DegRevLex()
     pk = packing(ds_basis.order, ring.nvars)

@@ -30,7 +30,8 @@ staircase of the local model of I + (f).
 from dataclasses import dataclass
 
 from .errors import (InternalInconsistency, NoStabilization,
-                     NotArtinianLocally, NotFound, ZeroPolynomial)
+                     NotArtinianLocally, NotFound, NotGorenstein,
+                     ZeroPolynomial)
 from .groebner import buchberger, fglm, normal_form
 from .ideal import Ideal, max_ideal, max_ideal_power
 from .poly import BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing
@@ -277,13 +278,28 @@ class LocalRing:
             raise NotArtinianLocally(f"{s} lies in the defining ideal, so "
                                      f"R/({s}) = R is not Artinian")
 
+    def _socle(self, x):
+        """The local model of I + (x) and its colon by m, whose quotient is
+        the socle of R/(x); NotGorenstein unless that socle has dimension
+        one.  x is a parameter of the one-dimensional R, so R is Gorenstein
+        iff R/(x) is, iff R/(x) has type 1: the three delta criteria agree
+        only then."""
+        Ix = self.local_model(self.I + Ideal(self.ring, [x]))
+        soc = Ix.quotient(self.n)
+        t = Ix.vector_space_dim() - soc.vector_space_dim()
+        if t != 1:
+            raise NotGorenstein(f"R is not Gorenstein: R/({x.to_str()}) "
+                                f"has type {t}")
+        return Ix, soc
+
     def delta_one_test(self, x, n):
         """Evaluate the three colon criteria for delta(R/m^n) = 1 and check
-        that they agree."""
+        that they agree; NotGorenstein, before any criterion, when R/(x)
+        has type other than 1."""
         self.check_parameter(x)
         I = self.I
         S = self.ring
-        Ix = self.local_model(I + Ideal(S, [x]))
+        Ix, soc = self._socle(x)
         # (iii): x*m^n : m  inside (x)
         J3 = self.local_model(I + Ideal(S, [x]) * max_ideal_power(S, n))
         colon3 = J3.quotient(self.n)
@@ -294,7 +310,6 @@ class LocalRing:
         nC = self.local_model(I + self.n * C)
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m
-        soc = Ix.quotient(self.n)
         cond_iv = Ix.contains(soc.intersect(colon3))
         if not (cond_ii == cond_iii == cond_iv):
             raise InternalInconsistency(
@@ -304,8 +319,10 @@ class LocalRing:
                                cond_iii)
 
     def delta_via_mu(self, x, n):
-        """delta(R/m^n) via 1 + mu(C/(x^n)) - mu(C) with C = (x^n) : m^n."""
+        """delta(R/m^n) via 1 + mu(C/(x^n)) - mu(C) with C = (x^n) : m^n;
+        NotGorenstein as in ``delta_one_test``."""
         self.check_parameter(x)
+        self._socle(x)
         I = self.I
         S = self.ring
         C = self._colon_by_max_ideal_power(

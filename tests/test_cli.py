@@ -136,7 +136,20 @@ def test_cli_newton(tmp_path, capsys):
                  "z^10 - 2*z^8*y + z^6*y^2 - y^9"]) == 0
     out = capsys.readouterr().out
     assert "(10,0)" in out and "(6,2)" in out and "(0,9)" in out
-    assert "integer-irreducible" in out
+    assert "polygon integer-indecomposable: axis-triangle" in out
+    assert "monomial factor" not in out
+
+
+def test_cli_newton_reports_a_monomial_factor(tmp_path, capsys):
+    # y^8 - y*z^6 = y*(y^7 - z^6): the polygon is indecomposable, but it
+    # misses the axis of y^0, so f has the factor y
+    rf = tmp_path / "np.ring"
+    rf.write_text("field Q\nvars y z\n")
+    assert main(["newton", "--ring", str(rf), "--element",
+                 "y^8 - y*z^6"]) == 0
+    out = capsys.readouterr().out
+    assert "polygon integer-indecomposable: edge-splitting" in out
+    assert "monomial factor: y (the polygon misses an axis)" in out
 
 
 def test_cli_case_report(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring import cli
-from locring.errors import BudgetExceeded
+from locring.errors import BudgetExceeded, RingMismatch
 from locring.groebner import (DEGREE_BOUND, GroebnerBasis, buchberger,
                               is_member, normal_form, packing, spoly)
 from locring.ideal import max_ideal_power
@@ -623,3 +623,93 @@ def test_truncated_ds_bases_of_the_paper_are_pinned(paper_ideals, name, N):
                     truncate=N)
     assert tuple(g.to_str() for g in gb.generators) == \
         PINNED_DS_BASES[name, N]
+
+
+# ---------------------------------------------------------------------------
+# packed bases: buchberger hands over its divisors, and the generators are
+# built only when read
+
+def _eager_generators(gb, ring):
+    """The monic generators of a packed basis, converted here from its
+    divisors (lead, lead coefficient, tail, top)."""
+    unpack = packing(gb.order, ring.nvars).unpack
+    out = []
+    for lt, a, tail, _ in gb.divisors:
+        terms = {unpack(e): ring.field.from_fraction(c, a)
+                 for e, c in {lt: a, **tail}.items()}
+        out.append(Polynomial(ring, terms))
+    return out
+
+
+PACKED_FIELDS = {"Q": QQ, "F2": PrimeField(2), "Fp": PrimeField(32003)}
+PACKED_RUNS = {"ds-truncated": (NegDegRevLex(), 6),
+               "degrevlex": (DegRevLex(), 0)}
+
+
+def _packed_runs(field, order, truncate):
+    rng = random.Random(2026)
+    ring = PolyRing(field, ("x", "y", "z"))
+    for _ in range(6):
+        gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
+        if not truncate:
+            gens += [ring.monomial(e) for e in monomials_of_degree(3, 5)]
+        yield ring, rng, buchberger(gens, order, truncate=truncate)
+
+
+@pytest.mark.parametrize("run", PACKED_RUNS.values(), ids=PACKED_RUNS.keys())
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_packed_basis_generators_match_an_eager_conversion(field, run):
+    order, truncate = run
+    for ring, rng, gb in _packed_runs(field, order, truncate):
+        assert "generators" not in gb.__dict__
+        assert len(gb) == len(gb.divisors) == len(gb.leads)
+        assert gb.generators == _eager_generators(gb, ring)
+        _assert_field_coefficients(gb.generators, field)
+        assert all(g.leading_term(order)[1] == field.one()
+                   for g in gb.generators)
+        assert gb.generators is gb.generators  # built once
+
+
+@pytest.mark.parametrize("run", PACKED_RUNS.values(), ids=PACKED_RUNS.keys())
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_packed_basis_and_public_basis_agree(field, run):
+    order, truncate = run
+    for ring, rng, gb in _packed_runs(field, order, truncate):
+        fs = [_random_poly(ring, rng) for _ in range(4)]
+        # normal forms first, while the packed basis has no generators
+        packed = [normal_form(f, gb, order, truncate) for f in fs]
+        assert "generators" not in gb.__dict__
+        public = GroebnerBasis(list(gb.generators), order)
+        assert public.leads == gb.leads
+        assert public.ring == gb.ring == ring
+        assert packed == [normal_form(f, public, order, truncate)
+                          for f in fs]
+
+
+@pytest.mark.parametrize("other", [
+    PolyRing(PrimeField(32003), ("x", "y", "z")),
+    PolyRing(QQ, ("x", "y", "w"))], ids=["field", "names"])
+def test_normal_form_against_a_packed_basis_of_another_ring(other):
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    for order, truncate in PACKED_RUNS.values():
+        gb = buchberger([ring.parse("x^2 - y^3"), ring.parse("y*z - x")],
+                        order, truncate=truncate)
+        with pytest.raises(RingMismatch):
+            normal_form(other.parse("x*y"), gb, order, truncate)
+        assert "generators" not in gb.__dict__
+
+
+def test_gll_search_test_builds_no_generators():
+    # the test of cli.gll_search: a truncated ds basis read only through
+    # its staircase
+    desc = cli.RingDescription(PrimeField(32003), cli.MAIN_RING.names,
+                               cli.MAIN_RING.gen_exprs)
+    R = desc.local_ring()
+    f = R.ring.parse("y + 3*z^2 - x*z")
+    gb = buchberger(list(R.I.generators) + [f], NegDegRevLex(), truncate=6)
+    layers = gb.staircase(3, 6)
+    assert layers[-1]  # m^5 is not inside I + (f): no hit
+    assert len(gb) == len(gb.leads)
+    assert "generators" not in gb.__dict__

@@ -1,13 +1,17 @@
+import re
+
 import pytest
 
 from locring import cli, localring
 from locring.arith import QQ
-from locring.errors import NotArtinianLocally, NotFound, ZeroPolynomial
+from locring.errors import (NotArtinianLocally, NotFound, NotGorenstein,
+                            ZeroPolynomial)
 from locring.ideal import Ideal
 from locring.localring import (INSIDE_I, LocalRing, weighted_degrees,
                                weighted_homogeneity_check)
 from locring.monomial import MonomialIdeal
 from locring.poly import DegRevLex, PolyRing
+from locring.subalgebra import kernel, parse_map_file
 
 
 def test_defining_ideal_must_avoid_units(xyz):
@@ -232,3 +236,23 @@ def test_witness_must_lie_in_m_outside_I(cusp_ring, xyz, witness, error):
                   lambda: cusp_ring.loewy_length_mod(x)):
         with pytest.raises(error):
             check()
+
+
+def test_non_gorenstein_ring_is_a_named_error(tmp_path, capsys):
+    # R/(x) has type 3 on this curve, and the delta criteria split at n = 4
+    # (ii false, iii and iv true): a hypothesis fails, not the library
+    pm = parse_map_file("t\nx = t^12 + t^14\ny = t^13\nz = t^30 + t^54\n",
+                        QQ)
+    J = kernel(pm)
+    R = LocalRing(pm.source, J)
+    x = pm.source.var(0)
+    message = "R is not Gorenstein: R/(x) has type 3"
+    for test in (R.index, lambda x: R.delta_one_test(x, 4),
+                 lambda x: R.delta_via_mu(x, 4)):
+        with pytest.raises(NotGorenstein, match=re.escape(message)):
+            test(x)
+    ring_file = tmp_path / "type3.ring"
+    ring_file.write_text("field Q\nvars x y z\n" + "".join(
+        f"gen {g.to_str()}\n" for g in J.groebner().generators))
+    assert cli.main(["index", "--ring", str(ring_file), "--witness", "x"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
