@@ -117,9 +117,6 @@ class CaseReport:
     entries: list = field(default_factory=list)
     tail_summary: str = ""
 
-    def eliminated(self):
-        return [c for c in self.entries if c.status == ELIMINATED]
-
     def unresolved(self):
         return [c for c in self.entries if c.status == UNRESOLVED]
 

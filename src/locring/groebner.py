@@ -17,11 +17,12 @@ a sum, ``lt | e`` is the mask test ``not (e - lt) & guard``, and the
 smallest int is the largest monomial: the ds int is P itself, the degrevlex
 int P - (deg << bits of P).  This module is the only one that knows the
 format.  Exponent tuples and ``order.key`` stay the public representation,
-converted at the boundary: generators in, ``normal_form`` in and out, and
-``GroebnerBasis.divisors`` once for a basis built from Polynomials.  A basis
-from ``buchberger`` stays packed: it keeps the run's divisors and leads,
-and builds its ``generators`` only when a caller first reads them, so a
-basis that is only counted (the gll-search test) is never converted.
+converted at the boundary: generators in, ``normal_form`` in and out, and a
+basis's ``generators`` out.  Every ``GroebnerBasis`` holds its divisors and
+their packed leads; one from ``buchberger`` or the FGLM walk builds its
+``generators`` only when a caller first reads them, so a basis that is only
+counted (the gll-search test) or only reduced against (a local model) is
+never converted, and one built from Polynomials converts them once.
 Other modules get packed ints only as staircase layers, which they count.
 A degree that would not fit raises ValueError on conversion, for an S-pair
 or for a product in reduction, so nothing is ever mis-ordered.
@@ -80,12 +81,12 @@ by the generators of J, so I + K = I : J with no Buchberger run; ``fglm``
 turns a truncated ds standard basis of J into the degrevlex basis of J + m^N
 from S/m^d, reducing each monomial of degree < d modulo m^d for the first
 degree d in which J has no standard monomial.  The walk stays on ints, like
-``_nf_dict``: the columns are staircase ints, each image is the packed raw
-normal form of a packed product with an integer multiplier, rows are
-eliminated fraction-free over Q and on residues over F_p, and divisibility
-of columns and leads is the guard-mask test.  Only a kernel vector gets
-Fraction or F_p coefficients, when it is made monic, and only the final
-basis is unpacked; its ``leads`` come from the walk.
+``_nf_dict``, from the divisors of I to the divisors of the result: the
+columns are staircase ints, each image is the packed raw normal form of a
+packed product with an integer multiplier, rows, kernel vectors and the
+final basis are formed fraction-free over Q and on residues over F_p, and
+divisibility of columns and leads is the guard-mask test.  The result is a
+packed basis like one from ``buchberger``.
 """
 
 import heapq
@@ -167,14 +168,22 @@ def _order_form(order, n):
 
 
 class GroebnerBasis:
-    """A (reduced) Groebner basis with its order and ring (None when it is
-    empty).  ``buchberger`` hands over its packed divisors and leads, and
-    the generators are built from them when a caller first reads them."""
+    """A (reduced) Groebner basis: its order, its ring (None when it is
+    empty), its packed divisors and their leads.  ``buchberger`` and the
+    FGLM walk hand over their divisors, and the generators are built from
+    them when a caller first reads them; given generators are converted to
+    divisors once and kept as given."""
 
     def __init__(self, generators, order):
-        self.generators = list(generators)
-        self.order = order
-        self.ring = self.generators[0].ring if self.generators else None
+        gens = list(generators)
+        ring = gens[0].ring if gens else None
+        if any(g.ring != ring for g in gens):
+            raise RingMismatch("GroebnerBasis: mixed rings")
+        divisors = _divisors(gens, packing(order, ring.nvars),
+                             ring.field.characteristic) if gens else []
+        self.order, self.ring, self.divisors = order, ring, divisors
+        self.leads = [g[0] for g in divisors]
+        self.generators = gens
 
     @classmethod
     def _packed(cls, ring, order, divisors):
@@ -191,21 +200,11 @@ class GroebnerBasis:
 
     @cached_property
     def generators(self):
-        """The monic generators, from the divisors of a packed basis."""
+        """The monic generators, from the divisors."""
         unpack = packing(self.order, self.ring.nvars).unpack
         return [Polynomial(self.ring, _from_raw({lt: a, **tail}, a,
                                                 self.ring.field, unpack))
                 for lt, a, tail, _ in self.divisors]
-
-    @cached_property
-    def leads(self):
-        """The packed leading monomials of the generators, in order;
-        ``buchberger`` and the FGLM walk fill them in from their runs."""
-        if not self.generators:
-            return []
-        lts = [g.leading_monomial(self.order) for g in self.generators]
-        _check_degree(max(map(sum, lts)))
-        return list(map(packing(self.order, len(lts[0])).pack, lts))
 
     def staircase(self, nvars, below=None):
         """The standard monomials of the leading ideal in nvars variables,
@@ -243,15 +242,6 @@ class GroebnerBasis:
             layer = {e + u for e in layer for u in units}
         return layers
 
-    @cached_property
-    def divisors(self):
-        """The generators as packed divisors of _nf_dict, converted once
-        unless ``buchberger`` handed them over."""
-        if not self.generators:
-            return []
-        return _divisors(self.generators, packing(self.order, self.ring.nvars),
-                         self.ring.field.characteristic)
-
     def __repr__(self):
         return f"GroebnerBasis({len(self)} gens, {self.order})"
 
@@ -284,14 +274,11 @@ def _to_raw(terms, p, pk):
             for e, c in terms.items()}, den
 
 
-def _from_raw(raw, scale, field, unpack=None):
+def _from_raw(raw, scale, field, unpack):
     """The term dict of field elements raw / scale (scale an int or a
-    Fraction, nonzero), its monomials unpacked by unpack if given; terms
-    that vanish mod p are dropped."""
+    Fraction, nonzero), its monomials unpacked by unpack; terms that vanish
+    mod p are dropped."""
     p = field.characteristic
-    if unpack is None:
-        def unpack(e):
-            return e
     if p:
         inv = pow(scale, -1, p)
         out = {}
@@ -450,28 +437,23 @@ def _spoly_dict(f, lt_f, g, lt_g, pk, check):
 # public operations
 
 def normal_form(f, G, order, truncate=0):
-    """Remainder of f on division by G, divisors in list order: a list of
-    polynomials, or a GroebnerBasis for this order, whose divisors are
-    reused.  With truncate = N > 0, terms of degree >= N are dropped."""
+    """Remainder of f on division by G, divisors in list order: a
+    GroebnerBasis for this order, whose divisors are reused, or any other
+    list of polynomials, which becomes one.  With truncate = N > 0, terms of
+    degree >= N are dropped."""
     ring = f.ring
     p = ring.field.characteristic
     pk = packing(order, ring.nvars)
     _check_degree(truncate - 1)
-    if isinstance(G, GroebnerBasis):
-        if G.ring is not None and G.ring != ring:
-            raise RingMismatch("normal_form: mixed rings")
-        divisors = G.divisors if G.order == order else \
-            _divisors(G.generators, pk, p)
-    else:
-        for g in G:
-            if g.ring != ring:
-                raise RingMismatch("normal_form: mixed rings")
-        divisors = _divisors(G, pk, p)
+    if not (isinstance(G, GroebnerBasis) and G.order == order):
+        G = GroebnerBasis(G, order)
+    if G.ring is not None and G.ring != ring:
+        raise RingMismatch("normal_form: mixed rings")
     terms = f.terms
     if truncate:
         terms = {e: c for e, c in terms.items() if sum(e) < truncate}
     raw, scale = _to_raw(terms, p, pk)
-    r = _nf_dict(raw, divisors, pk, p, truncate)
+    r = _nf_dict(raw, G.divisors, pk, p, truncate)
     return Polynomial(ring, _from_raw(r, scale * r.scale, ring.field,
                                       pk.unpack))
 
@@ -664,9 +646,7 @@ def artinian_colon(gb, gens):
         return out, m
 
     columns = [e for layer in gb.staircase(ring.nvars) for e in layer]
-    base = [_from_raw({lt: a, **tail}, a, ring.field)
-            for lt, a, tail, _ in gb.divisors]
-    return _extend_by_kernel(ring, gb.order, base, columns, image)
+    return _extend_by_kernel(ring, gb.order, gb.divisors, columns, image)
 
 
 def fglm(ds_basis, d):
@@ -681,18 +661,20 @@ def fglm(ds_basis, d):
     p = ring.field.characteristic
     order = DegRevLex()
     pk = packing(ds_basis.order, ring.nvars)
-    unpack = packing(order, ring.nvars).unpack
+    pk_out = packing(order, ring.nvars)
     layers = GroebnerBasis([], order).staircase(ring.nvars, d + 1)
-    one = ring.field.one()
 
     def image(b):
-        r = _nf_dict({pk.pack(unpack(b)): 1}, ds_basis.divisors, pk, p, d)
+        r = _nf_dict({pk.pack(pk_out.unpack(b)): 1}, ds_basis.divisors,
+                     pk, p, d)
         num, den = r.scale.numerator, r.scale.denominator
         if den != 1:
             r = {e: c * den for e, c in r.items()}
         return r, num
 
-    return _extend_by_kernel(ring, order, [{e: one} for e in layers[d]],
+    return _extend_by_kernel(ring, order,
+                             [(e, 1, {}, e & pk_out.degree)
+                              for e in layers[d]],
                              [e for layer in layers[:d] for e in layer],
                              image)
 
@@ -700,18 +682,18 @@ def fglm(ds_basis, d):
 def _extend_by_kernel(ring, order, base, columns, image):
     """The reduced basis of I + K under order, for I zero-dimensional and
     K/I the kernel of a linear map on S/I, everything packed under order:
-    base, the reduced basis of I as term dicts of field elements; columns,
-    the standard monomials of I; image(b), the raw image of the column b, a
-    pair (vec, m) of a dict {row: int} and an int m > 0, nonzero mod p,
-    such that vec is the image of m * b (residues in [0, p) over F_p).
+    base, the divisors of the reduced basis of I; columns, the standard
+    monomials of I; image(b), the raw image of the column b, a pair (vec, m)
+    of a dict {row: int} and an int m > 0, nonzero mod p, such that vec is
+    the image of m * b (residues in [0, p) over F_p).
 
     The columns are walked in ascending order (descending ints).  Each
     column's image is reduced against a row echelon form of the earlier
     ones, keeping the combination of columns it came from, which starts as
-    {b: m}.  A column b that reduces to 0 gives the kernel vector
-    b - sum c_s * s over earlier independent columns s: the reduced element
-    of I + K with leading monomial b.  A column divisible by such a b is
-    dependent too and is skipped, unless a tail of base uses it.
+    {b: m}.  A column b that reduces to 0 gives the kernel vector, a
+    multiple of b - sum c_s * s over earlier independent columns s: the
+    reduced element of I + K with leading monomial b.  A column divisible by
+    such a b is dependent too and is skipped, unless a tail of base uses it.
 
     A row with pivot coefficient a removes the entry c of the vector being
     reduced by vec := (a/h) * vec - (c/h) * row, h = gcd(a, c), and the same
@@ -719,15 +701,17 @@ def _extend_by_kernel(ring, order, base, columns, image):
     A new row and its combination have their content divided out and a
     positive pivot (over F_p: are made monic).  Every vector is a nonzero
     multiple of what field arithmetic gives, so every pivot and zero is the
-    same.
+    same.  A kernel vector is made primitive (monic over F_p); an element of
+    base keeps its lead unless a kernel lead divides it, and each tail term
+    that is a kernel lead is removed the same fraction-free way.  The basis
+    is returned packed, as the divisors of these raw polynomials.
     """
-    field = ring.field
-    p = field.characteristic
+    p = ring.field.characteristic
     pk = packing(order, ring.nvars)
     guard = pk.guard
-    tails = {e for g in base for e in g}
+    tails = {e for g in base for e in g[2]}
     rows = []    # (pivot, a, vector, combination): vector = image(comb)
-    kernel = {}  # leading monomial -> monic kernel vector, packed
+    kernel = {}  # leading monomial -> raw kernel vector
     for b in sorted(columns, reverse=True):
         if b not in tails and any(not (b - q) & guard for q in kernel):
             continue
@@ -741,7 +725,7 @@ def _extend_by_kernel(ring, order, base, columns, image):
                 _combine(vec, s, t, row, p)
                 _combine(comb, s, t, row_comb, p)
         if not vec:
-            kernel[b] = _from_raw(comb, comb[b], field)
+            kernel[b] = _normalize(comb, comb[b], p)
             continue
         pivot = next(iter(vec))
         lead = vec[pivot]
@@ -757,27 +741,24 @@ def _extend_by_kernel(ring, order, base, columns, image):
                 comb = {e: x // h for e, x in comb.items()}
         rows.append((pivot, vec[pivot], vec, comb))
     basis = []
-    for g in base:
-        if all((min(g) - q) & guard for q in kernel):
-            terms = dict(g)
-            for e, c in g.items():
-                if e in kernel:
-                    _combine(terms, 1, c, kernel[e], 0)
-            basis.append(terms)
-    basis += [vec for q, vec in kernel.items()
+    for lt, a, tail, _ in base:
+        if all((lt - q) & guard for q in kernel):
+            terms = {lt: a, **tail}
+            for e in tail:
+                k = kernel.get(e)
+                if k is not None:
+                    h = gcd(terms[e], k[e])
+                    _combine(terms, k[e] // h, terms[e] // h, k, p)
+            basis.append(_divisor(terms, p, pk))
+    basis += [_divisor(vec, p, pk) for q, vec in kernel.items()
               if all(r == q or (q - r) & guard for r in kernel)]
-    basis.sort(key=min, reverse=True)
-    out = GroebnerBasis([Polynomial(ring, {pk.unpack(e): c
-                                           for e, c in terms.items()})
-                         for terms in basis], order)
-    out.leads = list(map(min, basis))
-    return out
+    basis.sort(key=lambda g: -g[0])
+    return GroebnerBasis._packed(ring, order, basis)
 
 
 def _combine(dst, s, t, src, p):
-    """dst := s * dst - t * src on term dicts, in place, dropping zero
-    terms.  On raw dicts over F_p (p > 0) s is 1 and entries stay residues
-    mod p; p = 0 for raw dicts over Q and for dicts of field elements."""
+    """dst := s * dst - t * src on raw term dicts, in place, dropping zero
+    terms.  Over F_p (p > 0) s is 1 and entries stay residues mod p."""
     if s != 1:
         for e in dst:
             dst[e] *= s

@@ -15,23 +15,19 @@ pure power among the leads, so that the staircase is infinite.
 of ``groebner.artinian_colon``, which also installs the reduced degrevlex
 basis of the result.  Otherwise it intersects the single-element colons
 I : (g), each an intersection with (g) followed by exact division;
-``quotient_element`` and ``saturate`` always take that route.  Each ideal
-keeps its colons, keyed by the divisor's generators, as it keeps its
-Groebner bases.
+``quotient_element`` always takes that route.  Each ideal keeps its colons,
+keyed by the divisor's generators, as it keeps its Groebner bases.
 """
 
 from math import inf
 
 from . import groebner
-from .errors import BudgetExceeded, RingMismatch, ZeroColon
+from .errors import RingMismatch, ZeroColon
 from .monomial import _minimalize
 from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
                    monomials_of_degree)
 
 INFINITE = inf
-
-# colon steps of ``saturate`` before it gives up
-_SATURATION_STEPS = 100
 
 _AUX = "_t"
 
@@ -147,7 +143,7 @@ class Ideal:
         if other.ring != self.ring:
             raise RingMismatch("ideals in different rings")
 
-    # -- intersection, quotient, saturation ---------------------------------
+    # -- intersection and quotient ------------------------------------------
 
     def intersect(self, other):
         self._same_ring(other)
@@ -193,19 +189,6 @@ class Ideal:
                 out = q if out is None else out.intersect(q)
         self.colon_cache[other.generators] = out
         return out
-
-    def saturate(self, f):
-        """I : f^infinity by iterated colon until stabilization."""
-        if f.is_zero():
-            raise ZeroColon("saturation by zero")
-        cur = self
-        for _ in range(_SATURATION_STEPS):
-            nxt = cur.quotient_element(f)
-            if nxt.equals(cur):
-                return cur
-            cur = nxt
-        raise BudgetExceeded("saturation did not stabilize",
-                             {"iterations": _SATURATION_STEPS})
 
     # -- elimination --------------------------------------------------------
 

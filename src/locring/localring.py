@@ -56,14 +56,6 @@ DS = NegDegRevLex()
 
 
 @dataclass
-class HilbertData:
-    values: list
-    stabilized_at: object  # index or None
-    multiplicity: object   # integer or None
-    window: int
-
-
-@dataclass
 class DeltaTestResult:
     n: int
     cond_ii: bool
@@ -155,28 +147,14 @@ class LocalRing:
 
     # -- Hilbert function and multiplicity ----------------------------------
 
-    def _hilbert_values(self, max_degree):
-        """HF(d) = lambda(S/(I+n^{d+1})) - lambda(S/(I+n^d)) for
-        d = 0..max_degree, from one ds basis of I + n^(max_degree+1)."""
+    def hilbert_function(self, max_degree):
+        """[HF(0), ..., HF(max_degree)], HF(d) = lambda(S/(I+n^{d+1})) -
+        lambda(S/(I+n^d)), from one ds basis of I + n^(max_degree+1)."""
+        if max_degree < 0:
+            raise ValueError("max_degree must be >= 0")
         N = max_degree + 1
         layers = self._ds_basis_of_I(N).staircase(self.ring.nvars, N)
         return [len(layer) for layer in layers] + [0] * (N - len(layers))
-
-    def hilbert_function(self, max_degree, window=3):
-        """HF(d) for d <= max_degree, and where it first stays constant."""
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        values = self._hilbert_values(max_degree)
-        stabilized_at = None
-        mult = None
-        for s in range(len(values)):
-            if len(values) - s >= window and len(set(values[s:])) == 1:
-                stabilized_at = s
-                mult = values[s]
-                break
-        return HilbertData(values, stabilized_at, mult, window)
 
     def multiplicity(self, window=3, max_degree=30):
         """Stable Hilbert-function value (dimension-one multiplicity)."""
@@ -185,7 +163,7 @@ class LocalRing:
         # one degree more at a time: a basis truncated far above the window
         # it needs costs more than all the lower ones together
         for d in range(max_degree + 1):
-            values = self._hilbert_values(d)
+            values = self.hilbert_function(d)
             if len(values) >= window and len(set(values[-window:])) == 1:
                 return values[-1]
         raise NoStabilization(
@@ -244,13 +222,13 @@ class LocalRing:
         hname = "h"
         while hname in self.ring.names:
             hname += "_"
-        # Lazard homogenization: with h the most significant variable,
-        # larger h-exponent means smaller x-degree, so leading terms of the
-        # homogeneous basis correspond to initial forms downstairs.
+        # Lazard's method (Greuel and Pfister, section 1.7): with h the most
+        # significant variable, larger h-exponent means smaller x-degree, so
+        # on the homogeneous ideal of the homogenized generators the block
+        # order is the homogenized local degree order, and its basis
+        # dehomogenizes to a standard basis, whose initial forms generate I*.
         homogenized = [g.homogenize(hname, front=True) for g in self.I.generators]
-        ext_ring = homogenized[0].ring
-        hpoly = ext_ring.var(0)
-        J = Ideal(ext_ring, homogenized).saturate(hpoly)
+        J = Ideal(homogenized[0].ring, homogenized)
         gb = J.groebner(BlockOrder(1, first=Lex(), second=DegRevLex()))
         gens = []
         for g in gb.generators:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from locring.cli import (FAIL, PASS, Report, Runner, SplitMix64, gll_search,
-                         main, parse_ring_file, run_scenario, sample_element)
+from locring.cli import (FAIL, PASS, SKIPPED_HEAVY, Report, Runner,
+                         SplitMix64, gll_search, main, parse_ring_file,
+                         run_scenario, sample_element)
 from locring.errors import InternalInconsistency, ParseError
 
 MAIN_RING_TEXT = """\
@@ -296,6 +297,23 @@ def test_cli_gll_search_bad_arguments_exit_2(ring_file, capsys, flags):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: gll-search: ")
+
+
+def test_ex2_without_budget_skips_every_check():
+    # the kernel's budget runs out, and every later check is skipped with
+    # the expected value it would have been held to
+    report = run_scenario("ex2", budget_seconds=0)
+    assert [(c.name, c.status, c.expected) for c in report.checks] == [
+        ("kernel-mod-n5", SKIPPED_HEAVY, "True"),
+        ("kernel-substitution", SKIPPED_HEAVY, "True"),
+        ("multiplicity", SKIPPED_HEAVY, "8"),
+        ("delta-one-n5", SKIPPED_HEAVY, "True"),
+        ("delta-one-n4", SKIPPED_HEAVY, "False"),
+        ("index", SKIPPED_HEAVY, "5"),
+        ("loewy-length", SKIPPED_HEAVY, "6")]
+    assert report.checks[0].actual.startswith("budget exceeded: ")
+    assert all(c.actual == "skipped" for c in report.checks[1:])
+    assert report.passed()
 
 
 def test_unknown_scenario():

@@ -7,9 +7,11 @@ import pytest
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring import cli
 from locring.errors import BudgetExceeded, RingMismatch
-from locring.groebner import (DEGREE_BOUND, GroebnerBasis, buchberger,
-                              is_member, normal_form, packing, spoly)
-from locring.ideal import max_ideal_power
+from locring.groebner import (DEGREE_BOUND, GroebnerBasis, artinian_colon,
+                              buchberger, fglm, is_member, normal_form,
+                              packing, spoly)
+from locring.ideal import Ideal, max_ideal_power
+from locring.localring import LocalRing
 from locring.poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex,
                           Polynomial, PolyRing, WeightedDegRevLex,
                           mono_divides, monomials_of_degree)
@@ -626,8 +628,8 @@ def test_truncated_ds_bases_of_the_paper_are_pinned(paper_ideals, name, N):
 
 
 # ---------------------------------------------------------------------------
-# packed bases: buchberger hands over its divisors, and the generators are
-# built only when read
+# packed bases: buchberger and the FGLM walk hand over their divisors, and
+# the generators are built only when read
 
 def _eager_generators(gb, ring):
     """The monic generators of a packed basis, converted here from its
@@ -642,26 +644,48 @@ def _eager_generators(gb, ring):
 
 
 PACKED_FIELDS = {"Q": QQ, "F2": PrimeField(2), "Fp": PrimeField(32003)}
-PACKED_RUNS = {"ds-truncated": (NegDegRevLex(), 6),
-               "degrevlex": (DegRevLex(), 0)}
+PACKED_RUNS = {"ds-truncated": (NegDegRevLex(), 6, None),
+               "degrevlex": (DegRevLex(), 0, None),
+               "fglm": (DegRevLex(), 0, "fglm"),
+               "artinian-colon": (DegRevLex(), 0, "artinian_colon")}
 
 
-def _packed_runs(field, order, truncate):
+def _packed_runs(field, order, truncate, walk):
+    """Six packed bases over field, each with generators of its ideal got
+    without the FGLM walk: buchberger's basis of random generators (plus
+    m^5 unless truncated) under order, or with walk the degrevlex basis
+    that ``fglm`` builds from their ds basis truncated at 6, or that
+    ``artinian_colon`` builds for (generators) + m^5 : m."""
     rng = random.Random(2026)
     ring = PolyRing(field, ("x", "y", "z"))
+    m5 = [ring.monomial(e) for e in monomials_of_degree(3, 5)]
     for _ in range(6):
         gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
-        if not truncate:
-            gens += [ring.monomial(e) for e in monomials_of_degree(3, 5)]
-        yield ring, rng, buchberger(gens, order, truncate=truncate)
+        if walk == "fglm":
+            ds = buchberger(gens, NegDegRevLex(), truncate=6)
+            layers = ds.staircase(3, 6)
+            d = 6 if layers[-1] else len(layers) - 1
+            gens += [ring.monomial(e) for e in monomials_of_degree(3, d)]
+            gb = fglm(ds, d)
+        elif walk == "artinian_colon":
+            I = Ideal(ring, gens + m5)
+            gb = artinian_colon(I.groebner(), ring.gens())
+            colons = [I.quotient_element(v) for v in ring.gens()]
+            gens = list(colons[0].intersect(colons[1])
+                        .intersect(colons[2]).generators)
+        else:
+            if not truncate:
+                gens += m5
+            gb = buchberger(gens, order, truncate=truncate)
+        yield ring, rng, gb, gens
 
 
 @pytest.mark.parametrize("run", PACKED_RUNS.values(), ids=PACKED_RUNS.keys())
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),
                          ids=PACKED_FIELDS.keys())
 def test_packed_basis_generators_match_an_eager_conversion(field, run):
-    order, truncate = run
-    for ring, rng, gb in _packed_runs(field, order, truncate):
+    order = run[0]
+    for ring, rng, gb, _ in _packed_runs(field, *run):
         assert "generators" not in gb.__dict__
         assert len(gb) == len(gb.divisors) == len(gb.leads)
         assert gb.generators == _eager_generators(gb, ring)
@@ -675,8 +699,8 @@ def test_packed_basis_generators_match_an_eager_conversion(field, run):
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),
                          ids=PACKED_FIELDS.keys())
 def test_packed_basis_and_public_basis_agree(field, run):
-    order, truncate = run
-    for ring, rng, gb in _packed_runs(field, order, truncate):
+    order, truncate, _ = run
+    for ring, rng, gb, _ in _packed_runs(field, *run):
         fs = [_random_poly(ring, rng) for _ in range(4)]
         # normal forms first, while the packed basis has no generators
         packed = [normal_form(f, gb, order, truncate) for f in fs]
@@ -693,12 +717,14 @@ def test_packed_basis_and_public_basis_agree(field, run):
     PolyRing(QQ, ("x", "y", "w"))], ids=["field", "names"])
 def test_normal_form_against_a_packed_basis_of_another_ring(other):
     ring = PolyRing(QQ, ("x", "y", "z"))
-    for order, truncate in PACKED_RUNS.values():
+    for order, truncate, _ in PACKED_RUNS.values():
         gb = buchberger([ring.parse("x^2 - y^3"), ring.parse("y*z - x")],
                         order, truncate=truncate)
         with pytest.raises(RingMismatch):
             normal_form(other.parse("x*y"), gb, order, truncate)
         assert "generators" not in gb.__dict__
+        with pytest.raises(RingMismatch):
+            GroebnerBasis([ring.parse("x"), other.parse("x")], order)
 
 
 def test_gll_search_test_builds_no_generators():
@@ -713,3 +739,26 @@ def test_gll_search_test_builds_no_generators():
     assert layers[-1]  # m^5 is not inside I + (f): no hit
     assert len(gb) == len(gb.leads)
     assert "generators" not in gb.__dict__
+
+
+@pytest.mark.parametrize("walk", ["fglm", "artinian_colon"])
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_walk_bases_equal_buchberger_of_the_same_ideal(field, walk):
+    for ring, rng, gb, gens in _packed_runs(field, DegRevLex(), 0, walk):
+        assert gb.generators == buchberger(gens, DegRevLex()).generators
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_a_model_basis_stays_packed_through_colons_and_membership(field):
+    ring = PolyRing(field, ("x", "y", "z"))
+    R = LocalRing(ring, Ideal(ring, ["x^2 - y^5", "x*y^2 + y*z^3 - z^5"]))
+    for extra in ("y", "z^2 + x*y", "x + y - z"):
+        f = ring.parse(extra)
+        model = R.local_model(R.I + Ideal(ring, [f]))
+        gb = model.gb_cache[DegRevLex()]
+        colon = model.quotient(R.n)
+        assert colon.contains(model) and not model.contains(colon)
+        assert model.member(f) and not model.member(ring.one())
+        assert "generators" not in gb.__dict__

@@ -5,8 +5,9 @@ order ds truncated at a degree N, and local models get their degrevlex basis
 by FGLM.  The oracles below are the old computations, kept here: the
 J + n^M loop of ``local_model`` with one degrevlex Buchberger run per M,
 colengths of the truncations I + n^d, membership in I + n^d for ``ord_mod``,
-the per-N membership loop for the Loewy length, and degrevlex membership for
-the gll test.  All comparisons are exact.
+the per-N membership loop for the Loewy length, degrevlex membership for
+the gll test, and the saturation by h that the tangent cone once took before
+its block-order basis.  All comparisons are exact.
 """
 
 import random
@@ -20,7 +21,7 @@ from locring.errors import NotArtinianLocally
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import Ideal, all_monomials, max_ideal_power
 from locring.localring import INSIDE_I, LocalRing
-from locring.poly import DegRevLex, Polynomial, PolyRing
+from locring.poly import BlockOrder, DegRevLex, Lex, Polynomial, PolyRing
 from locring.subalgebra import kernel
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
@@ -186,13 +187,59 @@ def test_hilbert_function_matches_truncation_colengths(scenario_rings):
     for name, (R, _witness) in scenario_rings.items():
         lam = [0] + _truncation_colengths(R, 15)
         oracle = [lam[d + 1] - lam[d] for d in range(15)]
-        assert R.hilbert_function(14).values == oracle
+        assert R.hilbert_function(14) == oracle
         if name == "ex2":
             # the false plateau before the multiplicity
             assert oracle[4:8] == [7, 7, 7, 8]
             assert R.multiplicity(window=5) == 8
         else:
             assert R.multiplicity() == 8
+
+
+def _saturate(J, f):
+    """J : f^infinity, by colons J : (f) until one adds nothing."""
+    while True:
+        colon = J.quotient_element(f)
+        if colon.equals(J):
+            return J
+        J = colon
+
+
+def _saturated_tangent_cone(R):
+    """The reduced basis of I* by the old route: the homogenized ideal
+    saturated by h, then the initial forms of its dehomogenized block-order
+    basis."""
+    homogenized = [g.homogenize("h", front=True) for g in R.I.generators]
+    ext = homogenized[0].ring
+    J = _saturate(Ideal(ext, homogenized), ext.var(0))
+    target = PolyRing(R.ring.field, tuple(n.upper() for n in R.ring.names))
+    pos = list(range(target.nvars))
+    gens = [g.dehomogenize("h").initial_form().map_to(target, pos) for g in
+            J.groebner(BlockOrder(1, first=Lex(), second=DegRevLex()))]
+    return Ideal(target, gens).groebner().generators
+
+
+def _curve_ring(images):
+    pm = cli.parse_map_file("t\n" + "".join(
+        f"{v} = {g}\n" for v, g in zip("xyz", images)), QQ)
+    return LocalRing(pm.source, kernel(pm))
+
+
+def test_tangent_cone_matches_the_saturation_route(scenario_rings):
+    rings = [R for R, _witness in scenario_rings.values()]
+    # the type-3 curve, and two monomial curves
+    rings += [_curve_ring(images) for images in (
+        ("t^12 + t^14", "t^13", "t^30 + t^54"), ("t^3", "t^4", "t^5"),
+        ("t^4", "t^6", "t^7"))]
+    rng = random.Random(32003)
+    ring = PolyRing(PrimeField(32003), ("x", "y", "z"))
+    while len(rings) < 31:
+        I = Ideal(ring, [_random_poly(ring, rng, 2, 3) for _ in range(2)])
+        if not I.is_zero_ideal():
+            rings.append(LocalRing(ring, I))
+    for R in rings:
+        assert R.tangent_cone().generators == \
+            tuple(_saturated_tangent_cone(R))
 
 
 def _old_ord(R, f, bound):

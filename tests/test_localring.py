@@ -20,28 +20,18 @@ def test_defining_ideal_must_avoid_units(xyz):
 
 
 def test_hilbert_function_table(cusp_ring):
-    hf = cusp_ring.hilbert_function(8)
-    assert hf.values == [1, 3, 5, 6, 7, 7, 8, 8, 8]
-    assert hf.stabilized_at == 6
-    assert hf.multiplicity == 8
+    assert cusp_ring.hilbert_function(8) == [1, 3, 5, 6, 7, 7, 8, 8, 8]
 
 
 def test_multiplicity(cusp_ring):
     assert cusp_ring.multiplicity() == 8
-    assert cusp_ring.multiplicity() == \
-        cusp_ring.hilbert_function(12).multiplicity
+    # HF is constant from degree 6 on, at the multiplicity
+    assert cusp_ring.hilbert_function(12)[6:] == [8] * 7
 
 
 def test_hilbert_function_rejects_negative_degree(cusp_ring):
     with pytest.raises(ValueError):
         cusp_ring.hilbert_function(-3)
-
-
-@pytest.mark.parametrize("window", [0, -2])
-def test_hilbert_function_rejects_window_below_1(cusp_ring, window):
-    # window 0 used to report multiplicity 7, stabilized at degree 4
-    with pytest.raises(ValueError):
-        cusp_ring.hilbert_function(4, window=window)
 
 
 @pytest.mark.parametrize("window", [0, -2])
