@@ -8,7 +8,15 @@ ideal, so polynomial-ring answers agree with local ones.  The tool does not
 verify that I equals its own local contraction (``contraction_assumed``)
 nor that dim R = 1; both caveats are surfaced in reports.
 
-Every length comes from a standard basis in the local order ds truncated at
+An ideal that already contains a power of n is its own local model: S/J is
+then local, its degrevlex basis answers local membership and its colength
+is its number of standard monomials (``Ideal.vector_space_dim``).  The delta
+tests build such ideals by construction, colons of local models and the
+ideals I + n*C over them (``_chain``), and use them as they are.  Each ring
+memoizes, per witness x and n, that chain and the ``DeltaTestResult``.
+
+Every other length, of I + (x), I + x*n^k, I + (x^k) or a ring file's
+ideal, comes from a standard basis in the local order ds truncated at
 a degree N (``buchberger(..., truncate=N)``): its standard monomials of
 degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever
 N is.  ``GroebnerBasis.staircase(nvars, N)`` walks them layer by layer on
@@ -55,7 +63,7 @@ DEFAULT_STABILIZATION_BOUND = 20
 DS = NegDegRevLex()
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeltaTestResult:
     n: int
     cond_ii: bool
@@ -85,6 +93,8 @@ class LocalRing:
         self.stabilization_bound = stabilization_bound
         self._ds_bases = {}  # N -> truncated ds basis of I + n^N
         self._models = {}    # J.generators -> _Model
+        self._chains = {}    # (x, n) -> (C, nC) of _chain
+        self._delta_tests = {}  # (x, n) -> DeltaTestResult
 
     # -- length plumbing ----------------------------------------------------
 
@@ -239,12 +249,6 @@ class LocalRing:
 
     # -- delta invariant and index ------------------------------------------
 
-    def _colon_by_max_ideal_power(self, J, k):
-        out = J
-        for _ in range(k):
-            out = out.quotient(self.n)
-        return out
-
     def check_parameter(self, x):
         """Raise unless x lies in m and outside I, so that R/(x) can be
         Artinian: a unit or an element of I cannot be a witness."""
@@ -270,10 +274,27 @@ class LocalRing:
                                 f"has type {t}")
         return Ix, soc
 
+    def _chain(self, x, n):
+        """C = (x^n) : m^n, taken on the local model of I + (x^n), and
+        nC = I + m*C, memoized per (x, n).  C contains that model, which
+        contains a power of m, so C and nC are m-primary: each is its own
+        local model, and its degrevlex basis answers local questions."""
+        chain = self._chains.get((x, n))
+        if chain is None:
+            C = self.local_model(self.I + Ideal(self.ring, [x ** n]))
+            for _ in range(n):
+                C = C.quotient(self.n)
+            chain = self._chains[x, n] = (C, self.I + self.n * C)
+        return chain
+
     def delta_one_test(self, x, n):
         """Evaluate the three colon criteria for delta(R/m^n) = 1 and check
         that they agree; NotGorenstein, before any criterion, when R/(x)
-        has type other than 1."""
+        has type other than 1.  The result is memoized per (x, n) once
+        every check has passed, so a failure is raised on every call."""
+        result = self._delta_tests.get((x, n))
+        if result is not None:
+            return result
         self.check_parameter(x)
         I = self.I
         S = self.ring
@@ -283,9 +304,7 @@ class LocalRing:
         colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
         # (ii): x^n in m*((x^n) : m^n)
-        C = self._colon_by_max_ideal_power(
-            self.local_model(I + Ideal(S, [x ** n])), n)
-        nC = self.local_model(I + self.n * C)
+        _C, nC = self._chain(x, n)
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m
         cond_iv = Ix.contains(soc.intersect(colon3))
@@ -293,22 +312,25 @@ class LocalRing:
             raise InternalInconsistency(
                 f"delta criteria disagree at n={n}: "
                 f"ii={cond_ii} iii={cond_iii} iv={cond_iv}")
-        return DeltaTestResult(n, cond_ii, cond_iii, cond_iv, colon3,
-                               cond_iii)
+        result = self._delta_tests[x, n] = DeltaTestResult(
+            n, cond_ii, cond_iii, cond_iv, colon3, cond_iii)
+        return result
 
     def delta_via_mu(self, x, n):
         """delta(R/m^n) via 1 + mu(C/(x^n)) - mu(C) with C = (x^n) : m^n;
-        NotGorenstein as in ``delta_one_test``."""
+        NotGorenstein as in ``delta_one_test``.  mu(C) = lambda(S/nC) -
+        lambda(S/C) and mu(C/(x^n)) = lambda(S/(nC + (x^n))) - lambda(S/C)
+        with nC = I + m*C.  C and nC are m-primary (``_chain``), so their
+        colengths count standard monomials, and the exact sequence
+        0 -> S/(nC : x^n) -> S/nC -> S/(nC + (x^n)) -> 0, whose first map
+        is multiplication by x^n, gives the third."""
         self.check_parameter(x)
         self._socle(x)
-        I = self.I
-        S = self.ring
-        C = self._colon_by_max_ideal_power(
-            self.local_model(I + Ideal(S, [x ** n])), n)
-        nC = I + self.n * C
-        lam_C = self.colength_local(C)
-        lam_nC = self.colength_local(nC)
-        lam_nCx = self.colength_local(nC + Ideal(S, [x ** n]))
+        C, nC = self._chain(x, n)
+        lam_C = C.vector_space_dim()
+        lam_nC = nC.vector_space_dim()
+        lam_nCx = lam_nC - nC.quotient(
+            Ideal(self.ring, [x ** n])).vector_space_dim()
         mu_C = lam_nC - lam_C
         mu_Cxn = lam_nCx - lam_C
         return 1 + mu_Cxn - mu_C

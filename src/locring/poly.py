@@ -386,14 +386,20 @@ class Polynomial:
         return Polynomial(ring, terms)
 
     def substitute(self, values):
-        """Substitute values[i] (a Polynomial in some common ring) for var i."""
+        """Substitute values[i] (a Polynomial in some common ring) for var i.
+        Each value's powers are kept in one table per call, grown by one
+        multiplication at a time up to the largest exponent a term asks for."""
         ring = values[0].ring
+        powers = [[ring.one(), v] for v in values]
         out = ring.zero()
         for e, c in self.terms.items():
             term = ring.one().scale(c)
             for i, x in enumerate(e):
                 if x:
-                    term = term * values[i] ** x
+                    table = powers[i]
+                    while len(table) <= x:
+                        table.append(table[-1] * values[i])
+                    term = term * table[x]
             out = out + term
         return out
 

@@ -1,8 +1,10 @@
 """The local length engine against the slower paths it replaced.
 
-Every length of ``LocalRing`` now comes from one standard basis in the local
-order ds truncated at a degree N, and local models get their degrevlex basis
-by FGLM.  The oracles below are the old computations, kept here: the
+Every length of ``LocalRing`` on an ideal not known to be m-primary now
+comes from one standard basis in the local order ds truncated at a degree N,
+and local models get their degrevlex basis by FGLM; the m-primary ideals of
+the delta tests skip both, and are checked here against that ds route.
+The oracles below are the old computations, kept here: the
 J + n^M loop of ``local_model`` with one degrevlex Buchberger run per M,
 colengths of the truncations I + n^d, membership in I + n^d for ``ord_mod``,
 the per-N membership loop for the Loewy length, degrevlex membership for
@@ -98,8 +100,11 @@ def scenario_rings():
 @pytest.mark.parametrize("name", SCENARIO_RINGS)
 def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
                                                      monkeypatch):
-    # every model the delta tests at n = 3, 4 ask for
+    # every model the delta tests at n = 3, 4 ask for, and the ideals
+    # I + m*C they use as their own models, on a ring with empty memos
     R, witness = scenario_rings[name]
+    R = LocalRing(R.ring, R.I)
+    x = R.ring.parse(witness)
     seen = []
     original = LocalRing.local_model
 
@@ -109,11 +114,34 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
 
     monkeypatch.setattr(LocalRing, "local_model", record)
     for n in (3, 4):
-        R.delta_one_test(R.ring.parse(witness), n)
+        R.delta_one_test(x, n)
     monkeypatch.undo()
-    assert len(seen) == 8
+    assert len(seen) == 6
     for J in seen:
         assert _assert_same_model(R, J, R.stabilization_bound)
+    for n in (3, 4):
+        _C, nC = R._chain(x, n)
+        _M, old = _old_local_model(nC, R.stabilization_bound)
+        assert nC.groebner().generators == old.groebner().generators
+
+
+@pytest.mark.parametrize("name", SCENARIO_RINGS)
+def test_m_primary_chain_matches_the_ds_route(scenario_rings, name):
+    # C = (x^n) : m^n and nC = I + m*C skip local_model and colength_local:
+    # their degrevlex bases and staircase colengths against the ds route,
+    # for each n the scenarios test
+    R, witness = scenario_rings[name]
+    x = R.ring.parse(witness)
+    for n in range(1, 7):
+        C, nC = R._chain(x, n)
+        xn = Ideal(R.ring, [x ** n])
+        model = R.local_model(nC)
+        assert nC.groebner().generators == \
+            model.gb_cache[DegRevLex()].generators
+        assert C.vector_space_dim() == R.colength_local(C)
+        assert nC.vector_space_dim() == R.colength_local(nC)
+        assert nC.vector_space_dim() - nC.quotient(xn).vector_space_dim() \
+            == R.colength_local(nC + xn)
 
 
 def _random_poly(ring, rng, lo, hi, unit=False):

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from locring.arith import QQ, PrimeField, Rational
 from locring.errors import ParseError, VariableClash, ZeroPolynomial
-from locring.poly import (BlockOrder, DegRevLex, Lex, PolyRing,
+from locring.poly import (BlockOrder, DegRevLex, Lex, Polynomial, PolyRing,
                           WeightedDegRevLex, mono_div, mono_divides,
                           mono_lcm, mono_mul)
 
@@ -93,6 +95,43 @@ def test_substitute(R):
     t = T.var(0)
     f = R.parse("x^3 - y^2")
     assert f.substitute([t ** 2, t ** 3, T.zero()]).is_zero()
+
+
+def _naive_substitute(f, values):
+    """Every term evaluated on its own, each power taken afresh."""
+    ring = values[0].ring
+    out = ring.zero()
+    for e, c in f.terms.items():
+        term = ring.one().scale(c)
+        for v, x in zip(values, e):
+            term = term * v ** x
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+def test_substitute_matches_term_by_term_evaluation(field):
+    rng = random.Random(2015)
+    S = PolyRing(field, ("x", "y", "z"))
+    T = PolyRing(field, ("s", "t"))
+
+    def random_poly(ring, nterms, top):
+        # terms in random order, so a variable's exponents rise and fall
+        return Polynomial(ring, {
+            tuple(rng.randint(0, top) for _ in range(ring.nvars)):
+                field.from_int(rng.randint(-9, 9))
+            for _ in range(nterms)})
+
+    falls = 0
+    for _ in range(12):
+        f = random_poly(S, 8, 6)
+        exps = [e[0] for e in f.terms]
+        falls += any(a > b for a, b in zip(exps, exps[1:]))
+        values = [random_poly(T, 3, 2) for _ in range(S.nvars)]
+        values[rng.randrange(S.nvars)] = T.zero() if rng.randint(0, 1) \
+            else T.one()
+        assert f.substitute(values) == _naive_substitute(f, values)
+    assert falls
 
 
 def test_prime_field_polynomials():
