@@ -323,8 +323,8 @@ def _scenario_ex2(runner, budget_seconds):
     runner.run("loewy-length", 6, lambda: R.loewy_length_mod(x))
 
 
-def run_scenario(name, seed=DEFAULT_SEED, budget_seconds=600):
-    report = Report(name, seed)
+def run_scenario(name, budget_seconds=600):
+    report = Report(name, DEFAULT_SEED)
     runner = Runner(report)
     if name == "main":
         _scenario_main_ex1(runner, MAIN_RING, "y", "y", MAIN_COLON5, None)
@@ -474,7 +474,6 @@ def _build_parser():
     sp = sub.add_parser("verify", help="run a built-in scenario")
     sp.add_argument("--scenario", required=True,
                     choices=("main", "ex1", "ex2"))
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--budget-seconds", type=float, default=600.0)
     sp.add_argument("--out", metavar="FILE")
 
@@ -561,7 +560,7 @@ def _dispatch(args):
         print(macaulay_bound(args.d, args.n))
         return 0
     if cmd == "verify":
-        report = run_scenario(args.scenario, seed=args.seed,
+        report = run_scenario(args.scenario,
                               budget_seconds=args.budget_seconds)
         return _emit_report(report, args.out)
     if cmd == "gll-search":

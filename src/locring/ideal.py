@@ -129,16 +129,6 @@ class Ideal:
                 _minimalize(next(iter(g.terms)) for g in gens))]
         return Ideal(self.ring, gens)
 
-    def power(self, n):
-        if n < 0:
-            raise ValueError("negative ideal power")
-        if n == 0:
-            return Ideal(self.ring, [self.ring.one()])
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
     def _same_ring(self, other):
         if other.ring != self.ring:
             raise RingMismatch("ideals in different rings")

@@ -8,34 +8,37 @@ ideal, so polynomial-ring answers agree with local ones.  The tool does not
 verify that I equals its own local contraction (``contraction_assumed``)
 nor that dim R = 1; both caveats are surfaced in reports.
 
-An ideal that already contains a power of n is its own local model: S/J is
-then local, its degrevlex basis answers local membership and its colength
-is its number of standard monomials (``Ideal.vector_space_dim``).  The delta
-tests build such ideals by construction, colons of local models and the
-ideals I + n*C over them (``_chain``), and use them as they are.  Each ring
-memoizes, per witness x and n, that chain and the ``DeltaTestResult``.
+Every length that is not already m-primary comes from a standard basis in
+the local order ds truncated at a degree N (``buchberger(..., truncate=N)``):
+its standard monomials of degree d < N number HF(d) = lambda(J + n^(d+1)) -
+lambda(J + n^d), whatever N is.  ``GroebnerBasis.staircase(nvars, N)`` walks
+them layer by layer, and this module only counts its layers.  One loop,
+``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at a bound plus
+one, and two readers scan what it yields:
 
-Every other length, of I + (x), I + x*n^k, I + (x^k) or a ring file's
-ideal, comes from a standard basis in the local order ds truncated at
-a degree N (``buchberger(..., truncate=N)``): its standard monomials of
-degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever
-N is.  ``GroebnerBasis.staircase(nvars, N)`` walks them layer by layer on
-the basis's packed leads, and this module only counts its layers.  M is max(2, d + 1) for the first degree d with
-no standard monomial; N doubles from 2 (2, 4, 8, ..., capped at the bound
-plus one) until such a d < N appears, each round walking its own basis's
-staircase from degree 0.  Then N >= M, and the truncation at N is a basis
-of the same ideal J + n^N = J + n^M, so ``groebner.fglm`` turns it into
-the degrevlex basis the model carries; FGLM reads it modulo n^d for that first empty
-degree d.  Each ring keeps, for as long as it lives, a memo of its models
-keyed by J's generators (a bound only decides whether d comes too late): M,
-HF(0..M-1) and, once a caller has asked for it, the model itself, whose ds
-basis is then dropped.  The Hilbert function of R is the staircase of one
-truncated basis of I, ord(f) the lowest degree of f's truncated ds normal
-form, and the Loewy length of R/(f) one more than the top degree of the
-staircase of the local model of I + (f).
+* ``_stabilize`` stops at the first truncation with an empty degree d.
+  Then M = max(2, d + 1) <= N, the truncation is a basis of the same ideal
+  J + n^N = J + n^M, and ``groebner.fglm`` turns it, modulo n^d, into the
+  degrevlex basis of the local model.
+* ``multiplicity`` stops at the first window of equal HF values.
+
+Each ring keeps two memos for as long as it lives.  One holds, keyed by J's
+generators, HF(0..M-1) of S/J and the local model (a bound only decides
+whether d comes too late).  The other holds, per witness x and n, the
+``DeltaTestResult``.  The delta tests build m-primary ideals by
+construction, colons of local models and the ideal nC = I + n*C over them,
+and use them as their own local models: S/J is then local, its degrevlex
+basis answers local membership and its colength is its number of standard
+monomials (``Ideal.vector_space_dim``).  The result keeps nC, which
+``delta_via_mu`` reads.
+
+The Hilbert function of R is the staircase of one truncated basis of I,
+ord(f) the lowest degree of f's truncated ds normal form, and the Loewy
+length of R/(f) one more than the top degree of the staircase of the local
+model of I + (f).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, NotGorenstein,
@@ -71,6 +74,8 @@ class DeltaTestResult:
     cond_iv: bool
     colon: object  # the ideal x*m^n : m (condition iii), as an Ideal
     verdict: bool
+    # nC = I + m*((x^n) : m^n) (condition ii), as an Ideal
+    nC: object = field(compare=False)
 
 
 class LocalRing:
@@ -91,69 +96,65 @@ class LocalRing:
         self.I = defining_ideal
         self.n = max_ideal(ring)
         self.stabilization_bound = stabilization_bound
-        self._ds_bases = {}  # N -> truncated ds basis of I + n^N
-        self._models = {}    # J.generators -> _Model
-        self._chains = {}    # (x, n) -> (C, nC) of _chain
+        self._models = {}       # J.generators -> (hf, local model)
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
 
     # -- length plumbing ----------------------------------------------------
 
-    def _ds_basis_of_I(self, N):
-        gb = self._ds_bases.get(N)
-        if gb is None:
-            gb = self._ds_bases[N] = buchberger(list(self.I.generators), DS,
-                                                truncate=N)
-        return gb
+    def _truncations(self, J, bound):
+        """(HF list, ds basis) for the ds bases of J + n^N truncated at
+        N = 2, 4, 8, ..., capped at bound + 1.  The list holds the sizes of
+        the basis's staircase layers, HF(0), HF(1), ... of S/J, up to degree
+        N - 1 or up to and including the first zero, whichever comes first;
+        HF(d) does not depend on N."""
+        N = 2
+        while True:
+            gb = buchberger(list(J.generators), DS, truncate=N)
+            layers = gb.staircase(self.ring.nvars, N)
+            yield [len(layer) for layer in layers], gb
+            if N > bound:
+                return
+            N = min(2 * N, bound + 1)
 
     def _stabilize(self, J, bound=None):
-        """The memo entry of the local model J + n^M: M and HF(0..M-1) of
-        S/J, whose first zero is at M - 1, or at 0 when J contains a unit
-        (then M = 2).  On a miss, ds bases of J + n^N truncated at
-        N = 2, 4, 8, ..., capped at bound + 1, are built until the staircase
-        of one has an empty degree; that basis is kept for FGLM.  The entry
-        does not depend on the bound, which only decides whether the first
-        empty degree comes too late: NotArtinianLocally when it exceeds the
-        bound, on a hit as on a miss."""
+        """The memo entry (hf, model) of the local model J + n^M of J, where
+        hf is HF(0..M-1) of S/J, whose first zero is at M - 1, or at 0 when
+        J contains a unit (then M = 2).  On a miss, the first truncation
+        whose staircase has an empty degree d is a basis of J + n^N =
+        J + n^M, which FGLM turns into the model's degrevlex basis, read
+        modulo n^d.  The entry does not depend on the bound, which only
+        decides whether the first empty degree comes too late:
+        NotArtinianLocally when it exceeds the bound, on a hit as on a
+        miss."""
         if bound is None:
             bound = self.stabilization_bound
         elif bound < 1:
             raise ValueError("bound must be >= 1")
-        model = self._models.get(J.generators)
-        if model is not None:
-            if model.hf.index(0) > bound:
-                raise NotArtinianLocally(
-                    f"no colength stabilization within n^{bound}")
-            return model
-        N = 2
-        while True:
-            gb = buchberger(list(J.generators), DS, truncate=N)
-            hf = [len(layer) for layer in gb.staircase(self.ring.nvars, N)]
-            if not hf[-1]:
-                M = max(2, len(hf))
-                hf += [0] * (M - len(hf))
-                model = self._models[J.generators] = _Model(M, hf, gb)
-                return model
-            if N > bound:
-                raise NotArtinianLocally(
-                    f"no colength stabilization within n^{bound}")
-            N = min(2 * N, bound + 1)
+        entry = self._models.get(J.generators)
+        if entry is None:
+            for hf, gb in self._truncations(J, bound):
+                if not hf[-1]:
+                    M = max(2, len(hf))
+                    hf += [0] * (M - len(hf))
+                    model = J + max_ideal_power(self.ring, M)
+                    model.gb_cache[DegRevLex()] = fglm(gb, hf.index(0))
+                    entry = self._models[J.generators] = (hf, model)
+                    break
+        if entry is None or entry[0].index(0) > bound:
+            raise NotArtinianLocally(
+                f"no colength stabilization within n^{bound}")
+        return entry
 
     def local_model(self, J, bound=None):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
         J + n^(M-1).  Its degrevlex basis, by FGLM, is already cached, and
-        the same instance is returned for the same J and bound."""
-        model = self._stabilize(J, bound)
-        if model.ideal is None:
-            model.ideal = J + max_ideal_power(self.ring, model.M)
-            model.ideal.gb_cache[DegRevLex()] = fglm(
-                model.ds_basis, model.hf.index(0))
-            model.ds_basis = None
-        return model.ideal
+        the same instance is returned for the same J."""
+        return self._stabilize(J, bound)[1]
 
     def colength_local(self, J, bound=None):
         """Length of S_n/(J localized): the colength of its local model."""
-        return sum(self._stabilize(J, bound).hf)
+        return sum(self._stabilize(J, bound)[0])
 
     # -- Hilbert function and multiplicity ----------------------------------
 
@@ -163,19 +164,21 @@ class LocalRing:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         N = max_degree + 1
-        layers = self._ds_basis_of_I(N).staircase(self.ring.nvars, N)
+        gb = buchberger(list(self.I.generators), DS, truncate=N)
+        layers = gb.staircase(self.ring.nvars, N)
         return [len(layer) for layer in layers] + [0] * (N - len(layers))
 
     def multiplicity(self, window=3, max_degree=30):
-        """Stable Hilbert-function value (dimension-one multiplicity)."""
+        """Stable Hilbert-function value (dimension-one multiplicity): HF(d)
+        at the first d <= max_degree with HF(d - window + 1..d) all equal."""
         if window < 1:
             raise ValueError("window must be >= 1")
-        # one degree more at a time: a basis truncated far above the window
-        # it needs costs more than all the lower ones together
-        for d in range(max_degree + 1):
-            values = self.hilbert_function(d)
-            if len(values) >= window and len(set(values[-window:])) == 1:
-                return values[-1]
+        for hf, _gb in self._truncations(self.I, max_degree):
+            if not hf[-1]:
+                hf += [0] * (max_degree + 1 - len(hf))
+            for d in range(window - 1, min(len(hf), max_degree + 1)):
+                if len(set(hf[d - window + 1:d + 1])) == 1:
+                    return hf[d]
         raise NoStabilization(
             f"Hilbert function not constant on a window of {window} "
             f"by degree {max_degree}")
@@ -193,7 +196,8 @@ class LocalRing:
         if self.I.member(f):
             return INSIDE_I
         N = bound + 1
-        r = normal_form(f, self._ds_basis_of_I(N), DS, truncate=N)
+        gb = buchberger(list(self.I.generators), DS, truncate=N)
+        r = normal_form(f, gb, DS, truncate=N)
         return bound if r.is_zero() else r.order()
 
     def colength(self, f):
@@ -214,7 +218,7 @@ class LocalRing:
         self.check_parameter(f)
         try:
             N = self._stabilize(self.I + Ideal(self.ring, [f]),
-                                max(bound, 1)).hf.index(0)
+                                max(bound, 1))[0].index(0)
         except NotArtinianLocally:
             N = None
         if N is None or N > bound:
@@ -274,19 +278,6 @@ class LocalRing:
                                 f"has type {t}")
         return Ix, soc
 
-    def _chain(self, x, n):
-        """C = (x^n) : m^n, taken on the local model of I + (x^n), and
-        nC = I + m*C, memoized per (x, n).  C contains that model, which
-        contains a power of m, so C and nC are m-primary: each is its own
-        local model, and its degrevlex basis answers local questions."""
-        chain = self._chains.get((x, n))
-        if chain is None:
-            C = self.local_model(self.I + Ideal(self.ring, [x ** n]))
-            for _ in range(n):
-                C = C.quotient(self.n)
-            chain = self._chains[x, n] = (C, self.I + self.n * C)
-        return chain
-
     def delta_one_test(self, x, n):
         """Evaluate the three colon criteria for delta(R/m^n) = 1 and check
         that they agree; NotGorenstein, before any criterion, when R/(x)
@@ -303,8 +294,13 @@ class LocalRing:
         J3 = self.local_model(I + Ideal(S, [x]) * max_ideal_power(S, n))
         colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
-        # (ii): x^n in m*((x^n) : m^n)
-        _C, nC = self._chain(x, n)
+        # (ii): x^n in m*C with C = (x^n) : m^n, taken on the local model
+        # of I + (x^n); C contains that model, so C and nC = I + m*C
+        # contain a power of m and each is its own local model
+        C = self.local_model(I + Ideal(S, [x ** n]))
+        for _ in range(n):
+            C = C.quotient(self.n)
+        nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m
         cond_iv = Ix.contains(soc.intersect(colon3))
@@ -313,27 +309,20 @@ class LocalRing:
                 f"delta criteria disagree at n={n}: "
                 f"ii={cond_ii} iii={cond_iii} iv={cond_iv}")
         result = self._delta_tests[x, n] = DeltaTestResult(
-            n, cond_ii, cond_iii, cond_iv, colon3, cond_iii)
+            n, cond_ii, cond_iii, cond_iv, colon3, cond_iii, nC)
         return result
 
     def delta_via_mu(self, x, n):
         """delta(R/m^n) via 1 + mu(C/(x^n)) - mu(C) with C = (x^n) : m^n;
-        NotGorenstein as in ``delta_one_test``.  mu(C) = lambda(S/nC) -
-        lambda(S/C) and mu(C/(x^n)) = lambda(S/(nC + (x^n))) - lambda(S/C)
-        with nC = I + m*C.  C and nC are m-primary (``_chain``), so their
-        colengths count standard monomials, and the exact sequence
-        0 -> S/(nC : x^n) -> S/nC -> S/(nC + (x^n)) -> 0, whose first map
-        is multiplication by x^n, gives the third."""
-        self.check_parameter(x)
-        self._socle(x)
-        C, nC = self._chain(x, n)
-        lam_C = C.vector_space_dim()
-        lam_nC = nC.vector_space_dim()
-        lam_nCx = lam_nC - nC.quotient(
-            Ideal(self.ring, [x ** n])).vector_space_dim()
-        mu_C = lam_nC - lam_C
-        mu_Cxn = lam_nCx - lam_C
-        return 1 + mu_Cxn - mu_C
+        errors as in ``delta_one_test``, whose memoized nC = I + m*C it
+        reads.  mu(C) = lambda(S/nC) - lambda(S/C) and mu(C/(x^n)) =
+        lambda(S/(nC + (x^n))) - lambda(S/C), so lambda(S/C) cancels, and
+        the exact sequence 0 -> S/(nC : x^n) -> S/nC -> S/(nC + (x^n)) -> 0,
+        whose first map is multiplication by x^n, leaves
+        1 - lambda(S/(nC : x^n)).  nC is m-primary, so nC : x^n is too, and
+        its colength counts standard monomials."""
+        nC = self.delta_one_test(x, n).nC
+        return 1 - nC.quotient(Ideal(self.ring, [x ** n])).vector_space_dim()
 
     def index(self, x, max_n=DEFAULT_INDEX_BOUND):
         """Smallest n with delta(R/m^n) = 1, tested on the witness x."""
@@ -352,20 +341,6 @@ class LocalRing:
                 raise InternalInconsistency(
                     f"delta not monotone: true at {hit}, false at {hit + 1}")
         return hit
-
-
-class _Model:
-    """A memo entry of ``LocalRing``: M, HF(0..M-1) of S/J, and a ds basis
-    of J truncated at some N >= M until FGLM has turned it into the
-    degrevlex basis of ``ideal``, the local model J + n^M."""
-
-    __slots__ = ("M", "hf", "ds_basis", "ideal")
-
-    def __init__(self, M, hf, ds_basis):
-        self.M = M
-        self.hf = hf
-        self.ds_basis = ds_basis
-        self.ideal = None
 
 
 # ---------------------------------------------------------------------------

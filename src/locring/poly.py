@@ -334,9 +334,6 @@ class Polynomial:
         e = max(self.terms, key=key)
         return e, self.terms[e]
 
-    def leading_monomial(self, order):
-        return self.leading_term(order)[0]
-
     # -- homogenization -----------------------------------------------------
 
     def homogenize(self, name, front=False):

@@ -271,6 +271,10 @@ def test_cli_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "--bogus"])
     assert exc.value.code == 2
+    # the scenarios draw no random numbers, so verify takes no seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--scenario", "main", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_cli_gll_search_hit_exit_1(ring_file, capsys):

@@ -143,9 +143,9 @@ def _naive_reduced_basis(gens, order):
             G.append(r)
     key = order.key
     minimal = []
-    for g in sorted(G, key=lambda g: key(g.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h.leading_monomial(order), lm)
+    for g in sorted(G, key=lambda g: key(g.leading_term(order)[0])):
+        lm = g.leading_term(order)[0]
+        if not any(mono_divides(h.leading_term(order)[0], lm)
                    for h in minimal):
             minimal.append(g)
     reduced = []
@@ -498,7 +498,7 @@ def test_staircase_edge_cases():
     assert infinite.staircase(3) is None
     assert [len(layer) for layer in infinite.staircase(3, 5)] == \
         [len(layer) for layer in _layers_below(
-            [g.leading_monomial(DegRevLex()) for g in infinite], 3, 5)]
+            [g.leading_term(DegRevLex())[0] for g in infinite], 3, 5)]
 
 
 @pytest.mark.parametrize("order", [DegRevLex(), NegDegRevLex(), Lex()],
@@ -532,7 +532,7 @@ def test_buchberger_leads_equal_lazy_leads(order):
         lazy = GroebnerBasis(gb.generators, order)
         assert gb.leads == lazy.leads
         assert list(map(packing(order, 3).unpack, gb.leads)) == \
-            [g.leading_monomial(order) for g in gb.generators]
+            [g.leading_term(order)[0] for g in gb.generators]
 
 
 # Generator strings of buchberger(I.generators, ds, truncate=N) for the

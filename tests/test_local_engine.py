@@ -6,7 +6,8 @@ and local models get their degrevlex basis by FGLM; the m-primary ideals of
 the delta tests skip both, and are checked here against that ds route.
 The oracles below are the old computations, kept here: the
 J + n^M loop of ``local_model`` with one degrevlex Buchberger run per M,
-colengths of the truncations I + n^d, membership in I + n^d for ``ord_mod``,
+colengths of the truncations I + n^d, the degree-by-degree loop of
+``multiplicity``, membership in I + n^d for ``ord_mod``,
 the per-N membership loop for the Loewy length, degrevlex membership for
 the gll test, and the saturation by h that the tangent cone once took before
 its block-order basis.  All comparisons are exact.
@@ -17,9 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from locring import cli
+from locring import cli, localring
 from locring.arith import QQ, PrimeField, PrimeFieldElement
-from locring.errors import NotArtinianLocally
+from locring.errors import NoStabilization, NotArtinianLocally
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import Ideal, all_monomials, max_ideal_power
 from locring.localring import INSIDE_I, LocalRing
@@ -120,7 +121,7 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
     for J in seen:
         assert _assert_same_model(R, J, R.stabilization_bound)
     for n in (3, 4):
-        _C, nC = R._chain(x, n)
+        nC = R.delta_one_test(x, n).nC
         _M, old = _old_local_model(nC, R.stabilization_bound)
         assert nC.groebner().generators == old.groebner().generators
 
@@ -129,11 +130,16 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
 def test_m_primary_chain_matches_the_ds_route(scenario_rings, name):
     # C = (x^n) : m^n and nC = I + m*C skip local_model and colength_local:
     # their degrevlex bases and staircase colengths against the ds route,
+    # and delta_via_mu against 1 + mu(C/(x^n)) - mu(C) from ds colengths,
     # for each n the scenarios test
     R, witness = scenario_rings[name]
     x = R.ring.parse(witness)
     for n in range(1, 7):
-        C, nC = R._chain(x, n)
+        C = R.local_model(R.I + Ideal(R.ring, [x ** n]))
+        for _ in range(n):
+            C = C.quotient(R.n)
+        nC = R.delta_one_test(x, n).nC
+        assert nC.generators == (R.I + R.n * C).generators
         xn = Ideal(R.ring, [x ** n])
         model = R.local_model(nC)
         assert nC.groebner().generators == \
@@ -142,6 +148,74 @@ def test_m_primary_chain_matches_the_ds_route(scenario_rings, name):
         assert nC.vector_space_dim() == R.colength_local(nC)
         assert nC.vector_space_dim() - nC.quotient(xn).vector_space_dim() \
             == R.colength_local(nC + xn)
+        mu_C = R.colength_local(nC) - R.colength_local(C)
+        mu_Cxn = R.colength_local(nC + xn) - R.colength_local(C)
+        assert R.delta_via_mu(x, n) == 1 + mu_Cxn - mu_C
+
+
+def _old_multiplicity(R, window, max_degree):
+    """The degree-by-degree loop: HF(0..d) for d = 0, 1, ..., max_degree,
+    each list from its own truncated ds basis, until its last window
+    values agree."""
+    for d in range(max_degree + 1):
+        values = R.hilbert_function(d)
+        if len(values) >= window and len(set(values[-window:])) == 1:
+            return values[-1]
+    raise NoStabilization(f"no window of {window} by degree {max_degree}")
+
+
+def _same_multiplicity(R, window, max_degree=30):
+    """multiplicity agrees with the loop: the same value, or
+    NoStabilization on both paths.  Returns the value or None."""
+    try:
+        expected = _old_multiplicity(R, window, max_degree)
+    except NoStabilization:
+        with pytest.raises(NoStabilization):
+            R.multiplicity(window, max_degree)
+        return None
+    assert R.multiplicity(window, max_degree) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", SCENARIO_RINGS)
+def test_multiplicity_matches_the_degree_by_degree_loop(scenario_rings,
+                                                        name):
+    R, _witness = scenario_rings[name]
+    for window in range(1, 6):
+        assert _same_multiplicity(R, window) is not None
+    # main and ex1 first show 8, 8, 8 at degrees 6..8
+    assert _same_multiplicity(R, 3, 7) == (7 if name == "ex2" else None)
+    assert _same_multiplicity(R, 1, 0) == 1
+
+
+def test_multiplicity_of_small_rings_matches_the_loop():
+    S = PolyRing(QQ, ("x", "y"))
+    R = LocalRing(S, Ideal(S, ["x^2", "y^3"]))   # HF 1, 2, 2, 1, 0, ...
+    assert [_same_multiplicity(R, w) for w in range(1, 6)] == [1, 2, 0, 0, 0]
+    assert _same_multiplicity(R, 3, 5) is None
+    assert R.multiplicity() == 0
+    # HF 1, 1, 1, ...: the first truncation already reaches past degree 0
+    R = LocalRing(S, Ideal(S, ["y - x^2"]))
+    assert _same_multiplicity(R, 2, 0) is None
+    assert _same_multiplicity(R, 2, 1) == 1
+
+
+def test_colength_leaves_the_model_with_its_fglm_basis(monkeypatch):
+    R = cli.MAIN_RING.local_ring()
+    J = R.I + Ideal(R.ring, [R.ring.parse("y")])
+    colength = R.colength_local(J)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("local_model ran a basis after colength_local")
+
+    monkeypatch.setattr(localring, "buchberger", fail)
+    monkeypatch.setattr(localring, "fglm", fail)
+    model = R.local_model(J)
+    monkeypatch.undo()
+    _M, old = _old_local_model(J, R.stabilization_bound)
+    assert model.generators == old.generators
+    assert model.gb_cache[DegRevLex()].generators == old.groebner().generators
+    assert colength == old.vector_space_dim()
 
 
 def _random_poly(ring, rng, lo, hi, unit=False):
