@@ -80,6 +80,8 @@ def hf_feasible_max_length(prefix, N):
     """Total length of the maximal Hilbert function extending the prefix,
     given that degree N and beyond vanish and the socle forces the value 1
     in degree N-1 (Gorenstein quotient with m^N inside the principal ideal)."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if not prefix or prefix[0] != 1:
         raise ValueError("prefix must start with 1")
     values = list(prefix[:N])
@@ -130,7 +132,14 @@ DEFAULT_J2_RANGES = {1: (3, 4), 2: (1, 2)}
 
 def order_case_report(emb, e, hf2_ambient, N, d_max, j2_ranges=None):
     """Enumerate orders d and admissible HF prefixes for R/fR, marking each
-    case ELIMINATED when the maximal feasible length is below d*e."""
+    case ELIMINATED when the maximal feasible length is below d*e.
+    ValueError unless emb >= 1, e >= 1, hf2_ambient >= 0, N >= 1 and
+    d_max >= 0."""
+    for name, value, least in (("emb", emb, 1), ("e", e, 1),
+                               ("hf2", hf2_ambient, 0), ("N", N, 1),
+                               ("d_max", d_max, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     j2 = dict(DEFAULT_J2_RANGES if j2_ranges is None else j2_ranges)
     report = CaseReport(emb, e, hf2_ambient, N, d_max)
     for d in range(1, d_max + 1):

@@ -68,10 +68,13 @@ Staircases: ``GroebnerBasis.staircase`` is the one enumeration of standard
 monomials.  It walks them a degree at a time on the packed leads that
 ``buchberger`` hands to the basis (``leads``), so a divisibility test is
 one mask; a layer is the previous one times the variables, minus the
-multiples of a lead.  The layers are lists of packed ints, never unpacked:
-callers read counts (Hilbert functions, colengths), whether the last layer
-below a degree is empty (the gll-search hit test), or the monomials
-themselves as the columns of the FGLM walk.
+multiples of a lead.  The layers are tuples of packed ints, never
+unpacked: callers read counts (Hilbert functions, colengths), whether the
+last layer below a degree is empty (the gll-search hit test), or the
+monomials themselves (the standard products of a colon).  The whole
+staircase is walked once per basis and kept on it, for the colength, the
+route test of a colon and the colon to share; a walk below a degree is
+not kept.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -79,18 +82,25 @@ reduced basis of I + K off a linear map on S/I whose kernel is K/I.
 ``artinian_colon`` takes, for a zero-dimensional I, the map that multiplies
 by the generators of J, so I + K = I : J with no Buchberger run; ``fglm``
 turns a truncated ds standard basis of J into the degrevlex basis of J + m^N
-from S/m^d, reducing each monomial of degree < d modulo m^d for the first
-degree d in which J has no standard monomial.  The walk stays on ints, like
-``_nf_dict``, from the divisors of I to the divisors of the result: the
-columns are staircase ints, each image is the packed raw normal form of a
-packed product with an integer multiplier, rows, kernel vectors and the
-final basis are formed fraction-free over Q and on residues over F_p, and
-divisibility of columns and leads is the guard-mask test.  The result is a
-packed basis like one from ``buchberger``.
+from S/m^d, the basis of m^d being the monomials of degree d, for the first
+degree d in which J has no standard monomial.  As in classical FGLM the
+walk finds its own columns: from 1 upwards, each independent column adds
+its multiples by the variables, and a candidate is skipped when a lead of
+I divides it or a predecessor is dead (a multiple of a kernel lead), so
+only the staircase of I + K, its border and the tails of I's basis are
+imaged.  A colon images a product with a monomial generator through the
+normal form of one monomial, kept for the rest of the walk.  The walk stays
+on ints, like ``_nf_dict``, from the divisors of I to the divisors of the
+result: each image is the packed raw normal form of a packed product with
+an integer multiplier, rows, kernel vectors and the final basis are formed
+fraction-free over Q and on residues over F_p, and divisibility of columns
+and leads is the guard-mask test.  The result is a packed basis like one
+from ``buchberger``.
 """
 
 import heapq
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -98,7 +108,8 @@ from operator import mul
 
 from .arith import PrimeFieldElement
 from .errors import BudgetExceeded, RingMismatch
-from .poly import DegRevLex, Polynomial, mono_div, mono_lcm
+from .poly import (DegRevLex, Polynomial, mono_div, mono_lcm,
+                   monomials_of_degree)
 
 DEFAULT_MAX_PAIRS = 2_000_000
 
@@ -184,12 +195,14 @@ class GroebnerBasis:
         self.order, self.ring, self.divisors = order, ring, divisors
         self.leads = [g[0] for g in divisors]
         self.generators = gens
+        self._staircases = {}   # nvars -> the whole staircase
 
     @classmethod
     def _packed(cls, ring, order, divisors):
         basis = cls.__new__(cls)
         basis.order, basis.ring, basis.divisors = order, ring, divisors
         basis.leads = [g[0] for g in divisors]
+        basis._staircases = {}
         return basis
 
     def __iter__(self):
@@ -215,7 +228,18 @@ class GroebnerBasis:
         empty layer, past which no monomial is standard, or before degree
         below.  With below None, returns None if the staircase is infinite:
         some variable has no pure power among the leads.  nvars is an
-        argument because an empty basis has no ring to read it from."""
+        argument because an empty basis has no ring to read it from.
+
+        The layers are tuples.  The whole staircase (below None) is walked
+        once and kept on the basis; a walk below a degree is not kept."""
+        if below is not None:
+            return self._walk_staircase(nvars, below)
+        kept = self._staircases
+        if nvars not in kept:
+            kept[nvars] = self._walk_staircase(nvars, None)
+        return kept[nvars]
+
+    def _walk_staircase(self, nvars, below):
         pk = packing(self.order, nvars)
         guard, shift = pk.guard, pk.shift
         if below is None:
@@ -234,13 +258,13 @@ class GroebnerBasis:
         layer = {0}
         for d in range(below):
             active += entering.get(d, ())
-            layer = [e for e in layer
-                     if all((e - lt) & guard for lt in active)]
+            layer = tuple([e for e in layer
+                           if all((e - lt) & guard for lt in active)])
             layers.append(layer)
             if not layer:
                 break
             layer = {e + u for e in layer for u in units}
-        return layers
+        return tuple(layers)
 
     def __repr__(self):
         return f"GroebnerBasis({len(self)} gens, {self.order})"
@@ -618,13 +642,23 @@ def artinian_colon(gb, gens):
     """The reduced basis of I : J, for gb the reduced basis of a
     zero-dimensional ideal I and gens the generators of J: (I : J)/I is the
     kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on
-    the standard monomials b of I.  ValueError if a product's degree would
-    not fit."""
+    the standard monomials b of I.  For a generator that is one term c * e,
+    NF(b * g) is c times the normal form of the monomial e + b: that
+    monomial itself when it is standard for I (read off the basis's kept
+    staircase), and otherwise a normal form computed once per walk, however
+    many pairs (b, g) form it, as they do in colons by m and by m^n.
+    ValueError if I is not zero-dimensional or a product's degree would not
+    fit."""
     ring = gb.ring
     p = ring.field.characteristic
     pk = packing(gb.order, ring.nvars)
+    layers = gb.staircase(ring.nvars)
+    if layers is None:
+        raise ValueError("artinian_colon: the ideal is not zero-dimensional")
+    standard = {e for layer in layers for e in layer}
     raw_gens = [_to_raw(g.terms, p, pk) for g in gens]
     top = max(g.total_degree() for g in gens)
+    known = {}   # non-standard packed monomial -> its raw normal form
 
     def image(b):
         # block i, the normal form of g_i * b, is r / s for the scale
@@ -633,10 +667,26 @@ def artinian_colon(gb, gens):
         _check_degree(top + ((b & pk.degree) >> pk.shift))
         blocks = []
         for i, (raw, scale) in enumerate(raw_gens):
-            prod = {e + b: c for e, c in raw.items()}
-            r = _nf_dict(prod, gb.divisors, pk, p, 0)
+            if len(raw) > 1:
+                r = _nf_dict({e + b: c for e, c in raw.items()},
+                             gb.divisors, pk, p, 0)
+                s = scale * r.scale
+            else:
+                [(e, c)] = raw.items()
+                e += b
+                if e in standard:
+                    r, s = {e: c}, scale
+                else:
+                    r = known.get(e)
+                    if r is None:
+                        r = known[e] = _nf_dict({e: 1}, gb.divisors, pk, p,
+                                                0)
+                    s = scale * r.scale
+                    if c != 1:
+                        r = ({x: v * c % p for x, v in r.items()} if p
+                             else {x: v * c for x, v in r.items()})
             if r:
-                blocks.append((i, r, scale * r.scale))
+                blocks.append((i, r, s))
         m = lcm(*(s.numerator for _, _, s in blocks))
         out = {}
         for i, r, s in blocks:
@@ -645,24 +695,22 @@ def artinian_colon(gb, gens):
                 out[i, e] = c * f
         return out, m
 
-    columns = [e for layer in gb.staircase(ring.nvars) for e in layer]
-    return _extend_by_kernel(ring, gb.order, gb.divisors, columns, image)
+    return _extend_by_kernel(ring, gb.order, gb.divisors, image)
 
 
 def fglm(ds_basis, d):
     """The reduced degrevlex basis of J + m^N, for ds_basis a standard
     basis of J in the local order ds truncated at a degree N, given
     d <= N with m^d inside J + m^N (d the first degree with no standard
-    monomial).  FGLM from S/m^d: each monomial b of degree < d maps to its
-    ds normal form truncated at d, which m^d inside J + m^N makes exact;
-    a raw remainder r of scale num/den is the image of num * b as den * r.
-    The monomials come from the staircase of the empty basis."""
+    monomial).  FGLM from S/m^d, whose basis is the monomials of degree d:
+    each monomial b of degree < d that the walk reaches maps to its ds
+    normal form truncated at d, which m^d inside J + m^N makes exact; a raw
+    remainder r of scale num/den is the image of num * b as den * r."""
     ring = ds_basis.ring
     p = ring.field.characteristic
     order = DegRevLex()
     pk = packing(ds_basis.order, ring.nvars)
     pk_out = packing(order, ring.nvars)
-    layers = GroebnerBasis([], order).staircase(ring.nvars, d + 1)
 
     def image(b):
         r = _nf_dict({pk.pack(pk_out.unpack(b)): 1}, ds_basis.divisors,
@@ -672,28 +720,40 @@ def fglm(ds_basis, d):
             r = {e: c * den for e, c in r.items()}
         return r, num
 
+    base = [pk_out.pack(e) for e in monomials_of_degree(ring.nvars, d)]
     return _extend_by_kernel(ring, order,
-                             [(e, 1, {}, e & pk_out.degree)
-                              for e in layers[d]],
-                             [e for layer in layers[:d] for e in layer],
+                             [(e, 1, {}, e & pk_out.degree) for e in base],
                              image)
 
 
-def _extend_by_kernel(ring, order, base, columns, image):
+def _extend_by_kernel(ring, order, base, image):
     """The reduced basis of I + K under order, for I zero-dimensional and
     K/I the kernel of a linear map on S/I, everything packed under order:
-    base, the divisors of the reduced basis of I; columns, the standard
-    monomials of I; image(b), the raw image of the column b, a pair (vec, m)
-    of a dict {row: int} and an int m > 0, nonzero mod p, such that vec is
-    the image of m * b (residues in [0, p) over F_p).
+    base, the divisors of the reduced basis of I; image(b), the raw image of
+    a standard monomial b of I, a pair (vec, m) of a dict {row: int} and an
+    int m > 0, nonzero mod p, such that vec is the image of m * b (residues
+    in [0, p) over F_p).
 
-    The columns are walked in ascending order (descending ints).  Each
-    column's image is reduced against a row echelon form of the earlier
-    ones, keeping the combination of columns it came from, which starts as
-    {b: m}.  A column b that reduces to 0 gives the kernel vector, a
-    multiple of b - sum c_s * s over earlier independent columns s: the
-    reduced element of I + K with leading monomial b.  A column divisible by
-    such a b is dependent too and is skipped, unless a tail of base uses it.
+    The walk finds its columns as classical FGLM does.  A heap hands out
+    candidates in ascending order (descending ints), starting at 1, and
+    each independent column pushes its multiples by the variables, so the
+    walk reaches the staircase of I + K and its border and nothing past
+    them.  A candidate is skipped when a lead of base divides it (only
+    leads of degree at most its own are tried), or when a predecessor
+    b / x_i is dead: a kernel lead, or a skipped multiple of one, which is
+    dead in turn.  That is at most nvars set lookups, and it finds every
+    multiple of a kernel lead that the walk reaches: if b = q * u is one,
+    reached from an independent b / x_j, then x_j does not divide u, and
+    for x_i dividing u the predecessor b / x_i was reached from the
+    independent b / (x_i * x_j) and is a multiple of q.  The tails of base
+    are pushed from the start and never skipped, since the reduction of
+    base below needs the kernel vectors of those that are dependent.
+
+    Each column's image is reduced against a row echelon form of the
+    earlier ones, keeping the combination of columns it came from, which
+    starts as {b: m}.  A column b that reduces to 0 gives the kernel vector,
+    a multiple of b - sum c_s * s over earlier independent columns s: the
+    reduced element of I + K with leading monomial b.
 
     A row with pivot coefficient a removes the entry c of the vector being
     reduced by vec := (a/h) * vec - (c/h) * row, h = gcd(a, c), and the same
@@ -708,13 +768,27 @@ def _extend_by_kernel(ring, order, base, columns, image):
     """
     p = ring.field.characteristic
     pk = packing(order, ring.nvars)
-    guard = pk.guard
+    guard, degree, units = pk.guard, pk.degree, pk.units
+    leads = sorted((g[0] for g in base), key=degree.__and__)
+    lead_set = set(leads)
+    lead_degrees = [lt & degree for lt in leads]
     tails = {e for g in base for e in g[2]}
+    seen = tails | {0}   # 0 is the packed monomial 1
+    heap = [-e for e in seen]
+    heapq.heapify(heap)
+    dead = set()
     rows = []    # (pivot, a, vector, combination): vector = image(comb)
     kernel = {}  # leading monomial -> raw kernel vector
-    for b in sorted(columns, reverse=True):
-        if b not in tails and any(not (b - q) & guard for q in kernel):
-            continue
+    while heap:
+        b = -heapq.heappop(heap)
+        if b not in tails:
+            if any(b - u in dead for u in units):
+                dead.add(b)
+                continue
+            if b in lead_set or any(
+                    not (b - lt) & guard
+                    for lt in leads[:bisect_left(lead_degrees, b & degree)]):
+                continue
         vec, m = image(b)
         comb = {b: m}
         for pivot, a, row, row_comb in rows:
@@ -726,6 +800,7 @@ def _extend_by_kernel(ring, order, base, columns, image):
                 _combine(comb, s, t, row_comb, p)
         if not vec:
             kernel[b] = _normalize(comb, comb[b], p)
+            dead.add(b)
             continue
         pivot = next(iter(vec))
         lead = vec[pivot]
@@ -740,6 +815,10 @@ def _extend_by_kernel(ring, order, base, columns, image):
                 vec = {r: x // h for r, x in vec.items()}
                 comb = {e: x // h for e, x in comb.items()}
         rows.append((pivot, vec[pivot], vec, comb))
+        for u in units:
+            if b + u not in seen:
+                seen.add(b + u)
+                heapq.heappush(heap, -b - u)
     basis = []
     for lt, a, tail, _ in base:
         if all((lt - q) & guard for q in kernel):

@@ -6,9 +6,10 @@ an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
 ``_aux_name`` and call it.
 
 Standard monomials come from one place, ``GroebnerBasis.staircase``, which
-walks them layer by layer on the basis's packed leading monomials.
-``vector_space_dim`` counts them; it is INFINITE when some variable has no
-pure power among the leads, so that the staircase is infinite.
+walks them layer by layer on the basis's packed leading monomials and keeps
+the whole staircase on the basis.  ``vector_space_dim`` counts them; it is
+INFINITE when some variable has no pure power among the leads, so that the
+staircase is infinite.
 
 ``Ideal.quotient`` takes one of two routes.  When S/I is finite-dimensional
 (``vector_space_dim`` is finite) it is linear algebra on S/I, the FGLM walk

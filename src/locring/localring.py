@@ -26,11 +26,11 @@ Each ring keeps two memos for as long as it lives.  One holds, keyed by J's
 generators, HF(0..M-1) of S/J and the local model (a bound only decides
 whether d comes too late).  The other holds, per witness x and n, the
 ``DeltaTestResult``.  The delta tests build m-primary ideals by
-construction, colons of local models and the ideal nC = I + n*C over them,
-and use them as their own local models: S/J is then local, its degrevlex
-basis answers local membership and its colength is its number of standard
-monomials (``Ideal.vector_space_dim``).  The result keeps nC, which
-``delta_via_mu`` reads.
+construction, colons of local models (C = (x^n) : m^n is one colon) and the
+ideal nC = I + n*C over them, and use them as their own local models: S/J
+is then local, its degrevlex basis answers local membership and its
+colength is its number of standard monomials (``Ideal.vector_space_dim``).
+The result keeps nC, which ``delta_via_mu`` reads.
 
 The Hilbert function of R is the staircase of one truncated basis of I,
 ord(f) the lowest degree of f's truncated ds normal form, and the Loewy
@@ -295,11 +295,11 @@ class LocalRing:
         colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
         # (ii): x^n in m*C with C = (x^n) : m^n, taken on the local model
-        # of I + (x^n); C contains that model, so C and nC = I + m*C
-        # contain a power of m and each is its own local model
-        C = self.local_model(I + Ideal(S, [x ** n]))
-        for _ in range(n):
-            C = C.quotient(self.n)
+        # of I + (x^n) as one colon by m^n (equal to n colons by m); C
+        # contains that model, so C and nC = I + m*C contain a power of m
+        # and each is its own local model
+        C = self.local_model(I + Ideal(S, [x ** n])).quotient(
+            max_ideal_power(S, n))
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m
@@ -326,6 +326,9 @@ class LocalRing:
 
     def index(self, x, max_n=DEFAULT_INDEX_BOUND):
         """Smallest n with delta(R/m^n) = 1, tested on the witness x."""
+        if max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {max_n}: the index "
+                             "is the least n >= 1 with delta(R/m^n) = 1")
         self.check_parameter(x)
         hit = None
         for n in range(1, max_n + 1):

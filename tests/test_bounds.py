@@ -53,6 +53,36 @@ def test_prefix_must_start_with_one():
         hf_feasible_max_length((2, 3), 5)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_hf_feasible_max_length_needs_a_positive_N(N):
+    # N = 0 used to end in an IndexError
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        hf_feasible_max_length((1, 3, 6), N)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 8, 6, 5, 4), "emb must be >= 1, got 0"),
+    ((3, 0, 6, 5, 4), "e must be >= 1, got 0"),
+    # a negative multiplicity used to print a table of negative thresholds
+    ((3, -8, 6, 5, 4), "e must be >= 1, got -8"),
+    # and a negative HF one of impossible prefixes
+    ((3, 8, -2, 5, 4), "hf2 must be >= 0, got -2"),
+    # N = 0 used to end in an IndexError
+    ((3, 8, 6, 0, 4), "N must be >= 1, got 0"),
+    ((3, 8, 6, 5, -1), "d_max must be >= 0, got -1"),
+], ids=["emb", "e-zero", "e-negative", "hf2", "N", "d_max"])
+def test_case_report_rejects_out_of_range_input(args, message):
+    with pytest.raises(ValueError, match=message):
+        order_case_report(*args)
+
+
+def test_case_report_at_the_smallest_valid_input():
+    # d_max = 0 leaves only the tail, and N = 1 caps every length at 1
+    rep = order_case_report(emb=1, e=1, hf2_ambient=0, N=1, d_max=0)
+    assert rep.entries == []
+    assert rep.tail_summary == "orders d > 0 not settled: max length 1 >= 1"
+
+
 def test_case_report_eliminations():
     rep = order_case_report(emb=3, e=8, hf2_ambient=6, N=5, d_max=4)
     by_key = {(c.order_d, c.hf2): c for c in rep.entries}

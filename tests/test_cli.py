@@ -161,6 +161,32 @@ def test_cli_case_report(capsys):
     assert "all orders d > 4 eliminated" in out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["3", "8", "6", "0", "4"], "N must be >= 1, got 0"),
+    (["3", "-8", "6", "5", "4"], "e must be >= 1, got -8"),
+    (["3", "8", "-2", "5", "4"], "hf2 must be >= 0, got -2"),
+    (["0", "8", "6", "5", "4"], "emb must be >= 1, got 0"),
+    (["3", "8", "6", "5", "-1"], "d_max must be >= 0, got -1"),
+], ids=["N-zero", "e-negative", "hf2-negative", "emb-zero", "d_max-negative"])
+def test_cli_case_report_rejects_out_of_range_input(capsys, args, message):
+    # N = 0 used to end in an IndexError traceback with exit 1, the code of
+    # a failed check, and negative e or hf2 printed a table
+    assert main(["case-report"] + args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("max_n", ["0", "-2"])
+def test_cli_index_rejects_a_max_n_below_one(ring_file, capsys, max_n):
+    # --max-n 0 used to report "delta(R/m^n) = 0 for all n <= 0"
+    assert main(["index", "--ring", ring_file, "--witness", "y",
+                 "--max-n", max_n]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: max_n must be >= 1, got {max_n}")
+
+
 def test_cli_kernel(tmp_path, capsys):
     mf = tmp_path / "cusp.map"
     mf.write_text("t\nx = t^2\ny = t^3\n")

@@ -492,7 +492,7 @@ def test_staircase_edge_cases():
     assert sorted(map(unpack, layers[1])) == units
     # the unit ideal has no standard monomial
     unit = buchberger([S.parse("x"), S.parse("x + 1")], DegRevLex())
-    assert unit.staircase(3) == [[]] and unit.staircase(3, 5) == [[]]
+    assert unit.staircase(3) == ((),) and unit.staircase(3, 5) == ((),)
     # infinite: z has no pure power
     infinite = buchberger([S.parse("x^2"), S.parse("y^3 - x*z")], DegRevLex())
     assert infinite.staircase(3) is None
@@ -504,7 +504,7 @@ def test_staircase_edge_cases():
 @pytest.mark.parametrize("order", [DegRevLex(), NegDegRevLex(), Lex()],
                          ids=["degrevlex", "ds", "lex"])
 def test_empty_basis_staircase_is_every_monomial(order):
-    # fglm takes its columns and the monomials of m^d from this staircase
+    # the staircase of no leads is every monomial, degree by degree
     for nvars in (1, 2, 3, 4):
         unpack = packing(order, nvars).unpack
         layers = GroebnerBasis([], order).staircase(nvars, 8)
@@ -747,6 +747,52 @@ def test_gll_search_test_builds_no_generators():
 def test_walk_bases_equal_buchberger_of_the_same_ideal(field, walk):
     for ring, rng, gb, gens in _packed_runs(field, DegRevLex(), 0, walk):
         assert gb.generators == buchberger(gens, DegRevLex()).generators
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_colon_reduces_a_tail_past_the_border_of_the_walk(field):
+    # I : (x^2) contains x, so the tail x^2 of y^3 + x^2 is a multiple of a
+    # kernel lead that no independent column reaches: only its own image
+    # reduces y^3 + x^2 to y^3
+    ring = PolyRing(field, ("x", "y", "z"))
+    I = Ideal(ring, ["y^3 + x^2", "x^3", "z"])
+    gb = artinian_colon(I.groebner(), [ring.parse("x^2")])
+    assert gb.generators == [ring.parse(g) for g in ("z", "x", "y^3")]
+
+
+def test_kept_staircase_equals_a_fresh_walk_and_is_immutable():
+    rng = random.Random(5)
+    for field in (QQ, PrimeField(32003)):
+        ring = PolyRing(field, ("x", "y", "z"))
+        for _ in range(4):
+            gens = [_random_poly(ring, rng) for _ in range(2)]
+            gb = (Ideal(ring, gens) + max_ideal_power(ring, 5)).groebner()
+            kept = gb.staircase(3)
+            assert gb.staircase(3) is kept
+            # an equal basis walked afresh, and the walk below a degree,
+            # which is not kept
+            fresh = GroebnerBasis(list(gb.generators), DegRevLex())
+            assert fresh.staircase(3, DEGREE_BOUND) == kept
+            assert fresh.staircase(3) == kept
+            assert gb.staircase(3, 3) == kept[:3]
+            assert gb.staircase(3, 3) is not gb.staircase(3, 3)
+            assert isinstance(kept, tuple)
+            assert all(isinstance(layer, tuple) for layer in kept)
+            with pytest.raises(AttributeError):
+                kept[0].append(1)
+            with pytest.raises(TypeError):
+                kept[1][0] = 0
+    # an empty basis keeps its staircase per number of variables
+    empty = GroebnerBasis([], DegRevLex())
+    assert empty.staircase(2) is None and empty.staircase(3) is None
+
+
+def test_artinian_colon_needs_a_zero_dimensional_ideal():
+    S = PolyRing(QQ, ("x", "y", "z"))
+    I = Ideal(S, ["x^2", "y^3"])
+    with pytest.raises(ValueError, match="not zero-dimensional"):
+        artinian_colon(I.groebner(), S.gens())
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +115,33 @@ def test_artinian_quotient_matches_intersection_oracle(field):
                 .generators
             assert buchberger(list(got.generators), DegRevLex()) \
                 .generators == installed
+
+
+# monomial generators with coefficients other than 1: the colon walk reads
+# a product b * (c * e) as c times a normal form of e + b that it computes
+# once and shares between generators, so a shared one must be scaled by
+# each c.  An error shows only on a colon element whose support mixes
+# columns read off that memo with others, as it does on these two ideals.
+SCALED_DIVIDENDS = (("x^2 - y^5", "x*y^2 + y*z^3 - z^5", "x^6", "y^6", "z^6"),
+                    ("x^2 - 2*y*z", "y^2 + 3*x*z", "z^3 - x*y"))
+SCALED_DIVISORS = ((("2", "x"), ("3", "y^2")),
+                   (("-1", "x*y"), ("5", "z^2"), ("7", "x^2")),
+                   (("2", "x^2"), ("3", "x*y"), ("-5", "y^2"), ("7", "z")),
+                   (("1/2", "x"), ("-3/4", "y*z"), ("1", "z^2")))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+def test_colon_by_scaled_monomials_matches_intersection_oracle(field):
+    ring = PolyRing(field, ("x", "y", "z"))
+    for gens in SCALED_DIVIDENDS:
+        J = Ideal(ring, gens)
+        for divisor in SCALED_DIVISORS:
+            K = Ideal(ring, [ring.parse(m).scale(field.from_fraction(
+                Fraction(c).numerator, Fraction(c).denominator))
+                for c, m in divisor])
+            got = Ideal(ring, J.generators).quotient(K)
+            assert got.groebner().generators == \
+                _colon_oracle(J, K).groebner().generators
 
 
 def test_artinian_quotient_scales_a_basis_element_between_removals():

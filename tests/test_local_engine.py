@@ -285,6 +285,46 @@ def test_fglm_basis_is_canonical(field):
                     assert c.modulus == field.p and c.value != 0
 
 
+def _colon_routes(J, n):
+    """J : m^n as one colon and as n colons by m, each on a copy of J that
+    shares its degrevlex basis but no colon the other route kept."""
+    def copy():
+        out = Ideal(J.ring, J.generators)
+        out.gb_cache[DegRevLex()] = J.groebner()
+        return out
+
+    chain = copy()
+    for _ in range(n):
+        chain = chain.quotient(max_ideal_power(J.ring, 1))
+    one = copy().quotient(max_ideal_power(J.ring, n))
+    return one.groebner().generators, chain.groebner().generators
+
+
+@pytest.mark.parametrize("name", SCENARIO_RINGS)
+def test_one_colon_by_m_to_the_n_equals_n_colons_by_m(scenario_rings, name):
+    # the delta test's C = (x^n) : m^n, taken as one colon since
+    # (J : m^a) : m = J : m^(a+1), against the chain it replaced
+    R, witness = scenario_rings[name]
+    x = R.ring.parse(witness)
+    for n in range(1, 7):
+        J = R.local_model(R.I + Ideal(R.ring, [x ** n]))
+        one, chain = _colon_routes(J, n)
+        assert one == chain
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+def test_one_colon_by_m_to_the_n_equals_n_colons_on_random_ideals(field):
+    rng = random.Random(2015)
+    for trial in range(6):
+        names = ("x", "y", "z")[:2 + trial % 2]
+        ring = PolyRing(field, names)
+        gens = [_random_poly(ring, rng, 1, 3) for _ in range(2)]
+        J = Ideal(ring, gens) + max_ideal_power(ring, rng.randint(4, 6))
+        for n in range(1, 5):
+            one, chain = _colon_routes(J, n)
+            assert one == chain
+
+
 def test_hilbert_function_matches_truncation_colengths(scenario_rings):
     for name, (R, _witness) in scenario_rings.items():
         lam = [0] + _truncation_colengths(R, 15)

@@ -151,6 +151,13 @@ def test_index(cusp_ring, xyz):
     assert cusp_ring.index(xyz.parse("y")) == 5
 
 
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_index_needs_max_n_at_least_one(cusp_ring, xyz, max_n):
+    # max_n = 0 used to raise NotFound "delta(R/m^n) = 0 for all n <= 0"
+    with pytest.raises(ValueError, match=f"max_n must be >= 1, got {max_n}"):
+        cusp_ring.index(xyz.parse("y"), max_n=max_n)
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 def test_stabilization_bound_must_be_positive(cusp_ring, xyz, bound):
     # bound 0 used to fall back to the default 20 and give colength 10
