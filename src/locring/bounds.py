@@ -119,9 +119,6 @@ class CaseReport:
     entries: list = field(default_factory=list)
     tail_summary: str = ""
 
-    def unresolved(self):
-        return [c for c in self.entries if c.status == UNRESOLVED]
-
 
 # Known dimensions of the degree-2 slice of the initial ideal of I + (f),
 # by the order of f: for order 1 the slice is spanned by x^2, f^2, af, bf
@@ -130,7 +127,7 @@ class CaseReport:
 DEFAULT_J2_RANGES = {1: (3, 4), 2: (1, 2)}
 
 
-def order_case_report(emb, e, hf2_ambient, N, d_max, j2_ranges=None):
+def order_case_report(emb, e, hf2_ambient, N, d_max):
     """Enumerate orders d and admissible HF prefixes for R/fR, marking each
     case ELIMINATED when the maximal feasible length is below d*e.
     ValueError unless emb >= 1, e >= 1, hf2_ambient >= 0, N >= 1 and
@@ -140,11 +137,10 @@ def order_case_report(emb, e, hf2_ambient, N, d_max, j2_ranges=None):
                                ("d_max", d_max, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    j2 = dict(DEFAULT_J2_RANGES if j2_ranges is None else j2_ranges)
     report = CaseReport(emb, e, hf2_ambient, N, d_max)
     for d in range(1, d_max + 1):
         hf1 = emb - 1 if d == 1 else emb
-        lo, hi = j2.get(d, (0, 0))
+        lo, hi = DEFAULT_J2_RANGES.get(d, (0, 0))
         lo, hi = min(lo, hf2_ambient), min(hi, hf2_ambient)
         cap = macaulay_bound(hf1, 1)
         hf2_lo = max(0, hf2_ambient - hi)

@@ -314,9 +314,7 @@ def _scenario_ex2(runner, budget_seconds):
     x = src.var(0)
     runner.run("kernel-substitution", True,
                lambda: all(verify_in_kernel(g, pm) for g in R.I.generators))
-    # this Hilbert function has a false plateau 7,7,7 before reaching 8,
-    # so the stabilization window must exceed 3
-    runner.run("multiplicity", 8, lambda: R.multiplicity(window=5))
+    runner.run("multiplicity", 8, lambda: R.multiplicity())
     runner.run("delta-one-n5", True, lambda: R.delta_one_test(x, 5).verdict)
     runner.run("delta-one-n4", False, lambda: R.delta_one_test(x, 4).verdict)
     runner.run("index", 5, lambda: R.index(x))

@@ -12,30 +12,32 @@ Every length that is not already m-primary comes from a standard basis in
 the local order ds truncated at a degree N (``buchberger(..., truncate=N)``):
 its standard monomials of degree d < N number HF(d) = lambda(J + n^(d+1)) -
 lambda(J + n^d), whatever N is.  ``GroebnerBasis.staircase(nvars, N)`` walks
-them layer by layer, and this module only counts its layers.  One loop,
-``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at a bound plus
-one, and two readers scan what it yields:
+them layer by layer, and this module only counts its layers.  Each ring has
+one degree bound, ``stabilization_bound``.  One loop,
+``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at that bound
+plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
   Then M = max(2, d + 1) <= N, the truncation is a basis of the same ideal
   J + n^N = J + n^M, and ``groebner.fglm`` turns it, modulo n^d, into the
   degrevlex basis of the local model.
-* ``multiplicity`` stops at the first window of equal HF values.
+* ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
+  HF never rises.
 
 Each ring keeps two memos for as long as it lives.  One holds, keyed by J's
-generators, HF(0..M-1) of S/J and the local model (a bound only decides
-whether d comes too late).  The other holds, per witness x and n, the
-``DeltaTestResult``.  The delta tests build m-primary ideals by
-construction, colons of local models (C = (x^n) : m^n is one colon) and the
-ideal nC = I + n*C over them, and use them as their own local models: S/J
-is then local, its degrevlex basis answers local membership and its
-colength is its number of standard monomials (``Ideal.vector_space_dim``).
-The result keeps nC, which ``delta_via_mu`` reads.
+generators, HF(0..M-1) of S/J and the local model.  The other holds, per
+witness x and n, the ``DeltaTestResult``.  The delta tests build m-primary
+ideals by construction, colons of local models (C = (x^n) : m^n is one
+colon) and the ideal nC = I + n*C over them, and use them as their own
+local models: S/J is then local, its degrevlex basis answers local
+membership and its colength is its number of standard monomials
+(``Ideal.vector_space_dim``).  The result keeps nC, which ``delta_via_mu``
+reads.
 
 The Hilbert function of R is the staircase of one truncated basis of I,
-ord(f) the lowest degree of f's truncated ds normal form, and the Loewy
-length of R/(f) one more than the top degree of the staircase of the local
-model of I + (f).
+ord(f) the lowest degree of f's first nonzero ds normal form on the
+truncations of I, and the Loewy length of R/(f) one more than the top
+degree of the staircase of the local model of I + (f).
 """
 
 from dataclasses import dataclass, field
@@ -58,8 +60,6 @@ class _Sentinel:
 
 INSIDE_I = _Sentinel("INSIDE_I")
 
-DEFAULT_ORD_BOUND = 12
-DEFAULT_LOEWY_BOUND = 12
 DEFAULT_INDEX_BOUND = 10
 DEFAULT_STABILIZATION_BOUND = 20
 
@@ -101,60 +101,53 @@ class LocalRing:
 
     # -- length plumbing ----------------------------------------------------
 
-    def _truncations(self, J, bound):
-        """(HF list, ds basis) for the ds bases of J + n^N truncated at
-        N = 2, 4, 8, ..., capped at bound + 1.  The list holds the sizes of
-        the basis's staircase layers, HF(0), HF(1), ... of S/J, up to degree
-        N - 1 or up to and including the first zero, whichever comes first;
-        HF(d) does not depend on N."""
+    def _truncations(self, J):
+        """(N, HF list, ds basis) for the ds bases of J + n^N truncated at
+        N = 2, 4, 8, ..., capped at the ring's bound plus one.  The list
+        holds the sizes of the basis's staircase layers, HF(0), HF(1), ...
+        of S/J, up to degree N - 1 or up to and including the first zero,
+        whichever comes first; HF(d) does not depend on N."""
+        bound = self.stabilization_bound
         N = 2
         while True:
             gb = buchberger(list(J.generators), DS, truncate=N)
             layers = gb.staircase(self.ring.nvars, N)
-            yield [len(layer) for layer in layers], gb
+            yield N, [len(layer) for layer in layers], gb
             if N > bound:
                 return
             N = min(2 * N, bound + 1)
 
-    def _stabilize(self, J, bound=None):
+    def _stabilize(self, J):
         """The memo entry (hf, model) of the local model J + n^M of J, where
         hf is HF(0..M-1) of S/J, whose first zero is at M - 1, or at 0 when
         J contains a unit (then M = 2).  On a miss, the first truncation
         whose staircase has an empty degree d is a basis of J + n^N =
         J + n^M, which FGLM turns into the model's degrevlex basis, read
-        modulo n^d.  The entry does not depend on the bound, which only
-        decides whether the first empty degree comes too late:
-        NotArtinianLocally when it exceeds the bound, on a hit as on a
-        miss."""
-        if bound is None:
-            bound = self.stabilization_bound
-        elif bound < 1:
-            raise ValueError("bound must be >= 1")
+        modulo n^d; NotArtinianLocally when no truncation has one."""
         entry = self._models.get(J.generators)
-        if entry is None:
-            for hf, gb in self._truncations(J, bound):
-                if not hf[-1]:
-                    M = max(2, len(hf))
-                    hf += [0] * (M - len(hf))
-                    model = J + max_ideal_power(self.ring, M)
-                    model.gb_cache[DegRevLex()] = fglm(gb, hf.index(0))
-                    entry = self._models[J.generators] = (hf, model)
-                    break
-        if entry is None or entry[0].index(0) > bound:
-            raise NotArtinianLocally(
-                f"no colength stabilization within n^{bound}")
-        return entry
+        if entry is not None:
+            return entry
+        for _N, hf, gb in self._truncations(J):
+            if not hf[-1]:
+                M = max(2, len(hf))
+                hf += [0] * (M - len(hf))
+                model = J + max_ideal_power(self.ring, M)
+                model.gb_cache[DegRevLex()] = fglm(gb, hf.index(0))
+                entry = self._models[J.generators] = (hf, model)
+                return entry
+        raise NotArtinianLocally(
+            f"no colength stabilization within n^{self.stabilization_bound}")
 
-    def local_model(self, J, bound=None):
+    def local_model(self, J):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
         J + n^(M-1).  Its degrevlex basis, by FGLM, is already cached, and
         the same instance is returned for the same J."""
-        return self._stabilize(J, bound)[1]
+        return self._stabilize(J)[1]
 
-    def colength_local(self, J, bound=None):
+    def colength_local(self, J):
         """Length of S_n/(J localized): the colength of its local model."""
-        return sum(self._stabilize(J, bound)[0])
+        return sum(self._stabilize(J)[0])
 
     # -- Hilbert function and multiplicity ----------------------------------
 
@@ -168,37 +161,47 @@ class LocalRing:
         layers = gb.staircase(self.ring.nvars, N)
         return [len(layer) for layer in layers] + [0] * (N - len(layers))
 
-    def multiplicity(self, window=3, max_degree=30):
-        """Stable Hilbert-function value (dimension-one multiplicity): HF(d)
-        at the first d <= max_degree with HF(d - window + 1..d) all equal."""
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        for hf, _gb in self._truncations(self.I, max_degree):
-            if not hf[-1]:
-                hf += [0] * (max_degree + 1 - len(hf))
-            for d in range(window - 1, min(len(hf), max_degree + 1)):
-                if len(set(hf[d - window + 1:d + 1])) == 1:
+    def multiplicity(self):
+        """HF(d0) at the first d0 >= 1 with HF(d0) <= d0, read off the
+        truncations; NoStabilization when there is none within the bound.
+
+        HF is the Hilbert function of the standard graded algebra gr_m(R),
+        so HF(d+1) <= HF(d)^<d> (Macaulay; Bruns and Herzog,
+        *Cohen-Macaulay Rings*, 4.2.10).  When h <= d, the d-th Macaulay
+        representation of h is h binomials (k choose k), so h^<d> = h.
+        Hence HF never rises after d0, and the value is at least the limit
+        of HF: e when dim R = 1, 0 when R is Artinian.  It is e when R is
+        one-dimensional and Cohen-Macaulay, since then HF(d) <= e for every
+        d (Sally, *Numbers of generators of ideals in local rings*, 1978).
+        An Artinian or non-CM ring gets only that upper bound:
+        k[x,y]/(x^2, y^3) has HF 1, 2, 2, 1, 0, ... and gives 2.  When
+        dim R >= 2, HF grows without bound, so it never falls to d or
+        below, and this raises NoStabilization."""
+        for _N, hf, _gb in self._truncations(self.I):
+            for d in range(1, len(hf)):
+                if hf[d] <= d:
                     return hf[d]
         raise NoStabilization(
-            f"Hilbert function not constant on a window of {window} "
-            f"by degree {max_degree}")
+            f"Hilbert function above d at every degree d <= "
+            f"{self.stabilization_bound}")
 
     # -- orders and colengths -----------------------------------------------
 
-    def ord_mod(self, f, bound=DEFAULT_ORD_BOUND):
-        """Largest d <= bound with f in I + n^d; INSIDE_I if f lies in I.
-        That is the lowest degree of the ds normal form of f modulo
-        I + n^(bound+1), or bound if the normal form is 0."""
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
+    def ord_mod(self, f):
+        """Largest d <= bound with f in I + n^d, for the ring's bound;
+        INSIDE_I if f lies in I.  f lies in I + n^d, for d <= N, iff its ds
+        normal form modulo I + n^N has no term of degree below d, so the
+        answer is the lowest degree of the first nonzero normal form on the
+        truncations, or bound if every one is 0."""
         if f.is_zero():
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
             return INSIDE_I
-        N = bound + 1
-        gb = buchberger(list(self.I.generators), DS, truncate=N)
-        r = normal_form(f, gb, DS, truncate=N)
-        return bound if r.is_zero() else r.order()
+        for N, _hf, gb in self._truncations(self.I):
+            r = normal_form(f, gb, DS, truncate=N)
+            if not r.is_zero():
+                return r.order()
+        return self.stabilization_bound
 
     def colength(self, f):
         """Length of R/(f) for a nonzerodivisor f."""
@@ -211,19 +214,17 @@ class LocalRing:
             return False
         return self.colength(f) == d * self.multiplicity()
 
-    def loewy_length_mod(self, f, bound=DEFAULT_LOEWY_BOUND):
-        """Smallest N <= bound with m^N contained in (f) in R: one more than
-        the top degree of a ds standard monomial of the local model of
-        I + (f), which is stabilized within this bound."""
+    def loewy_length_mod(self, f):
+        """Smallest N with m^N contained in (f) in R: one more than the top
+        degree of a ds standard monomial of the local model of I + (f);
+        NotFound when that model does not stabilize within the bound."""
         self.check_parameter(f)
         try:
-            N = self._stabilize(self.I + Ideal(self.ring, [f]),
-                                max(bound, 1))[0].index(0)
+            return self._stabilize(
+                self.I + Ideal(self.ring, [f]))[0].index(0)
         except NotArtinianLocally:
-            N = None
-        if N is None or N > bound:
-            raise NotFound(f"no N <= {bound} with m^N inside the ideal")
-        return N
+            raise NotFound(f"no N <= {self.stabilization_bound} with m^N "
+                           "inside the ideal") from None
 
     # -- tangent cone -------------------------------------------------------
 

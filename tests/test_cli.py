@@ -250,7 +250,7 @@ def test_cli_loewy_beyond_its_bound(tmp_path, capsys):
     assert main(["loewy", "--ring", str(p), "--element", "x^25"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: no N <= 12 with m^N inside the ideal\n"
+    assert out.err == "error: no N <= 20 with m^N inside the ideal\n"
 
 
 def test_runner_records_other_errors_as_fail(capsys):

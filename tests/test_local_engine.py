@@ -20,6 +20,7 @@ import pytest
 
 from locring import cli, localring
 from locring.arith import QQ, PrimeField, PrimeFieldElement
+from locring.bounds import macaulay_bound
 from locring.errors import NoStabilization, NotArtinianLocally
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import Ideal, all_monomials, max_ideal_power
@@ -61,22 +62,23 @@ def _min_power_of_max_ideal_in(ideal, bound):
     return None
 
 
-def _assert_same_model(R, J, bound):
-    """local_model agrees with the loop: the same M and generators (hence
-    generator count) and the same installed reduced degrevlex basis, or
-    NotArtinianLocally on both paths.  Returns whether a model exists."""
+def _assert_same_model(R, J):
+    """local_model agrees with the loop within the ring's bound: the same M
+    and generators (hence generator count) and the same installed reduced
+    degrevlex basis, or NotArtinianLocally on both paths.  Returns whether
+    a model exists."""
     try:
-        M, old = _old_local_model(J, bound)
+        M, old = _old_local_model(J, R.stabilization_bound)
     except NotArtinianLocally:
         with pytest.raises(NotArtinianLocally):
-            R.local_model(J, bound)
+            R.local_model(J)
         return False
-    new = R.local_model(J, bound)
+    new = R.local_model(J)
     assert new.generators == old.generators
     assert len(new.generators) == len(J.generators) + len(
         all_monomials(R.ring, M))
     assert new.gb_cache[DegRevLex()].generators == old.groebner().generators
-    assert R.colength_local(J, bound) == old.vector_space_dim()
+    assert R.colength_local(J) == old.vector_space_dim()
     return True
 
 
@@ -109,9 +111,9 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
     seen = []
     original = LocalRing.local_model
 
-    def record(self, J, bound=None):
+    def record(self, J):
         seen.append(J)
-        return original(self, J, bound)
+        return original(self, J)
 
     monkeypatch.setattr(LocalRing, "local_model", record)
     for n in (3, 4):
@@ -119,7 +121,7 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
     monkeypatch.undo()
     assert len(seen) == 6
     for J in seen:
-        assert _assert_same_model(R, J, R.stabilization_bound)
+        assert _assert_same_model(R, J)
     for n in (3, 4):
         nC = R.delta_one_test(x, n).nC
         _M, old = _old_local_model(nC, R.stabilization_bound)
@@ -153,51 +155,117 @@ def test_m_primary_chain_matches_the_ds_route(scenario_rings, name):
         assert R.delta_via_mu(x, n) == 1 + mu_Cxn - mu_C
 
 
-def _old_multiplicity(R, window, max_degree):
-    """The degree-by-degree loop: HF(0..d) for d = 0, 1, ..., max_degree,
-    each list from its own truncated ds basis, until its last window
-    values agree."""
-    for d in range(max_degree + 1):
-        values = R.hilbert_function(d)
-        if len(values) >= window and len(set(values[-window:])) == 1:
-            return values[-1]
-    raise NoStabilization(f"no window of {window} by degree {max_degree}")
+def _loop_multiplicity(R):
+    """The degree-by-degree loop: HF(0..d) for d = 1, 2, ..., the ring's
+    bound, each list from its own truncated ds basis, until Macaulay's
+    bound holds its last value h fixed, macaulay_bound(h, d) == h.  None
+    when it never does."""
+    for d in range(1, R.stabilization_bound + 1):
+        h = R.hilbert_function(d)[-1]
+        if macaulay_bound(h, d) == h:
+            return h
+    return None
 
 
-def _same_multiplicity(R, window, max_degree=30):
+def _same_multiplicity(R):
     """multiplicity agrees with the loop: the same value, or
-    NoStabilization on both paths.  Returns the value or None."""
-    try:
-        expected = _old_multiplicity(R, window, max_degree)
-    except NoStabilization:
+    NoStabilization where the loop finds none.  Returns the value or
+    None."""
+    expected = _loop_multiplicity(R)
+    if expected is None:
         with pytest.raises(NoStabilization):
-            R.multiplicity(window, max_degree)
-        return None
-    assert R.multiplicity(window, max_degree) == expected
+            R.multiplicity()
+    else:
+        assert R.multiplicity() == expected
     return expected
+
+
+def test_macaulay_stop_test_is_h_at_most_d():
+    # multiplicity stops at the first d >= 1 with HF(d) <= d: exactly the
+    # values that Macaulay's bound cannot raise in the next degree
+    for d in range(1, 16):
+        for h in range(0, 60):
+            assert (h <= d) == (macaulay_bound(h, d) == h)
 
 
 @pytest.mark.parametrize("name", SCENARIO_RINGS)
 def test_multiplicity_matches_the_degree_by_degree_loop(scenario_rings,
                                                         name):
+    # HF(7) = 8 > 7 and HF(8) = 8 on all three, past ex2's 7, 7, 7 plateau,
+    # so the value needs a bound of 8 and no bound of 7 gives one
     R, _witness = scenario_rings[name]
-    for window in range(1, 6):
-        assert _same_multiplicity(R, window) is not None
-    # main and ex1 first show 8, 8, 8 at degrees 6..8
-    assert _same_multiplicity(R, 3, 7) == (7 if name == "ex2" else None)
-    assert _same_multiplicity(R, 1, 0) == 1
+    assert _same_multiplicity(R) == 8
+    for bound, expected in ((7, None), (8, 8)):
+        small = LocalRing(R.ring, R.I, stabilization_bound=bound)
+        assert _same_multiplicity(small) == expected
 
 
 def test_multiplicity_of_small_rings_matches_the_loop():
+    # the value bounds the limit of HF above; it is that limit, the
+    # multiplicity, on a one-dimensional Cohen-Macaulay ring
     S = PolyRing(QQ, ("x", "y"))
-    R = LocalRing(S, Ideal(S, ["x^2", "y^3"]))   # HF 1, 2, 2, 1, 0, ...
-    assert [_same_multiplicity(R, w) for w in range(1, 6)] == [1, 2, 0, 0, 0]
-    assert _same_multiplicity(R, 3, 5) is None
-    assert R.multiplicity() == 0
-    # HF 1, 1, 1, ...: the first truncation already reaches past degree 0
-    R = LocalRing(S, Ideal(S, ["y - x^2"]))
-    assert _same_multiplicity(R, 2, 0) is None
-    assert _same_multiplicity(R, 2, 1) == 1
+    # Artinian, HF 1, 2, 2, 1, 0, ...: 2, where the limit is 0
+    R = LocalRing(S, Ideal(S, ["x^2", "y^3"]))
+    assert R.hilbert_function(5) == [1, 2, 2, 1, 0, 0]
+    assert _same_multiplicity(R) == 2
+    # not Cohen-Macaulay (y^2 is killed by m), HF 1, 2, 2, 1, 1, ...: 2,
+    # where e = 1
+    R = LocalRing(S, Ideal(S, ["x*y", "y^3"]))
+    assert R.hilbert_function(5) == [1, 2, 2, 1, 1, 1]
+    assert _same_multiplicity(R) == 2
+    # a smooth curve, HF 1, 1, 1, ...
+    assert _same_multiplicity(LocalRing(S, Ideal(S, ["y - x^2"]))) == 1
+    # dimension two, HF(d) = d + 1 > d
+    assert _same_multiplicity(LocalRing(S, Ideal(S, []))) is None
+    T = PolyRing(QQ, ("x", "y", "z"))
+    assert _same_multiplicity(LocalRing(T, Ideal(T, ["x^2 - y^3"]))) is None
+
+
+@pytest.mark.parametrize("a, c", [(8, 20), (7, 18), (9, 22), (10, 25)])
+def test_multiplicity_of_a_branch_is_its_least_value(a, c):
+    # the kernel of t -> (t^a + t^(a+2), t^(a+1), t^c + t^(2c-4)) is one
+    # branch, so e is the least value of its semigroup, v(x) = a, which is
+    # also colength(x); (8, 20) is ex2, and a window of 3 equal values
+    # gave a - 1 on each
+    R = _curve_ring((f"t^{a} + t^{a + 2}", f"t^{a + 1}",
+                     f"t^{c} + t^{2 * c - 4}"))
+    x = R.ring.var(0)
+    assert R.multiplicity() == R.colength(x) == a
+    assert R.is_superficial(x)
+
+
+def _sparse_poly(ring, rng, lo, hi):
+    """Two to four monomials of degree lo..hi with nonzero coefficients in
+    [-3, 3]."""
+    terms = {}
+    size = rng.randint(2, 4)
+    while len(terms) < size:
+        e = rng.choice(all_monomials(ring, rng.randint(lo, hi)))
+        terms[e] = ring.field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Polynomial(ring, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+def test_multiplicity_is_where_the_hilbert_function_settles(field):
+    # two sparse generators in three variables: a complete intersection of
+    # dimension one when HF is constant on 20..30, where the multiplicity
+    # must be that constant; otherwise a common factor leaves dimension
+    # two, HF(30) > 30 and no value
+    rng = random.Random(1978)
+    ring = PolyRing(field, ("x", "y", "z"))
+    settled = 0
+    for _ in range(12):
+        gens = [_sparse_poly(ring, rng, 2, 7) for _ in range(2)]
+        R = LocalRing(ring, Ideal(ring, gens), stabilization_bound=30)
+        hf = R.hilbert_function(30)
+        if len(set(hf[20:])) == 1:
+            settled += 1
+            assert R.multiplicity() == hf[30]
+        else:
+            assert hf[30] > 30
+            with pytest.raises(NoStabilization):
+                R.multiplicity()
+    assert settled >= 6
 
 
 def test_colength_leaves_the_model_with_its_fglm_basis(monkeypatch):
@@ -245,7 +313,7 @@ def test_local_model_matches_loop_on_random_ideals(field):
         R = LocalRing(ring, Ideal(ring, []), stabilization_bound=bound)
         gens = [_random_poly(ring, rng, 1, 3, unit=(trial % 8 == 7))
                 for _ in range(rng.randint(2, 3))]
-        outcomes.append(_assert_same_model(R, Ideal(ring, gens), bound))
+        outcomes.append(_assert_same_model(R, Ideal(ring, gens)))
     assert any(outcomes) and not all(outcomes)
 
 
@@ -254,12 +322,13 @@ def test_local_model_matches_loop_at_the_doubling_edge(xyz, k):
     # J = (x^k, y, z) has M = k + 1, just above the power of two k, so the
     # truncation degrees 2, 4, ..., k fall short and the next one is capped
     # at bound + 1: exactly M for bound k, one short of it for bound k - 1
-    R = LocalRing(xyz, Ideal(xyz, []))
+    R = LocalRing(xyz, Ideal(xyz, []), stabilization_bound=k)
     J = Ideal(xyz, [f"x^{k}", "y", "z"])
-    assert _assert_same_model(R, J, k)
-    assert R.local_model(J, k).generators[3:] == \
+    assert _assert_same_model(R, J)
+    assert R.local_model(J).generators[3:] == \
         max_ideal_power(xyz, k + 1).generators
-    assert not _assert_same_model(R, J, k - 1)
+    short = LocalRing(xyz, Ideal(xyz, []), stabilization_bound=k - 1)
+    assert not _assert_same_model(short, J)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
@@ -333,9 +402,7 @@ def test_hilbert_function_matches_truncation_colengths(scenario_rings):
         if name == "ex2":
             # the false plateau before the multiplicity
             assert oracle[4:8] == [7, 7, 7, 8]
-            assert R.multiplicity(window=5) == 8
-        else:
-            assert R.multiplicity() == 8
+        assert R.multiplicity() == 8
 
 
 def _saturate(J, f):
@@ -405,8 +472,9 @@ def test_ord_matches_truncation_membership(cusp_ring, xyz):
         if not f.is_zero():
             elements.append(f)
     for bound in (4, 12):
+        R = LocalRing(xyz, cusp_ring.I, stabilization_bound=bound)
         for f in elements:
-            assert cusp_ring.ord_mod(f, bound) == _old_ord(cusp_ring, f, bound)
+            assert R.ord_mod(f) == _old_ord(R, f, bound)
 
 
 def test_loewy_length_matches_membership_loop(cusp_ring, xyz):
@@ -416,10 +484,10 @@ def test_loewy_length_matches_membership_loop(cusp_ring, xyz):
     assert _min_power_of_max_ideal_in(Ideal(xyz, ["x"]), 5) is None
     for s in ("y", "z", "x", "y - z", "x + y^2", "y*z", "z^2 + x*y"):
         f = xyz.parse(s)
-        _M, model = _old_local_model(cusp_ring.I + Ideal(xyz, [f]),
-                                     cusp_ring.stabilization_bound)
-        assert cusp_ring.loewy_length_mod(f, 20) == \
-            _min_power_of_max_ideal_in(model, 20)
+        bound = cusp_ring.stabilization_bound
+        _M, model = _old_local_model(cusp_ring.I + Ideal(xyz, [f]), bound)
+        assert cusp_ring.loewy_length_mod(f) == \
+            _min_power_of_max_ideal_in(model, bound)
     # the same for a plain power series ring: m^N inside (f) = (x^3)
     S = PolyRing(QQ, ("x",))
     assert LocalRing(S, Ideal(S, [])).loewy_length_mod(S.parse("x^3")) == 3

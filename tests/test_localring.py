@@ -35,13 +35,6 @@ def test_hilbert_function_rejects_negative_degree(cusp_ring):
         cusp_ring.hilbert_function(-3)
 
 
-@pytest.mark.parametrize("window", [0, -2])
-def test_multiplicity_rejects_window_below_1(cusp_ring, window):
-    # window 0 used to return 1 (HF(0)); the multiplicity is 8
-    with pytest.raises(ValueError):
-        cusp_ring.multiplicity(window=window)
-
-
 def test_ord(cusp_ring, xyz):
     assert cusp_ring.ord_mod(xyz.parse("y")) == 1
     assert cusp_ring.ord_mod(xyz.parse("x^2")) == 5  # x^2 = y^5 in R
@@ -70,21 +63,22 @@ def test_loewy_length(cusp_ring, xyz):
 
 def test_loewy_not_found():
     R1 = PolyRing(QQ, ("x",))
-    L = LocalRing(R1, Ideal(R1, []))
+    L = LocalRing(R1, Ideal(R1, []), stabilization_bound=2)
     with pytest.raises(NotFound):
-        L.loewy_length_mod(R1.parse("x^3"), bound=2)
+        L.loewy_length_mod(R1.parse("x^3"))
 
 
 def test_loewy_length_stabilizes_within_its_own_bound():
-    # R/(x^25) has Loewy length 25, above the ring's stabilization bound 20
-    # that the model of I + (f) used to be stabilized with
+    # R/(x^25) has Loewy length 25, above the default bound 20: the model
+    # of I + (f) is stabilized within the ring's one bound
     R1 = PolyRing(QQ, ("x",))
-    L = LocalRing(R1, Ideal(R1, []))
     x25 = R1.parse("x^25")
-    assert L.stabilization_bound < 25
-    assert L.loewy_length_mod(x25, bound=30) == 25
+    assert LocalRing(R1, Ideal(R1, [])).stabilization_bound < 25
+    L = LocalRing(R1, Ideal(R1, []), stabilization_bound=30)
+    assert L.loewy_length_mod(x25) == 25
+    L = LocalRing(R1, Ideal(R1, []), stabilization_bound=24)
     with pytest.raises(NotFound, match="no N <= 24"):
-        L.loewy_length_mod(x25, bound=24)
+        L.loewy_length_mod(x25)
 
 
 def test_tangent_cone(cusp_ring):
@@ -160,21 +154,19 @@ def test_index_needs_max_n_at_least_one(cusp_ring, xyz, max_n):
 
 @pytest.mark.parametrize("bound", [0, -1])
 def test_stabilization_bound_must_be_positive(cusp_ring, xyz, bound):
-    # bound 0 used to fall back to the default 20 and give colength 10
-    J = cusp_ring.I + Ideal(xyz, ["y"])
-    for call in (cusp_ring.local_model, cusp_ring.colength_local):
-        with pytest.raises(ValueError):
-            call(J, bound=bound)
-    # and a ring built with it used to fail every call
+    # a ring built with it used to fail every call
     with pytest.raises(ValueError):
         LocalRing(xyz, cusp_ring.I, stabilization_bound=bound)
 
 
 def test_ord_rejects_negative_bound(cusp_ring, xyz):
-    # bound -1 used to run an untruncated ds basis and return 1 > bound
+    # a per-call bound -1 used to run an untruncated ds basis and return
+    # 1 > bound; the ring's bound is at least 1, and ord never exceeds it
     with pytest.raises(ValueError):
-        cusp_ring.ord_mod(xyz.parse("y"), bound=-1)
-    assert cusp_ring.ord_mod(xyz.parse("y"), bound=0) == 0
+        LocalRing(xyz, cusp_ring.I, stabilization_bound=-1)
+    R = LocalRing(xyz, cusp_ring.I, stabilization_bound=1)
+    assert R.ord_mod(xyz.parse("y")) == 1
+    assert R.ord_mod(xyz.parse("x^2")) == 1  # ord 5, capped at the bound
 
 
 def _count_ds_runs(monkeypatch):

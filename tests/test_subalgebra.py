@@ -62,7 +62,7 @@ def test_heavy_parametrization_kernel(T):
     assert (J + n5).equals(target)
     # the quotient is a one-dimensional local ring of multiplicity 8
     R = LocalRing(src, J)
-    assert R.multiplicity(window=5) == 8
+    assert R.multiplicity() == 8
 
 
 def test_map_file_roundtrip():
