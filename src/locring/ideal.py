@@ -3,7 +3,8 @@
 ``Ideal.eliminate`` is the one elimination routine: intersections (eliminate
 an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
 (``subalgebra.kernel``) build their generators in a ring extended by
-``_aux_name`` and call it.
+``_aux_name`` and call it.  Its result, an Artinian colon and a local model
+each come from ``Ideal.from_basis``, with the reduced basis at hand.
 
 Standard monomials come from one place, ``GroebnerBasis.staircase``, which
 walks them layer by layer on the basis's packed leading monomials and keeps
@@ -13,8 +14,8 @@ staircase is infinite.
 
 ``Ideal.quotient`` takes one of two routes.  When S/I is finite-dimensional
 (``vector_space_dim`` is finite) it is linear algebra on S/I, the FGLM walk
-of ``groebner.artinian_colon``, which also installs the reduced degrevlex
-basis of the result.  Otherwise it intersects the single-element colons
+of ``groebner.artinian_colon``, whose reduced degrevlex basis generates
+the result.  Otherwise it intersects the single-element colons
 I : (g), each an intersection with (g) followed by exact division;
 ``quotient_element`` always takes that route.  Each ideal keeps its colons,
 keyed by the divisor's generators, as it keeps its Groebner bases.
@@ -45,8 +46,6 @@ def max_ideal(ring):
 
 def max_ideal_power(ring, d):
     """n^d, generated by all degree-d monomials."""
-    if d == 0:
-        return Ideal(ring, [ring.one()])
     return Ideal(ring, [ring.monomial(e) for e in all_monomials(ring, d)])
 
 
@@ -84,6 +83,13 @@ class Ideal:
         self.generators = tuple(gens)
         self.gb_cache = {}
         self.colon_cache = {}  # J.generators -> self : J
+
+    @classmethod
+    def from_basis(cls, ring, basis):
+        """The ideal a reduced Groebner basis generates, with it installed."""
+        out = cls(ring, basis.generators)
+        out.gb_cache[basis.order] = basis
+        return out
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} gens in {self.ring})"
@@ -160,8 +166,8 @@ class Ideal:
 
     def quotient(self, other):
         """I : J.  By linear algebra on S/I when that space is
-        finite-dimensional, with the reduced degrevlex basis of the result
-        cached; otherwise as the intersection of the single-element colons.
+        finite-dimensional, generated by the reduced degrevlex basis of the
+        result; otherwise as the intersection of the single-element colons.
         The result is kept in ``colon_cache``: the same generators of J give
         the same instance."""
         self._same_ring(other)
@@ -171,9 +177,8 @@ class Ideal:
         if out is not None:
             return out
         if self.vector_space_dim() != INFINITE:
-            basis = groebner.artinian_colon(self.groebner(), other.generators)
-            out = Ideal(self.ring, basis.generators)
-            out.gb_cache[basis.order] = basis
+            out = Ideal.from_basis(self.ring, groebner.artinian_colon(
+                self.groebner(), other.generators))
         else:
             for g in other.generators:
                 q = self.quotient_element(g)
@@ -184,7 +189,8 @@ class Ideal:
     # -- elimination --------------------------------------------------------
 
     def eliminate(self, drop_names, time_budget=None):
-        """Contract to the subring without the dropped variables."""
+        """Contract to the subring without the dropped variables; the second
+        block is degrevlex, so the kept basis elements are a reduced basis."""
         drop = [n for n in self.ring.names if n in set(drop_names)]
         if not drop:
             return Ideal(self.ring, list(self.generators))
@@ -195,12 +201,11 @@ class Ideal:
         gb = groebner.buchberger(gens, BlockOrder(len(drop)),
                                  time_budget=time_budget)
         target = PolyRing(self.ring.field, tuple(keep))
-        kept = []
-        for g in gb.generators:
-            if all(all(e[i] == 0 for i in range(len(drop))) for e in g.terms):
-                terms = {e[len(drop):]: c for e, c in g.terms.items()}
-                kept.append(Polynomial(target, terms))
-        return Ideal(target, kept)
+        k = len(drop)
+        kept = [Polynomial(target, {e[k:]: c for e, c in g.terms.items()})
+                for g in gb.generators if not any(any(e[:k]) for e in g.terms)]
+        return Ideal.from_basis(target, groebner.GroebnerBasis(kept,
+                                                               DegRevLex()))
 
     # -- dimensions ---------------------------------------------------------
 

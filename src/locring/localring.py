@@ -18,19 +18,19 @@ one degree bound, ``stabilization_bound``.  One loop,
 plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
-  Then M = max(2, d + 1) <= N, the truncation is a basis of the same ideal
-  J + n^N = J + n^M, and ``groebner.fglm`` turns it, modulo n^d, into the
-  degrevlex basis of the local model.
+  Then the truncation is a basis of the same ideal J + n^N = J + n^d, and
+  ``groebner.fglm`` turns it, modulo n^d, into the reduced degrevlex basis
+  that generates the local model (``Ideal.from_basis``).
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
 Each ring keeps two memos for as long as it lives.  One holds, keyed by J's
-generators, HF(0..M-1) of S/J and the local model.  The other holds, per
-witness x and n, the ``DeltaTestResult``.  The delta tests build m-primary
-ideals by construction, colons of local models (C = (x^n) : m^n is one
-colon) and the ideal nC = I + n*C over them, and use them as their own
-local models: S/J is then local, its degrevlex basis answers local
-membership and its colength is its number of standard monomials
+generators, HF of S/J up to its first zero and the local model.  The other
+holds, per witness x and n, the ``DeltaTestResult``.  The delta tests
+build m-primary ideals by construction, colons of local models (C = (x^n) :
+m^n is one colon) and the ideal nC = I + n*C over them, and use them as
+their own local models: S/J is then local, its degrevlex basis answers
+local membership and its colength is its number of standard monomials
 (``Ideal.vector_space_dim``).  The result keeps nC, which ``delta_via_mu``
 reads.
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, NotGorenstein,
-                     ZeroPolynomial)
+                     RingMismatch, ZeroPolynomial)
 from .groebner import buchberger, fglm, normal_form
 from .ideal import Ideal, max_ideal, max_ideal_power
 from .poly import BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing
@@ -88,6 +88,9 @@ class LocalRing:
             raise ValueError("stabilization_bound must be >= 1")
         if not isinstance(defining_ideal, Ideal):
             defining_ideal = Ideal(ring, defining_ideal)
+        if defining_ideal.ring != ring:
+            raise RingMismatch(f"defining ideal in {defining_ideal.ring}, "
+                               f"not in {ring}")
         for g in defining_ideal.generators:
             if (0,) * ring.nvars in g.terms:
                 raise ValueError("defining ideal not contained in the "
@@ -118,21 +121,18 @@ class LocalRing:
             N = min(2 * N, bound + 1)
 
     def _stabilize(self, J):
-        """The memo entry (hf, model) of the local model J + n^M of J, where
-        hf is HF(0..M-1) of S/J, whose first zero is at M - 1, or at 0 when
-        J contains a unit (then M = 2).  On a miss, the first truncation
-        whose staircase has an empty degree d is a basis of J + n^N =
-        J + n^M, which FGLM turns into the model's degrevlex basis, read
-        modulo n^d; NotArtinianLocally when no truncation has one."""
+        """The memo entry (hf, model) of J: hf is HF(0), ..., HF(d) of S/J
+        up to its first zero HF(d) (d = 0 when J contains a unit), model
+        the local model J + n^(d+1), generated by its reduced degrevlex
+        basis.  On a miss, the first truncation whose staircase has an
+        empty degree d is a basis of J + n^N = J + n^d, which FGLM turns
+        into that basis; NotArtinianLocally when no truncation has one."""
         entry = self._models.get(J.generators)
         if entry is not None:
             return entry
         for _N, hf, gb in self._truncations(J):
             if not hf[-1]:
-                M = max(2, len(hf))
-                hf += [0] * (M - len(hf))
-                model = J + max_ideal_power(self.ring, M)
-                model.gb_cache[DegRevLex()] = fglm(gb, hf.index(0))
+                model = Ideal.from_basis(self.ring, fglm(gb, len(hf) - 1))
                 entry = self._models[J.generators] = (hf, model)
                 return entry
         raise NotArtinianLocally(
@@ -141,8 +141,8 @@ class LocalRing:
     def local_model(self, J):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
-        J + n^(M-1).  Its degrevlex basis, by FGLM, is already cached, and
-        the same instance is returned for the same J."""
+        J + n^(M-1).  It is generated by its reduced degrevlex basis, from
+        FGLM, and the same instance is returned for the same J."""
         return self._stabilize(J)[1]
 
     def colength_local(self, J):
@@ -245,12 +245,10 @@ class LocalRing:
         homogenized = [g.homogenize(hname, front=True) for g in self.I.generators]
         J = Ideal(homogenized[0].ring, homogenized)
         gb = J.groebner(BlockOrder(1, first=Lex(), second=DegRevLex()))
-        gens = []
-        for g in gb.generators:
-            inf = g.dehomogenize(hname).initial_form()
-            gens.append(inf.map_to(target, list(range(target.nvars))))
-        out = Ideal(target, gens)
-        return Ideal(target, list(out.groebner().generators))
+        pos = list(range(target.nvars))
+        gens = [g.dehomogenize(hname).initial_form().map_to(target, pos)
+                for g in gb.generators]
+        return Ideal.from_basis(target, Ideal(target, gens).groebner())
 
     # -- delta invariant and index ------------------------------------------
 
@@ -292,15 +290,15 @@ class LocalRing:
         S = self.ring
         Ix, soc = self._socle(x)
         # (iii): x*m^n : m  inside (x)
-        J3 = self.local_model(I + Ideal(S, [x]) * max_ideal_power(S, n))
+        mn = max_ideal_power(S, n)
+        J3 = self.local_model(I + Ideal(S, [x]) * mn)
         colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
         # (ii): x^n in m*C with C = (x^n) : m^n, taken on the local model
         # of I + (x^n) as one colon by m^n (equal to n colons by m); C
         # contains that model, so C and nC = I + m*C contain a power of m
         # and each is its own local model
-        C = self.local_model(I + Ideal(S, [x ** n])).quotient(
-            max_ideal_power(S, n))
+        C = self.local_model(I + Ideal(S, [x ** n])).quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from locring import cli
 from locring.arith import QQ, PrimeField
 from locring.errors import RingMismatch, ZeroColon
 from locring.groebner import DEGREE_BOUND, GroebnerBasis, buchberger
 from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
 from locring.poly import DegRevLex, Polynomial, PolyRing
+from locring.subalgebra import kernel
 
 
 @pytest.fixture
@@ -179,6 +181,49 @@ def test_elimination_cusp():
     I = Ideal(R2, ["x - t^2", "y - t^3"])
     E = I.eliminate(["t"])
     assert {g.to_str() for g in E.groebner().generators} == {"x^3 - y^2"}
+
+
+def _assert_installed_basis_is_fresh(ideal):
+    """The degrevlex basis the ideal carries equals a fresh Buchberger run
+    on its generators, which are that basis."""
+    installed = ideal.gb_cache[DegRevLex()]
+    fresh = buchberger(list(ideal.generators), DegRevLex())
+    assert installed.generators == fresh.generators == list(ideal.generators)
+    assert installed.leads == fresh.leads
+
+
+def test_eliminate_installs_the_reduced_basis_of_a_kernel():
+    # ex2's kernel, the elimination of t from (x - t^8 - t^10, ...)
+    _assert_installed_basis_is_fresh(
+        kernel(cli.parse_map_file(cli.EX2_MAP_TEXT, QQ)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+def test_eliminate_installs_the_reduced_basis_of_an_intersection(field):
+    rng = random.Random(1993)
+    ring = PolyRing(field, ("x", "y", "z"))
+    for _ in range(4):
+        I = Ideal(ring, [_random_poly(ring, rng, 1, 2) for _ in range(2)])
+        J = Ideal(ring, [_random_poly(ring, rng, 1, 2) for _ in range(2)])
+        K = I.intersect(J)
+        _assert_installed_basis_is_fresh(K)
+        assert I.contains(K) and J.contains(K)
+
+
+def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):
+    Z = Ideal.from_basis(R, GroebnerBasis([], DegRevLex()))
+    assert Z.ring == R and Z.is_zero_ideal()
+    assert Z.member(R.zero()) and not Z.member(R.parse("x"))
+    assert Z.vector_space_dim() == INFINITE
+    assert Z.equals(Ideal(R, []))
+
+
+def test_from_basis_of_the_unit_basis_is_the_unit_ideal(R):
+    U = Ideal.from_basis(R, GroebnerBasis([R.one()], DegRevLex()))
+    assert U.generators == (R.one(),)
+    assert U.member(R.parse("x + 1")) and U.member(R.one())
+    assert U.vector_space_dim() == 0
+    assert U.equals(Ideal(R, ["x", "x + 1"]))
 
 
 def test_vector_space_dim(R):

@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 
 from locring import cli, localring
-from locring.arith import QQ
+from locring.arith import QQ, PrimeField
 from locring.errors import (NotArtinianLocally, NotFound, NotGorenstein,
-                            ZeroPolynomial)
+                            RingMismatch, ZeroPolynomial)
 from locring.ideal import Ideal
 from locring.localring import (INSIDE_I, LocalRing, weighted_degrees,
                                weighted_homogeneity_check)
@@ -18,6 +18,14 @@ from locring.subalgebra import kernel, parse_map_file
 def test_defining_ideal_must_avoid_units(xyz):
     with pytest.raises(ValueError):
         LocalRing(xyz, Ideal(xyz, ["x + 1"]))
+
+
+def test_defining_ideal_must_lie_in_the_ring(xyz):
+    # the same names over another field, and other names over Q
+    for names, field in ((xyz.names, PrimeField(32003)), (("a", "b"), QQ)):
+        other = PolyRing(field, names)
+        with pytest.raises(RingMismatch):
+            LocalRing(xyz, Ideal(other, [other.var(0) ** 2]))
 
 
 def test_hilbert_function_table(cusp_ring):
