@@ -564,7 +564,11 @@ def _dispatch(args):
     if cmd == "gll-search":
         desc = load_ring_file(args.ring)
         a, _, b = args.orders.partition("..")
-        order_range = (int(a), int(b or a))
+        try:
+            order_range = (int(a), int(b or a))
+        except ValueError:
+            raise ValueError(f"gll-search: orders must be A..B with "
+                             f"integers A and B, got {args.orders}") from None
         forced = (args.witness,) if args.witness else ()
         report, _hits = gll_search(desc, args.target, order_range,
                                    args.samples, seed=args.seed,

@@ -1,10 +1,11 @@
 """Ideal arithmetic on top of the Groebner kernel.
 
-``Ideal.eliminate`` is the one elimination routine: intersections (eliminate
-an auxiliary t from t*I + (1-t)*J) and kernels of parametrizations
-(``subalgebra.kernel``) build their generators in a ring extended by
-``_aux_name`` and call it.  Its result, an Artinian colon and a local model
-each come from ``Ideal.from_basis``, with the reduced basis at hand.
+``Ideal.eliminate`` is the one elimination routine: intersections that are
+not Artinian (eliminate an auxiliary t from t*I + (1-t)*J) and kernels of
+parametrizations (``subalgebra.kernel``) build their generators in a ring
+extended by ``_aux_name`` and call it.  Its result, an Artinian colon or
+intersection and a local model each come from ``Ideal.from_basis``, with
+the reduced basis at hand.
 
 Standard monomials come from one place, ``GroebnerBasis.staircase``, which
 walks them layer by layer on the basis's packed leading monomials and keeps
@@ -19,6 +20,11 @@ the result.  Otherwise it intersects the single-element colons
 I : (g), each an intersection with (g) followed by exact division;
 ``quotient_element`` always takes that route.  Each ideal keeps its colons,
 keyed by the divisor's generators, as it keeps its Groebner bases.
+
+``Ideal.intersect`` takes one of two routes too.  When both quotients are
+finite-dimensional, the intersection is the kernel of S -> S/I x S/J, the
+walk of ``groebner.artinian_intersection``; otherwise it is the
+elimination above.
 """
 
 from math import inf
@@ -143,9 +149,17 @@ class Ideal:
     # -- intersection and quotient ------------------------------------------
 
     def intersect(self, other):
+        """I and J's intersection: by linear algebra on S/I x S/J when both
+        are finite-dimensional, otherwise by elimination."""
         self._same_ring(other)
         if self.is_zero_ideal() or other.is_zero_ideal():
             return Ideal(self.ring, [])
+        # self first: quotient_element's (g) is never zero-dimensional in
+        # two or more variables, and its I has its staircase at hand
+        if (self.vector_space_dim() != INFINITE
+                and other.vector_space_dim() != INFINITE):
+            return Ideal.from_basis(self.ring, groebner.artinian_intersection(
+                self.groebner(), other.groebner()))
         aux = _aux_name(self.ring)
         ext = self.ring.extend(aux, front=True)
         t = ext.var(0)

@@ -24,15 +24,15 @@ plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
-Each ring keeps two memos for as long as it lives.  One holds, keyed by J's
-generators, HF of S/J up to its first zero and the local model.  The other
-holds, per witness x and n, the ``DeltaTestResult``.  The delta tests
-build m-primary ideals by construction, colons of local models (C = (x^n) :
-m^n is one colon) and the ideal nC = I + n*C over them, and use them as
-their own local models: S/J is then local, its degrevlex basis answers
-local membership and its colength is its number of standard monomials
-(``Ideal.vector_space_dim``).  The result keeps nC, which ``delta_via_mu``
-reads.
+Each ring keeps three memos for as long as it lives.  One holds, keyed by
+J's generators, HF of S/J up to its first zero and the local model.  The
+second holds, per witness x and n, the ``DeltaTestResult``, and the third
+the tangent cone.  The delta tests build m-primary ideals by construction,
+colons of local models (C = (x^n) : m^n is one colon) and the ideal
+nC = I + n*C over them, and use them as their own local models: S/J is
+then local, its degrevlex basis answers local membership and its colength
+is its number of standard monomials (``Ideal.vector_space_dim``).  The
+result keeps nC, which ``delta_via_mu`` reads.
 
 The Hilbert function of R is the staircase of one truncated basis of I,
 ord(f) the lowest degree of f's first nonzero ds normal form on the
@@ -101,6 +101,7 @@ class LocalRing:
         self.stabilization_bound = stabilization_bound
         self._models = {}       # J.generators -> (hf, local model)
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
+        self._tangent_cone = None
 
     # -- length plumbing ----------------------------------------------------
 
@@ -229,7 +230,13 @@ class LocalRing:
     # -- tangent cone -------------------------------------------------------
 
     def tangent_cone(self):
-        """The initial ideal I* in fresh uppercase variables."""
+        """The initial ideal I* in fresh uppercase variables; the same
+        instance on every call."""
+        if self._tangent_cone is None:
+            self._tangent_cone = self._initial_ideal()
+        return self._tangent_cone
+
+    def _initial_ideal(self):
         upper = tuple(n.upper() for n in self.ring.names)
         target = PolyRing(self.ring.field, upper)
         if self.I.is_zero_ideal():
@@ -267,7 +274,7 @@ class LocalRing:
         """The local model of I + (x) and its colon by m, whose quotient is
         the socle of R/(x); NotGorenstein unless that socle has dimension
         one.  x is a parameter of the one-dimensional R, so R is Gorenstein
-        iff R/(x) is, iff R/(x) has type 1: the three delta criteria agree
+        iff R/(x) is, iff R/(x) has type 1: criteria (ii) and (iii) agree
         only then."""
         Ix = self.local_model(self.I + Ideal(self.ring, [x]))
         soc = Ix.quotient(self.n)
@@ -301,7 +308,9 @@ class LocalRing:
         C = self.local_model(I + Ideal(S, [x ** n])).quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
-        # (iv): no socle element of R/(x) lies in x*m^n : m
+        # (iv): no socle element of R/(x) lies in x*m^n : m.  J3 lies in
+        # Ix, as x*m^n lies in (x), so colon3 = J3 : m lies in Ix : m = soc:
+        # the intersection is colon3, and (iv) is (iii) by a second algorithm
         cond_iv = Ix.contains(soc.intersect(colon3))
         if not (cond_ii == cond_iii == cond_iv):
             raise InternalInconsistency(

@@ -329,6 +329,19 @@ def test_cli_gll_search_bad_arguments_exit_2(ring_file, capsys, flags):
     assert out.err.startswith("error: gll-search: ")
 
 
+@pytest.mark.parametrize("orders", ["1..x", "x", "..3"])
+def test_cli_gll_search_orders_not_integers_exit_2(ring_file, capsys,
+                                                   orders):
+    # used to print "invalid literal for int() with base 10: 'x'"
+    argv = ["gll-search", "--ring", ring_file, "--target", "5",
+            "--samples", "3", "--orders", orders]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: gll-search: orders must be A..B with "
+                       f"integers A and B, got {orders}\n")
+
+
 def test_ex2_without_budget_skips_every_check():
     # the kernel's budget runs out, and every later check is skipped with
     # the expected value it would have been held to

@@ -8,14 +8,15 @@ from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring import cli
 from locring.errors import BudgetExceeded, RingMismatch
 from locring.groebner import (DEGREE_BOUND, GroebnerBasis, artinian_colon,
-                              buchberger, fglm, is_member, normal_form,
-                              packing, spoly)
+                              artinian_intersection, buchberger, fglm,
+                              is_member, normal_form, packing, spoly)
 from locring.ideal import Ideal, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex,
                           Polynomial, PolyRing, WeightedDegRevLex,
                           mono_divides, monomials_of_degree)
 from locring.subalgebra import kernel
+from oracles import intersect_by_elimination
 
 
 @pytest.fixture
@@ -647,15 +648,19 @@ PACKED_FIELDS = {"Q": QQ, "F2": PrimeField(2), "Fp": PrimeField(32003)}
 PACKED_RUNS = {"ds-truncated": (NegDegRevLex(), 6, None),
                "degrevlex": (DegRevLex(), 0, None),
                "fglm": (DegRevLex(), 0, "fglm"),
-               "artinian-colon": (DegRevLex(), 0, "artinian_colon")}
+               "artinian-colon": (DegRevLex(), 0, "artinian_colon"),
+               "artinian-intersection": (DegRevLex(), 0,
+                                         "artinian_intersection")}
 
 
 def _packed_runs(field, order, truncate, walk):
     """Six packed bases over field, each with generators of its ideal got
     without the FGLM walk: buchberger's basis of random generators (plus
     m^5 unless truncated) under order, or with walk the degrevlex basis
-    that ``fglm`` builds from their ds basis truncated at 6, or that
-    ``artinian_colon`` builds for (generators) + m^5 : m."""
+    that ``fglm`` builds from their ds basis truncated at 6, that
+    ``artinian_colon`` builds for (generators) + m^5 : m, or that
+    ``artinian_intersection`` builds for (generators) + m^5 and a second
+    random ideal plus m^4; the colon and the intersection by elimination."""
     rng = random.Random(2026)
     ring = PolyRing(field, ("x", "y", "z"))
     m5 = [ring.monomial(e) for e in monomials_of_degree(3, 5)]
@@ -671,8 +676,14 @@ def _packed_runs(field, order, truncate, walk):
             I = Ideal(ring, gens + m5)
             gb = artinian_colon(I.groebner(), ring.gens())
             colons = [I.quotient_element(v) for v in ring.gens()]
-            gens = list(colons[0].intersect(colons[1])
-                        .intersect(colons[2]).generators)
+            gens = list(intersect_by_elimination(intersect_by_elimination(
+                colons[0], colons[1]), colons[2]).generators)
+        elif walk == "artinian_intersection":
+            I = Ideal(ring, gens + m5)
+            J = Ideal(ring, [_random_poly(ring, rng) for _ in range(2)]) + \
+                max_ideal_power(ring, 4)
+            gb = artinian_intersection(I.groebner(), J.groebner())
+            gens = list(intersect_by_elimination(I, J).generators)
         else:
             if not truncate:
                 gens += m5
@@ -741,7 +752,8 @@ def test_gll_search_test_builds_no_generators():
     assert "generators" not in gb.__dict__
 
 
-@pytest.mark.parametrize("walk", ["fglm", "artinian_colon"])
+@pytest.mark.parametrize("walk", ["fglm", "artinian_colon",
+                                  "artinian_intersection"])
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),
                          ids=PACKED_FIELDS.keys())
 def test_walk_bases_equal_buchberger_of_the_same_ideal(field, walk):
@@ -793,6 +805,17 @@ def test_artinian_colon_needs_a_zero_dimensional_ideal():
     I = Ideal(S, ["x^2", "y^3"])
     with pytest.raises(ValueError, match="not zero-dimensional"):
         artinian_colon(I.groebner(), S.gens())
+
+
+def test_artinian_intersection_needs_zero_dimensional_ideals():
+    S = PolyRing(QQ, ("x", "y", "z"))
+    I = Ideal(S, ["x^2", "y^3"])
+    J = Ideal(S, ["x", "y", "z^2"])
+    for pair in ((I, J), (J, I)):
+        with pytest.raises(ValueError, match="not zero-dimensional"):
+            artinian_intersection(*(K.groebner() for K in pair))
+    with pytest.raises(ValueError, match="two orders"):
+        artinian_intersection(J.groebner(), J.groebner(Lex()))
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),

@@ -11,6 +11,7 @@ from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
 from locring.poly import DegRevLex, Polynomial, PolyRing
 from locring.subalgebra import kernel
+from oracles import intersect_by_elimination
 
 
 @pytest.fixture
@@ -82,11 +83,13 @@ def _random_poly(ring, rng, lo, hi):
 
 
 def _colon_oracle(J, K):
-    """J : K as the intersection of the colons by single generators."""
+    """J : K as the intersection of the colons by single generators, taken
+    by elimination: on a zero-dimensional J the colons are zero-dimensional,
+    and ``Ideal.intersect`` would take the FGLM walk that the colon takes."""
     out = None
     for g in K.generators:
         q = J.quotient_element(g)
-        out = q if out is None else out.intersect(q)
+        out = q if out is None else intersect_by_elimination(out, q)
     return out
 
 
@@ -208,6 +211,66 @@ def test_eliminate_installs_the_reduced_basis_of_an_intersection(field):
         K = I.intersect(J)
         _assert_installed_basis_is_fresh(K)
         assert I.contains(K) and J.contains(K)
+
+
+def _random_zero_dimensional(ring, rng):
+    """Generators v^a + (terms of degree < a), one for each variable v, so
+    that v^a leads under degrevlex, plus one random element: a
+    zero-dimensional ideal, and with a constant term most often not
+    m-primary."""
+    gens = [_random_poly(ring, rng, 1, 1)]
+    for v in ring.gens():
+        a = rng.randint(1, 3)
+        gens.append(v ** a + _random_poly(ring, rng, 0, a - 1))
+    return Ideal(ring, gens)
+
+
+def _assert_walk_equals_elimination(I, J):
+    K = I.intersect(J)
+    installed = K.gb_cache[DegRevLex()].generators
+    assert installed == intersect_by_elimination(I, J).groebner().generators
+    assert buchberger(list(K.generators), DegRevLex()).generators == \
+        installed
+    assert I.contains(K) and J.contains(K)
+    return K
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(32003)],
+                         ids=["Q", "F2", "Fp"])
+def test_artinian_intersection_matches_elimination(field):
+    rng = random.Random(1993)
+    for names in (("x", "y"), ("x", "y"), ("x", "y", "z"), ("x", "y", "z")):
+        ring = PolyRing(field, names)
+        for _ in range(2):
+            I = _random_zero_dimensional(ring, rng)
+            J = _random_zero_dimensional(ring, rng)
+            assert I.vector_space_dim() != INFINITE
+            assert J.vector_space_dim() != INFINITE
+            _assert_walk_equals_elimination(I, J)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(32003)],
+                         ids=["Q", "F3", "Fp"])
+def test_artinian_intersection_of_ideals_that_are_not_m_primary(field):
+    # the points (1, 1) and (-1, -1) and a double point at the origin
+    ring = PolyRing(field, ("x", "y"))
+    I = Ideal(ring, ["x^2 - 1", "y - x"])
+    J = Ideal(ring, ["x", "y^2"])
+    K = _assert_walk_equals_elimination(I, J)
+    assert K.vector_space_dim() == 4
+    assert K.member(ring.parse("x^3 - x")) and not K.member(ring.parse("y^2"))
+
+
+def test_artinian_intersection_edge_cases(R):
+    I = Ideal(R, ["x^2 - y*z", "y^3", "z^2", "x*y"])
+    J = Ideal(R, ["x", "y^2", "z"])
+    unit = Ideal(R, [R.one()])
+    assert J.contains(I)
+    for K in (I.intersect(J), J.intersect(I), I.intersect(unit),
+              unit.intersect(I), I.intersect(I)):
+        assert K.gb_cache[DegRevLex()].generators == I.groebner().generators
+    assert unit.intersect(unit).gb_cache[DegRevLex()].generators == \
+        [R.one()]
 
 
 def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from locring import cli, localring
+from locring import cli, groebner, localring
 from locring.arith import QQ, PrimeField
 from locring.errors import (NotArtinianLocally, NotFound, NotGorenstein,
                             RingMismatch, ZeroPolynomial)
@@ -11,8 +11,9 @@ from locring.ideal import Ideal
 from locring.localring import (INSIDE_I, LocalRing, weighted_degrees,
                                weighted_homogeneity_check)
 from locring.monomial import MonomialIdeal
-from locring.poly import DegRevLex, PolyRing
+from locring.poly import BlockOrder, DegRevLex, PolyRing
 from locring.subalgebra import kernel, parse_map_file
+from oracles import intersect_by_elimination
 
 
 def test_defining_ideal_must_avoid_units(xyz):
@@ -112,6 +113,64 @@ def test_tangent_cone_of_cusp():
     L = LocalRing(R2, Ideal(R2, ["x^3 - y^2"]))
     tc = L.tangent_cone()
     assert tc.equals(Ideal(tc.ring, ["Y^2"]))
+
+
+def _count_block_order_runs(monkeypatch):
+    """The block-order runs of ``groebner.buchberger`` that ideals make:
+    eliminations and the Lazard run of the tangent cone."""
+    calls = []
+    original = groebner.buchberger
+
+    def counted(gens, order, *args, **kwargs):
+        if isinstance(order, BlockOrder):
+            calls.append(order)
+        return original(gens, order, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    return calls
+
+
+def test_tangent_cone_is_computed_once_per_ring(monkeypatch):
+    calls = _count_block_order_runs(monkeypatch)
+    for _ in range(2):
+        before = len(calls)
+        report = cli.run_scenario("main")
+        assert all(c.status == cli.PASS for c in report.checks)
+        # the three tangent-cone checks share one Lazard run, and the
+        # delta tests' intersections eliminate nothing
+        assert len(calls) - before == 1
+    R = cli.MAIN_RING.local_ring()
+    assert R.tangent_cone() is R.tangent_cone()
+
+
+def test_delta_tests_run_no_elimination(cusp_ring, xyz, monkeypatch):
+    calls = _count_block_order_runs(monkeypatch)
+    R = LocalRing(xyz, cusp_ring.I)
+    for n in (4, 5):
+        R.delta_one_test(xyz.parse("y"), n)
+    assert calls == []
+
+
+def _paper_rings_and_witnesses():
+    pm = parse_map_file(cli.EX2_MAP_TEXT, QQ)
+    return {"main": (cli.MAIN_RING.local_ring(), "y"),
+            "ex1": (cli.EX1_RING.local_ring(), "z"),
+            "ex2": (LocalRing(pm.source, kernel(pm)), "x")}
+
+
+@pytest.mark.parametrize("name", ["main", "ex1", "ex2"])
+def test_condition_iv_intersects_the_socle_with_a_colon_inside_it(name):
+    # x*m^n lies in (x), so x*m^n : m lies in (x) : m, the socle, and
+    # condition (iv) reads the ideal of condition (iii): the intersection,
+    # taken by elimination here, is the colon itself
+    R, witness = _paper_rings_and_witnesses()[name]
+    x = R.ring.parse(witness)
+    soc = R.local_model(R.I + Ideal(R.ring, [x])).quotient(R.n)
+    for n in range(1, 7):
+        colon3 = R.delta_one_test(x, n).colon
+        assert soc.contains(colon3)
+        assert intersect_by_elimination(soc, colon3).groebner().generators \
+            == colon3.groebner().generators
 
 
 def test_delta_test_colons_take_the_artinian_route(cusp_ring, xyz,
