@@ -12,6 +12,8 @@ from .poly import monomials_of_degree
 ELIMINATED = "ELIMINATED"
 UNRESOLVED = "UNRESOLVED"
 
+_MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
+
 
 @dataclass
 class MacaulayRep:
@@ -51,14 +53,14 @@ def macaulay_bound(d, n):
     return sum(comb(k + 1, i + 1) for k, i in rep.ks)
 
 
-def lex_segment_oracle(d, n, v, max_monomials=2_000_000):
+def lex_segment_oracle(d, n, v):
     """Growth of the lex-segment quotient: keep the d lex-smallest degree-n
     monomials in the quotient and count the surviving degree-(n+1) ones.
 
     Independent combinatorial check of macaulay_bound (use v >= n + d)."""
     total_n = comb(n + v - 1, v - 1)
     total_n1 = comb(n + v, v - 1)
-    if total_n > max_monomials or total_n1 > max_monomials:
+    if max(total_n, total_n1) > _MAX_MONOMIALS:
         raise BudgetExceeded("lex_segment_oracle: too many monomials",
                              {"total": max(total_n, total_n1)})
     if d == 0:

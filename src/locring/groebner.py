@@ -209,9 +209,6 @@ class GroebnerBasis:
         basis._staircases = {}
         return basis
 
-    def __iter__(self):
-        return iter(self.generators)
-
     def __len__(self):
         return len(self.leads)
 

@@ -1,5 +1,12 @@
 """Ideal arithmetic on top of the Groebner kernel.
 
+An ``Ideal`` holds its generators and one Groebner basis, the reduced
+degrevlex basis, computed on the first read or installed from a basis at
+hand by ``Ideal.from_basis``.  Reduced bases are canonical, so two ideals
+are equal iff their bases are.  A basis under another order (an
+elimination, the Lazard run of a tangent cone) is a ``buchberger`` run of
+its own and never stays on an ideal.
+
 ``Ideal.eliminate`` is the one elimination routine: intersections that are
 not Artinian (eliminate an auxiliary t from t*I + (1-t)*J) and kernels of
 parametrizations (``subalgebra.kernel``) build their generators in a ring
@@ -11,7 +18,7 @@ Standard monomials come from one place, ``GroebnerBasis.staircase``, which
 walks them layer by layer on the basis's packed leading monomials and keeps
 the whole staircase on the basis.  ``vector_space_dim`` counts them; it is
 INFINITE when some variable has no pure power among the leads, so that the
-staircase is infinite.
+staircase is infinite, as it is for the zero ideal's empty basis.
 
 ``Ideal.quotient`` takes one of two routes.  When S/I is finite-dimensional
 (``vector_space_dim`` is finite) it is linear algebra on S/I, the FGLM walk
@@ -19,7 +26,7 @@ of ``groebner.artinian_colon``, whose reduced degrevlex basis generates
 the result.  Otherwise it intersects the single-element colons
 I : (g), each an intersection with (g) followed by exact division;
 ``quotient_element`` always takes that route.  Each ideal keeps its colons,
-keyed by the divisor's generators, as it keeps its Groebner bases.
+keyed by the divisor's generators, as it keeps its basis.
 
 ``Ideal.intersect`` takes one of two routes too.  When both quotients are
 finite-dimensional, the intersection is the kernel of S -> S/I x S/J, the
@@ -31,7 +38,6 @@ from math import inf
 
 from . import groebner
 from .errors import RingMismatch, ZeroColon
-from .monomial import _minimalize
 from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
                    monomials_of_degree)
 
@@ -55,9 +61,9 @@ def max_ideal_power(ring, d):
     return Ideal(ring, [ring.monomial(e) for e in all_monomials(ring, d)])
 
 
-def exact_div(f, g, order=None):
+def exact_div(f, g):
     """Return q with f = q*g; assumes g divides f (f in the ideal (g))."""
-    order = order or DegRevLex()
+    order = DegRevLex()
     ring = f.ring
     q = ring.zero()
     r = f
@@ -74,7 +80,7 @@ def exact_div(f, g, order=None):
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators, with its reduced degrevlex basis."""
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -87,14 +93,18 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.generators = tuple(gens)
-        self.gb_cache = {}
+        self._gb = None         # the reduced degrevlex basis, once known
         self.colon_cache = {}  # J.generators -> self : J
 
     @classmethod
     def from_basis(cls, ring, basis):
-        """The ideal a reduced Groebner basis generates, with it installed."""
+        """The ideal a reduced degrevlex basis generates, with it installed;
+        ValueError for a basis under another order."""
+        if basis.order != DegRevLex():
+            raise ValueError(f"from_basis: a {basis.order} basis, "
+                             "not degrevlex")
         out = cls(ring, basis.generators)
-        out.gb_cache[basis.order] = basis
+        out._gb = basis
         return out
 
     def __repr__(self):
@@ -103,22 +113,20 @@ class Ideal:
     def is_zero_ideal(self):
         return not self.generators
 
-    def groebner(self, order=None):
-        order = order or DegRevLex()
-        gb = self.gb_cache.get(order)
-        if gb is None:
-            gb = groebner.buchberger(list(self.generators), order)
-            self.gb_cache[order] = gb
-        return gb
+    def groebner(self):
+        """The reduced degrevlex basis, computed on the first call."""
+        if self._gb is None:
+            self._gb = groebner.buchberger(list(self.generators), DegRevLex())
+        return self._gb
 
     # -- membership and comparison ------------------------------------------
 
-    def member(self, f, order=None):
+    def member(self, f):
         if f.is_zero():
             return True
         if self.is_zero_ideal():
             return False
-        return groebner.is_member(f, self.groebner(order))
+        return groebner.is_member(f, self.groebner())
 
     def contains(self, other):
         return all(self.member(g) for g in other.generators)
@@ -136,11 +144,8 @@ class Ideal:
 
     def __mul__(self, other):
         self._same_ring(other)
-        gens = [f * g for f in self.generators for g in other.generators]
-        if gens and all(g.is_monomial() for g in gens):
-            gens = [self.ring.monomial(e) for e in reversed(
-                _minimalize(next(iter(g.terms)) for g in gens))]
-        return Ideal(self.ring, gens)
+        return Ideal(self.ring, [f * g for f in self.generators
+                                 for g in other.generators])
 
     def _same_ring(self, other):
         if other.ring != self.ring:
@@ -161,7 +166,7 @@ class Ideal:
             return Ideal.from_basis(self.ring, groebner.artinian_intersection(
                 self.groebner(), other.groebner()))
         aux = _aux_name(self.ring)
-        ext = self.ring.extend(aux, front=True)
+        ext = self.ring.extend(aux)
         t = ext.var(0)
         one = ext.one()
         pos = list(range(1, ext.nvars))
@@ -226,8 +231,6 @@ class Ideal:
     def vector_space_dim(self):
         """Length of S/I as a k-vector space (count of standard monomials),
         or INFINITE."""
-        if self.is_zero_ideal():
-            return INFINITE
         gb = self.groebner()
         layers = gb.staircase(self.ring.nvars)
         return INFINITE if layers is None else sum(map(len, layers))

@@ -1,4 +1,5 @@
-"""Invariants of R = (k[vars]/I) localized at the ideal of the variables.
+"""Invariants of R = (k[vars]/I) localized at the ideal of the variables,
+for I an ``Ideal`` inside the ideal of the variables.
 
 Lengths and memberships are evaluated in the polynomial ring on m-primary
 representatives: a quotient ideal J is replaced by its local model J + n^M,
@@ -32,12 +33,16 @@ colons of local models (C = (x^n) : m^n is one colon) and the ideal
 nC = I + n*C over them, and use them as their own local models: S/J is
 then local, its degrevlex basis answers local membership and its colength
 is its number of standard monomials (``Ideal.vector_space_dim``).  The
-result keeps nC, which ``delta_via_mu`` reads.
+three criteria are equal on a Gorenstein ring, and a disagreement raises
+``InternalInconsistency``, so the result keeps one verdict, the colon of
+criterion (iii) and nC, which ``delta_via_mu`` reads.
 
 The Hilbert function of R is the staircase of one truncated basis of I,
 ord(f) the lowest degree of f's first nonzero ds normal form on the
-truncations of I, and the Loewy length of R/(f) one more than the top
-degree of the staircase of the local model of I + (f).
+truncations of I (``ideal.INFINITE`` for f in I), and the Loewy length of
+R/(f) one more than the top degree of the staircase of the local model of
+I + (f).  The tangent cone comes from one block-order ``buchberger`` run
+on the homogenized generators (Lazard's method).
 """
 
 from dataclasses import dataclass, field
@@ -46,19 +51,8 @@ from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, NotGorenstein,
                      RingMismatch, ZeroPolynomial)
 from .groebner import buchberger, fglm, normal_form
-from .ideal import Ideal, max_ideal, max_ideal_power
+from .ideal import INFINITE, Ideal, max_ideal, max_ideal_power
 from .poly import BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing
-
-
-class _Sentinel:
-    def __init__(self, name):
-        self.name = name
-
-    def __repr__(self):
-        return self.name
-
-
-INSIDE_I = _Sentinel("INSIDE_I")
 
 DEFAULT_INDEX_BOUND = 10
 DEFAULT_STABILIZATION_BOUND = 20
@@ -69,11 +63,8 @@ DS = NegDegRevLex()
 @dataclass(frozen=True)
 class DeltaTestResult:
     n: int
-    cond_ii: bool
-    cond_iii: bool
-    cond_iv: bool
+    verdict: bool  # delta(R/m^n) = 1, on which the three criteria agree
     colon: object  # the ideal x*m^n : m (condition iii), as an Ideal
-    verdict: bool
     # nC = I + m*((x^n) : m^n) (condition ii), as an Ideal
     nC: object = field(compare=False)
 
@@ -86,8 +77,6 @@ class LocalRing:
                  stabilization_bound=DEFAULT_STABILIZATION_BOUND):
         if stabilization_bound < 1:
             raise ValueError("stabilization_bound must be >= 1")
-        if not isinstance(defining_ideal, Ideal):
-            defining_ideal = Ideal(ring, defining_ideal)
         if defining_ideal.ring != ring:
             raise RingMismatch(f"defining ideal in {defining_ideal.ring}, "
                                f"not in {ring}")
@@ -190,14 +179,14 @@ class LocalRing:
 
     def ord_mod(self, f):
         """Largest d <= bound with f in I + n^d, for the ring's bound;
-        INSIDE_I if f lies in I.  f lies in I + n^d, for d <= N, iff its ds
+        INFINITE if f lies in I.  f lies in I + n^d, for d <= N, iff its ds
         normal form modulo I + n^N has no term of degree below d, so the
         answer is the lowest degree of the first nonzero normal form on the
         truncations, or bound if every one is 0."""
         if f.is_zero():
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
-            return INSIDE_I
+            return INFINITE
         for N, _hf, gb in self._truncations(self.I):
             r = normal_form(f, gb, DS, truncate=N)
             if not r.is_zero():
@@ -211,7 +200,7 @@ class LocalRing:
     def is_superficial(self, f):
         """True iff colength(f) equals ord(f) * e, the superficiality test."""
         d = self.ord_mod(f)
-        if d is INSIDE_I or d == 0:
+        if d == INFINITE or d == 0:
             return False
         return self.colength(f) == d * self.multiplicity()
 
@@ -249,9 +238,9 @@ class LocalRing:
         # on the homogeneous ideal of the homogenized generators the block
         # order is the homogenized local degree order, and its basis
         # dehomogenizes to a standard basis, whose initial forms generate I*.
-        homogenized = [g.homogenize(hname, front=True) for g in self.I.generators]
-        J = Ideal(homogenized[0].ring, homogenized)
-        gb = J.groebner(BlockOrder(1, first=Lex(), second=DegRevLex()))
+        homogenized = [g.homogenize(hname) for g in self.I.generators]
+        gb = buchberger(homogenized, BlockOrder(1, first=Lex(),
+                                                second=DegRevLex()))
         pos = list(range(target.nvars))
         gens = [g.dehomogenize(hname).initial_form().map_to(target, pos)
                 for g in gb.generators]
@@ -317,7 +306,7 @@ class LocalRing:
                 f"delta criteria disagree at n={n}: "
                 f"ii={cond_ii} iii={cond_iii} iv={cond_iv}")
         result = self._delta_tests[x, n] = DeltaTestResult(
-            n, cond_ii, cond_iii, cond_iv, colon3, cond_iii, nC)
+            n, cond_iii, colon3, nC)
         return result
 
     def delta_via_mu(self, x, n):

@@ -80,31 +80,21 @@ class MonomialIdeal:
 
         A mixed generator u*v with coprime nontrivial u, v splits the ideal
         as (A+(u)) intersect (A+(v)); recursion bottoms out at pure-power
-        ideals.
+        ideals.  The components minimal under inclusion are irredundant.
+        Let no other Q_j lie in Q_i = (x_s^a_s : s in S_i), and pick for
+        each j a generator m_j of Q_j outside Q_i, a pure power.  The lcm
+        of the m_j lies in every Q_j; its exponent at each x_s, s in S_i,
+        is 0 or that of some m_j = x_s^b with b < a_s, so the lcm lies
+        outside Q_i, and the other components do not intersect into Q_i.
         """
         if not self.is_proper():
             raise UnitIdeal("unit ideal has no decomposition")
         components = set()
         self._decompose(components)
-        comps = sorted(components, key=lambda c: c.generators)
-        # drop redundant components (those containing the intersection of
-        # the others)
-        irredundant = list(comps)
-        changed = True
-        while changed:
-            changed = False
-            for c in list(irredundant):
-                rest = [d for d in irredundant if d is not c]
-                if not rest:
-                    continue
-                inter = rest[0]
-                for d in rest[1:]:
-                    inter = inter.intersect(d)
-                if c.contains(inter):
-                    irredundant.remove(c)
-                    changed = True
-                    break
-        return sorted(irredundant, key=lambda c: c.generators)
+        return sorted((c for c in components
+                       if not any(d != c and c.contains(d)
+                                  for d in components)),
+                      key=lambda c: c.generators)
 
     def _decompose(self, acc):
         split = self._first_mixed_generator()
@@ -132,4 +122,4 @@ class MonomialIdeal:
         for s in sorted(supports, key=lambda s: (len(s), sorted(s))):
             if not any(m < s for m in minimal):
                 minimal.append(s)
-        return [s for s in minimal if not any(m < s for m in minimal)]
+        return minimal

@@ -196,12 +196,11 @@ class PolyRing:
     def parse(self, text):
         return _parse(self, text)
 
-    def extend(self, name, front=True):
-        """Return a ring with one extra variable, prepended or appended."""
+    def extend(self, name):
+        """Return a ring with one extra variable, prepended."""
         if name in self.names:
             raise VariableClash(f"variable {name!r} already present")
-        names = (name,) + self.names if front else self.names + (name,)
-        return PolyRing(self.field, names)
+        return PolyRing(self.field, (name,) + self.names)
 
 
 class Polynomial:
@@ -322,11 +321,6 @@ class Polynomial:
 
     # -- leading terms ------------------------------------------------------
 
-    def sorted_terms(self, order):
-        """Terms as (exps, coeff) pairs, descending in the given order."""
-        key = order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def leading_term(self, order):
         if not self.terms:
             raise ZeroPolynomial("leading term of 0")
@@ -336,19 +330,15 @@ class Polynomial:
 
     # -- homogenization -----------------------------------------------------
 
-    def homogenize(self, name, front=False):
+    def homogenize(self, name):
         """Homogenize with a new variable; returns a polynomial in the
-        extended ring (new variable appended unless front=True)."""
+        extended ring, whose first variable is the new one."""
         if self.is_zero():
             raise ZeroPolynomial("homogenize of 0")
-        ring = self.ring.extend(name, front=front)
+        ring = self.ring.extend(name)
         d = self.total_degree()
-        terms = {}
-        for e, c in self.terms.items():
-            fill = d - sum(e)
-            ne = (fill,) + e if front else e + (fill,)
-            terms[ne] = c
-        return Polynomial(ring, terms)
+        return Polynomial(ring, {(d - sum(e),) + e: c
+                                 for e, c in self.terms.items()})
 
     def dehomogenize(self, name):
         """Set the named variable to 1 and drop it from the ring."""
@@ -402,12 +392,14 @@ class Polynomial:
 
     # -- printing -----------------------------------------------------------
 
-    def to_str(self, order=None):
+    def to_str(self):
+        """The terms in descending degrevlex order."""
         if not self.terms:
             return "0"
-        order = order or DegRevLex()
+        key = DegRevLex().key
         parts = []
-        for e, c in self.sorted_terms(order):
+        for e, c in sorted(self.terms.items(), key=lambda t: key(t[0]),
+                           reverse=True):
             mono = "*".join(
                 f"{n}^{x}" if x > 1 else n
                 for n, x in zip(self.ring.names, e) if x

@@ -61,16 +61,6 @@ class LatticePolygon:
             pairs.append(((dx // g, dy // g), g))
         return pairs
 
-    def lattice_point_count(self):
-        xs = [p[0] for p in self.vertices]
-        ys = [p[1] for p in self.vertices]
-        count = 0
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if self.contains((x, y)):
-                    count += 1
-        return count
-
     def contains(self, p):
         v = self.vertices
         if len(v) == 1:
@@ -175,7 +165,8 @@ def edge_splitting_search(P):
 
 def is_integer_irreducible(P):
     """Decide integer irreducibility, with a certificate for splits."""
-    if P.lattice_point_count() < 2:
+    # the vertices are lattice points: two of them are two lattice points
+    if len(P.vertices) < 2:
         raise ValueError("polygon must contain at least 2 lattice points")
     fast = axis_triangle_fast_path(P)
     if fast:

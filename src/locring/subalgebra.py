@@ -36,7 +36,7 @@ def kernel(pmap, time_budget=None):
     (x_1 - g_1(t), ..., x_n - g_n(t))."""
     src = pmap.source
     aux = _aux_name(src)
-    ext = src.extend(aux, front=True)
+    ext = src.extend(aux)
     gens = [ext.var(i + 1) - g.map_to(ext, [0])
             for i, g in enumerate(pmap.images)]
     return Ideal(ext, gens).eliminate([aux], time_budget=time_budget)

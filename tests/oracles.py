@@ -13,7 +13,7 @@ def intersect_by_elimination(I, J):
     name = "t"
     while name in ring.names:
         name += "_"
-    ext = ring.extend(name, front=True)
+    ext = ring.extend(name)
     t, one = ext.var(0), ext.one()
     pos = list(range(1, ext.nvars))
     gens = [t * f.map_to(ext, pos) for f in I.generators]

@@ -13,7 +13,7 @@ from locring.bounds import lex_segment_oracle, macaulay_bound
 from locring.cli import (PASS, SKIPPED_HEAVY, SplitMix64, gll_search,
                          parse_ring_file, run_scenario, sample_element)
 from locring.groebner import buchberger, normal_form, spoly
-from locring.ideal import Ideal, all_monomials
+from locring.ideal import INFINITE, Ideal, all_monomials
 from locring.poly import DegRevLex, PolyRing, Polynomial
 from locring.polytope import (LatticePolygon, edge_splitting_search,
                               is_integer_irreducible, minkowski_sum,
@@ -148,8 +148,6 @@ def _suite_monomial_oracle(rng):
 
 def _suite_colength_inequality(rng):
     """colength(f) >= ord(f) * e(R) on 50 random elements of the domain."""
-    from locring.localring import INSIDE_I
-
     desc = parse_ring_file(MAIN_RING_TEXT)
     R = desc.local_ring()
     e = R.multiplicity()
@@ -159,7 +157,7 @@ def _suite_colength_inequality(rng):
         if f.is_zero() or R.I.member(f):
             continue
         d = R.ord_mod(f)
-        if d is INSIDE_I or d == 0:
+        if d == INFINITE or d == 0:
             continue
         if R.colength(f) < d * e:
             return False
@@ -183,7 +181,7 @@ def _polygon_catalog(size):
         for sub in combinations(grid, r):
             P = LatticePolygon(list(sub))
             key = P.translated_to_origin()
-            if key not in seen and P.lattice_point_count() >= 2:
+            if key not in seen and len(P.vertices) >= 2:
                 seen[key] = LatticePolygon(list(key))
     return seen
 

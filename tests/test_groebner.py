@@ -499,7 +499,8 @@ def test_staircase_edge_cases():
     assert infinite.staircase(3) is None
     assert [len(layer) for layer in infinite.staircase(3, 5)] == \
         [len(layer) for layer in _layers_below(
-            [g.leading_term(DegRevLex())[0] for g in infinite], 3, 5)]
+            [g.leading_term(DegRevLex())[0] for g in infinite.generators],
+            3, 5)]
 
 
 @pytest.mark.parametrize("order", [DegRevLex(), NegDegRevLex(), Lex()],
@@ -815,7 +816,8 @@ def test_artinian_intersection_needs_zero_dimensional_ideals():
         with pytest.raises(ValueError, match="not zero-dimensional"):
             artinian_intersection(*(K.groebner() for K in pair))
     with pytest.raises(ValueError, match="two orders"):
-        artinian_intersection(J.groebner(), J.groebner(Lex()))
+        artinian_intersection(J.groebner(),
+                              buchberger(list(J.generators), Lex()))
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),

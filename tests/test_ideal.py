@@ -9,7 +9,7 @@ from locring.errors import RingMismatch, ZeroColon
 from locring.groebner import DEGREE_BOUND, GroebnerBasis, buchberger
 from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
-from locring.poly import DegRevLex, Polynomial, PolyRing
+from locring.poly import DegRevLex, Lex, Polynomial, PolyRing
 from locring.subalgebra import kernel
 from oracles import intersect_by_elimination
 
@@ -113,8 +113,8 @@ def test_artinian_quotient_matches_intersection_oracle(field):
             K = Ideal(ring, [_random_poly(ring, rng, 1, 2) for _ in range(2)])
         for colon_by in (max_ideal(ring), K):
             got = J.quotient(colon_by)
-            installed = got.gb_cache[DegRevLex()].generators
-            assert got.gb_cache[DegRevLex()].leads == \
+            installed = got._gb.generators
+            assert got._gb.leads == \
                 GroebnerBasis(installed, DegRevLex()).leads
             assert installed == _colon_oracle(J, colon_by).groebner() \
                 .generators
@@ -157,7 +157,7 @@ def test_artinian_quotient_scales_a_basis_element_between_removals():
     I = Ideal(S, ["-3*x^2*y + x^2 - x*y", "x^3 + 5*x*y^2 + 3*y^3"]) + \
         max_ideal_power(S, 4)
     J = Ideal(S, ["y^2 + 5*x - 3*y"])
-    installed = I.quotient(J).gb_cache[DegRevLex()].generators
+    installed = I.quotient(J)._gb.generators
     assert installed == _colon_oracle(I, J).groebner().generators
     assert any(c.denominator > 1 for g in installed for c in g.terms.values())
 
@@ -167,10 +167,10 @@ def test_artinian_quotient_edge_cases(R):
     J = Ideal(R, ["x^2 - y*z", "y^3", "z^2"])
     n = max_ideal(R)
     for ideal in (unit.quotient(n), J.quotient(J), J.quotient(n * J)):
-        assert ideal.gb_cache[DegRevLex()].generators == [R.one()]
+        assert ideal._gb.generators == [R.one()]
         assert ideal.member(R.one())
     same = J.quotient(unit)
-    assert same.gb_cache[DegRevLex()].generators == J.groebner().generators
+    assert same._gb.generators == J.groebner().generators
 
 
 def test_quotient_by_zero_raises(R):
@@ -189,7 +189,7 @@ def test_elimination_cusp():
 def _assert_installed_basis_is_fresh(ideal):
     """The degrevlex basis the ideal carries equals a fresh Buchberger run
     on its generators, which are that basis."""
-    installed = ideal.gb_cache[DegRevLex()]
+    installed = ideal._gb
     fresh = buchberger(list(ideal.generators), DegRevLex())
     assert installed.generators == fresh.generators == list(ideal.generators)
     assert installed.leads == fresh.leads
@@ -227,7 +227,7 @@ def _random_zero_dimensional(ring, rng):
 
 def _assert_walk_equals_elimination(I, J):
     K = I.intersect(J)
-    installed = K.gb_cache[DegRevLex()].generators
+    installed = K._gb.generators
     assert installed == intersect_by_elimination(I, J).groebner().generators
     assert buchberger(list(K.generators), DegRevLex()).generators == \
         installed
@@ -268,9 +268,8 @@ def test_artinian_intersection_edge_cases(R):
     assert J.contains(I)
     for K in (I.intersect(J), J.intersect(I), I.intersect(unit),
               unit.intersect(I), I.intersect(I)):
-        assert K.gb_cache[DegRevLex()].generators == I.groebner().generators
-    assert unit.intersect(unit).gb_cache[DegRevLex()].generators == \
-        [R.one()]
+        assert K._gb.generators == I.groebner().generators
+    assert unit.intersect(unit)._gb.generators == [R.one()]
 
 
 def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):
@@ -287,6 +286,13 @@ def test_from_basis_of_the_unit_basis_is_the_unit_ideal(R):
     assert U.member(R.parse("x + 1")) and U.member(R.one())
     assert U.vector_space_dim() == 0
     assert U.equals(Ideal(R, ["x", "x + 1"]))
+
+
+def test_from_basis_rejects_a_basis_that_is_not_degrevlex(R):
+    # an ideal holds one basis, the reduced degrevlex one
+    lex = buchberger([R.parse("x^2 - y*z"), R.parse("y^2 - x")], Lex())
+    with pytest.raises(ValueError, match="not degrevlex"):
+        Ideal.from_basis(R, lex)
 
 
 def test_vector_space_dim(R):

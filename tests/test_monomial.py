@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from locring.arith import QQ
@@ -43,28 +45,43 @@ def test_irreducible_decomposition_simple():
     assert comps == [M((0, 1, 0)), M((1, 0, 0))]
 
 
+def _decomposition_inputs():
+    """The tangent cone of the main ring, and seeded random proper
+    monomial ideals in three variables."""
+    rng = random.Random(1978)
+    out = [M((2, 0, 0), (1, 2, 0), (1, 1, 3), (0, 1, 6))]
+    while len(out) < 25:
+        gens = [tuple(rng.randint(0, 4) for _ in range(3))
+                for _ in range(rng.randint(1, 6))]
+        if all(any(g) for g in gens):
+            out.append(M(*gens))
+    return out
+
+
 def test_decomposition_intersects_back():
-    A = M((2, 0, 0), (1, 2, 0), (1, 1, 3), (0, 1, 6))
-    comps = A.irreducible_decomposition()
-    inter = comps[0]
-    for c in comps[1:]:
-        inter = inter.intersect(c)
-    assert inter == A
-    # irreducible: generated by pure variable powers
-    assert all(sum(1 for e in g if e > 0) <= 1
-               for c in comps for g in c.generators)
+    for A in _decomposition_inputs():
+        comps = A.irreducible_decomposition()
+        inter = comps[0]
+        for c in comps[1:]:
+            inter = inter.intersect(c)
+        assert inter == A
+        # irreducible: generated by pure variable powers
+        assert all(sum(1 for e in g if e > 0) <= 1
+                   for c in comps for g in c.generators)
 
 
 def test_decomposition_is_irredundant():
-    A = M((2, 0, 0), (1, 2, 0), (1, 1, 3), (0, 1, 6))
-    comps = A.irreducible_decomposition()
-    for i, c in enumerate(comps):
-        inter = None
-        for j, d in enumerate(comps):
-            if i == j:
-                continue
-            inter = d if inter is None else inter.intersect(d)
-        assert not c.contains(inter)
+    for A in _decomposition_inputs():
+        comps = A.irreducible_decomposition()
+        if len(comps) == 1:  # an irreducible ideal is its own decomposition
+            continue
+        for i, c in enumerate(comps):
+            inter = None
+            for j, d in enumerate(comps):
+                if i == j:
+                    continue
+                inter = d if inter is None else inter.intersect(d)
+            assert not c.contains(inter)
 
 
 def test_unit_ideal_has_no_decomposition():

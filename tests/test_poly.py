@@ -85,7 +85,7 @@ def test_block_order_eliminates_first_block():
 
 def test_homogenize_dehomogenize(R):
     f = R.parse("x^2 - y^5")
-    h = f.homogenize("h", front=True)
+    h = f.homogenize("h")
     assert len({sum(e) for e in h.terms}) == 1
     assert h.dehomogenize("h") == f
 

@@ -83,6 +83,28 @@ def test_single_point_rejected():
         is_integer_irreducible(LatticePolygon([(1, 1)]))
 
 
+def test_large_trinomial_is_decided_without_a_scan(monkeypatch):
+    # the polygon's bounding box holds about 9 million lattice points; the
+    # two-point guard reads the vertex count, and the axis triangle decides
+    # from the vertices alone.  A point polygon is still rejected.
+    calls = [0]
+    contains = LatticePolygon.contains
+
+    def counted(self, p):
+        calls[0] += 1
+        return contains(self, p)
+
+    monkeypatch.setattr(LatticePolygon, "contains", counted)
+    S = PolyRing(QQ, ("x", "y"))
+    P = newton_polygon(S.parse("x^3000 + y^2999 + 1"))
+    res = is_integer_irreducible(P)
+    assert res.irreducible and res.method == "axis-triangle"
+    assert calls[0] <= 3 * len(P.vertices)
+    with pytest.raises(ValueError, match="at least 2 lattice points"):
+        is_integer_irreducible(newton_polygon(S.parse("x^5*y^7")))
+    assert calls[0] <= 3 * len(P.vertices)
+
+
 def _brute_force_reducible(P):
     """Exhaustive Minkowski-summand search over sub-boxes of the polygon."""
     base = P.translated_to_origin()
@@ -116,7 +138,7 @@ def test_splitting_agrees_with_exhaustive_oracle_small():
         for sub in combinations(box, r):
             P = LatticePolygon(list(sub))
             key = P.translated_to_origin()
-            if key in seen or P.lattice_point_count() < 2:
+            if key in seen or len(P.vertices) < 2:
                 continue
             seen.add(key)
             got = not is_integer_irreducible(P).irreducible
