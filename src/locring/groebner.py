@@ -72,9 +72,8 @@ multiples of a lead.  The layers are tuples of packed ints, never
 unpacked: callers read counts (Hilbert functions, colengths), whether the
 last layer below a degree is empty (the gll-search hit test), or the
 monomials themselves (the standard products of a colon).  The whole
-staircase is walked once per basis and kept on it, for the colength, the
-route test of a colon and the colon to share; a walk below a degree is
-not kept.
+staircase is walked once per basis and kept on it, for the colength and
+the colon to share; a walk below a degree is not kept.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -115,7 +114,7 @@ from .errors import BudgetExceeded, RingMismatch
 from .poly import (DegRevLex, Polynomial, mono_div, mono_lcm,
                    monomials_of_degree)
 
-DEFAULT_MAX_PAIRS = 2_000_000
+MAX_PAIRS = 2_000_000  # S-pairs one buchberger run may reduce
 
 # Over Q, the content of the work polynomial is divided out once the
 # multipliers since the last division exceed this.
@@ -493,8 +492,7 @@ def spoly(f, g, order):
                                         pk.unpack))
 
 
-def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
-               truncate=0):
+def buchberger(gens, order, time_budget=None, truncate=0):
     """Reduced Groebner basis of the ideal generated by gens; with
     truncate = N > 0, a minimal standard basis of (gens) + m^N, every term
     of degree >= N dropped (see the module docstring).
@@ -509,7 +507,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
     only when they are read.  ValueError if a degree of DEGREE_BOUND or
     more would arise.
 
-    max_pairs bounds the S-pairs actually reduced: pairs removed by the
+    MAX_PAIRS bounds the S-pairs actually reduced: pairs removed by the
     criteria and monomial x monomial pairs, which are never queued, do not
     count.  Either budget raises BudgetExceeded with diagnostics.
     """
@@ -598,7 +596,7 @@ def buchberger(gens, order, max_pairs=DEFAULT_MAX_PAIRS, time_budget=None,
         if pairs.pop((i, j), None) is None:
             continue
         processed += 1
-        if processed > max_pairs:
+        if processed > MAX_PAIRS:
             raise BudgetExceeded(
                 "buchberger: pair budget exceeded",
                 {"pairs_processed": processed, "basis_size": len(G),
@@ -651,11 +649,12 @@ def artinian_colon(gb, gens):
     ValueError if I is not zero-dimensional or a product's degree would not
     fit."""
     ring = gb.ring
-    p = ring.field.characteristic
-    pk = packing(gb.order, ring.nvars)
-    layers = gb.staircase(ring.nvars)
+    # an empty basis, the zero ideal's, has no ring and no finite staircase
+    layers = gb.staircase(ring.nvars) if gb.leads else None
     if layers is None:
         raise ValueError("artinian_colon: the ideal is not zero-dimensional")
+    p = ring.field.characteristic
+    pk = packing(gb.order, ring.nvars)
     standard = {e for layer in layers for e in layer}
     raw_gens = [_to_raw(g.terms, p, pk) for g in gens]
     top = max(g.total_degree() for g in gens)
@@ -699,18 +698,19 @@ def artinian_intersection(gb1, gb2):
     with no base.  A monomial standard for Ii is its own normal form there
     (read off the basis's kept staircase).  ValueError if an ideal is not
     zero-dimensional or the orders differ."""
-    ring = gb1.ring or gb2.ring
     if gb1.order != gb2.order:
         raise ValueError("artinian_intersection: bases under two orders")
-    p = ring.field.characteristic
-    pk = packing(gb1.order, ring.nvars)
     parts = []
     for gb in (gb1, gb2):
-        layers = gb.staircase(ring.nvars)
+        # as in artinian_colon, an empty basis has no ring to read
+        layers = gb.staircase(gb.ring.nvars) if gb.leads else None
         if layers is None:
             raise ValueError("artinian_intersection: an ideal is not "
                              "zero-dimensional")
         parts.append(({e for layer in layers for e in layer}, gb.divisors))
+    ring = gb1.ring
+    p = ring.field.characteristic
+    pk = packing(gb1.order, ring.nvars)
 
     def image(b):
         blocks = []

@@ -7,8 +7,7 @@ are equal iff their bases are.  A basis under another order (an
 elimination, the Lazard run of a tangent cone) is a ``buchberger`` run of
 its own and never stays on an ideal.
 
-``Ideal.eliminate`` is the one elimination routine: intersections that are
-not Artinian (eliminate an auxiliary t from t*I + (1-t)*J) and kernels of
+``Ideal.eliminate`` is the one elimination routine: kernels of
 parametrizations (``subalgebra.kernel``) build their generators in a ring
 extended by ``_aux_name`` and call it.  Its result, an Artinian colon or
 intersection and a local model each come from ``Ideal.from_basis``, with
@@ -20,25 +19,23 @@ the whole staircase on the basis.  ``vector_space_dim`` counts them; it is
 INFINITE when some variable has no pure power among the leads, so that the
 staircase is infinite, as it is for the zero ideal's empty basis.
 
-``Ideal.quotient`` takes one of two routes.  When S/I is finite-dimensional
-(``vector_space_dim`` is finite) it is linear algebra on S/I, the FGLM walk
-of ``groebner.artinian_colon``, whose reduced degrevlex basis generates
-the result.  Otherwise it intersects the single-element colons
-I : (g), each an intersection with (g) followed by exact division;
-``quotient_element`` always takes that route.  Each ideal keeps its colons,
-keyed by the divisor's generators, as it keeps its basis.
-
-``Ideal.intersect`` takes one of two routes too.  When both quotients are
-finite-dimensional, the intersection is the kernel of S -> S/I x S/J, the
-walk of ``groebner.artinian_intersection``; otherwise it is the
-elimination above.
+Colons and intersections are taken on zero-dimensional ideals only, where
+they are linear algebra on S/I: ``Ideal.quotient`` is the FGLM walk of
+``groebner.artinian_colon``, ``Ideal.intersect`` the kernel of
+S -> S/I x S/J walked by ``groebner.artinian_intersection``, and the
+reduced degrevlex basis each walk returns generates the result.  Every
+colon and intersection the local-ring layer takes is on an m-primary local
+model.  An ideal that is not zero-dimensional, the zero ideal among them,
+raises the walks' ValueError; the elimination routes kept as test oracles
+take those.  Each ideal keeps its colons, keyed by the divisor's
+generators, as it keeps its basis.
 """
 
 from math import inf
 
 from . import groebner
 from .errors import RingMismatch, ZeroColon
-from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing, mono_div,
+from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing,
                    monomials_of_degree)
 
 INFINITE = inf
@@ -59,24 +56,6 @@ def max_ideal(ring):
 def max_ideal_power(ring, d):
     """n^d, generated by all degree-d monomials."""
     return Ideal(ring, [ring.monomial(e) for e in all_monomials(ring, d)])
-
-
-def exact_div(f, g):
-    """Return q with f = q*g; assumes g divides f (f in the ideal (g))."""
-    order = DegRevLex()
-    ring = f.ring
-    q = ring.zero()
-    r = f
-    while not r.is_zero():
-        lt_r, c_r = r.leading_term(order)
-        lt_g, c_g = g.leading_term(order)
-        m = mono_div(lt_r, lt_g)
-        if m is None:
-            raise ValueError("exact_div: division is not exact")
-        t = ring.monomial(m, c_r / c_g)
-        q = q + t
-        r = r - t * g
-    return q
 
 
 class Ideal:
@@ -122,10 +101,6 @@ class Ideal:
     # -- membership and comparison ------------------------------------------
 
     def member(self, f):
-        if f.is_zero():
-            return True
-        if self.is_zero_ideal():
-            return False
         return groebner.is_member(f, self.groebner())
 
     def contains(self, other):
@@ -154,62 +129,37 @@ class Ideal:
     # -- intersection and quotient ------------------------------------------
 
     def intersect(self, other):
-        """I and J's intersection: by linear algebra on S/I x S/J when both
-        are finite-dimensional, otherwise by elimination."""
+        """I and J's intersection, by linear algebra on S/I x S/J; ValueError
+        unless both are zero-dimensional."""
         self._same_ring(other)
-        if self.is_zero_ideal() or other.is_zero_ideal():
-            return Ideal(self.ring, [])
-        # self first: quotient_element's (g) is never zero-dimensional in
-        # two or more variables, and its I has its staircase at hand
-        if (self.vector_space_dim() != INFINITE
-                and other.vector_space_dim() != INFINITE):
-            return Ideal.from_basis(self.ring, groebner.artinian_intersection(
-                self.groebner(), other.groebner()))
-        aux = _aux_name(self.ring)
-        ext = self.ring.extend(aux)
-        t = ext.var(0)
-        one = ext.one()
-        pos = list(range(1, ext.nvars))
-        gens = [t * f.map_to(ext, pos) for f in self.generators]
-        gens += [(one - t) * g.map_to(ext, pos) for g in other.generators]
-        return Ideal(ext, gens).eliminate([aux])
+        return Ideal.from_basis(self.ring, groebner.artinian_intersection(
+            self.groebner(), other.groebner()))
 
     def quotient_element(self, g):
-        """I : (g) for a single nonzero polynomial g."""
-        if g.is_zero():
-            raise ZeroColon("colon by zero element")
-        if self.is_zero_ideal():
-            return Ideal(self.ring, [])
-        inter = self.intersect(Ideal(self.ring, [g]))
-        return Ideal(self.ring, [exact_div(f, g) for f in inter.generators])
+        """I : (g) for a single nonzero polynomial g, as ``quotient``."""
+        return self.quotient(Ideal(self.ring, [g]))
 
     def quotient(self, other):
-        """I : J.  By linear algebra on S/I when that space is
-        finite-dimensional, generated by the reduced degrevlex basis of the
-        result; otherwise as the intersection of the single-element colons.
-        The result is kept in ``colon_cache``: the same generators of J give
-        the same instance."""
+        """I : J, by linear algebra on S/I, generated by the reduced
+        degrevlex basis of the result; ValueError unless I is
+        zero-dimensional.  The result is kept in ``colon_cache``: the same
+        generators of J give the same instance."""
         self._same_ring(other)
         if other.is_zero_ideal():
             raise ZeroColon("colon by zero ideal")
         out = self.colon_cache.get(other.generators)
-        if out is not None:
-            return out
-        if self.vector_space_dim() != INFINITE:
-            out = Ideal.from_basis(self.ring, groebner.artinian_colon(
-                self.groebner(), other.generators))
-        else:
-            for g in other.generators:
-                q = self.quotient_element(g)
-                out = q if out is None else out.intersect(q)
-        self.colon_cache[other.generators] = out
+        if out is None:
+            out = self.colon_cache[other.generators] = Ideal.from_basis(
+                self.ring, groebner.artinian_colon(self.groebner(),
+                                                   other.generators))
         return out
 
     # -- elimination --------------------------------------------------------
 
     def eliminate(self, drop_names, time_budget=None):
-        """Contract to the subring without the dropped variables; the second
-        block is degrevlex, so the kept basis elements are a reduced basis."""
+        """Contract to the subring without the dropped variables, as
+        ``subalgebra.kernel`` does; the second block is degrevlex, so the
+        kept basis elements are a reduced basis."""
         drop = [n for n in self.ring.names if n in set(drop_names)]
         if not drop:
             return Ideal(self.ring, list(self.generators))

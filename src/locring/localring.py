@@ -319,7 +319,7 @@ class LocalRing:
         1 - lambda(S/(nC : x^n)).  nC is m-primary, so nC : x^n is too, and
         its colength counts standard monomials."""
         nC = self.delta_one_test(x, n).nC
-        return 1 - nC.quotient(Ideal(self.ring, [x ** n])).vector_space_dim()
+        return 1 - nC.quotient_element(x ** n).vector_space_dim()
 
     def index(self, x, max_n=DEFAULT_INDEX_BOUND):
         """Smallest n with delta(R/m^n) = 1, tested on the witness x."""

@@ -431,9 +431,6 @@ def _is_negative(c):
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_KINDS = ("INT", "NAME", "OP")
-
-
 def _tokenize(text):
     tokens = []
     i, n = 0, len(text)

@@ -11,7 +11,7 @@ from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
 from locring.poly import DegRevLex, Lex, Polynomial, PolyRing
 from locring.subalgebra import kernel
-from oracles import intersect_by_elimination
+from oracles import colon_by_elimination, intersect_by_elimination
 
 
 @pytest.fixture
@@ -41,30 +41,34 @@ def test_sum_and_product(R):
     assert not IJ.member(R.parse("x"))
 
 
+# the elimination oracles of tests/oracles.py, on ideals that are not
+# zero-dimensional, which Ideal.intersect and Ideal.quotient do not take
+
 def test_intersection_of_principal_ideals(R):
     I = Ideal(R, ["x"])
     J = Ideal(R, ["y"])
-    K = I.intersect(J)
+    K = intersect_by_elimination(I, J)
     assert K.equals(Ideal(R, ["x*y"]))
 
 
 def test_intersection_with_variable_named_like_aux():
-    R2 = PolyRing(QQ, ("_t", "x"))
+    # the oracle's auxiliary variable is t; a ring with a t takes t_
+    R2 = PolyRing(QQ, ("t", "x"))
     t, x = R2.gens()
-    K = Ideal(R2, [t * x]).intersect(Ideal(R2, [x ** 2]))
+    K = intersect_by_elimination(Ideal(R2, [t * x]), Ideal(R2, [x ** 2]))
     assert K.equals(Ideal(R2, [t * x ** 2]))
     assert K.ring == R2
 
 
 def test_quotient_principal(R):
     I = Ideal(R, ["x*y", "x*z"])
-    Q = I.quotient_element(R.parse("x"))
+    Q = colon_by_elimination(I, R.parse("x"))
     assert Q.equals(Ideal(R, ["y", "z"]))
 
 
 def test_quotient_by_ideal(R):
     I = Ideal(R, ["x^2", "x*y"])
-    Q = I.quotient(Ideal(R, ["x"]))
+    Q = colon_by_elimination(I, R.parse("x"))
     assert Q.equals(Ideal(R, ["x", "y"]))
 
 
@@ -83,12 +87,11 @@ def _random_poly(ring, rng, lo, hi):
 
 
 def _colon_oracle(J, K):
-    """J : K as the intersection of the colons by single generators, taken
-    by elimination: on a zero-dimensional J the colons are zero-dimensional,
-    and ``Ideal.intersect`` would take the FGLM walk that the colon takes."""
+    """J : K as the intersection of the colons by single generators, each
+    colon and intersection taken by elimination, with no FGLM walk."""
     out = None
     for g in K.generators:
-        q = J.quotient_element(g)
+        q = colon_by_elimination(J, g)
         out = q if out is None else intersect_by_elimination(out, q)
     return out
 
@@ -208,7 +211,7 @@ def test_eliminate_installs_the_reduced_basis_of_an_intersection(field):
     for _ in range(4):
         I = Ideal(ring, [_random_poly(ring, rng, 1, 2) for _ in range(2)])
         J = Ideal(ring, [_random_poly(ring, rng, 1, 2) for _ in range(2)])
-        K = I.intersect(J)
+        K = intersect_by_elimination(I, J)
         _assert_installed_basis_is_fresh(K)
         assert I.contains(K) and J.contains(K)
 
@@ -272,6 +275,28 @@ def test_artinian_intersection_edge_cases(R):
     assert unit.intersect(unit)._gb.generators == [R.one()]
 
 
+@pytest.mark.parametrize("gens", [[], ["x*y"]], ids=["zero", "xy"])
+def test_colons_and_intersections_need_zero_dimensional_ideals(gens):
+    S = PolyRing(QQ, ("x", "y"))
+    I = Ideal(S, gens)
+    m = max_ideal(S)
+    with pytest.raises(ValueError, match="not zero-dimensional"):
+        I.quotient(m)
+    with pytest.raises(ValueError, match="not zero-dimensional"):
+        I.quotient_element(S.parse("x"))
+    for pair in ((I, m), (m, I), (I, I)):
+        with pytest.raises(ValueError, match="not zero-dimensional"):
+            pair[0].intersect(pair[1])
+    assert not I.colon_cache
+
+
+def test_member_of_the_zero_ideal(R):
+    Z = Ideal(R, [])
+    assert Z.member(R.zero())
+    assert not Z.member(R.parse("x")) and not Z.member(R.one())
+    assert Ideal(R, ["x"]).contains(Z) and not Z.contains(Ideal(R, ["x"]))
+
+
 def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):
     Z = Ideal.from_basis(R, GroebnerBasis([], DegRevLex()))
     assert Z.ring == R and Z.is_zero_ideal()
@@ -322,7 +347,7 @@ def test_coefficients_zero_in_the_field_are_dropped(p):
     assert f == S.parse("y") and f.leading_term(DegRevLex())[0] == (0, 1)
     assert Ideal(S, [f]).member(S.parse("y"))
     assert not Ideal(S, [f]).member(S.parse("x"))
-    colon = Ideal(S, ["x*y"]).quotient_element(f)
+    colon = colon_by_elimination(Ideal(S, ["x*y"]), f)
     assert colon.equals(Ideal(S, ["x"]))
 
 

@@ -27,6 +27,7 @@ from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import BlockOrder, DegRevLex, Lex, Polynomial, PolyRing
 from locring.subalgebra import kernel
+from oracles import colon_by_elimination
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 FIELD_IDS = ["Q", "F2", "F3", "Fp"]
@@ -401,9 +402,10 @@ def test_hilbert_function_matches_truncation_colengths(scenario_rings):
 
 
 def _saturate(J, f):
-    """J : f^infinity, by colons J : (f) until one adds nothing."""
+    """J : f^infinity, by colons J : (f) taken by elimination until one adds
+    nothing."""
     while True:
-        colon = J.quotient_element(f)
+        colon = colon_by_elimination(J, f)
         if colon.equals(J):
             return J
         J = colon

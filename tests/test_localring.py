@@ -175,22 +175,6 @@ def test_condition_iv_intersects_the_socle_with_a_colon_inside_it(name):
             == colon3.groebner().generators
 
 
-def test_delta_test_colons_take_the_artinian_route(cusp_ring, xyz,
-                                                   monkeypatch):
-    # every colon of the delta criteria is on an m-primary local model, so
-    # none should fall back to the intersection of single-element colons
-    calls = []
-    original = Ideal.quotient_element
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(Ideal, "quotient_element", counted)
-    cusp_ring.delta_one_test(xyz.parse("y"), 2)
-    assert calls == []
-
-
 def test_delta_tests(cusp_ring, xyz):
     y = xyz.parse("y")
     r5 = cusp_ring.delta_one_test(y, 5)
