@@ -115,11 +115,6 @@ class RationalField:
             raise DivisionByZero("zero denominator")
         return Fraction(num, den)
 
-    def inverse(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return 1 / a
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -153,9 +148,6 @@ class PrimeField:
 
     def from_fraction(self, num, den):
         return self.from_int(num) / self.from_int(den)
-
-    def inverse(self, a):
-        return a.inverse()
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -18,8 +18,6 @@ _MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 @dataclass
 class MacaulayRep:
     """The unique expansion d = sum of C(k_i, i) with strictly decreasing k_i."""
-    d: int
-    n: int
     ks: list  # (k_i, i) pairs, i descending
 
     def value(self):
@@ -42,7 +40,7 @@ def macaulay_rep(d, n):
         ks.append((k, i))
         rem -= comb(k, i)
         i -= 1
-    return MacaulayRep(d, n, ks)
+    return MacaulayRep(ks)
 
 
 def macaulay_bound(d, n):
@@ -102,22 +100,15 @@ def hf_feasible_max_length(prefix, N):
 @dataclass
 class CaseEntry:
     order_d: int
-    hf1: int
     hf2: int
     prefix: tuple
     max_length: int
     threshold: int  # d * e, the least colength an order-d parameter allows
     status: str
-    reason: str
 
 
 @dataclass
 class CaseReport:
-    emb: int
-    e: int
-    hf2_ambient: int
-    N: int
-    d_max: int
     entries: list = field(default_factory=list)
     tail_summary: str = ""
 
@@ -139,7 +130,7 @@ def order_case_report(emb, e, hf2_ambient, N, d_max):
                                ("d_max", d_max, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    report = CaseReport(emb, e, hf2_ambient, N, d_max)
+    report = CaseReport()
     for d in range(1, d_max + 1):
         hf1 = emb - 1 if d == 1 else emb
         lo, hi = DEFAULT_J2_RANGES.get(d, (0, 0))
@@ -151,15 +142,9 @@ def order_case_report(emb, e, hf2_ambient, N, d_max):
             prefix = (1, hf1, hf2)
             max_len = hf_feasible_max_length(prefix, N)
             threshold = d * e
-            if max_len < threshold:
-                entry = CaseEntry(d, hf1, hf2, prefix, max_len, threshold,
-                                  ELIMINATED,
-                                  f"max length {max_len} < {threshold}")
-            else:
-                entry = CaseEntry(d, hf1, hf2, prefix, max_len, threshold,
-                                  UNRESOLVED,
-                                  f"max length {max_len} >= {threshold}")
-            report.entries.append(entry)
+            report.entries.append(CaseEntry(
+                d, hf2, prefix, max_len, threshold,
+                ELIMINATED if max_len < threshold else UNRESOLVED))
     # orders beyond d_max: the length cap is independent of d while the
     # threshold d*e grows, so one comparison settles the whole tail
     tail_cap = hf_feasible_max_length((1, emb), N) if N > 1 else 1

@@ -75,11 +75,12 @@ class RingDescription:
 
 
 def parse_ring_file(text):
-    """field Q | field Fp <p>; vars ...; gen <expr> per line."""
+    """field Q | field Fp <p>; vars ...; gen <expr> per line.  A line
+    error names the line, counted from 1 with comments and blank lines."""
     fld = None
     names = None
     gens = []
-    for i, raw in enumerate(text.splitlines()):
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -88,20 +89,22 @@ def parse_ring_file(text):
         if kw == "field":
             if parts[1:] == ["Q"]:
                 fld = QQ
-            elif len(parts) == 3 and parts[1] == "Fp":
+            elif (len(parts) == 3 and parts[1] == "Fp"
+                  and parts[2].isdecimal()):
                 fld = PrimeField(int(parts[2]))
             else:
-                raise ParseError(f"bad field line {line!r}", i)
+                raise ParseError(f"line {n}: bad field line {line!r}")
         elif kw == "vars":
             if len(parts) < 2:
-                raise ParseError("vars line needs at least one name", i)
+                raise ParseError(f"line {n}: vars line needs at least one "
+                                 "name")
             names = tuple(parts[1:])
         elif kw == "gen":
             gens.append(line[len("gen"):].strip())
         else:
-            raise ParseError(f"unknown keyword {kw!r}", i)
+            raise ParseError(f"line {n}: unknown keyword {kw!r}")
     if fld is None or names is None:
-        raise ParseError("ring file needs field and vars lines", 0)
+        raise ParseError("ring file needs field and vars lines")
     desc = RingDescription(fld, names, tuple(gens))
     desc.local_ring()  # validates generators and I inside (vars)
     return desc
@@ -386,8 +389,9 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
     t0 = time.perf_counter()
 
     def test(f):
-        gb = buchberger(list(R.I.generators) + [f], DS, truncate=target_n + 1)
-        if not gb.staircase(ring.nvars, target_n + 1)[-1]:
+        gb = buchberger(ring, list(R.I.generators) + [f], DS,
+                        truncate=target_n + 1)
+        if not gb.staircase()[-1]:
             hits.append(f.to_str())
 
     for f in forced:

@@ -18,11 +18,13 @@ smallest int is the largest monomial: the ds int is P itself, the degrevlex
 int P - (deg << bits of P).  This module is the only one that knows the
 format.  Exponent tuples and ``order.key`` stay the public representation,
 converted at the boundary: generators in, ``normal_form`` in and out, and a
-basis's ``generators`` out.  Every ``GroebnerBasis`` holds its divisors and
-their packed leads; one from ``buchberger`` or the FGLM walk builds its
-``generators`` only when a caller first reads them, so a basis that is only
-counted (the gll-search test) or only reduced against (a local model) is
-never converted, and one built from Polynomials converts them once.
+basis's ``generators`` out.  Every ``GroebnerBasis`` holds its ring, its
+order, its truncation degree, its divisors and their packed leads, so a
+caller passes none of these back to the operations on it.  One from
+``buchberger`` or the FGLM walk builds its ``generators`` only when a
+caller first reads them, so a basis that is only counted (the gll-search
+test) or only reduced against (a local model) is never converted, and one
+built from Polynomials converts them once.
 Other modules get packed ints only as staircase layers, which they count.
 A degree that would not fit raises ValueError on conversion, for an S-pair
 or for a product in reduction, so nothing is ever mis-ordered.
@@ -51,7 +53,7 @@ if it had been reduced.
 
 Truncation (the highest-corner trick of Mora's tangent cone algorithm;
 Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
-section 1.7): ``buchberger(gens, NegDegRevLex(), truncate=N)`` computes a
+section 1.7): ``buchberger(ring, gens, NegDegRevLex(), truncate=N)`` computes a
 standard basis of (gens) + m^N in the local order ``ds`` (lowest degree
 leads), with every term of degree >= N dropped, since it lies in m^N.  On
 that finite set of monomials reduction terminates without Mora's ecart,
@@ -62,7 +64,8 @@ monomials of degree d < N count the Hilbert-Samuel function of (gens) in
 degree d.  The final tail interreduction is skipped: in a local order a
 tail term can be a multiple of its own lead (x - x^2 has lead x), so
 reducing tails need not terminate and is not needed for lengths.  The
-basis is still minimal and monic.
+basis is still minimal and monic.  It records N, so that ``normal_form``
+against it truncates at N and its staircase stops below N.
 
 Staircases: ``GroebnerBasis.staircase`` is the one enumeration of standard
 monomials.  It walks them a degree at a time on the packed leads that
@@ -71,9 +74,10 @@ one mask; a layer is the previous one times the variables, minus the
 multiples of a lead.  The layers are tuples of packed ints, never
 unpacked: callers read counts (Hilbert functions, colengths), whether the
 last layer below a degree is empty (the gll-search hit test), or the
-monomials themselves (the standard products of a colon).  The whole
-staircase is walked once per basis and kept on it, for the colength and
-the colon to share; a walk below a degree is not kept.
+monomials themselves (the standard products of a colon).  It reads the
+number of variables off the basis's ring and, for a basis truncated at N,
+stops below N.  The staircase is walked once per basis and kept on it, for
+the colength, the colon and ``fglm`` to share.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -86,7 +90,8 @@ Moeller and Mora, "Groebner bases of ideals defined by functionals with an
 application to ideals of projective points", AAECC 1993); ``fglm``
 turns a truncated ds standard basis of J into the degrevlex basis of J + m^N
 from S/m^d, the basis of m^d being the monomials of degree d, for the first
-degree d in which J has no standard monomial.  As in classical FGLM the
+degree d in which J has no standard monomial (read off the basis's kept
+staircase), or N if there is none.  As in classical FGLM the
 walk finds its own columns: from 1 upwards, each independent column adds
 its multiples by the variables, and a candidate is skipped when a lead of
 I divides it or a predecessor is dead (a multiple of a kernel lead), so
@@ -182,30 +187,30 @@ def _order_form(order, n):
 
 
 class GroebnerBasis:
-    """A (reduced) Groebner basis: its order, its ring (None when it is
-    empty), its packed divisors and their leads.  ``buchberger`` and the
+    """A (reduced) Groebner basis: its ring, its order, the degree N at which
+    it is truncated (``truncate``, 0 when it is not), its packed divisors
+    and their leads.  Whoever builds the basis fixes the first three, so
+    the zero ideal's empty basis has a ring too.  ``buchberger`` and the
     FGLM walk hand over their divisors, and the generators are built from
     them when a caller first reads them; given generators are converted to
-    divisors once and kept as given."""
+    divisors once and kept as given, in a basis that is not truncated."""
 
-    def __init__(self, generators, order):
+    def __init__(self, ring, generators, order):
         gens = list(generators)
-        ring = gens[0].ring if gens else None
         if any(g.ring != ring for g in gens):
             raise RingMismatch("GroebnerBasis: mixed rings")
-        divisors = _divisors(gens, packing(order, ring.nvars),
-                             ring.field.characteristic) if gens else []
-        self.order, self.ring, self.divisors = order, ring, divisors
-        self.leads = [g[0] for g in divisors]
+        self.ring, self.order, self.truncate = ring, order, 0
+        self.divisors = _divisors(gens, packing(order, ring.nvars),
+                                  ring.field.characteristic)
+        self.leads = [g[0] for g in self.divisors]
         self.generators = gens
-        self._staircases = {}   # nvars -> the whole staircase
 
     @classmethod
-    def _packed(cls, ring, order, divisors):
+    def _packed(cls, ring, order, truncate, divisors):
         basis = cls.__new__(cls)
-        basis.order, basis.ring, basis.divisors = order, ring, divisors
+        basis.ring, basis.order, basis.truncate = ring, order, truncate
+        basis.divisors = divisors
         basis.leads = [g[0] for g in divisors]
-        basis._staircases = {}
         return basis
 
     def __len__(self):
@@ -219,30 +224,30 @@ class GroebnerBasis:
                                                 self.ring.field, unpack))
                 for lt, a, tail, _ in self.divisors]
 
-    def staircase(self, nvars, below=None):
-        """The standard monomials of the leading ideal in nvars variables,
-        as layers of packed ints by degree, packed under the basis's order:
-        layer 0 is the monomial 1 unless a lead is, and layer d + 1
-        is layer d times the variables, minus the multiples of a lead (a
-        lead enters the test at its own degree).  It stops after the first
-        empty layer, past which no monomial is standard, or before degree
-        below.  With below None, returns None if the staircase is infinite:
-        some variable has no pure power among the leads.  nvars is an
-        argument because an empty basis has no ring to read it from.
+    def staircase(self):
+        """The standard monomials of the leading ideal, as layers of packed
+        ints by degree, packed under the basis's order: layer 0 is the
+        monomial 1 unless a lead is, and layer d + 1 is layer d times the
+        variables, minus the multiples of a lead (a lead enters the test at
+        its own degree).  It stops after the first empty layer, past which
+        no monomial is standard, or, for a basis truncated at N, before
+        degree N.  None if the staircase of a basis that is not truncated
+        is infinite: some variable has no pure power among the leads.
 
-        The layers are tuples.  The whole staircase (below None) is walked
-        once and kept on the basis; a walk below a degree is not kept."""
-        if below is not None:
-            return self._walk_staircase(nvars, below)
-        kept = self._staircases
-        if nvars not in kept:
-            kept[nvars] = self._walk_staircase(nvars, None)
-        return kept[nvars]
+        The layers are tuples, walked once and kept on the basis."""
+        try:
+            return self._layers
+        except AttributeError:
+            self._layers = self._walk_staircase(self.truncate)
+            return self._layers
 
-    def _walk_staircase(self, nvars, below):
+    def _walk_staircase(self, below):
+        """The layers of ``staircase`` below degree below, or the whole
+        staircase (None if infinite) for below 0."""
+        nvars = self.ring.nvars
         pk = packing(self.order, nvars)
         guard, shift = pk.guard, pk.shift
-        if below is None:
+        if not below:
             exps = (1 << shift) - 1
             for i in range(nvars):
                 others = exps ^ (((1 << _FIELD) - 1) << (_FIELD * i))
@@ -460,19 +465,16 @@ def _spoly_dict(f, lt_f, g, lt_g, pk, check):
 # ---------------------------------------------------------------------------
 # public operations
 
-def normal_form(f, G, order, truncate=0):
-    """Remainder of f on division by G, divisors in list order: a
-    GroebnerBasis for this order, whose divisors are reused, or any other
-    list of polynomials, which becomes one.  With truncate = N > 0, terms of
+def normal_form(f, G):
+    """Remainder of f on division by the GroebnerBasis G, under G's order,
+    its divisors tried in list order; when G is truncated at N, terms of
     degree >= N are dropped."""
     ring = f.ring
-    p = ring.field.characteristic
-    pk = packing(order, ring.nvars)
-    _check_degree(truncate - 1)
-    if not (isinstance(G, GroebnerBasis) and G.order == order):
-        G = GroebnerBasis(G, order)
-    if G.ring is not None and G.ring != ring:
+    if G.ring != ring:
         raise RingMismatch("normal_form: mixed rings")
+    p = ring.field.characteristic
+    pk = packing(G.order, ring.nvars)
+    truncate = G.truncate
     terms = f.terms
     if truncate:
         terms = {e: c for e, c in terms.items() if sum(e) < truncate}
@@ -482,20 +484,11 @@ def normal_form(f, G, order, truncate=0):
                                       pk.unpack))
 
 
-def spoly(f, g, order):
-    """S-polynomial of two nonzero polynomials."""
-    field = f.ring.field
-    pk = packing(order, f.ring.nvars)
-    df, dg = _divisors([f, g], pk, field.characteristic)
-    terms = _spoly_dict(df, pk.unpack(df[0]), dg, pk.unpack(dg[0]), pk, True)
-    return Polynomial(f.ring, _from_raw(terms, lcm(df[1], dg[1]), field,
-                                        pk.unpack))
-
-
-def buchberger(gens, order, time_budget=None, truncate=0):
-    """Reduced Groebner basis of the ideal generated by gens; with
+def buchberger(ring, gens, order, time_budget=None, truncate=0):
+    """Reduced Groebner basis of the ideal generated by gens in ring; with
     truncate = N > 0, a minimal standard basis of (gens) + m^N, every term
-    of degree >= N dropped (see the module docstring).
+    of degree >= N dropped (see the module docstring).  The basis records
+    ring, order and truncate, also when it is empty.
 
     The generators are converted once to packed raw form (residues over
     F_p, integers over Q), and the run stays on ints.  An S-polynomial and
@@ -512,16 +505,13 @@ def buchberger(gens, order, time_budget=None, truncate=0):
     count.  Either budget raises BudgetExceeded with diagnostics.
     """
     _check_degree(truncate - 1)
-    if truncate:
-        gens = [Polynomial(g.ring, {e: c for e, c in g.terms.items()
-                                    if sum(e) < truncate}) for g in gens]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return GroebnerBasis([], order)
-    ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("buchberger: mixed rings")
+    if truncate:
+        gens = [Polynomial(ring, {e: c for e, c in g.terms.items()
+                                  if sum(e) < truncate}) for g in gens]
+    gens = [g for g in gens if not g.is_zero()]
     p = ring.field.characteristic
     pk = packing(order, ring.nvars)
     guard, degree, shift = pk.guard, pk.degree, pk.shift
@@ -624,14 +614,12 @@ def buchberger(gens, order, time_budget=None, truncate=0):
                                      [h for h in minimal if h is not g],
                                      pk, p, 0), p, pk)
                    for g in minimal]
-    return GroebnerBasis._packed(ring, order, minimal)
+    return GroebnerBasis._packed(ring, order, truncate, minimal)
 
 
 def is_member(f, gb):
     """Ideal membership via a cached Groebner basis."""
-    if f.is_zero():
-        return True
-    return normal_form(f, gb, gb.order).is_zero()
+    return normal_form(f, gb).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +637,7 @@ def artinian_colon(gb, gens):
     ValueError if I is not zero-dimensional or a product's degree would not
     fit."""
     ring = gb.ring
-    # an empty basis, the zero ideal's, has no ring and no finite staircase
-    layers = gb.staircase(ring.nvars) if gb.leads else None
+    layers = gb.staircase()
     if layers is None:
         raise ValueError("artinian_colon: the ideal is not zero-dimensional")
     p = ring.field.characteristic
@@ -702,8 +689,7 @@ def artinian_intersection(gb1, gb2):
         raise ValueError("artinian_intersection: bases under two orders")
     parts = []
     for gb in (gb1, gb2):
-        # as in artinian_colon, an empty basis has no ring to read
-        layers = gb.staircase(gb.ring.nvars) if gb.leads else None
+        layers = gb.staircase()
         if layers is None:
             raise ValueError("artinian_intersection: an ideal is not "
                              "zero-dimensional")
@@ -740,15 +726,18 @@ def _stacked(blocks):
     return out, m
 
 
-def fglm(ds_basis, d):
+def fglm(ds_basis):
     """The reduced degrevlex basis of J + m^N, for ds_basis a standard
-    basis of J in the local order ds truncated at a degree N, given
-    d <= N with m^d inside J + m^N (d the first degree with no standard
-    monomial).  FGLM from S/m^d, whose basis is the monomials of degree d:
-    each monomial b of degree < d that the walk reaches maps to its ds
-    normal form truncated at d, which m^d inside J + m^N makes exact; a raw
-    remainder r of scale num/den is the image of num * b as den * r."""
+    basis of J in the local order ds truncated at a degree N.  It is
+    J + m^d, for d the first degree of the basis's kept staircase with no
+    standard monomial, or N if every degree below N has one.  FGLM from
+    S/m^d, whose basis is the monomials of degree d: each monomial b of
+    degree < d that the walk reaches maps to its ds normal form truncated
+    at d, which m^d inside J + m^N makes exact; a raw remainder r of scale
+    num/den is the image of num * b as den * r."""
     ring = ds_basis.ring
+    layers = ds_basis.staircase()
+    d = len(layers) - 1 if not layers[-1] else ds_basis.truncate
     p = ring.field.characteristic
     order = DegRevLex()
     pk = packing(ds_basis.order, ring.nvars)
@@ -874,7 +863,7 @@ def _extend_by_kernel(ring, order, base, image):
     basis += [_divisor(vec, p, pk) for q, vec in kernel.items()
               if all(r == q or (q - r) & guard for r in kernel)]
     basis.sort(key=lambda g: -g[0])
-    return GroebnerBasis._packed(ring, order, basis)
+    return GroebnerBasis._packed(ring, order, 0, basis)
 
 
 def _combine(dst, s, t, src, p):

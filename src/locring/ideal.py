@@ -76,13 +76,14 @@ class Ideal:
         self.colon_cache = {}  # J.generators -> self : J
 
     @classmethod
-    def from_basis(cls, ring, basis):
-        """The ideal a reduced degrevlex basis generates, with it installed;
-        ValueError for a basis under another order."""
+    def from_basis(cls, basis):
+        """The ideal a reduced degrevlex basis generates in the basis's
+        ring, with the basis installed; ValueError for a basis under
+        another order."""
         if basis.order != DegRevLex():
             raise ValueError(f"from_basis: a {basis.order} basis, "
                              "not degrevlex")
-        out = cls(ring, basis.generators)
+        out = cls(basis.ring, basis.generators)
         out._gb = basis
         return out
 
@@ -95,7 +96,8 @@ class Ideal:
     def groebner(self):
         """The reduced degrevlex basis, computed on the first call."""
         if self._gb is None:
-            self._gb = groebner.buchberger(list(self.generators), DegRevLex())
+            self._gb = groebner.buchberger(self.ring, list(self.generators),
+                                           DegRevLex())
         return self._gb
 
     # -- membership and comparison ------------------------------------------
@@ -132,7 +134,7 @@ class Ideal:
         """I and J's intersection, by linear algebra on S/I x S/J; ValueError
         unless both are zero-dimensional."""
         self._same_ring(other)
-        return Ideal.from_basis(self.ring, groebner.artinian_intersection(
+        return Ideal.from_basis(groebner.artinian_intersection(
             self.groebner(), other.groebner()))
 
     def quotient_element(self, g):
@@ -150,8 +152,7 @@ class Ideal:
         out = self.colon_cache.get(other.generators)
         if out is None:
             out = self.colon_cache[other.generators] = Ideal.from_basis(
-                self.ring, groebner.artinian_colon(self.groebner(),
-                                                   other.generators))
+                groebner.artinian_colon(self.groebner(), other.generators))
         return out
 
     # -- elimination --------------------------------------------------------
@@ -161,28 +162,25 @@ class Ideal:
         ``subalgebra.kernel`` does; the second block is degrevlex, so the
         kept basis elements are a reduced basis."""
         drop = [n for n in self.ring.names if n in set(drop_names)]
-        if not drop:
-            return Ideal(self.ring, list(self.generators))
         keep = [n for n in self.ring.names if n not in set(drop_names)]
         reordered = PolyRing(self.ring.field, tuple(drop) + tuple(keep))
         pos = [reordered.names.index(n) for n in self.ring.names]
         gens = [g.map_to(reordered, pos) for g in self.generators]
-        gb = groebner.buchberger(gens, BlockOrder(len(drop)),
+        gb = groebner.buchberger(reordered, gens, BlockOrder(len(drop)),
                                  time_budget=time_budget)
         target = PolyRing(self.ring.field, tuple(keep))
         k = len(drop)
         kept = [Polynomial(target, {e[k:]: c for e, c in g.terms.items()})
                 for g in gb.generators if not any(any(e[:k]) for e in g.terms)]
-        return Ideal.from_basis(target, groebner.GroebnerBasis(kept,
-                                                               DegRevLex()))
+        return Ideal.from_basis(groebner.GroebnerBasis(target, kept,
+                                                       DegRevLex()))
 
     # -- dimensions ---------------------------------------------------------
 
     def vector_space_dim(self):
         """Length of S/I as a k-vector space (count of standard monomials),
         or INFINITE."""
-        gb = self.groebner()
-        layers = gb.staircase(self.ring.nvars)
+        layers = self.groebner().staircase()
         return INFINITE if layers is None else sum(map(len, layers))
 
 

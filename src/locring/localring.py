@@ -12,16 +12,18 @@ nor that dim R = 1; both caveats are surfaced in reports.
 Every length that is not already m-primary comes from a standard basis in
 the local order ds truncated at a degree N (``buchberger(..., truncate=N)``):
 its standard monomials of degree d < N number HF(d) = lambda(J + n^(d+1)) -
-lambda(J + n^d), whatever N is.  ``GroebnerBasis.staircase(nvars, N)`` walks
-them layer by layer, and this module only counts its layers.  Each ring has
+lambda(J + n^d), whatever N is.  The basis records N, and
+``GroebnerBasis.staircase()`` walks them layer by layer below it; this
+module only counts its layers.  Each ring has
 one degree bound, ``stabilization_bound``.  One loop,
 ``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at that bound
 plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
   Then the truncation is a basis of the same ideal J + n^N = J + n^d, and
-  ``groebner.fglm`` turns it, modulo n^d, into the reduced degrevlex basis
-  that generates the local model (``Ideal.from_basis``).
+  ``groebner.fglm`` reads d off the same kept staircase and turns the
+  truncation, modulo n^d, into the reduced degrevlex basis that generates
+  the local model (``Ideal.from_basis``).
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
@@ -95,7 +97,7 @@ class LocalRing:
     # -- length plumbing ----------------------------------------------------
 
     def _truncations(self, J):
-        """(N, HF list, ds basis) for the ds bases of J + n^N truncated at
+        """(HF list, ds basis) for the ds bases of J + n^N truncated at
         N = 2, 4, 8, ..., capped at the ring's bound plus one.  The list
         holds the sizes of the basis's staircase layers, HF(0), HF(1), ...
         of S/J, up to degree N - 1 or up to and including the first zero,
@@ -103,9 +105,8 @@ class LocalRing:
         bound = self.stabilization_bound
         N = 2
         while True:
-            gb = buchberger(list(J.generators), DS, truncate=N)
-            layers = gb.staircase(self.ring.nvars, N)
-            yield N, [len(layer) for layer in layers], gb
+            gb = buchberger(self.ring, list(J.generators), DS, truncate=N)
+            yield [len(layer) for layer in gb.staircase()], gb
             if N > bound:
                 return
             N = min(2 * N, bound + 1)
@@ -120,9 +121,9 @@ class LocalRing:
         entry = self._models.get(J.generators)
         if entry is not None:
             return entry
-        for _N, hf, gb in self._truncations(J):
+        for hf, gb in self._truncations(J):
             if not hf[-1]:
-                model = Ideal.from_basis(self.ring, fglm(gb, len(hf) - 1))
+                model = Ideal.from_basis(fglm(gb))
                 entry = self._models[J.generators] = (hf, model)
                 return entry
         raise NotArtinianLocally(
@@ -147,8 +148,8 @@ class LocalRing:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         N = max_degree + 1
-        gb = buchberger(list(self.I.generators), DS, truncate=N)
-        layers = gb.staircase(self.ring.nvars, N)
+        layers = buchberger(self.ring, list(self.I.generators), DS,
+                            truncate=N).staircase()
         return [len(layer) for layer in layers] + [0] * (N - len(layers))
 
     def multiplicity(self):
@@ -167,7 +168,7 @@ class LocalRing:
         k[x,y]/(x^2, y^3) has HF 1, 2, 2, 1, 0, ... and gives 2.  When
         dim R >= 2, HF grows without bound, so it never falls to d or
         below, and this raises NoStabilization."""
-        for _N, hf, _gb in self._truncations(self.I):
+        for hf, _gb in self._truncations(self.I):
             for d in range(1, len(hf)):
                 if hf[d] <= d:
                     return hf[d]
@@ -187,8 +188,8 @@ class LocalRing:
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
             return INFINITE
-        for N, _hf, gb in self._truncations(self.I):
-            r = normal_form(f, gb, DS, truncate=N)
+        for _hf, gb in self._truncations(self.I):
+            r = normal_form(f, gb)
             if not r.is_zero():
                 return r.order()
         return self.stabilization_bound
@@ -219,17 +220,21 @@ class LocalRing:
     # -- tangent cone -------------------------------------------------------
 
     def tangent_cone(self):
-        """The initial ideal I* in fresh uppercase variables; the same
+        """The initial ideal I* in fresh variables, each name uppercased
+        and, on a clash with an earlier one, extended by "_"; the same
         instance on every call."""
         if self._tangent_cone is None:
             self._tangent_cone = self._initial_ideal()
         return self._tangent_cone
 
     def _initial_ideal(self):
-        upper = tuple(n.upper() for n in self.ring.names)
-        target = PolyRing(self.ring.field, upper)
-        if self.I.is_zero_ideal():
-            return Ideal(target, [])
+        upper = []
+        for name in self.ring.names:
+            name = name.upper()
+            while name in upper:
+                name += "_"
+            upper.append(name)
+        target = PolyRing(self.ring.field, tuple(upper))
         hname = "h"
         while hname in self.ring.names:
             hname += "_"
@@ -239,12 +244,12 @@ class LocalRing:
         # order is the homogenized local degree order, and its basis
         # dehomogenizes to a standard basis, whose initial forms generate I*.
         homogenized = [g.homogenize(hname) for g in self.I.generators]
-        gb = buchberger(homogenized, BlockOrder(1, first=Lex(),
-                                                second=DegRevLex()))
+        gb = buchberger(self.ring.extend(hname), homogenized,
+                        BlockOrder(1, first=Lex(), second=DegRevLex()))
         pos = list(range(target.nvars))
         gens = [g.dehomogenize(hname).initial_form().map_to(target, pos)
                 for g in gb.generators]
-        return Ideal.from_basis(target, Ideal(target, gens).groebner())
+        return Ideal.from_basis(Ideal(target, gens).groebner())
 
     # -- delta invariant and index ------------------------------------------
 

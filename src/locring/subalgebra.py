@@ -49,27 +49,29 @@ def verify_in_kernel(f, pmap):
 
 def parse_map_file(text, field):
     """Map description: first nonempty line names the parameter, then one
-    `x = <expression in the parameter>` line per source variable."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    `x = <expression in the parameter>` line per source variable.  A line
+    error names the line, counted from 1 with comments and blank lines."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     if not lines:
-        raise ParseError("empty map file", 0)
-    param = lines[0]
+        raise ParseError("empty map file")
+    n, param = lines[0]
     if not param.isidentifier():
-        raise ParseError(f"bad parameter name {param!r}", 0)
+        raise ParseError(f"line {n}: bad parameter name {param!r}")
     tring = PolyRing(field, (param,))
     names = []
     images = []
-    for ln in lines[1:]:
+    for n, ln in lines[1:]:
         if "=" not in ln:
-            raise ParseError(f"expected '<var> = <expr>', got {ln!r}", 0)
+            raise ParseError(f"line {n}: expected '<var> = <expr>', got "
+                             f"{ln!r}")
         name, expr = ln.split("=", 1)
         name = name.strip()
         if not name.isidentifier():
-            raise ParseError(f"bad variable name {name!r}", 0)
+            raise ParseError(f"line {n}: bad variable name {name!r}")
         names.append(name)
         images.append(tring.parse(expr.strip()))
     if not names:
-        raise ParseError("map file defines no source variables", 0)
+        raise ParseError("map file defines no source variables")
     src = PolyRing(field, tuple(names))
     return ParametrizedMap(src, images)

@@ -2,7 +2,9 @@
 
 ``Ideal.quotient`` and ``Ideal.intersect`` take zero-dimensional ideals
 only, by FGLM walks; the elimination routes below take any ideal and share
-no code with the walks, so the tests check each walk against them."""
+no code with the walks, so the tests check each walk against them.
+``s_polynomial`` forms in Polynomial arithmetic what the Buchberger kernel
+forms on packed ints."""
 
 from locring.ideal import Ideal
 from locring.poly import DegRevLex, mono_div
@@ -49,3 +51,16 @@ def _exact_div(f, g):
         q = q + t
         r = r - t * g
     return q
+
+
+def s_polynomial(f, g, order):
+    """The S-polynomial of two nonzero polynomials in Polynomial
+    arithmetic: lcm/lt(f) * f - lcm/lt(g) * g, lt the leading terms."""
+    ring = f.ring
+    ef, cf = f.leading_term(order)
+    eg, cg = g.leading_term(order)
+    lcm = tuple(map(max, ef, eg))
+
+    def cofactor(e, c):  # lcm / (c * x^e)
+        return ring.monomial(mono_div(lcm, e), ring.field.one() / c)
+    return cofactor(ef, cf) * f - cofactor(eg, cg) * g

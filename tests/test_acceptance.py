@@ -12,12 +12,13 @@ from locring.arith import QQ
 from locring.bounds import lex_segment_oracle, macaulay_bound
 from locring.cli import (PASS, SKIPPED_HEAVY, SplitMix64, gll_search,
                          parse_ring_file, run_scenario, sample_element)
-from locring.groebner import buchberger, normal_form, spoly
+from locring.groebner import GroebnerBasis, buchberger, normal_form
 from locring.ideal import INFINITE, Ideal, all_monomials
 from locring.poly import DegRevLex, PolyRing, Polynomial
 from locring.polytope import (LatticePolygon, edge_splitting_search,
                               is_integer_irreducible, minkowski_sum,
                               newton_polygon)
+from oracles import s_polynomial
 
 SEED = 42
 
@@ -101,13 +102,13 @@ def _suite_groebner(rng):
         gens = [_random_poly(ring, rng, 4, 4, 5)
                 for _ in range(rng.randint(1, 3))]
         gens = [g for g in gens if not g.is_zero()]
-        gb = buchberger(gens, order)
-        again = buchberger(list(gb.generators), order)
+        gb = buchberger(ring, gens, order)
+        again = buchberger(ring, list(gb.generators), order)
         if again.generators != gb.generators:
             return False
+        listed = GroebnerBasis(ring, gb.generators, order)
         for f, g in combinations(gb.generators, 2):
-            if not normal_form(spoly(f, g, order), gb.generators,
-                               order).is_zero():
+            if not normal_form(s_polynomial(f, g, order), listed).is_zero():
                 return False
     return True
 

@@ -54,6 +54,15 @@ def test_parse_ring_file_errors():
             parse_ring_file(bad)
 
 
+def test_ring_file_errors_name_the_line():
+    # lines count from 1, comment and blank lines included
+    with pytest.raises(ParseError, match=r"^line 5: unknown keyword 'mod'$"):
+        parse_ring_file("# a ring\nfield Q\n\nvars x y\nmod 3\n")
+    for bad in ("field Fp abc", "field Fp", "field Fp 7 9"):
+        with pytest.raises(ParseError, match=r"^line 2: bad field line"):
+            parse_ring_file(f"# a ring\n{bad}\nvars x\n")
+
+
 def test_report_schema_and_key_order():
     desc = parse_ring_file(MAIN_RING_TEXT)
     report, hits = gll_search(desc, 5, (1, 1), samples=2, seed=42)
@@ -128,6 +137,14 @@ def test_cli_tangent_cone(ring_file, capsys):
     assert main(["tangent-cone", "--ring", ring_file]) == 0
     out = capsys.readouterr().out
     assert "X^2" in out and "Y*Z^6" in out
+
+
+def test_cli_tangent_cone_of_names_that_differ_in_case(tmp_path, capsys):
+    # x and X both uppercase to X; the tangent cone is X^2 in (X, X_)
+    p = tmp_path / "case.ring"
+    p.write_text("field Q\nvars x X\ngen x^2 - X^3\n")
+    assert main(["tangent-cone", "--ring", str(p)]) == 0
+    assert capsys.readouterr().out == "X^2\n"
 
 
 def test_cli_newton(tmp_path, capsys):

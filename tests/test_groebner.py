@@ -9,14 +9,15 @@ from locring import cli, groebner
 from locring.errors import BudgetExceeded, RingMismatch
 from locring.groebner import (DEGREE_BOUND, GroebnerBasis, artinian_colon,
                               artinian_intersection, buchberger, fglm,
-                              is_member, normal_form, packing, spoly)
+                              is_member, normal_form, packing)
 from locring.ideal import Ideal, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import (BlockOrder, DegRevLex, Lex, NegDegRevLex,
                           Polynomial, PolyRing, WeightedDegRevLex,
                           mono_divides, monomials_of_degree)
 from locring.subalgebra import kernel
-from oracles import colon_by_elimination, intersect_by_elimination
+from oracles import (colon_by_elimination, intersect_by_elimination,
+                     s_polynomial)
 
 
 @pytest.fixture
@@ -28,29 +29,30 @@ def test_spoly_cancels_leading_terms(R):
     order = DegRevLex()
     f = R.parse("x^2 + y")
     g = R.parse("x*y + x")
-    s = spoly(f, g, order)
+    s = s_polynomial(f, g, order)
     # the lcm monomial x^2*y cancels
     assert order.key(s.leading_term(order)[0]) < order.key((2, 1))
 
 
 def test_normal_form_is_zero_on_members(R):
-    gb = buchberger([R.parse("x^2 - y"), R.parse("y^2 - x")], DegRevLex())
+    gb = buchberger(R, [R.parse("x^2 - y"), R.parse("y^2 - x")], DegRevLex())
     f = R.parse("x^2 - y") * R.parse("x + y^3") + R.parse("y^2 - x")
-    assert normal_form(f, gb.generators, DegRevLex()).is_zero()
+    listed = GroebnerBasis(R, gb.generators, DegRevLex())
+    assert normal_form(f, listed).is_zero()
     assert is_member(f, gb)
 
 
 def test_katsura_like_system(R):
     # classic textbook pair: the reduced basis under lex solves the system
-    gb = buchberger([R.parse("x^2 + y^2 - 1"), R.parse("x - y")], Lex())
+    gb = buchberger(R, [R.parse("x^2 + y^2 - 1"), R.parse("x - y")], Lex())
     gens = {g.to_str() for g in gb.generators}
     assert gens == {"x - y", "y^2 - 1/2"}
 
 
 def test_reduced_basis_is_canonical(R):
     f1, f2 = R.parse("x^3 - 2*x*y"), R.parse("x^2*y - 2*y^2 + x")
-    gb1 = buchberger([f1, f2], DegRevLex())
-    gb2 = buchberger([f2, f1], DegRevLex())
+    gb1 = buchberger(R, [f1, f2], DegRevLex())
+    gb2 = buchberger(R, [f2, f1], DegRevLex())
     assert gb1.generators == gb2.generators
     # the textbook answer for this pair
     gens = {g.to_str() for g in gb1.generators}
@@ -58,26 +60,26 @@ def test_reduced_basis_is_canonical(R):
 
 
 def test_unit_ideal(R):
-    gb = buchberger([R.parse("x"), R.parse("x + 1")], DegRevLex())
+    gb = buchberger(R, [R.parse("x"), R.parse("x + 1")], DegRevLex())
     assert len(gb.generators) == 1
     assert gb.generators[0].is_constant()
 
 
 def test_zero_input(R):
-    gb = buchberger([R.zero()], DegRevLex())
+    gb = buchberger(R, [R.zero()], DegRevLex())
     assert not gb.generators
 
 
 def test_idempotence(R):
-    gb = buchberger([R.parse("x^3 - 2*x*y"), R.parse("x^2*y - 2*y^2 + x")],
+    gb = buchberger(R, [R.parse("x^3 - 2*x*y"), R.parse("x^2*y - 2*y^2 + x")],
                     DegRevLex())
-    again = buchberger(list(gb.generators), DegRevLex())
+    again = buchberger(R, list(gb.generators), DegRevLex())
     assert again.generators == gb.generators
 
 
 def test_finite_field_basis():
     R = PolyRing(PrimeField(7), ("x", "y"))
-    gb = buchberger([R.parse("x^2 + y"), R.parse("x*y + 3")], DegRevLex())
+    gb = buchberger(R, [R.parse("x^2 + y"), R.parse("x*y + 3")], DegRevLex())
     for g in gb.generators:
         assert is_member(g * R.parse("x + y"), gb)
 
@@ -88,12 +90,12 @@ def test_pair_budget(monkeypatch):
     gens = [R.parse("x^4 + y^3 + z^2 - 1"), R.parse("x^3 + y^2 + z - 1"),
             R.parse("x^2*y*z + x*y^2 + z^3")]
     with pytest.raises(BudgetExceeded) as exc:
-        buchberger(gens, Lex())
+        buchberger(R, gens, Lex())
     assert "pairs" in str(exc.value.diagnostics)
 
 
 def test_content_is_removed(R):
-    gb = buchberger([R.parse("2*x^2 - 4*y")], DegRevLex())
+    gb = buchberger(R, [R.parse("2*x^2 - 4*y")], DegRevLex())
     assert gb.generators[0] == R.parse("x^2 - 2*y")
 
 
@@ -118,19 +120,6 @@ def _divide(f, G, order):
     return remainder
 
 
-def _spoly(f, g, order):
-    """Test-local S-polynomial in Polynomial arithmetic."""
-    ring = f.ring
-    ef, cf = f.leading_term(order)
-    eg, cg = g.leading_term(order)
-    lcm = tuple(map(max, ef, eg))
-
-    def cofactor(e, c):  # lcm / (c * x^e)
-        return ring.monomial(tuple(a - b for a, b in zip(lcm, e)),
-                             ring.field.one() / c)
-    return cofactor(ef, cf) * f - cofactor(eg, cg) * g
-
-
 def _naive_reduced_basis(gens, order):
     """Oracle: Buchberger over every pair with no criteria, then
     minimalization and interreduction, all by the test-local division, so
@@ -139,7 +128,7 @@ def _naive_reduced_basis(gens, order):
     pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     while pairs:
         i, j = pairs.pop()
-        r = _divide(_spoly(G[i], G[j], order), G, order)
+        r = _divide(s_polynomial(G[i], G[j], order), G, order)
         if not r.is_zero():
             pairs.extend((k, len(G)) for k in range(len(G)))
             G.append(r)
@@ -203,7 +192,7 @@ def test_buchberger_matches_naive_oracle(field, order):
     for M in (3, 4, 5) * 3:
         gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
         gens += [ring.monomial(e) for e in monomials_of_degree(3, M)]
-        gb = buchberger(gens, order)
+        gb = buchberger(ring, gens, order)
         assert gb.generators == _naive_reduced_basis(gens, order)
         _assert_field_coefficients(gb.generators, field)
 
@@ -216,7 +205,7 @@ def test_buchberger_matches_naive_oracle_in_four_variables(order):
     for M in (3, 4):
         gens = [_random_poly(ring, rng) for _ in range(3)]
         gens += [ring.monomial(e) for e in monomials_of_degree(4, M)]
-        gb = buchberger(gens, order)
+        gb = buchberger(ring, gens, order)
         assert gb.generators == _naive_reduced_basis(gens, order)
 
 
@@ -239,7 +228,7 @@ def test_buchberger_q_coefficients_match_naive_oracle(draw, order):
     for M in (3, 4, 4):
         gens = [_random_poly(ring, rng, draw) for _ in range(2)]
         gens += [ring.monomial(e) for e in monomials_of_degree(3, M)]
-        gb = buchberger(gens, order)
+        gb = buchberger(ring, gens, order)
         assert gb.generators == _naive_reduced_basis(gens, order)
         _assert_field_coefficients(gb.generators, QQ)
 
@@ -249,7 +238,7 @@ def test_buchberger_without_truncation_matches_naive_oracle(R):
     f = R.parse("6*x^3 - 4/3*x*y + 5/7")
     g = R.parse("-10*x^2*y + 9/2*y^2 - 3*x")
     for order in (DegRevLex(), Lex()):
-        gb = buchberger([f, g], order)
+        gb = buchberger(R, [f, g], order)
         assert gb.generators == _naive_reduced_basis([f, g], order)
         _assert_field_coefficients(gb.generators, QQ)
 
@@ -272,21 +261,23 @@ def test_normal_form_and_spoly_match_local_division(field, draw):
                 G.append(g)
         f = _random_poly(ring, rng, draw) * _random_poly(ring, rng, draw)
         for order in (DegRevLex(), Lex()):
-            r = normal_form(f, G, order)
+            basis = GroebnerBasis(ring, G, order)
+            r = normal_form(f, basis)
             assert r == _divide(f, G, order)
             _assert_field_coefficients([r], field)
-            s = spoly(G[0], G[1], order)
-            assert s == _spoly(G[0], G[1], order)
-            _assert_field_coefficients([s], field)
+            s = s_polynomial(G[0], G[1], order)
+            r = normal_form(s, basis)
+            assert r == _divide(s, G, order)
+            _assert_field_coefficients([r], field)
 
 
 def test_normal_form_by_basis_keeps_fractional_tails(R):
-    gb = buchberger([R.parse("3*x^2 - 2*y"), R.parse("5*y^2 - 7*x")],
+    gb = buchberger(R, [R.parse("3*x^2 - 2*y"), R.parse("5*y^2 - 7*x")],
                     DegRevLex())
     # gb is x^2 - 2/3*y, y^2 - 7/5*x: x^3 -> 2/3*x*y and y^3 -> 7/5*x*y
     f = R.parse("x^3 + 1/2*x*y + y^3 - 1/3*x + 2")
-    r = normal_form(f, gb, DegRevLex())
-    assert r == normal_form(f, gb.generators, DegRevLex())
+    r = normal_form(f, gb)
+    assert r == normal_form(f, GroebnerBasis(R, gb.generators, DegRevLex()))
     assert r == _divide(f, gb.generators, DegRevLex())
     assert r == R.parse("77/30*x*y - 1/3*x + 2")
     _assert_field_coefficients([r], QQ)
@@ -296,7 +287,7 @@ def test_monomial_pairs_are_never_reduced(monkeypatch):
     monkeypatch.setattr(groebner, "MAX_PAIRS", 0)
     R = PolyRing(QQ, ("x", "y", "z"))
     gens = max_ideal_power(R, 4).generators
-    gb = buchberger(gens, DegRevLex())
+    gb = buchberger(R, gens, DegRevLex())
     assert len(gb) == 15
     assert set(gb.generators) == set(gens)
 
@@ -306,8 +297,9 @@ def test_normal_form_reduces_by_first_listed_divisor(R):
     # the lower-degree one win
     f = R.parse("x^2*y^2")
     first, second = R.parse("x^2*y - 1"), R.parse("x*y - 1")
-    assert normal_form(f, [first, second], DegRevLex()) == R.parse("y")
-    assert normal_form(f, [second, first], DegRevLex()) == R.parse("1")
+    for divisors, r in (([first, second], "y"), ([second, first], "1")):
+        assert normal_form(f, GroebnerBasis(R, divisors, DegRevLex())) == \
+            R.parse(r)
 
 
 def test_ds_order_puts_lowest_degree_first():
@@ -323,11 +315,11 @@ def test_truncated_ds_basis_keeps_a_tail_that_its_lead_divides():
     # terminate, and reduction stops only because x^5 is dropped
     S = PolyRing(QQ, ("x",))
     ds = NegDegRevLex()
-    gb = buchberger([S.parse("x - x^2")], ds, truncate=5)
+    gb = buchberger(S, [S.parse("x - x^2")], ds, truncate=5)
     assert gb.generators == [S.parse("x - x^2")]
     assert gb.leads == [packing(ds, 1).pack((1,))]
-    assert normal_form(S.parse("x^3 + 2"), gb, ds, truncate=5) == \
-        S.parse("2")
+    assert gb.truncate == 5
+    assert normal_form(S.parse("x^3 + 2"), gb) == S.parse("2")
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
@@ -335,12 +327,11 @@ def test_truncation_drops_high_degree_terms_and_pairs(field):
     S = PolyRing(field, ("x", "y"))
     ds = NegDegRevLex()
     # the generator's y^4 and every S-polynomial of degree >= 4 vanish
-    gb = buchberger([S.parse("x^2 + y^4"), S.parse("x*y - y^3")], ds,
+    gb = buchberger(S, [S.parse("x^2 + y^4"), S.parse("x*y - y^3")], ds,
                     truncate=4)
     assert gb.generators == [S.parse("x*y - y^3"), S.parse("x^2")]
-    assert normal_form(S.parse("x^3*y + y^2"), gb, ds, truncate=4) == \
-        S.parse("y^2")
-    assert buchberger([S.parse("x^4 + y^5")], ds, truncate=4).generators \
+    assert normal_form(S.parse("x^3*y + y^2"), gb) == S.parse("y^2")
+    assert buchberger(S, [S.parse("x^4 + y^5")], ds, truncate=4).generators \
         == []
 
 
@@ -385,37 +376,36 @@ def test_packed_monomials_follow_the_tuple_key(order, nvars):
 def test_degrees_past_the_packing_bound_raise():
     R = PolyRing(QQ, ("x", "y"))
     below = R.parse(f"x^{DEGREE_BOUND - 1} - y")
-    assert buchberger([below], DegRevLex()).generators == [below]
-    assert normal_form(R.parse(f"x^{DEGREE_BOUND - 1} + x"), [below],
-                       Lex()) == R.parse("x + y")
+    assert buchberger(R, [below], DegRevLex()).generators == [below]
+    assert normal_form(R.parse(f"x^{DEGREE_BOUND - 1} + x"),
+                       GroebnerBasis(R, [below], Lex())) == R.parse("x + y")
     for text in (f"x^{DEGREE_BOUND} - y", "x^40000 - y"):
         with pytest.raises(ValueError, match="does not fit"):
-            buchberger([R.parse(text)], DegRevLex())
+            buchberger(R, [R.parse(text)], DegRevLex())
+        basis = GroebnerBasis(R, [below], DegRevLex())
         with pytest.raises(ValueError, match="does not fit"):
-            normal_form(R.parse(text), [below], DegRevLex())
+            normal_form(R.parse(text), basis)
     # truncation drops the high terms before they are packed
-    assert buchberger([R.parse("x^40000 - y")], NegDegRevLex(),
+    assert buchberger(R, [R.parse("x^40000 - y")], NegDegRevLex(),
                       truncate=5).generators == [R.parse("y")]
-    buchberger([below], NegDegRevLex(), truncate=DEGREE_BOUND)
+    buchberger(R, [below], NegDegRevLex(), truncate=DEGREE_BOUND)
     with pytest.raises(ValueError, match="does not fit"):
-        buchberger([below], NegDegRevLex(), truncate=DEGREE_BOUND + 1)
+        buchberger(R, [below], NegDegRevLex(), truncate=DEGREE_BOUND + 1)
 
 
 def test_degrees_formed_in_a_run_past_the_packing_bound_raise():
     R = PolyRing(QQ, ("x", "y"))
     # lex reduction raises the degree: x^2 -> x*y^h -> y^(2h)
     h = DEGREE_BOUND // 2
-    gb = buchberger([R.parse(f"x - y^{h - 1}"), R.parse("x^2")], Lex())
+    gb = buchberger(R, [R.parse(f"x - y^{h - 1}"), R.parse("x^2")], Lex())
     assert gb.generators == [R.parse(f"y^{2 * h - 2}"),
                              R.parse(f"x - y^{h - 1}")]
     with pytest.raises(ValueError, match="does not fit"):
-        buchberger([R.parse(f"x - y^{h}"), R.parse("x^2")], Lex())
+        buchberger(R, [R.parse(f"x - y^{h}"), R.parse("x^2")], Lex())
     # a degrevlex S-pair whose lcm has degree 2h
     with pytest.raises(ValueError, match="does not fit"):
-        buchberger([R.parse(f"x^{h}*y - 1"), R.parse(f"x*y^{h} - 1")],
+        buchberger(R, [R.parse(f"x^{h}*y - 1"), R.parse(f"x*y^{h} - 1")],
                    DegRevLex())
-    with pytest.raises(ValueError, match="does not fit"):
-        spoly(R.parse(f"x^{h}*y - 1"), R.parse(f"x*y^{h} - 1"), DegRevLex())
 
 
 def _standard_monomials(lts, nvars):
@@ -460,13 +450,13 @@ def test_staircase_matches_brute_force_filter(nvars):
     for _ in range(60):
         lts = _random_leads(rng, nvars)
         for order in (DegRevLex(), NegDegRevLex(), Lex()):
-            gb = GroebnerBasis([ring.monomial(e) for e in lts], order)
+            gb = GroebnerBasis(ring, [ring.monomial(e) for e in lts], order)
             unpack = packing(order, nvars).unpack
             for below in (1, 2, 5, 9):
-                layers = gb.staircase(nvars, below)
+                layers = gb._walk_staircase(below)
                 assert [sorted(map(unpack, layer)) for layer in layers] == \
                     _layers_below(lts, nvars, below)
-            layers = gb.staircase(nvars)
+            layers = gb.staircase()
             if layers is not None:
                 layers = [list(map(unpack, layer)) for layer in layers]
             box = _standard_monomials(lts, nvars)
@@ -483,23 +473,25 @@ def test_staircase_matches_brute_force_filter(nvars):
 def test_staircase_edge_cases():
     S = PolyRing(QQ, ("x", "y", "z"))
     units = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert GroebnerBasis([], DegRevLex()).staircase(3) is None
+    assert GroebnerBasis(S, [], DegRevLex()).staircase() is None
     # a ds basis truncated at 2 of generators of degree >= 2 is empty, and
-    # its staircase below 2 is 1 and the variables
-    gb = buchberger([S.parse("x^2 - y^5"), S.parse("x*y^2 + y*z^3 - z^5")],
+    # its staircase, below 2, is 1 and the variables
+    gb = buchberger(S, [S.parse("x^2 - y^5"), S.parse("x*y^2 + y*z^3 - z^5")],
                     NegDegRevLex(), truncate=2)
     assert gb.generators == []
+    assert gb.ring == S and gb.truncate == 2
     unpack = packing(NegDegRevLex(), 3).unpack
-    layers = gb.staircase(3, 2)
+    layers = gb.staircase()
     assert list(map(unpack, layers[0])) == [(0, 0, 0)]
     assert sorted(map(unpack, layers[1])) == units
     # the unit ideal has no standard monomial
-    unit = buchberger([S.parse("x"), S.parse("x + 1")], DegRevLex())
-    assert unit.staircase(3) == ((),) and unit.staircase(3, 5) == ((),)
+    unit = buchberger(S, [S.parse("x"), S.parse("x + 1")], DegRevLex())
+    assert unit.staircase() == ((),) and unit._walk_staircase(5) == ((),)
     # infinite: z has no pure power
-    infinite = buchberger([S.parse("x^2"), S.parse("y^3 - x*z")], DegRevLex())
-    assert infinite.staircase(3) is None
-    assert [len(layer) for layer in infinite.staircase(3, 5)] == \
+    infinite = buchberger(S, [S.parse("x^2"), S.parse("y^3 - x*z")],
+                          DegRevLex())
+    assert infinite.staircase() is None
+    assert [len(layer) for layer in infinite._walk_staircase(5)] == \
         [len(layer) for layer in _layers_below(
             [g.leading_term(DegRevLex())[0] for g in infinite.generators],
             3, 5)]
@@ -511,11 +503,29 @@ def test_empty_basis_staircase_is_every_monomial(order):
     # the staircase of no leads is every monomial, degree by degree
     for nvars in (1, 2, 3, 4):
         unpack = packing(order, nvars).unpack
-        layers = GroebnerBasis([], order).staircase(nvars, 8)
+        ring = PolyRing(QQ, ("w", "x", "y", "z")[:nvars])
+        layers = GroebnerBasis(ring, [], order)._walk_staircase(8)
         assert len(layers) == 8
         for d, layer in enumerate(layers):
             assert sorted(map(unpack, layer)) == \
                 sorted(monomials_of_degree(nvars, d))
+
+
+def test_an_empty_truncation_keeps_its_ring_and_degree():
+    # generators with no term of degree below N: the ds basis truncated at
+    # N drops every term, as main's first truncation, at 2, does
+    S = PolyRing(QQ, ("x", "y", "z"))
+    unpack = packing(NegDegRevLex(), 3).unpack
+    for N in (1, 2, 5):
+        gb = buchberger(S, [S.parse("x^5 - y^6"), S.parse("y*z^4")],
+                        NegDegRevLex(), truncate=N)
+        assert gb.generators == [] and gb.ring == S and gb.truncate == N
+        layers = gb.staircase()
+        assert [sorted(map(unpack, layer)) for layer in layers] == \
+            [sorted(monomials_of_degree(3, d)) for d in range(N)]
+        assert normal_form(S.parse(f"x + y^{N} + 1"), gb) == \
+            S.parse("x + 1" if N > 1 else "1")
+        assert Ideal.from_basis(fglm(gb)).equals(max_ideal_power(S, N))
 
 
 LEAD_ORDERS = {"lex": Lex(), "degrevlex": DegRevLex(), "ds": NegDegRevLex(),
@@ -532,8 +542,8 @@ def test_buchberger_leads_equal_lazy_leads(order):
     for _ in range(8):
         gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
         gens += [ring.monomial(e) for e in monomials_of_degree(3, 4)]
-        gb = buchberger(gens, order, truncate=truncate)
-        lazy = GroebnerBasis(gb.generators, order)
+        gb = buchberger(ring, gens, order, truncate=truncate)
+        lazy = GroebnerBasis(ring, gb.generators, order)
         assert gb.leads == lazy.leads
         assert list(map(packing(order, 3).unpack, gb.leads)) == \
             [g.leading_term(order)[0] for g in gb.generators]
@@ -625,8 +635,8 @@ def paper_ideals():
 
 @pytest.mark.parametrize("name, N", sorted(PINNED_DS_BASES))
 def test_truncated_ds_bases_of_the_paper_are_pinned(paper_ideals, name, N):
-    gb = buchberger(list(paper_ideals[name].generators), NegDegRevLex(),
-                    truncate=N)
+    I = paper_ideals[name]
+    gb = buchberger(I.ring, list(I.generators), NegDegRevLex(), truncate=N)
     assert tuple(g.to_str() for g in gb.generators) == \
         PINNED_DS_BASES[name, N]
 
@@ -670,11 +680,11 @@ def _packed_runs(field, order, truncate, walk):
     for _ in range(6):
         gens = [_random_poly(ring, rng) for _ in range(rng.randint(2, 3))]
         if walk == "fglm":
-            ds = buchberger(gens, NegDegRevLex(), truncate=6)
-            layers = ds.staircase(3, 6)
+            ds = buchberger(ring, gens, NegDegRevLex(), truncate=6)
+            layers = ds.staircase()
             d = 6 if layers[-1] else len(layers) - 1
             gens += [ring.monomial(e) for e in monomials_of_degree(3, d)]
-            gb = fglm(ds, d)
+            gb = fglm(ds)
         elif walk == "artinian_colon":
             I = Ideal(ring, gens + m5)
             gb = artinian_colon(I.groebner(), ring.gens())
@@ -690,7 +700,7 @@ def _packed_runs(field, order, truncate, walk):
         else:
             if not truncate:
                 gens += m5
-            gb = buchberger(gens, order, truncate=truncate)
+            gb = buchberger(ring, gens, order, truncate=truncate)
         yield ring, rng, gb, gens
 
 
@@ -717,13 +727,21 @@ def test_packed_basis_and_public_basis_agree(field, run):
     for ring, rng, gb, _ in _packed_runs(field, *run):
         fs = [_random_poly(ring, rng) for _ in range(4)]
         # normal forms first, while the packed basis has no generators
-        packed = [normal_form(f, gb, order, truncate) for f in fs]
+        packed = [normal_form(f, gb) for f in fs]
         assert "generators" not in gb.__dict__
-        public = GroebnerBasis(list(gb.generators), order)
+        assert gb.truncate == truncate
+        public = GroebnerBasis(ring, list(gb.generators), order)
         assert public.leads == gb.leads
         assert public.ring == gb.ring == ring
-        assert packed == [normal_form(f, public, order, truncate)
-                          for f in fs]
+        if truncate:
+            # a basis from polynomials is not truncated, and reduction
+            # against a ds tail such as that of x - x^2 runs to the degree
+            # bound without a truncation: reduce against the truncated run
+            # of the same generators
+            public = buchberger(ring, public.generators, order,
+                                truncate=truncate)
+            assert public.leads == gb.leads
+        assert packed == [normal_form(f, public) for f in fs]
 
 
 @pytest.mark.parametrize("other", [
@@ -732,13 +750,13 @@ def test_packed_basis_and_public_basis_agree(field, run):
 def test_normal_form_against_a_packed_basis_of_another_ring(other):
     ring = PolyRing(QQ, ("x", "y", "z"))
     for order, truncate, _ in PACKED_RUNS.values():
-        gb = buchberger([ring.parse("x^2 - y^3"), ring.parse("y*z - x")],
+        gb = buchberger(ring, [ring.parse("x^2 - y^3"), ring.parse("y*z - x")],
                         order, truncate=truncate)
         with pytest.raises(RingMismatch):
-            normal_form(other.parse("x*y"), gb, order, truncate)
+            normal_form(other.parse("x*y"), gb)
         assert "generators" not in gb.__dict__
         with pytest.raises(RingMismatch):
-            GroebnerBasis([ring.parse("x"), other.parse("x")], order)
+            GroebnerBasis(ring, [ring.parse("x"), other.parse("x")], order)
 
 
 def test_gll_search_test_builds_no_generators():
@@ -748,8 +766,9 @@ def test_gll_search_test_builds_no_generators():
                                cli.MAIN_RING.gen_exprs)
     R = desc.local_ring()
     f = R.ring.parse("y + 3*z^2 - x*z")
-    gb = buchberger(list(R.I.generators) + [f], NegDegRevLex(), truncate=6)
-    layers = gb.staircase(3, 6)
+    gb = buchberger(R.ring, list(R.I.generators) + [f], NegDegRevLex(),
+                    truncate=6)
+    layers = gb.staircase()
     assert layers[-1]  # m^5 is not inside I + (f): no hit
     assert len(gb) == len(gb.leads)
     assert "generators" not in gb.__dict__
@@ -761,7 +780,7 @@ def test_gll_search_test_builds_no_generators():
                          ids=PACKED_FIELDS.keys())
 def test_walk_bases_equal_buchberger_of_the_same_ideal(field, walk):
     for ring, rng, gb, gens in _packed_runs(field, DegRevLex(), 0, walk):
-        assert gb.generators == buchberger(gens, DegRevLex()).generators
+        assert gb.generators == buchberger(ring, gens, DegRevLex()).generators
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),
@@ -783,24 +802,23 @@ def test_kept_staircase_equals_a_fresh_walk_and_is_immutable():
         for _ in range(4):
             gens = [_random_poly(ring, rng) for _ in range(2)]
             gb = (Ideal(ring, gens) + max_ideal_power(ring, 5)).groebner()
-            kept = gb.staircase(3)
-            assert gb.staircase(3) is kept
-            # an equal basis walked afresh, and the walk below a degree,
-            # which is not kept
-            fresh = GroebnerBasis(list(gb.generators), DegRevLex())
-            assert fresh.staircase(3, DEGREE_BOUND) == kept
-            assert fresh.staircase(3) == kept
-            assert gb.staircase(3, 3) == kept[:3]
-            assert gb.staircase(3, 3) is not gb.staircase(3, 3)
+            kept = gb.staircase()
+            assert gb.staircase() is kept
+            # an equal basis walked afresh, and walks below a degree
+            fresh = GroebnerBasis(ring, list(gb.generators), DegRevLex())
+            assert fresh._walk_staircase(DEGREE_BOUND) == kept
+            assert fresh.staircase() == kept
+            assert gb._walk_staircase(3) == kept[:3]
             assert isinstance(kept, tuple)
             assert all(isinstance(layer, tuple) for layer in kept)
             with pytest.raises(AttributeError):
                 kept[0].append(1)
             with pytest.raises(TypeError):
                 kept[1][0] = 0
-    # an empty basis keeps its staircase per number of variables
-    empty = GroebnerBasis([], DegRevLex())
-    assert empty.staircase(2) is None and empty.staircase(3) is None
+    # an empty basis reads the number of variables off its ring
+    for names in (("x", "y"), ("x", "y", "z")):
+        empty = GroebnerBasis(PolyRing(QQ, names), [], DegRevLex())
+        assert empty.staircase() is None
 
 
 def test_artinian_colon_needs_a_zero_dimensional_ideal():
@@ -819,7 +837,7 @@ def test_artinian_intersection_needs_zero_dimensional_ideals():
             artinian_intersection(*(K.groebner() for K in pair))
     with pytest.raises(ValueError, match="two orders"):
         artinian_intersection(J.groebner(),
-                              buchberger(list(J.generators), Lex()))
+                              buchberger(S, list(J.generators), Lex()))
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),

@@ -118,10 +118,10 @@ def test_artinian_quotient_matches_intersection_oracle(field):
             got = J.quotient(colon_by)
             installed = got._gb.generators
             assert got._gb.leads == \
-                GroebnerBasis(installed, DegRevLex()).leads
+                GroebnerBasis(ring, installed, DegRevLex()).leads
             assert installed == _colon_oracle(J, colon_by).groebner() \
                 .generators
-            assert buchberger(list(got.generators), DegRevLex()) \
+            assert buchberger(ring, list(got.generators), DegRevLex()) \
                 .generators == installed
 
 
@@ -193,7 +193,7 @@ def _assert_installed_basis_is_fresh(ideal):
     """The degrevlex basis the ideal carries equals a fresh Buchberger run
     on its generators, which are that basis."""
     installed = ideal._gb
-    fresh = buchberger(list(ideal.generators), DegRevLex())
+    fresh = buchberger(ideal.ring, list(ideal.generators), DegRevLex())
     assert installed.generators == fresh.generators == list(ideal.generators)
     assert installed.leads == fresh.leads
 
@@ -232,7 +232,7 @@ def _assert_walk_equals_elimination(I, J):
     K = I.intersect(J)
     installed = K._gb.generators
     assert installed == intersect_by_elimination(I, J).groebner().generators
-    assert buchberger(list(K.generators), DegRevLex()).generators == \
+    assert buchberger(K.ring, list(K.generators), DegRevLex()).generators == \
         installed
     assert I.contains(K) and J.contains(K)
     return K
@@ -292,13 +292,14 @@ def test_colons_and_intersections_need_zero_dimensional_ideals(gens):
 
 def test_member_of_the_zero_ideal(R):
     Z = Ideal(R, [])
+    assert Z.groebner().ring == R  # an empty basis has a ring too
     assert Z.member(R.zero())
     assert not Z.member(R.parse("x")) and not Z.member(R.one())
     assert Ideal(R, ["x"]).contains(Z) and not Z.contains(Ideal(R, ["x"]))
 
 
 def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):
-    Z = Ideal.from_basis(R, GroebnerBasis([], DegRevLex()))
+    Z = Ideal.from_basis(GroebnerBasis(R, [], DegRevLex()))
     assert Z.ring == R and Z.is_zero_ideal()
     assert Z.member(R.zero()) and not Z.member(R.parse("x"))
     assert Z.vector_space_dim() == INFINITE
@@ -306,7 +307,7 @@ def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):
 
 
 def test_from_basis_of_the_unit_basis_is_the_unit_ideal(R):
-    U = Ideal.from_basis(R, GroebnerBasis([R.one()], DegRevLex()))
+    U = Ideal.from_basis(GroebnerBasis(R, [R.one()], DegRevLex()))
     assert U.generators == (R.one(),)
     assert U.member(R.parse("x + 1")) and U.member(R.one())
     assert U.vector_space_dim() == 0
@@ -315,9 +316,9 @@ def test_from_basis_of_the_unit_basis_is_the_unit_ideal(R):
 
 def test_from_basis_rejects_a_basis_that_is_not_degrevlex(R):
     # an ideal holds one basis, the reduced degrevlex one
-    lex = buchberger([R.parse("x^2 - y*z"), R.parse("y^2 - x")], Lex())
+    lex = buchberger(R, [R.parse("x^2 - y*z"), R.parse("y^2 - x")], Lex())
     with pytest.raises(ValueError, match="not degrevlex"):
-        Ideal.from_basis(R, lex)
+        Ideal.from_basis(lex)
 
 
 def test_vector_space_dim(R):

@@ -340,11 +340,11 @@ def test_fglm_basis_is_canonical(field):
         installed = model._gb.generators
         # the walk sets the leads that every later staircase reads
         assert model._gb.leads == \
-            GroebnerBasis(installed, DegRevLex()).leads
-        again = buchberger(list(installed), DegRevLex())
+            GroebnerBasis(ring, installed, DegRevLex()).leads
+        again = buchberger(ring, list(installed), DegRevLex())
         assert again.generators == installed
-        assert buchberger(list(model.generators), DegRevLex()).generators \
-            == installed
+        assert buchberger(ring, list(model.generators),
+                          DegRevLex()).generators == installed
         for g in installed:
             for c in g.terms.values():
                 if field == QQ:
@@ -357,10 +357,10 @@ def test_fglm_basis_is_canonical(field):
 def _colon_routes(J, n):
     """J : m^n as one colon and as n colons by m, each on a copy of J that
     shares its degrevlex basis but no colon the other route kept."""
-    chain = Ideal.from_basis(J.ring, J.groebner())
+    chain = Ideal.from_basis(J.groebner())
     for _ in range(n):
         chain = chain.quotient(max_ideal_power(J.ring, 1))
-    one = Ideal.from_basis(J.ring, J.groebner()).quotient(
+    one = Ideal.from_basis(J.groebner()).quotient(
         max_ideal_power(J.ring, n))
     return one.groebner().generators, chain.groebner().generators
 
@@ -422,7 +422,7 @@ def _saturated_tangent_cone(R):
     pos = list(range(target.nvars))
     block = BlockOrder(1, first=Lex(), second=DegRevLex())
     gens = [g.dehomogenize("h").initial_form().map_to(target, pos)
-            for g in buchberger(list(J.generators), block).generators]
+            for g in buchberger(ext, list(J.generators), block).generators]
     return Ideal(target, gens).groebner().generators
 
 

@@ -115,6 +115,14 @@ def test_tangent_cone_of_cusp():
     assert tc.equals(Ideal(tc.ring, ["Y^2"]))
 
 
+def test_tangent_cone_names_stay_distinct():
+    # x and X both uppercase to X: the second takes a "_"
+    S = PolyRing(QQ, ("x", "X"))
+    tc = LocalRing(S, Ideal(S, ["x^2 - X^3"])).tangent_cone()
+    assert tc.ring.names == ("X", "X_")
+    assert tc.equals(Ideal(tc.ring, ["X^2"]))
+
+
 def _count_block_order_runs(monkeypatch):
     """The block-order runs of ``buchberger``: eliminations, through
     ``groebner``, and the Lazard run of the tangent cone, through the
@@ -122,10 +130,10 @@ def _count_block_order_runs(monkeypatch):
     calls = []
     original = groebner.buchberger
 
-    def counted(gens, order, *args, **kwargs):
+    def counted(ring, gens, order, *args, **kwargs):
         if isinstance(order, BlockOrder):
             calls.append(order)
-        return original(gens, order, *args, **kwargs)
+        return original(ring, gens, order, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counted)
     monkeypatch.setattr(localring, "buchberger", counted)
