@@ -3,7 +3,6 @@ case-by-case feasibility reports that mechanize the order-of-f elimination
 arithmetic.
 """
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import BudgetExceeded
@@ -15,10 +14,11 @@ UNRESOLVED = "UNRESOLVED"
 _MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 
 
-@dataclass
 class MacaulayRep:
     """The unique expansion d = sum of C(k_i, i) with strictly decreasing k_i."""
-    ks: list  # (k_i, i) pairs, i descending
+
+    def __init__(self, ks):
+        self.ks = ks  # (k_i, i) pairs, i descending
 
     def value(self):
         return sum(comb(k, i) for k, i in self.ks)
@@ -97,20 +97,21 @@ def hf_feasible_max_length(prefix, N):
     return sum(values)
 
 
-@dataclass
 class CaseEntry:
-    order_d: int
-    hf2: int
-    prefix: tuple
-    max_length: int
-    threshold: int  # d * e, the least colength an order-d parameter allows
-    status: str
+    def __init__(self, order_d, hf2, prefix, max_length, threshold, status):
+        self.order_d = order_d
+        self.hf2 = hf2
+        self.prefix = prefix
+        self.max_length = max_length
+        # d * e, the least colength an order-d parameter allows
+        self.threshold = threshold
+        self.status = status
 
 
-@dataclass
 class CaseReport:
-    entries: list = field(default_factory=list)
-    tail_summary: str = ""
+    def __init__(self):
+        self.entries = []
+        self.tail_summary = ""
 
 
 # Known dimensions of the degree-2 slice of the initial ideal of I + (f),

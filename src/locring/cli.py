@@ -3,11 +3,9 @@ with JSON reports, thin wrappers over the library operations, and a
 randomized falsification search for small Loewy lengths.
 """
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 from .arith import QQ, PrimeField
@@ -19,7 +17,6 @@ from .ideal import Ideal, all_monomials, max_ideal_power
 from .localring import DS, LocalRing, weighted_homogeneity_check
 from .monomial import MonomialIdeal
 from .poly import Polynomial, PolyRing
-from .polytope import is_integer_irreducible, newton_polygon
 from .subalgebra import kernel, parse_map_file, verify_in_kernel
 
 PASS = "PASS"
@@ -58,11 +55,11 @@ class SplitMix64:
 # ---------------------------------------------------------------------------
 # ring description files
 
-@dataclass
 class RingDescription:
-    field_spec: object      # QQ or a PrimeField
-    names: tuple
-    gen_exprs: tuple
+    def __init__(self, field_spec, names, gen_exprs):
+        self.field_spec = field_spec  # QQ or a PrimeField
+        self.names = names
+        self.gen_exprs = gen_exprs
 
     def ring(self):
         return PolyRing(self.field_spec, self.names)
@@ -91,7 +88,10 @@ def parse_ring_file(text):
                 fld = QQ
             elif (len(parts) == 3 and parts[1] == "Fp"
                   and parts[2].isdecimal()):
-                fld = PrimeField(int(parts[2]))
+                try:
+                    fld = PrimeField(int(parts[2]))
+                except ValueError as exc:
+                    raise ParseError(f"line {n}: {exc}") from None
             else:
                 raise ParseError(f"line {n}: bad field line {line!r}")
         elif kw == "vars":
@@ -100,13 +100,20 @@ def parse_ring_file(text):
                                  "name")
             names = tuple(parts[1:])
         elif kw == "gen":
-            gens.append(line[len("gen"):].strip())
+            gens.append((n, line[len("gen"):].strip()))
         else:
             raise ParseError(f"line {n}: unknown keyword {kw!r}")
     if fld is None or names is None:
         raise ParseError("ring file needs field and vars lines")
-    desc = RingDescription(fld, names, tuple(gens))
-    desc.local_ring()  # validates generators and I inside (vars)
+    desc = RingDescription(fld, names, tuple(expr for _, expr in gens))
+    ring = desc.ring()
+    polys = []
+    for n, expr in gens:
+        try:
+            polys.append(ring.parse(expr))
+        except ParseError as exc:
+            raise ParseError(f"line {n}: {exc}") from None
+    LocalRing(ring, Ideal(ring, polys))  # validates I inside (vars)
     return desc
 
 
@@ -118,20 +125,20 @@ def load_ring_file(path):
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
 class Check:
-    name: str
-    status: str
-    expected: str
-    actual: str
-    time_ms: int
+    def __init__(self, name, status, expected, actual, time_ms):
+        self.name = name
+        self.status = status
+        self.expected = expected
+        self.actual = actual
+        self.time_ms = time_ms
 
 
-@dataclass
 class Report:
-    scenario: str
-    seed: int
-    checks: list = field(default_factory=list)
+    def __init__(self, scenario, seed):
+        self.scenario = scenario
+        self.seed = seed
+        self.checks = []
 
     def passed(self):
         return all(c.status in (PASS, SKIPPED_HEAVY) for c in self.checks)
@@ -420,6 +427,8 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
 # entry point
 
 def _build_parser():
+    import argparse  # only here: no scenario run needs it
+
     p = argparse.ArgumentParser(
         prog="locring",
         description="exact local-ring invariants: Hilbert functions, "
@@ -537,6 +546,9 @@ def _dispatch(args):
         print(rep.tail_summary)
         return 0
     if cmd == "newton":
+        # only here: no scenario run needs polytope
+        from .polytope import is_integer_irreducible, newton_polygon
+
         ring = load_ring_file(args.ring).ring()
         f = ring.parse(args.element)
         P = newton_polygon(f)

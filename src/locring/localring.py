@@ -47,8 +47,6 @@ I + (f).  The tangent cone comes from one block-order ``buchberger`` run
 on the homogenized generators (Lazard's method).
 """
 
-from dataclasses import dataclass, field
-
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, NotGorenstein,
                      RingMismatch, ZeroPolynomial)
@@ -62,13 +60,15 @@ DEFAULT_STABILIZATION_BOUND = 20
 DS = NegDegRevLex()
 
 
-@dataclass(frozen=True)
 class DeltaTestResult:
-    n: int
-    verdict: bool  # delta(R/m^n) = 1, on which the three criteria agree
-    colon: object  # the ideal x*m^n : m (condition iii), as an Ideal
-    # nC = I + m*((x^n) : m^n) (condition ii), as an Ideal
-    nC: object = field(compare=False)
+    def __init__(self, n, verdict, colon, nC):
+        self.n = n
+        # delta(R/m^n) = 1, on which the three criteria agree
+        self.verdict = verdict
+        # the ideal x*m^n : m (condition iii), as an Ideal
+        self.colon = colon
+        # nC = I + m*((x^n) : m^n) (condition ii), as an Ideal
+        self.nC = nC
 
 
 class LocalRing:

@@ -6,7 +6,6 @@ edge-vector multiset splits; the search below enumerates sub-multisets
 (k_i picks from each primitive edge), which is tiny at our scale.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
@@ -110,11 +109,11 @@ def polygon_from_edges(edge_vectors):
     return LatticePolygon(pts)
 
 
-@dataclass
 class IrreducibilityResult:
-    irreducible: bool
-    method: str            # "axis-triangle" | "edge-splitting"
-    certificate: object    # for reducible: (ks, summand A, summand B)
+    def __init__(self, irreducible, method, certificate):
+        self.irreducible = irreducible
+        self.method = method            # "axis-triangle" | "edge-splitting"
+        self.certificate = certificate  # if reducible: (ks, summand A, B)
 
 
 def axis_triangle_fast_path(P):

@@ -70,7 +70,10 @@ def parse_map_file(text, field):
         if not name.isidentifier():
             raise ParseError(f"line {n}: bad variable name {name!r}")
         names.append(name)
-        images.append(tring.parse(expr.strip()))
+        try:
+            images.append(tring.parse(expr.strip()))
+        except ParseError as exc:
+            raise ParseError(f"line {n}: {exc}") from None
     if not names:
         raise ParseError("map file defines no source variables")
     src = PolyRing(field, tuple(names))

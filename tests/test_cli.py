@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import locring
 from locring.cli import (FAIL, PASS, SKIPPED_HEAVY, Report, Runner,
                          SplitMix64, gll_search, main, parse_ring_file,
                          run_scenario, sample_element)
@@ -61,6 +66,17 @@ def test_ring_file_errors_name_the_line():
     for bad in ("field Fp abc", "field Fp", "field Fp 7 9"):
         with pytest.raises(ParseError, match=r"^line 2: bad field line"):
             parse_ring_file(f"# a ring\n{bad}\nvars x\n")
+    with pytest.raises(ParseError,
+                       match=r"^line 2: modulus 8 is not prime$"):
+        parse_ring_file("# a ring\nfield Fp 8\nvars x\n")
+    # an expression error names the gen line, even before the vars line
+    for text, line, message in (
+            ("field Q\n\nvars x y\ngen x^2 +\n", 4,
+             "unexpected end of input"),
+            ("field Q\ngen x^2 - w\nvars x y\n", 2,
+             "unknown variable 'w'")):
+        with pytest.raises(ParseError, match=f"^line {line}: {message}"):
+            parse_ring_file(text)
 
 
 def test_report_schema_and_key_order():
@@ -145,6 +161,23 @@ def test_cli_tangent_cone_of_names_that_differ_in_case(tmp_path, capsys):
     p.write_text("field Q\nvars x X\ngen x^2 - X^3\n")
     assert main(["tangent-cone", "--ring", str(p)]) == 0
     assert capsys.readouterr().out == "X^2\n"
+
+
+def test_import_loads_no_parser_dataclasses_or_polytope():
+    # argparse, dataclasses (with inspect) and polytope load where they are
+    # used, in _build_parser and the newton command: no scenario needs them
+    code = ("import sys; before = set(sys.modules); "
+            "import locring, locring.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(locring.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "locring.cli" in loaded
+    assert not loaded & {"dataclasses", "argparse", "inspect",
+                         "locring.polytope"}
 
 
 def test_cli_newton(tmp_path, capsys):

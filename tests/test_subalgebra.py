@@ -85,6 +85,11 @@ def test_map_file_errors_name_the_line():
     # lines count from 1, comment and blank lines included
     for text, line in (("# a curve\n\n1t\n", 3),
                        ("t\nx = t^2\n\n# y\ny t^3\n", 5),
-                       ("t\nx = t^2\n2y = t^3\n", 3)):
+                       ("t\nx = t^2\n2y = t^3\n", 3),
+                       ("t\nx = t^2\ny = s^3\n", 3)):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse_map_file(text, QQ)
+    # an expression error names its line too
+    with pytest.raises(ParseError,
+                       match=r"^line 3: unexpected end of input$"):
+        parse_map_file("t\n\nx = t^2 +\n", QQ)
