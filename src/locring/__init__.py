@@ -9,14 +9,12 @@ from .arith import QQ, PrimeField, Rational
 from .ideal import Ideal, max_ideal, max_ideal_power
 from .localring import LocalRing
 from .monomial import MonomialIdeal
-from .poly import BlockOrder, DegRevLex, Lex, Polynomial, PolyRing, \
-    WeightedDegRevLex
+from .poly import BlockOrder, DegRevLex, Polynomial, PolyRing
 
 __all__ = [
     "QQ", "PrimeField", "Rational",
     "Ideal", "max_ideal", "max_ideal_power",
     "LocalRing", "MonomialIdeal",
-    "BlockOrder", "DegRevLex", "Lex", "Polynomial", "PolyRing",
-    "WeightedDegRevLex",
+    "BlockOrder", "DegRevLex", "Polynomial", "PolyRing",
     "__version__",
 ]

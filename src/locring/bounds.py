@@ -14,18 +14,10 @@ UNRESOLVED = "UNRESOLVED"
 _MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 
 
-class MacaulayRep:
-    """The unique expansion d = sum of C(k_i, i) with strictly decreasing k_i."""
-
-    def __init__(self, ks):
-        self.ks = ks  # (k_i, i) pairs, i descending
-
-    def value(self):
-        return sum(comb(k, i) for k, i in self.ks)
-
-
 def macaulay_rep(d, n):
-    """Greedy (and hence unique) binomial representation of d in degree n."""
+    """Greedy (and hence unique) binomial representation of d in degree n:
+    the (k_i, i) pairs, i descending, with d = sum of C(k_i, i) and the k_i
+    strictly decreasing."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     ks = []
@@ -40,15 +32,14 @@ def macaulay_rep(d, n):
         ks.append((k, i))
         rem -= comb(k, i)
         i -= 1
-    return MacaulayRep(ks)
+    return ks
 
 
 def macaulay_bound(d, n):
     """Maximal Hilbert-function growth from value d in degree n."""
     if d == 0:
         return 0
-    rep = macaulay_rep(d, n)
-    return sum(comb(k + 1, i + 1) for k, i in rep.ks)
+    return sum(comb(k + 1, i + 1) for k, i in macaulay_rep(d, n))
 
 
 def lex_segment_oracle(d, n, v):

@@ -99,6 +99,9 @@ def parse_ring_file(text):
                 raise ParseError(f"line {n}: vars line needs at least one "
                                  "name")
             names = tuple(parts[1:])
+            if len(set(names)) < len(names):
+                raise ParseError(f"line {n}: duplicate variable names in "
+                                 f"{names}")
         elif kw == "gen":
             gens.append((n, line[len("gen"):].strip()))
         else:
@@ -107,13 +110,14 @@ def parse_ring_file(text):
         raise ParseError("ring file needs field and vars lines")
     desc = RingDescription(fld, names, tuple(expr for _, expr in gens))
     ring = desc.ring()
-    polys = []
     for n, expr in gens:
         try:
-            polys.append(ring.parse(expr))
+            f = ring.parse(expr)
         except ParseError as exc:
             raise ParseError(f"line {n}: {exc}") from None
-    LocalRing(ring, Ideal(ring, polys))  # validates I inside (vars)
+        if (0,) * ring.nvars in f.terms:
+            raise ParseError(f"line {n}: {f} has a constant term, so it "
+                             "does not lie in the ideal of the variables")
     return desc
 
 

@@ -7,9 +7,10 @@ are equal iff their bases are.  A basis under another order (an
 elimination, the Lazard run of a tangent cone) is a ``buchberger`` run of
 its own and never stays on an ideal.
 
-``Ideal.eliminate`` is the one elimination routine: kernels of
-parametrizations (``subalgebra.kernel``) build their generators in a ring
-extended by ``_aux_name`` and call it.  Its result, an Artinian colon or
+``Ideal.eliminate`` is the one elimination routine: one ``BlockOrder`` run
+drops the first variable.  Kernels of parametrizations (``subalgebra.kernel``)
+build their generators in a ring extended by the parameter
+(``PolyRing.extend``) and call it.  Its result, an Artinian colon or
 intersection and a local model each come from ``Ideal.from_basis``, with
 the reduced basis at hand.
 
@@ -39,8 +40,6 @@ from .poly import (BlockOrder, DegRevLex, Polynomial, PolyRing,
                    monomials_of_degree)
 
 INFINITE = inf
-
-_AUX = "_t"
 
 
 def all_monomials(ring, d):
@@ -157,21 +156,15 @@ class Ideal:
 
     # -- elimination --------------------------------------------------------
 
-    def eliminate(self, drop_names, time_budget=None):
-        """Contract to the subring without the dropped variables, as
+    def eliminate(self, *, time_budget=None):
+        """Contract to the subring of the variables after the first, as
         ``subalgebra.kernel`` does; the second block is degrevlex, so the
-        kept basis elements are a reduced basis."""
-        drop = [n for n in self.ring.names if n in set(drop_names)]
-        keep = [n for n in self.ring.names if n not in set(drop_names)]
-        reordered = PolyRing(self.ring.field, tuple(drop) + tuple(keep))
-        pos = [reordered.names.index(n) for n in self.ring.names]
-        gens = [g.map_to(reordered, pos) for g in self.generators]
-        gb = groebner.buchberger(reordered, gens, BlockOrder(len(drop)),
-                                 time_budget=time_budget)
-        target = PolyRing(self.ring.field, tuple(keep))
-        k = len(drop)
-        kept = [Polynomial(target, {e[k:]: c for e, c in g.terms.items()})
-                for g in gb.generators if not any(any(e[:k]) for e in g.terms)]
+        basis elements free of the first variable are a reduced basis."""
+        gb = groebner.buchberger(self.ring, list(self.generators),
+                                 BlockOrder(), time_budget=time_budget)
+        target = PolyRing(self.ring.field, self.ring.names[1:])
+        kept = [Polynomial(target, {e[1:]: c for e, c in g.terms.items()})
+                for g in gb.generators if not any(e[0] for e in g.terms)]
         return Ideal.from_basis(groebner.GroebnerBasis(target, kept,
                                                        DegRevLex()))
 
@@ -183,9 +176,3 @@ class Ideal:
         layers = self.groebner().staircase()
         return INFINITE if layers is None else sum(map(len, layers))
 
-
-def _aux_name(ring):
-    name = _AUX
-    while name in ring.names:
-        name += "_"
-    return name

@@ -52,7 +52,7 @@ from .errors import (InternalInconsistency, NoStabilization,
                      RingMismatch, ZeroPolynomial)
 from .groebner import buchberger, fglm, normal_form
 from .ideal import INFINITE, Ideal, max_ideal, max_ideal_power
-from .poly import BlockOrder, DegRevLex, Lex, NegDegRevLex, PolyRing
+from .poly import BlockOrder, NegDegRevLex, Polynomial, PolyRing
 
 DEFAULT_INDEX_BOUND = 10
 DEFAULT_STABILIZATION_BOUND = 20
@@ -61,8 +61,7 @@ DS = NegDegRevLex()
 
 
 class DeltaTestResult:
-    def __init__(self, n, verdict, colon, nC):
-        self.n = n
+    def __init__(self, verdict, colon, nC):
         # delta(R/m^n) = 1, on which the three criteria agree
         self.verdict = verdict
         # the ideal x*m^n : m (condition iii), as an Ideal
@@ -235,19 +234,14 @@ class LocalRing:
                 name += "_"
             upper.append(name)
         target = PolyRing(self.ring.field, tuple(upper))
-        hname = "h"
-        while hname in self.ring.names:
-            hname += "_"
         # Lazard's method (Greuel and Pfister, section 1.7): with h the most
         # significant variable, larger h-exponent means smaller x-degree, so
         # on the homogeneous ideal of the homogenized generators the block
         # order is the homogenized local degree order, and its basis
         # dehomogenizes to a standard basis, whose initial forms generate I*.
-        homogenized = [g.homogenize(hname) for g in self.I.generators]
-        gb = buchberger(self.ring.extend(hname), homogenized,
-                        BlockOrder(1, first=Lex(), second=DegRevLex()))
-        pos = list(range(target.nvars))
-        gens = [g.dehomogenize(hname).initial_form().map_to(target, pos)
+        homogenized = [g.homogenize("h") for g in self.I.generators]
+        gb = buchberger(self.ring.extend("h"), homogenized, BlockOrder())
+        gens = [Polynomial(target, g.dehomogenize().initial_form().terms)
                 for g in gb.generators]
         return Ideal.from_basis(Ideal(target, gens).groebner())
 
@@ -311,7 +305,7 @@ class LocalRing:
                 f"delta criteria disagree at n={n}: "
                 f"ii={cond_ii} iii={cond_iii} iv={cond_iv}")
         result = self._delta_tests[x, n] = DeltaTestResult(
-            n, cond_iii, colon3, nC)
+            cond_iii, colon3, nC)
         return result
 
     def delta_via_mu(self, x, n):

@@ -2,7 +2,12 @@
 
 Monomials are plain tuples of non-negative integer exponents.  A term order
 exposes ``key(exps)`` returning a sortable tuple; larger key means larger
-monomial.
+monomial.  There are the three orders the library runs: ``DegRevLex``,
+of every reduced basis an ``Ideal`` keeps; ``NegDegRevLex`` (Singular's
+``ds``), of the truncated local standard bases; and ``BlockOrder``, the
+first variable before degrevlex on the rest, of the runs on a ring with one
+extra first variable (``PolyRing.extend``): eliminations and Lazard's
+tangent cone run on the homogenized generators.
 """
 
 from fractions import Fraction
@@ -57,25 +62,16 @@ def monomials_of_degree(nvars, d):
 # term orders
 
 class TermOrder:
+    """An order is its type: no order takes parameters."""
+
     def key(self, exps):
         raise NotImplementedError
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._ident() == other._ident()
+        return type(self) is type(other)
 
     def __hash__(self):
-        return hash((type(self).__name__, self._ident()))
-
-    def _ident(self):
-        return ()
-
-
-class Lex(TermOrder):
-    def key(self, exps):
-        return exps
-
-    def __repr__(self):
-        return "lex"
+        return hash(type(self).__name__)
 
 
 class DegRevLex(TermOrder):
@@ -98,46 +94,18 @@ class NegDegRevLex(TermOrder):
         return "ds"
 
 
-class WeightedDegRevLex(TermOrder):
-    """Weighted degree first, ties broken by degrevlex."""
-
-    def __init__(self, weights):
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        self.weights = tuple(weights)
-
-    def key(self, exps):
-        w = sum(e * wt for e, wt in zip(exps, self.weights))
-        return (w, sum(exps)) + tuple(-e for e in reversed(exps))
-
-    def _ident(self):
-        return self.weights
-
-    def __repr__(self):
-        return f"wdegrevlex{self.weights}"
-
-
 class BlockOrder(TermOrder):
-    """Compare the first ``split`` variables under ``first``, then the rest.
-
-    With the eliminated variables in the first block this realizes the
-    elimination property.
-    """
-
-    def __init__(self, split, first=None, second=None):
-        self.split = split
-        self.first = first or DegRevLex()
-        self.second = second or DegRevLex()
+    """The first variable before the rest, each block under degrevlex (on
+    one variable every order is the same).  With the variable to eliminate
+    first this has the elimination property; with the homogenizing
+    variable first it is Lazard's order."""
 
     def key(self, exps):
-        s = self.split
-        return self.first.key(exps[:s]) + self.second.key(exps[s:])
-
-    def _ident(self):
-        return (self.split, self.first, self.second)
+        drl = DegRevLex().key
+        return drl(exps[:1]) + drl(exps[1:])
 
     def __repr__(self):
-        return f"block({self.split}; {self.first}, {self.second})"
+        return "block(1; degrevlex, degrevlex)"
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +146,11 @@ class PolyRing:
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def monomial(self, exps, coeff=None):
+    def monomial(self, exps):
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise RingMismatch("exponent length mismatch")
-        c = self.field.one() if coeff is None else coeff
-        if not c:
-            return self.zero()
-        return Polynomial(self, {exps: c})
+        return Polynomial(self, {exps: self.field.one()})
 
     def constant(self, n):
         c = self.field.from_int(n) if isinstance(n, int) else n
@@ -197,9 +162,10 @@ class PolyRing:
         return _parse(self, text)
 
     def extend(self, name):
-        """Return a ring with one extra variable, prepended."""
-        if name in self.names:
-            raise VariableClash(f"variable {name!r} already present")
+        """Return a ring with one extra variable, prepended, named ``name``
+        with "_" appended until no variable of this ring has the name."""
+        while name in self.names:
+            name += "_"
         return PolyRing(self.field, (name,) + self.names)
 
 
@@ -331,8 +297,8 @@ class Polynomial:
     # -- homogenization -----------------------------------------------------
 
     def homogenize(self, name):
-        """Homogenize with a new variable; returns a polynomial in the
-        extended ring, whose first variable is the new one."""
+        """Homogenize with a new variable; returns a polynomial in
+        ``ring.extend(name)``, whose first variable is the new one."""
         if self.is_zero():
             raise ZeroPolynomial("homogenize of 0")
         ring = self.ring.extend(name)
@@ -340,15 +306,13 @@ class Polynomial:
         return Polynomial(ring, {(d - sum(e),) + e: c
                                  for e, c in self.terms.items()})
 
-    def dehomogenize(self, name):
-        """Set the named variable to 1 and drop it from the ring."""
-        if name not in self.ring.names:
-            raise VariableClash(f"no variable {name!r}")
-        i = self.ring.names.index(name)
-        ring = PolyRing(self.ring.field, self.ring.names[:i] + self.ring.names[i + 1:])
+    def dehomogenize(self):
+        """Set the first variable, the one ``homogenize`` adds, to 1 and
+        drop it from the ring."""
+        ring = PolyRing(self.ring.field, self.ring.names[1:])
         terms = {}
         for e, c in self.terms.items():
-            ne = e[:i] + e[i + 1:]
+            ne = e[1:]
             s = terms.get(ne)
             if s is None:
                 terms[ne] = c

@@ -3,7 +3,7 @@ generated by polynomials with zero constant term.
 """
 
 from .errors import ParseError
-from .ideal import Ideal, _aux_name
+from .ideal import Ideal
 from .poly import PolyRing
 
 
@@ -34,12 +34,10 @@ class ParametrizedMap:
 def kernel(pmap, time_budget=None):
     """The kernel ideal in the source ring, by eliminating t from
     (x_1 - g_1(t), ..., x_n - g_n(t))."""
-    src = pmap.source
-    aux = _aux_name(src)
-    ext = src.extend(aux)
+    ext = pmap.source.extend("_t")
     gens = [ext.var(i + 1) - g.map_to(ext, [0])
             for i, g in enumerate(pmap.images)]
-    return Ideal(ext, gens).eliminate([aux], time_budget=time_budget)
+    return Ideal(ext, gens).eliminate(time_budget=time_budget)
 
 
 def verify_in_kernel(f, pmap):
@@ -69,6 +67,8 @@ def parse_map_file(text, field):
         name = name.strip()
         if not name.isidentifier():
             raise ParseError(f"line {n}: bad variable name {name!r}")
+        if name in names:
+            raise ParseError(f"line {n}: duplicate variable name {name!r}")
         names.append(name)
         try:
             images.append(tring.parse(expr.strip()))

@@ -4,10 +4,69 @@
 only, by FGLM walks; the elimination routes below take any ideal and share
 no code with the walks, so the tests check each walk against them.
 ``s_polynomial`` forms in Polynomial arithmetic what the Buchberger kernel
-forms on packed ints."""
+forms on packed ints.
+
+``Lex``, ``WeightedDegRevLex`` and ``Block`` are term orders the library
+does not run.  ``groebner.packing`` takes any order whose key is a tuple of
+integer linear forms, so the Buchberger and packing sweeps use them to
+cover the general branch of ``groebner._order_form``."""
 
 from locring.ideal import Ideal
-from locring.poly import DegRevLex, mono_div
+from locring.poly import DegRevLex, TermOrder, mono_div
+
+
+class _Parametrized(TermOrder):
+    """An order with parameters: equal to another of its type only with
+    the same parameters, so that ``packing``'s cache tells them apart."""
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self._ident() == other._ident()
+
+    def __hash__(self):
+        return hash((type(self).__name__, self._ident()))
+
+
+class Lex(TermOrder):
+    def key(self, exps):
+        return exps
+
+    def __repr__(self):
+        return "lex"
+
+
+class WeightedDegRevLex(_Parametrized):
+    """Weighted degree first, ties broken by degrevlex."""
+
+    def __init__(self, weights):
+        self.weights = tuple(weights)
+
+    def key(self, exps):
+        w = sum(e * wt for e, wt in zip(exps, self.weights))
+        return (w, sum(exps)) + tuple(-e for e in reversed(exps))
+
+    def _ident(self):
+        return self.weights
+
+    def __repr__(self):
+        return f"wdegrevlex{self.weights}"
+
+
+class Block(_Parametrized):
+    """The first ``split`` variables under ``first``, then the rest under
+    ``second``."""
+
+    def __init__(self, split, first=DegRevLex(), second=DegRevLex()):
+        self.split, self.first, self.second = split, first, second
+
+    def key(self, exps):
+        s = self.split
+        return self.first.key(exps[:s]) + self.second.key(exps[s:])
+
+    def _ident(self):
+        return (self.split, self.first, self.second)
+
+    def __repr__(self):
+        return f"block({self.split}; {self.first}, {self.second})"
 
 
 def intersect_by_elimination(I, J):
@@ -16,15 +75,12 @@ def intersect_by_elimination(I, J):
     ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
         return Ideal(ring, [])
-    name = "t"
-    while name in ring.names:
-        name += "_"
-    ext = ring.extend(name)
+    ext = ring.extend("t")
     t, one = ext.var(0), ext.one()
     pos = list(range(1, ext.nvars))
     gens = [t * f.map_to(ext, pos) for f in I.generators]
     gens += [(one - t) * g.map_to(ext, pos) for g in J.generators]
-    return Ideal(ext, gens).eliminate([name])
+    return Ideal(ext, gens).eliminate()
 
 
 def colon_by_elimination(I, g):
@@ -47,7 +103,7 @@ def _exact_div(f, g):
         m = mono_div(lt_r, lt_g)
         if m is None:
             raise ValueError("exact_div: division is not exact")
-        t = ring.monomial(m, c_r / c_g)
+        t = ring.monomial(m).scale(c_r / c_g)
         q = q + t
         r = r - t * g
     return q
@@ -62,5 +118,5 @@ def s_polynomial(f, g, order):
     lcm = tuple(map(max, ef, eg))
 
     def cofactor(e, c):  # lcm / (c * x^e)
-        return ring.monomial(mono_div(lcm, e), ring.field.one() / c)
+        return ring.monomial(mono_div(lcm, e)).scale(ring.field.one() / c)
     return cofactor(ef, cf) * f - cofactor(eg, cg) * g

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from locring.bounds import (ELIMINATED, UNRESOLVED, hf_feasible_max_length,
@@ -6,14 +8,12 @@ from locring.bounds import (ELIMINATED, UNRESOLVED, hf_feasible_max_length,
 
 
 def test_macaulay_rep_is_greedy_and_exact():
-    rep = macaulay_rep(5, 2)
-    assert rep.value() == 5
-    assert rep.ks == [(3, 2), (2, 1)]
+    assert macaulay_rep(5, 2) == [(3, 2), (2, 1)]
     for d in range(1, 40):
         for n in range(1, 5):
             r = macaulay_rep(d, n)
-            assert r.value() == d
-            ks = [k for k, _ in r.ks]
+            assert sum(comb(k, i) for k, i in r) == d
+            ks = [k for k, _ in r]
             assert ks == sorted(ks, reverse=True)
             assert len(set(ks)) == len(ks)
 

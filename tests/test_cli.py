@@ -74,7 +74,11 @@ def test_ring_file_errors_name_the_line():
             ("field Q\n\nvars x y\ngen x^2 +\n", 4,
              "unexpected end of input"),
             ("field Q\ngen x^2 - w\nvars x y\n", 2,
-             "unknown variable 'w'")):
+             "unknown variable 'w'"),
+            ("field Q\n# x twice\nvars x x\ngen x^2\n", 3,
+             "duplicate variable names"),
+            ("field Q\nvars x y\ngen x^2 - y^3\n\ngen y + 1\n", 5,
+             "y \\+ 1 has a constant term")):
         with pytest.raises(ParseError, match=f"^line {line}: {message}"):
             parse_ring_file(text)
 
@@ -161,6 +165,34 @@ def test_cli_tangent_cone_of_names_that_differ_in_case(tmp_path, capsys):
     p.write_text("field Q\nvars x X\ngen x^2 - X^3\n")
     assert main(["tangent-cone", "--ring", str(p)]) == 0
     assert capsys.readouterr().out == "X^2\n"
+
+
+def test_cli_tangent_cone_of_a_variable_named_h(tmp_path, capsys):
+    # the homogenizing variable of the Lazard run is not h, but h_
+    p = tmp_path / "h.ring"
+    p.write_text("field Q\nvars h x\ngen h^2 - x^3\n")
+    assert main(["tangent-cone", "--ring", str(p)]) == 0
+    assert capsys.readouterr().out == "H^2\n"
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("tangent-cone", "dup.ring", "field Q\n\nvars x x\ngen x^2\n",
+     "line 3: duplicate variable names"),
+    ("tangent-cone", "unit.ring", "field Q\nvars x y\ngen y + 1\n",
+     "line 3: y + 1 has a constant term"),
+    ("kernel", "dup.map", "t\nx = t^2\nx = t^3\n",
+     "line 3: duplicate variable name 'x'")],
+    ids=["duplicate-vars", "constant-term", "duplicate-map-variable"])
+def test_cli_file_errors_name_the_line_and_exit_2(tmp_path, capsys, command,
+                                                  name, text, message):
+    p = tmp_path / name
+    p.write_text(text)
+    argv = [command, str(p)] if command == "kernel" else \
+        [command, "--ring", str(p)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {message}")
 
 
 def test_import_loads_no_parser_dataclasses_or_polytope():

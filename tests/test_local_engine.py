@@ -25,7 +25,7 @@ from locring.errors import NoStabilization, NotArtinianLocally
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
-from locring.poly import BlockOrder, DegRevLex, Lex, Polynomial, PolyRing
+from locring.poly import BlockOrder, DegRevLex, Polynomial, PolyRing
 from locring.subalgebra import kernel
 from oracles import colon_by_elimination
 
@@ -420,9 +420,9 @@ def _saturated_tangent_cone(R):
     J = _saturate(Ideal(ext, homogenized), ext.var(0))
     target = PolyRing(R.ring.field, tuple(n.upper() for n in R.ring.names))
     pos = list(range(target.nvars))
-    block = BlockOrder(1, first=Lex(), second=DegRevLex())
-    gens = [g.dehomogenize("h").initial_form().map_to(target, pos)
-            for g in buchberger(ext, list(J.generators), block).generators]
+    gens = [g.dehomogenize().initial_form().map_to(target, pos)
+            for g in buchberger(ext, list(J.generators),
+                                BlockOrder()).generators]
     return Ideal(target, gens).groebner().generators
 
 

@@ -44,6 +44,16 @@ def test_kernel_source_variable_named_t():
     assert [g.to_str() for g in K.groebner().generators] == ["t^3 - u^2"]
 
 
+def test_kernel_source_variable_named_like_the_parameter():
+    # the eliminated parameter is _t, or _t_ when a source variable is _t
+    named = kernel(parse_map_file("s\n_t = s^3\ny = s^4\nz = s^5\n", QQ))
+    plain = kernel(parse_map_file("s\nx = s^3\ny = s^4\nz = s^5\n", QQ))
+    assert named.ring.names == ("_t", "y", "z")
+    rename = PolyRing(QQ, ("x", "y", "z"))
+    assert [g.map_to(rename, [0, 1, 2]) for g in named.groebner().generators] \
+        == plain.groebner().generators
+
+
 def test_verify_in_kernel(T):
     pm = _monomial_map(T, (2, 3), ("x", "y"))
     src = pm.source
@@ -86,7 +96,8 @@ def test_map_file_errors_name_the_line():
     for text, line in (("# a curve\n\n1t\n", 3),
                        ("t\nx = t^2\n\n# y\ny t^3\n", 5),
                        ("t\nx = t^2\n2y = t^3\n", 3),
-                       ("t\nx = t^2\ny = s^3\n", 3)):
+                       ("t\nx = t^2\ny = s^3\n", 3),
+                       ("t\nx = t^2\n# again\nx = t^3\n", 4)):
         with pytest.raises(ParseError, match=f"^line {line}: "):
             parse_map_file(text, QQ)
     # an expression error names its line too
