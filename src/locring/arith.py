@@ -37,38 +37,25 @@ class PrimeFieldElement:
 
     def _check(self, other):
         if not isinstance(other, PrimeFieldElement):
-            if isinstance(other, int):
-                return PrimeFieldElement(other, self.modulus)
             raise FieldMismatch(f"cannot mix {other!r} with F_{self.modulus}")
         if other.modulus != self.modulus:
             raise FieldMismatch(f"mixed moduli {self.modulus} and {other.modulus}")
-        return other
 
     def __add__(self, other):
-        other = self._check(other)
+        self._check(other)
         return PrimeFieldElement(self.value + other.value, self.modulus)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._check(other)
+        self._check(other)
         return PrimeFieldElement(self.value - other.value, self.modulus)
 
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
-        other = self._check(other)
+        self._check(other)
         return PrimeFieldElement(self.value * other.value, self.modulus)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = self._check(other)
+        self._check(other)
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __neg__(self):
         return PrimeFieldElement(-self.value, self.modulus)
@@ -100,9 +87,6 @@ class RationalField:
 
     name = "Q"
     characteristic = 0
-
-    def zero(self):
-        return Fraction(0)
 
     def one(self):
         return Fraction(1)
@@ -136,9 +120,6 @@ class PrimeField:
         self.p = p
         self.characteristic = p
         self.name = f"F{p}"
-
-    def zero(self):
-        return PrimeFieldElement(0, self.p)
 
     def one(self):
         return PrimeFieldElement(1, self.p)

@@ -12,9 +12,8 @@ from .arith import QQ, PrimeField
 from .bounds import macaulay_bound, order_case_report
 from .errors import (BudgetExceeded, LocringError, NotArtinianLocally,
                      ParseError)
-from .groebner import buchberger
 from .ideal import Ideal, all_monomials, max_ideal_power
-from .localring import DS, LocalRing, weighted_homogeneity_check
+from .localring import LocalRing, weighted_homogeneity_check
 from .monomial import MonomialIdeal
 from .poly import Polynomial, PolyRing
 from .subalgebra import kernel, parse_map_file, verify_in_kernel
@@ -368,14 +367,10 @@ def sample_element(ring, rng, order_range, coeff_box):
 
 def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
                coeff_box=3, forced=()):
-    """Draw random f and test n^N inside I + (f) locally; every hit is a
-    witness that the Loewy length drops to N for some principal reduction.
-
-    Membership is decided modulo n^(N+1): for an m-primary situation,
-    n^N lies in the localized J iff n^N lies in J + n^(N+1) (Nakayama), that
-    is iff J has no ds standard monomial of degree N.  So each f costs one
-    ds basis of I + (f) truncated at N + 1, and is a hit iff the last layer
-    of its staircase below N + 1 is empty.
+    """Draw random f and test m^N inside (f) in R; every hit is a witness
+    that the Loewy length drops to N for some principal reduction.  Each f
+    costs one ``LocalRing.loewy_length_at_most(f, N)``, one ds basis of
+    I + (f) truncated at N + 1.
     Raises ValueError on arguments that would make the search loop forever
     (no nonzero draw possible) or report false hits (N < 1, constants in f,
     a forced element that is a unit or lies in I).
@@ -400,9 +395,7 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
     t0 = time.perf_counter()
 
     def test(f):
-        gb = buchberger(ring, list(R.I.generators) + [f], DS,
-                        truncate=target_n + 1)
-        if not gb.staircase()[-1]:
+        if R.loewy_length_at_most(f, target_n):
             hits.append(f.to_str())
 
     for f in forced:

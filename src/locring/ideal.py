@@ -99,18 +99,13 @@ class Ideal:
                                            DegRevLex())
         return self._gb
 
-    # -- membership and comparison ------------------------------------------
+    # -- membership ---------------------------------------------------------
 
     def member(self, f):
         return groebner.is_member(f, self.groebner())
 
     def contains(self, other):
         return all(self.member(g) for g in other.generators)
-
-    def equals(self, other):
-        ga = self.groebner()
-        gb = other.groebner()
-        return ga.generators == gb.generators
 
     # -- arithmetic ---------------------------------------------------------
 

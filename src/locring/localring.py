@@ -10,14 +10,16 @@ verify that I equals its own local contraction (``contraction_assumed``)
 nor that dim R = 1; both caveats are surfaced in reports.
 
 Every length that is not already m-primary comes from a standard basis in
-the local order ds truncated at a degree N (``buchberger(..., truncate=N)``):
-its standard monomials of degree d < N number HF(d) = lambda(J + n^(d+1)) -
-lambda(J + n^d), whatever N is.  The basis records N, and
-``GroebnerBasis.staircase()`` walks them layer by layer below it; this
-module only counts its layers.  Each ring has
-one degree bound, ``stabilization_bound``.  One loop,
-``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at that bound
-plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
+the local order ds truncated at a degree N, built by ``LocalRing._ds_basis``
+alone (``buchberger(..., truncate=N)``) for ``_truncations``,
+``hilbert_function`` and ``loewy_length_at_most``: its standard monomials of
+degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d),
+whatever N is.  The basis records N, and ``GroebnerBasis.staircase()``
+walks them layer by layer below it; this module only counts its layers or
+asks whether the last one is empty.  Each ring has one degree bound,
+``stabilization_bound``.  One loop, ``LocalRing._truncations``, grows
+N = 2, 4, 8, ..., capped at that bound plus one.  Three readers scan what
+it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
   Then the truncation is a basis of the same ideal J + n^N = J + n^d, and
@@ -43,8 +45,11 @@ The Hilbert function of R is the staircase of one truncated basis of I,
 ord(f) the lowest degree of f's first nonzero ds normal form on the
 truncations of I (``ideal.INFINITE`` for f in I), and the Loewy length of
 R/(f) one more than the top degree of the staircase of the local model of
-I + (f).  The tangent cone comes from one block-order ``buchberger`` run
-on the homogenized generators (Lazard's method).
+I + (f).  Whether that length is at most a given N takes one truncation of
+I + (f) at N + 1, whose last layer is empty iff it is
+(``loewy_length_at_most``, the test of the CLI's ``gll-search``).  The
+tangent cone comes from one block-order ``buchberger`` run on the
+homogenized generators (Lazard's method).
 """
 
 from .errors import (InternalInconsistency, NoStabilization,
@@ -95,6 +100,10 @@ class LocalRing:
 
     # -- length plumbing ----------------------------------------------------
 
+    def _ds_basis(self, gens, N):
+        """The ds basis of (gens) + n^N, truncated at N."""
+        return buchberger(self.ring, gens, DS, truncate=N)
+
     def _truncations(self, J):
         """(HF list, ds basis) for the ds bases of J + n^N truncated at
         N = 2, 4, 8, ..., capped at the ring's bound plus one.  The list
@@ -104,7 +113,7 @@ class LocalRing:
         bound = self.stabilization_bound
         N = 2
         while True:
-            gb = buchberger(self.ring, list(J.generators), DS, truncate=N)
+            gb = self._ds_basis(J.generators, N)
             yield [len(layer) for layer in gb.staircase()], gb
             if N > bound:
                 return
@@ -147,8 +156,7 @@ class LocalRing:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         N = max_degree + 1
-        layers = buchberger(self.ring, list(self.I.generators), DS,
-                            truncate=N).staircase()
+        layers = self._ds_basis(self.I.generators, N).staircase()
         return [len(layer) for layer in layers] + [0] * (N - len(layers))
 
     def multiplicity(self):
@@ -215,6 +223,15 @@ class LocalRing:
         except NotArtinianLocally:
             raise NotFound(f"no N <= {self.stabilization_bound} with m^N "
                            "inside the ideal") from None
+
+    def loewy_length_at_most(self, f, N):
+        """True iff m^N lies in (f) in R, for f that passes
+        ``check_parameter`` (not checked again here).  By Nakayama m^N lies
+        in the localized I + (f) iff it lies in I + (f) + n^(N+1), iff the
+        ds basis of I + (f) truncated at N + 1 has no standard monomial of
+        degree N: the last layer of its staircase is empty."""
+        gb = self._ds_basis(self.I.generators + (f,), N + 1)
+        return not gb.staircase()[-1]
 
     # -- tangent cone -------------------------------------------------------
 

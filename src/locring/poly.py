@@ -285,15 +285,6 @@ class Polynomial:
         d = self.order()
         return Polynomial(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
 
-    # -- leading terms ------------------------------------------------------
-
-    def leading_term(self, order):
-        if not self.terms:
-            raise ZeroPolynomial("leading term of 0")
-        key = order.key
-        e = max(self.terms, key=key)
-        return e, self.terms[e]
-
     # -- homogenization -----------------------------------------------------
 
     def homogenize(self, name):
@@ -325,16 +316,6 @@ class Polynomial:
         return Polynomial(ring, terms)
 
     # -- ring moves ---------------------------------------------------------
-
-    def map_to(self, ring, positions):
-        """Reinterpret in ``ring``; positions[i] is the slot of our i-th var."""
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * ring.nvars
-            for i, x in enumerate(e):
-                ne[positions[i]] = x
-            terms[tuple(ne)] = c
-        return Polynomial(ring, terms)
 
     def substitute(self, values):
         """Substitute values[i] (a Polynomial in some common ring) for var i.

@@ -7,6 +7,20 @@ from .ideal import Ideal
 from .poly import PolyRing
 
 
+def _check_image(g, field):
+    """ValueError unless g, an image of a map into the maximal ideal of
+    field[t], is univariate over field, nonconstant and without constant
+    term."""
+    if g.ring.nvars != 1:
+        raise ValueError("images must be univariate")
+    if g.ring.field != field:
+        raise ValueError("field mismatch between source and images")
+    if g.is_constant():
+        raise ValueError("images must be nonconstant")
+    if (0,) in g.terms:
+        raise ValueError("images must have zero constant term")
+
+
 class ParametrizedMap:
     """A map k[x_1..x_n] -> k[t], x_i -> g_i(t), into the maximal ideal."""
 
@@ -14,35 +28,26 @@ class ParametrizedMap:
         if len(images) != source_ring.nvars:
             raise ValueError("one image per source variable")
         for g in images:
-            if g.ring.nvars != 1:
-                raise ValueError("images must be univariate")
-            if g.ring.field != source_ring.field:
-                raise ValueError("field mismatch between source and images")
-            if g.is_zero() or g.is_constant():
-                raise ValueError("images must be nonconstant")
-            if (0,) in g.terms:
-                raise ValueError("images must have zero constant term")
+            _check_image(g, source_ring.field)
         self.source = source_ring
         self.param = images[0].ring
         self.images = tuple(images)
-
-    def apply(self, f):
-        """Substitute x_i <- g_i(t)."""
-        return f.substitute(list(self.images))
 
 
 def kernel(pmap, time_budget=None):
     """The kernel ideal in the source ring, by eliminating t from
     (x_1 - g_1(t), ..., x_n - g_n(t))."""
     ext = pmap.source.extend("_t")
-    gens = [ext.var(i + 1) - g.map_to(ext, [0])
+    t = [ext.var(0)]
+    gens = [ext.var(i + 1) - g.substitute(t)
             for i, g in enumerate(pmap.images)]
     return Ideal(ext, gens).eliminate(time_budget=time_budget)
 
 
 def verify_in_kernel(f, pmap):
-    """Independent membership check by substitution; no basis computation."""
-    return pmap.apply(f).is_zero()
+    """Independent membership check by substitution x_i <- g_i(t); no
+    basis computation."""
+    return f.substitute(list(pmap.images)).is_zero()
 
 
 def parse_map_file(text, field):
@@ -71,9 +76,11 @@ def parse_map_file(text, field):
             raise ParseError(f"line {n}: duplicate variable name {name!r}")
         names.append(name)
         try:
-            images.append(tring.parse(expr.strip()))
-        except ParseError as exc:
+            g = tring.parse(expr.strip())
+            _check_image(g, field)
+        except (ParseError, ValueError) as exc:
             raise ParseError(f"line {n}: {exc}") from None
+        images.append(g)
     if not names:
         raise ParseError("map file defines no source variables")
     src = PolyRing(field, tuple(names))

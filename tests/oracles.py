@@ -4,13 +4,16 @@
 only, by FGLM walks; the elimination routes below take any ideal and share
 no code with the walks, so the tests check each walk against them.
 ``s_polynomial`` forms in Polynomial arithmetic what the Buchberger kernel
-forms on packed ints.
+forms on packed ints, and ``leading_term`` reads in it what the kernel
+compares as packed ints.  ``equals`` compares two ideals by their reduced
+degrevlex bases, which are canonical.
 
 ``Lex``, ``WeightedDegRevLex`` and ``Block`` are term orders the library
 does not run.  ``groebner.packing`` takes any order whose key is a tuple of
 integer linear forms, so the Buchberger and packing sweeps use them to
 cover the general branch of ``groebner._order_form``."""
 
+from locring.errors import ZeroPolynomial
 from locring.ideal import Ideal
 from locring.poly import DegRevLex, TermOrder, mono_div
 
@@ -69,6 +72,19 @@ class Block(_Parametrized):
         return f"block({self.split}; {self.first}, {self.second})"
 
 
+def leading_term(f, order):
+    """(exponents, coefficient) of the largest term of f under order."""
+    if f.is_zero():
+        raise ZeroPolynomial("leading term of 0")
+    e = max(f.terms, key=order.key)
+    return e, f.terms[e]
+
+
+def equals(I, J):
+    """True iff the ideals I and J are equal: same reduced basis."""
+    return I.groebner().generators == J.groebner().generators
+
+
 def intersect_by_elimination(I, J):
     """The intersection of I and J by eliminating t from t*I + (1-t)*J; its
     result carries the reduced degrevlex basis."""
@@ -77,9 +93,9 @@ def intersect_by_elimination(I, J):
         return Ideal(ring, [])
     ext = ring.extend("t")
     t, one = ext.var(0), ext.one()
-    pos = list(range(1, ext.nvars))
-    gens = [t * f.map_to(ext, pos) for f in I.generators]
-    gens += [(one - t) * g.map_to(ext, pos) for g in J.generators]
+    xs = ext.gens()[1:]
+    gens = [t * f.substitute(xs) for f in I.generators]
+    gens += [(one - t) * g.substitute(xs) for g in J.generators]
     return Ideal(ext, gens).eliminate()
 
 
@@ -95,11 +111,11 @@ def _exact_div(f, g):
     divide f."""
     order = DegRevLex()
     ring = f.ring
-    lt_g, c_g = g.leading_term(order)
+    lt_g, c_g = leading_term(g, order)
     q = ring.zero()
     r = f
     while not r.is_zero():
-        lt_r, c_r = r.leading_term(order)
+        lt_r, c_r = leading_term(r, order)
         m = mono_div(lt_r, lt_g)
         if m is None:
             raise ValueError("exact_div: division is not exact")
@@ -113,8 +129,8 @@ def s_polynomial(f, g, order):
     """The S-polynomial of two nonzero polynomials in Polynomial
     arithmetic: lcm/lt(f) * f - lcm/lt(g) * g, lt the leading terms."""
     ring = f.ring
-    ef, cf = f.leading_term(order)
-    eg, cg = g.leading_term(order)
+    ef, cf = leading_term(f, order)
+    eg, cg = leading_term(g, order)
     lcm = tuple(map(max, ef, eg))
 
     def cofactor(e, c):  # lcm / (c * x^e)

@@ -32,7 +32,7 @@ def test_prime_field_arithmetic():
 def test_prime_field_inverse_of_zero():
     F = PrimeField(5)
     with pytest.raises(DivisionByZero):
-        F.zero().inverse()
+        F.from_int(0).inverse()
 
 
 def test_prime_field_modulus_mismatch():

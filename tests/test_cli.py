@@ -181,8 +181,11 @@ def test_cli_tangent_cone_of_a_variable_named_h(tmp_path, capsys):
     ("tangent-cone", "unit.ring", "field Q\nvars x y\ngen y + 1\n",
      "line 3: y + 1 has a constant term"),
     ("kernel", "dup.map", "t\nx = t^2\nx = t^3\n",
-     "line 3: duplicate variable name 'x'")],
-    ids=["duplicate-vars", "constant-term", "duplicate-map-variable"])
+     "line 3: duplicate variable name 'x'"),
+    ("kernel", "unit.map", "t\nx = t^2\n\ny = t + 1\n",
+     "line 4: images must have zero constant term")],
+    ids=["duplicate-vars", "constant-term", "duplicate-map-variable",
+         "constant-image-term"])
 def test_cli_file_errors_name_the_line_and_exit_2(tmp_path, capsys, command,
                                                   name, text, message):
     p = tmp_path / name

@@ -11,7 +11,8 @@ from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
 from locring.poly import DegRevLex, Polynomial, PolyRing
 from locring.subalgebra import kernel
-from oracles import Lex, colon_by_elimination, intersect_by_elimination
+from oracles import (Lex, colon_by_elimination, equals,
+                     intersect_by_elimination, leading_term)
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ def test_intersection_of_principal_ideals(R):
     I = Ideal(R, ["x"])
     J = Ideal(R, ["y"])
     K = intersect_by_elimination(I, J)
-    assert K.equals(Ideal(R, ["x*y"]))
+    assert equals(K, Ideal(R, ["x*y"]))
 
 
 def test_intersection_with_variable_named_like_aux():
@@ -56,20 +57,20 @@ def test_intersection_with_variable_named_like_aux():
     R2 = PolyRing(QQ, ("t", "x"))
     t, x = R2.gens()
     K = intersect_by_elimination(Ideal(R2, [t * x]), Ideal(R2, [x ** 2]))
-    assert K.equals(Ideal(R2, [t * x ** 2]))
+    assert equals(K, Ideal(R2, [t * x ** 2]))
     assert K.ring == R2
 
 
 def test_quotient_principal(R):
     I = Ideal(R, ["x*y", "x*z"])
     Q = colon_by_elimination(I, R.parse("x"))
-    assert Q.equals(Ideal(R, ["y", "z"]))
+    assert equals(Q, Ideal(R, ["y", "z"]))
 
 
 def test_quotient_by_ideal(R):
     I = Ideal(R, ["x^2", "x*y"])
     Q = colon_by_elimination(I, R.parse("x"))
-    assert Q.equals(Ideal(R, ["x", "y"]))
+    assert equals(Q, Ideal(R, ["x", "y"]))
 
 
 def _random_poly(ring, rng, lo, hi):
@@ -303,7 +304,7 @@ def test_from_basis_of_an_empty_basis_is_the_zero_ideal(R):
     assert Z.ring == R and Z.is_zero_ideal()
     assert Z.member(R.zero()) and not Z.member(R.parse("x"))
     assert Z.vector_space_dim() == INFINITE
-    assert Z.equals(Ideal(R, []))
+    assert equals(Z, Ideal(R, []))
 
 
 def test_from_basis_of_the_unit_basis_is_the_unit_ideal(R):
@@ -311,7 +312,7 @@ def test_from_basis_of_the_unit_basis_is_the_unit_ideal(R):
     assert U.generators == (R.one(),)
     assert U.member(R.parse("x + 1")) and U.member(R.one())
     assert U.vector_space_dim() == 0
-    assert U.equals(Ideal(R, ["x", "x + 1"]))
+    assert equals(U, Ideal(R, ["x", "x + 1"]))
 
 
 def test_from_basis_rejects_a_basis_that_is_not_degrevlex(R):
@@ -345,11 +346,11 @@ def test_coefficients_zero_in_the_field_are_dropped(p):
     F = PrimeField(p)
     S = PolyRing(F, ("x", "y"))
     f = Polynomial(S, {(1, 0): F.from_int(p), (0, 1): F.from_int(1)})
-    assert f == S.parse("y") and f.leading_term(DegRevLex())[0] == (0, 1)
+    assert f == S.parse("y") and leading_term(f, DegRevLex())[0] == (0, 1)
     assert Ideal(S, [f]).member(S.parse("y"))
     assert not Ideal(S, [f]).member(S.parse("x"))
     colon = colon_by_elimination(Ideal(S, ["x*y"]), f)
-    assert colon.equals(Ideal(S, ["x"]))
+    assert equals(colon, Ideal(S, ["x"]))
 
 
 def test_artinian_colon_past_the_packing_bound_raises():
@@ -359,4 +360,4 @@ def test_artinian_colon_past_the_packing_bound_raises():
     with pytest.raises(ValueError, match="does not fit"):
         I.quotient(Ideal(S, [f"x^{DEGREE_BOUND - 1} + y"]))
     colon = I.quotient(Ideal(S, [f"x^{DEGREE_BOUND - 2} + y"]))
-    assert colon.equals(Ideal(S, ["x^2", "y"]))
+    assert equals(colon, Ideal(S, ["x^2", "y"]))

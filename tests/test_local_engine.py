@@ -21,13 +21,13 @@ import pytest
 from locring import cli, groebner, localring
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.bounds import macaulay_bound
-from locring.errors import NoStabilization, NotArtinianLocally
+from locring.errors import NoStabilization, NotArtinianLocally, NotFound
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import BlockOrder, DegRevLex, Polynomial, PolyRing
 from locring.subalgebra import kernel
-from oracles import colon_by_elimination
+from oracles import colon_by_elimination, equals
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 FIELD_IDS = ["Q", "F2", "F3", "Fp"]
@@ -406,7 +406,7 @@ def _saturate(J, f):
     nothing."""
     while True:
         colon = colon_by_elimination(J, f)
-        if colon.equals(J):
+        if equals(colon, J):
             return J
         J = colon
 
@@ -419,8 +419,7 @@ def _saturated_tangent_cone(R):
     ext = homogenized[0].ring
     J = _saturate(Ideal(ext, homogenized), ext.var(0))
     target = PolyRing(R.ring.field, tuple(n.upper() for n in R.ring.names))
-    pos = list(range(target.nvars))
-    gens = [g.dehomogenize().initial_form().map_to(target, pos)
+    gens = [Polynomial(target, g.dehomogenize().initial_form().terms)
             for g in buchberger(ext, list(J.generators),
                                 BlockOrder()).generators]
     return Ideal(target, gens).groebner().generators
@@ -510,6 +509,45 @@ def _old_gll_hits(desc, target, samples, seed):
             hits.append(f.to_str())
         tested += 1
     return hits
+
+
+def _scenario_ring_over(name, field):
+    if name == "ex2":
+        pm = cli.parse_map_file(cli.EX2_MAP_TEXT, field)
+        return LocalRing(pm.source, kernel(pm))
+    desc = cli.MAIN_RING if name == "main" else cli.EX1_RING
+    return cli.RingDescription(field, desc.names, desc.gen_exprs).local_ring()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("name", SCENARIO_RINGS)
+def test_loewy_length_at_most_matches_loewy_length_mod(name, field):
+    # the gll test, one ds truncation at N + 1, against the memoized
+    # doubling route of loewy_length_mod, on the witnesses (and y - z on
+    # ex1) and on 20 seeded gll-search draws.  On ex1, whose z-axis is a
+    # component, a draw with no z in its linear part is a zerodivisor:
+    # R/(f) is not Artinian, and no m^N lies in (f)
+    R = _scenario_ring_over(name, field)
+    ring = R.ring
+    witnesses = [SCENARIO_RINGS[name][1]] + (["y - z"] if name == "ex1"
+                                             else [])
+    elements = [ring.parse(s) for s in witnesses]
+    rng = cli.SplitMix64(cli.DEFAULT_SEED)
+    while len(elements) < len(witnesses) + 20:
+        f = cli.sample_element(ring, rng, (1, 2), 3)
+        if not f.is_zero() and not R.I.member(f):
+            elements.append(f)
+    lengths = []
+    for f in elements:
+        try:
+            lengths.append(R.loewy_length_mod(f))
+        except NotFound:
+            lengths.append(INFINITE)
+    assert lengths[len(witnesses) - 1] == 6  # y on main, y - z, x on ex2
+    assert (INFINITE in lengths) == (name == "ex1")
+    for f, length in zip(elements, lengths):
+        for N in range(4, 8):
+            assert R.loewy_length_at_most(f, N) == (length <= N)
 
 
 @pytest.mark.parametrize("p, samples", [(32003, 100), (3, 50)],

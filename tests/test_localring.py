@@ -12,7 +12,7 @@ from locring.localring import (LocalRing, weighted_degrees,
 from locring.monomial import MonomialIdeal
 from locring.poly import BlockOrder, PolyRing
 from locring.subalgebra import kernel, parse_map_file
-from oracles import intersect_by_elimination
+from oracles import equals, intersect_by_elimination
 
 
 def test_defining_ideal_must_avoid_units(xyz):
@@ -93,7 +93,7 @@ def test_tangent_cone(cusp_ring):
     tc = cusp_ring.tangent_cone()
     P = tc.ring
     expected = Ideal(P, ["X^2", "X*Y^2", "X*Y*Z^3", "Y*Z^6"])
-    assert tc.equals(expected)
+    assert equals(tc, expected)
 
 
 def test_tangent_cone_decomposition(cusp_ring):
@@ -111,7 +111,7 @@ def test_tangent_cone_of_cusp():
     R2 = PolyRing(QQ, ("x", "y"))
     L = LocalRing(R2, Ideal(R2, ["x^3 - y^2"]))
     tc = L.tangent_cone()
-    assert tc.equals(Ideal(tc.ring, ["Y^2"]))
+    assert equals(tc, Ideal(tc.ring, ["Y^2"]))
 
 
 def test_tangent_cone_names_stay_distinct():
@@ -119,7 +119,7 @@ def test_tangent_cone_names_stay_distinct():
     S = PolyRing(QQ, ("x", "X"))
     tc = LocalRing(S, Ideal(S, ["x^2 - X^3"])).tangent_cone()
     assert tc.ring.names == ("X", "X_")
-    assert tc.equals(Ideal(tc.ring, ["X^2"]))
+    assert equals(tc, Ideal(tc.ring, ["X^2"]))
 
 
 def _count_block_order_runs(monkeypatch):
@@ -198,7 +198,7 @@ def test_colon_ideal_generators(cusp_ring, xyz):
     paper_gens = ["y^5", "x*y^3", "y*z^4", "x*y*z^3", "y^3*z^2",
                   "x*y^2*z^2", "y^4*z"]
     target = cusp_ring.local_model(Ideal(xyz, paper_gens) + cusp_ring.I)
-    assert cusp_ring.local_model(r5.colon).equals(target)
+    assert equals(cusp_ring.local_model(r5.colon), target)
 
 
 def test_index(cusp_ring, xyz):

@@ -7,6 +7,7 @@ from locring.localring import LocalRing
 from locring.poly import PolyRing
 from locring.subalgebra import (ParametrizedMap, kernel, parse_map_file,
                                 verify_in_kernel)
+from oracles import equals
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ def test_monomial_curve_kernels(T, a, b):
     pm = _monomial_map(T, (a, b), ("x", "y"))
     K = kernel(pm)
     expected = Ideal(pm.source, [f"x^{b} - y^{a}"])
-    assert K.equals(expected)
+    assert equals(K, expected)
     assert all(verify_in_kernel(g, pm) for g in K.generators)
 
 
@@ -50,7 +51,8 @@ def test_kernel_source_variable_named_like_the_parameter():
     plain = kernel(parse_map_file("s\nx = s^3\ny = s^4\nz = s^5\n", QQ))
     assert named.ring.names == ("_t", "y", "z")
     rename = PolyRing(QQ, ("x", "y", "z"))
-    assert [g.map_to(rename, [0, 1, 2]) for g in named.groebner().generators] \
+    assert [g.substitute(rename.gens())
+            for g in named.groebner().generators] \
         == plain.groebner().generators
 
 
@@ -69,7 +71,7 @@ def test_heavy_parametrization_kernel(T):
     assert all(verify_in_kernel(g, pm) for g in J.generators)
     n5 = max_ideal_power(src, 5)
     target = Ideal(src, ["z^2", "y^4 - x^2*z + 2*y^2*z"]) + n5
-    assert (J + n5).equals(target)
+    assert equals(J + n5, target)
     # the quotient is a one-dimensional local ring of multiplicity 8
     R = LocalRing(src, J)
     assert R.multiplicity() == 8
@@ -104,3 +106,11 @@ def test_map_file_errors_name_the_line():
     with pytest.raises(ParseError,
                        match=r"^line 3: unexpected end of input$"):
         parse_map_file("t\n\nx = t^2 +\n", QQ)
+    # so does an image outside the maximal ideal of k[t], or a zero image
+    for text, message in (
+            ("t\nx = t^2\n\ny = t + 1\n",
+             "line 4: images must have zero constant term"),
+            ("t\nx = t^2\ny = 3\n", "line 3: images must be nonconstant"),
+            ("t\nx = t^2\ny = 0\n", "line 3: images must be nonconstant")):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_map_file(text, QQ)
