@@ -29,17 +29,25 @@ it yields, ``ord_mod`` and these two:
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
-Each ring keeps three memos for as long as it lives.  One holds, keyed by
+Each ring keeps four memos for as long as it lives.  One holds, keyed by
 J's generators, HF of S/J up to its first zero and the local model.  The
-second holds, per witness x and n, the ``DeltaTestResult``, and the third
-the tangent cone.  The delta tests build m-primary ideals by construction,
-colons of local models (C = (x^n) : m^n is one colon) and the ideal
-nC = I + n*C over them, and use them as their own local models: S/J is
-then local, its degrevlex basis answers local membership and its colength
-is its number of standard monomials (``Ideal.vector_space_dim``).  The
-three criteria are equal on a Gorenstein ring, and a disagreement raises
-``InternalInconsistency``, so the result keeps one verdict, the colon of
-criterion (iii) and nC, which ``delta_via_mu`` reads.
+second holds, per witness x, whether I + (x) is m-primary in S, the third,
+per x and n, the ``DeltaTestResult``, and the fourth the tangent cone.
+The delta tests build m-primary ideals by construction, colons of local
+models (C = (x^n) : m^n is one colon) and the ideal nC = I + n*C over
+them, and use them as their own local models: S/J is then local, its
+degrevlex basis answers local membership and its colength is its number
+of standard monomials (``Ideal.vector_space_dim``).  When x meets the
+curve only at the origin, as the witnesses of ``main`` and ``ex1`` do,
+I + (x) is m-primary, and so are I + x*m^n and I + (x^n), whose zero sets
+lie in its own and the origin: the delta tests take them as their own
+models too and build no ladder of truncations for them.  Deciding this
+costs one degrevlex basis per witness, of I + (x), whose colength must
+equal that of its local model.  The witness of ``ex2``, x = t^8 + t^10,
+also vanishes at t = i and t = -i, so its delta tests take local models.
+The three criteria are equal on a Gorenstein ring, and a disagreement
+raises ``InternalInconsistency``, so the result keeps one verdict, the
+colon of criterion (iii) and nC, which ``delta_via_mu`` reads.
 
 The Hilbert function of R is the staircase of one truncated basis of I,
 ord(f) the lowest degree of f's first nonzero ds normal form on the
@@ -95,6 +103,7 @@ class LocalRing:
         self.n = max_ideal(ring)
         self.stabilization_bound = stabilization_bound
         self._models = {}       # J.generators -> (hf, local model)
+        self._primary = {}      # x -> whether I + (x) is m-primary in S
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
         self._tangent_cone = None
 
@@ -230,6 +239,8 @@ class LocalRing:
         in the localized I + (f) iff it lies in I + (f) + n^(N+1), iff the
         ds basis of I + (f) truncated at N + 1 has no standard monomial of
         degree N: the last layer of its staircase is empty."""
+        if N < 0:
+            raise ValueError(f"N must be >= 0, got {N}")
         gb = self._ds_basis(self.I.generators + (f,), N + 1)
         return not gb.staircase()[-1]
 
@@ -276,41 +287,54 @@ class LocalRing:
                                      f"R/({s}) = R is not Artinian")
 
     def _socle(self, x):
-        """The local model of I + (x) and its colon by m, whose quotient is
-        the socle of R/(x); NotGorenstein unless that socle has dimension
-        one.  x is a parameter of the one-dimensional R, so R is Gorenstein
-        iff R/(x) is, iff R/(x) has type 1: criteria (ii) and (iii) agree
-        only then."""
-        Ix = self.local_model(self.I + Ideal(self.ring, [x]))
+        """The local model Ix of I + (x), its colon by m, whose quotient is
+        the socle of R/(x), and whether I + (x) is m-primary in S;
+        NotGorenstein unless that socle has dimension one.  x is a parameter
+        of the one-dimensional R, so R is Gorenstein iff R/(x) is, iff R/(x)
+        has type 1: criteria (ii) and (iii) agree only then.  I + (x) lies
+        in Ix, so it is m-primary, and equal to Ix, iff its global colength
+        is finite and equal to that of Ix: one degrevlex basis, decided
+        once per x."""
+        Ix_global = self.I + Ideal(self.ring, [x])
+        Ix = self.local_model(Ix_global)
         soc = Ix.quotient(self.n)
         t = Ix.vector_space_dim() - soc.vector_space_dim()
         if t != 1:
             raise NotGorenstein(f"R is not Gorenstein: R/({x.to_str()}) "
                                 f"has type {t}")
-        return Ix, soc
+        primary = self._primary.get(x)
+        if primary is None:
+            primary = self._primary[x] = (
+                Ix_global.vector_space_dim() == Ix.vector_space_dim())
+        return Ix, soc, primary
 
     def delta_one_test(self, x, n):
         """Evaluate the three colon criteria for delta(R/m^n) = 1 and check
         that they agree; NotGorenstein, before any criterion, when R/(x)
-        has type other than 1.  The result is memoized per (x, n) once
-        every check has passed, so a failure is raised on every call."""
+        has type other than 1.  I + x*m^n and I + (x^n) enter the colons
+        as their local models, or as themselves when I + (x) is m-primary
+        in S (``_socle``): then they are m-primary too, each equal to its
+        local model, and neither waits on ``stabilization_bound``.  The
+        result is memoized per (x, n) once every check has passed, so a
+        failure is raised on every call."""
         result = self._delta_tests.get((x, n))
         if result is not None:
             return result
         self.check_parameter(x)
         I = self.I
         S = self.ring
-        Ix, soc = self._socle(x)
+        Ix, soc, primary = self._socle(x)
+        model = (lambda J: J) if primary else self.local_model
         # (iii): x*m^n : m  inside (x)
         mn = max_ideal_power(S, n)
-        J3 = self.local_model(I + Ideal(S, [x]) * mn)
+        J3 = model(I + Ideal(S, [x]) * mn)
         colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
         # (ii): x^n in m*C with C = (x^n) : m^n, taken on the local model
         # of I + (x^n) as one colon by m^n (equal to n colons by m); C
         # contains that model, so C and nC = I + m*C contain a power of m
         # and each is its own local model
-        C = self.local_model(I + Ideal(S, [x ** n])).quotient(mn)
+        C = model(I + Ideal(S, [x ** n])).quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m.  J3 lies in

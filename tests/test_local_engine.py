@@ -3,7 +3,8 @@
 Every length of ``LocalRing`` on an ideal not known to be m-primary now
 comes from one standard basis in the local order ds truncated at a degree N,
 and local models get their degrevlex basis by FGLM; the m-primary ideals of
-the delta tests skip both, and are checked here against that ds route.
+the delta tests skip both, and are checked here against that ds route and
+the J + n^M loop.
 The oracles below are the old computations, kept here: the
 J + n^M loop of ``local_model`` with one degrevlex Buchberger run per M,
 colengths of the truncations I + n^d, the degree-by-degree loop of
@@ -103,8 +104,11 @@ def scenario_rings():
 @pytest.mark.parametrize("name", SCENARIO_RINGS)
 def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
                                                      monkeypatch):
-    # every model the delta tests at n = 3, 4 ask for, and the ideals
-    # I + m*C they use as their own models, on a ring with empty memos
+    # every ideal the delta tests at n = 1..6 take as a model, on a ring
+    # with empty memos: the models local_model builds, and, when I + (x)
+    # is m-primary in S (main and ex1, not ex2), I + x*m^n and I + (x^n)
+    # taken as their own models, whose reduced bases must be those of the
+    # loop and of local_model on a fresh ring; then the ideals I + m*C
     R, witness = scenario_rings[name]
     R = LocalRing(R.ring, R.I)
     x = R.ring.parse(witness)
@@ -116,13 +120,30 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
         return original(self, J)
 
     monkeypatch.setattr(LocalRing, "local_model", record)
-    for n in (3, 4):
+    for n in range(1, 7):
         R.delta_one_test(x, n)
     monkeypatch.undo()
-    assert len(seen) == 6
     for J in seen:
         assert _assert_same_model(R, J)
-    for n in (3, 4):
+    laddered = {J.generators for J in seen}
+    S = R.ring
+    Ix = (R.I + Ideal(S, [x])).generators
+    ideals = [J for n in range(1, 7)
+              for J in (R.I + Ideal(S, [x]) * max_ideal_power(S, n),
+                        R.I + Ideal(S, [x ** n]))]
+    if name == "ex2":
+        # I + (x) is not m-primary: the ladder built every model
+        assert laddered == {Ix} | {J.generators for J in ideals}
+    else:
+        # it is: the ladder built the model of I + (x) alone
+        assert laddered == {Ix}
+        fresh = LocalRing(S, R.I)
+        for J in ideals:
+            _M, old = _old_local_model(J, R.stabilization_bound)
+            basis = old.groebner().generators
+            assert J.groebner().generators == basis
+            assert fresh.local_model(J)._gb.generators == basis
+    for n in range(1, 7):
         nC = R.delta_one_test(x, n).nC
         _M, old = _old_local_model(nC, R.stabilization_bound)
         assert nC.groebner().generators == old.groebner().generators

@@ -89,6 +89,15 @@ def test_loewy_length_stabilizes_within_its_own_bound():
         L.loewy_length_mod(x25)
 
 
+def test_loewy_length_at_most_needs_n_at_least_zero(cusp_ring, xyz):
+    # N = -1 used to ask for an untruncated ds basis and fail inside it
+    # with "min() arg is an empty sequence"; m^0 = R is never inside (y)
+    y = xyz.parse("y")
+    with pytest.raises(ValueError, match="N must be >= 0, got -1"):
+        cusp_ring.loewy_length_at_most(y, -1)
+    assert not cusp_ring.loewy_length_at_most(y, 0)
+
+
 def test_tangent_cone(cusp_ring):
     tc = cusp_ring.tangent_cone()
     P = tc.ring
@@ -180,6 +189,44 @@ def test_condition_iv_intersects_the_socle_with_a_colon_inside_it(name):
         assert soc.contains(colon3)
         assert intersect_by_elimination(soc, colon3).groebner().generators \
             == colon3.groebner().generators
+
+
+@pytest.mark.parametrize("name, primary", [("main", True), ("ex1", True),
+                                           ("ex2", False)])
+def test_witness_decides_whether_the_delta_tests_skip_the_ladder(name,
+                                                                 primary):
+    # on ex2, x = t^8 + t^10 also vanishes at t = i and t = -i, so
+    # I + (x) has global colength 10 against local colength 8
+    R, witness = _paper_rings_and_witnesses()[name]
+    assert R._socle(R.ring.parse(witness))[2] is primary
+
+
+def test_ladder_path_agrees_with_the_own_model_path(xyz):
+    # y - y^2 is y times a unit of R, but I + (y - y^2) also vanishes
+    # where y = 1, so its delta tests take the ladder; y's take I + x*m^n
+    # and I + (x^n) as their own models.  The two must agree
+    R = cli.MAIN_RING.local_ring()
+    y, w = xyz.parse("y"), xyz.parse("y - y^2")
+    assert R._socle(y)[2] and not R._socle(w)[2]
+    for n in range(1, 7):
+        ry, rw = R.delta_one_test(y, n), R.delta_one_test(w, n)
+        assert ry.verdict == rw.verdict
+        assert ry.colon.groebner().generators == \
+            rw.colon.groebner().generators
+    assert R.index(y) == R.index(w) == 5
+
+
+@pytest.mark.parametrize("curve, primary", [("x^2 - y^3 + y^4", False),
+                                            ("x^2 - y^3", True)])
+def test_plane_cusp_index_on_both_paths(curve, primary):
+    # x^2 - y^3 + y^4 has the rational point (0, 1) away from the origin,
+    # where x vanishes too: witness x takes the ladder there, and the
+    # cusp x^2 - y^3 the own-model path; both have index 2
+    S = PolyRing(QQ, ("x", "y"))
+    R = LocalRing(S, Ideal(S, [curve]))
+    x = S.parse("x")
+    assert R._socle(x)[2] is primary
+    assert R.index(x) == 2
 
 
 def test_delta_tests(cusp_ring, xyz):
