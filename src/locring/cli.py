@@ -369,8 +369,9 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
                coeff_box=3, forced=()):
     """Draw random f and test m^N inside (f) in R; every hit is a witness
     that the Loewy length drops to N for some principal reduction.  Each f
-    costs one ``LocalRing.loewy_length_at_most(f, N)``, one ds basis of
-    I + (f) truncated at N + 1.
+    costs one ``LocalRing.loewy_length_at_most(f, N)``, a rank count on
+    S/(I + n^(N+1)) against one ds basis of I truncated at N + 1, which the
+    ring builds once per search.
     Raises ValueError on arguments that would make the search loop forever
     (no nonzero draw possible) or report false hits (N < 1, constants in f,
     a forced element that is a unit or lies in I).

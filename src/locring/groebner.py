@@ -22,9 +22,10 @@ basis's ``generators`` out.  Every ``GroebnerBasis`` holds its ring, its
 order, its truncation degree, its divisors and their packed leads, so a
 caller passes none of these back to the operations on it.  One from
 ``buchberger`` or the FGLM walk builds its ``generators`` only when a
-caller first reads them, so a basis that is only counted (the gll-search
-test) or only reduced against (a local model) is never converted, and one
-built from Polynomials converts them once.
+caller first reads them, so a basis that is only counted (a Hilbert
+function), or only reduced against (a local model, or the truncation of I
+that the gll-search test reads), is never converted, and one built from
+Polynomials converts them once.
 Other modules get packed ints only as staircase layers, which they count.
 A degree that would not fit raises ValueError on conversion, for an S-pair
 or for a product in reduction, so nothing is ever mis-ordered.
@@ -72,12 +73,16 @@ monomials.  It walks them a degree at a time on the packed leads that
 ``buchberger`` hands to the basis (``leads``), so a divisibility test is
 one mask; a layer is the previous one times the variables, minus the
 multiples of a lead.  The layers are tuples of packed ints, never
-unpacked: callers read counts (Hilbert functions, colengths), whether the
-last layer below a degree is empty (the gll-search hit test), or the
-monomials themselves (the standard products of a colon).  It reads the
-number of variables off the basis's ring and, for a basis truncated at N,
-stops below N.  The staircase is walked once per basis and kept on it, for
-the colength, the colon and ``fglm`` to share.
+unpacked: callers read counts (Hilbert functions, colengths) or the
+monomials themselves (the standard products of a colon, the rows and
+columns of the gll-search test).  It reads the number of variables off the
+basis's ring and, for a basis truncated at N, stops below N.  The staircase is walked once per basis and kept on it, for
+the colength, the colon, ``fglm`` and ``top_degree_in_multiples`` to share.
+
+The gll-search test (``top_degree_in_multiples``) is linear algebra on
+A = S/J for a truncated ds basis of J: the matrix form of FGLM's normal
+forms, with the raw normal form of each monomial computed once per basis
+and kept on it, and rows reduced fraction-free as in the walk below.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -620,6 +625,90 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
 def is_member(f, gb):
     """Ideal membership via a cached Groebner basis."""
     return normal_form(f, gb).is_zero()
+
+
+def top_degree_in_multiples(gb, f):
+    """True iff f*A contains the image T of m^N in A = S/J, for gb a ds
+    basis truncated at N + 1, J = (its generators) + m^(N+1), and f in the
+    ideal of the variables; ValueError if gb is not truncated or f has a
+    constant term.
+
+    The standard monomials B of gb are a basis of A, and the ds normal form
+    of a monomial of degree N stays in degree N, so T is spanned by the
+    standard monomials of degree N.  f*m^N lies in m^(N+1), so f*A is
+    spanned by the rows NF(f*b) for the b in B of degree < N, taken from
+    degree N - 1 down.  Each row is reduced against the earlier ones and
+    pivoted on its ds-largest term, the smallest int.  A combination of
+    rows then leads with the largest of its pivots, so dim(f*A meet T) is
+    the number of rows whose pivot has degree N, and the test stops when
+    that number reaches dim T.  The raw normal form of every monomial of
+    degree <= N is computed once and kept on gb, as its staircase is, and a
+    row is the sum of those of f's terms times b.  Rows are formed and
+    reduced fraction-free over Q, with the gcd scaling of
+    ``_extend_by_kernel``, and on residues over F_p."""
+    N = gb.truncate - 1
+    if N < 0:
+        raise ValueError("top_degree_in_multiples: the basis is not "
+                         "truncated")
+    ring = gb.ring
+    if f.ring != ring:
+        raise RingMismatch("top_degree_in_multiples: mixed rings")
+    p = ring.field.characteristic
+    pk = packing(gb.order, ring.nvars)
+    degree = pk.degree
+    cap, top = (N + 1) << pk.shift, N << pk.shift
+    raw = {t: c for t, c in _to_raw(f.terms, p, pk)[0].items()
+           if t & degree < cap}
+    if 0 in raw:
+        raise ValueError("top_degree_in_multiples: f has a constant term")
+    layers = gb.staircase()
+    need = len(layers[N]) if len(layers) > N else 0
+    if not need:
+        return True
+    try:
+        known = gb._monomial_nfs
+    except AttributeError:
+        # packed monomial -> (vec, m), vec the raw normal form of m * e
+        known = gb._monomial_nfs = {e: ({e: 1}, 1)
+                                    for layer in layers for e in layer}
+    rows = {}    # pivot -> (its coefficient, row)
+    found = 0
+    for layer in reversed(layers[:N]):
+        for b in layer:
+            row, m = {}, 1   # row = m * NF(f * b) so far
+            for t, c in raw.items():
+                e = t + b
+                if e & degree >= cap:
+                    continue
+                nf = known.get(e)
+                if nf is None:
+                    r = _nf_dict({e: 1}, gb.divisors, pk, p, N + 1)
+                    num, den = r.scale.numerator, r.scale.denominator
+                    if den != 1:
+                        r = {x: v * den for x, v in r.items()}
+                    nf = known[e] = (r, num)
+                vec, me = nf
+                if vec:
+                    k = lcm(m, me)
+                    _combine(row, k // m, -c * (k // me), vec, p)
+                    m = k
+            while row:
+                pivot = min(row)
+                prev = rows.get(pivot)
+                if prev is None:
+                    break
+                a, r = prev
+                h = gcd(a, row[pivot])
+                _combine(row, a // h, row[pivot] // h, r, p)
+            if not row:
+                continue
+            row = _normalize(row, row[pivot], p)
+            rows[pivot] = row[pivot], row
+            if pivot & degree == top:
+                found += 1
+                if found == need:
+                    return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ INFINITE = inf
 
 
 def all_monomials(ring, d):
-    """All exponent tuples of total degree d, in descending lex order."""
+    """All exponent tuples of total degree d, as a tuple in descending lex
+    order."""
     return monomials_of_degree(ring.nvars, d)
 
 

@@ -15,11 +15,10 @@ alone (``buchberger(..., truncate=N)``) for ``_truncations``,
 ``hilbert_function`` and ``loewy_length_at_most``: its standard monomials of
 degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d),
 whatever N is.  The basis records N, and ``GroebnerBasis.staircase()``
-walks them layer by layer below it; this module only counts its layers or
-asks whether the last one is empty.  Each ring has one degree bound,
-``stabilization_bound``.  One loop, ``LocalRing._truncations``, grows
-N = 2, 4, 8, ..., capped at that bound plus one.  Three readers scan what
-it yields, ``ord_mod`` and these two:
+walks them layer by layer below it; this module only counts its layers.
+Each ring has one degree bound, ``stabilization_bound``.  One loop,
+``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at that bound
+plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
   Then the truncation is a basis of the same ideal J + n^N = J + n^d, and
@@ -29,10 +28,11 @@ it yields, ``ord_mod`` and these two:
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
-Each ring keeps four memos for as long as it lives.  One holds, keyed by
+Each ring keeps five memos for as long as it lives.  One holds, keyed by
 J's generators, HF of S/J up to its first zero and the local model.  The
 second holds, per witness x, whether I + (x) is m-primary in S, the third,
-per x and n, the ``DeltaTestResult``, and the fourth the tangent cone.
+per x and n, the ``DeltaTestResult``, the fourth the tangent cone, and the
+fifth, per N, the ds basis of I truncated at N + 1 that the gll test reads.
 The delta tests build m-primary ideals by construction, colons of local
 models (C = (x^n) : m^n is one colon) and the ideal nC = I + n*C over
 them, and use them as their own local models: S/J is then local, its
@@ -53,17 +53,19 @@ The Hilbert function of R is the staircase of one truncated basis of I,
 ord(f) the lowest degree of f's first nonzero ds normal form on the
 truncations of I (``ideal.INFINITE`` for f in I), and the Loewy length of
 R/(f) one more than the top degree of the staircase of the local model of
-I + (f).  Whether that length is at most a given N takes one truncation of
-I + (f) at N + 1, whose last layer is empty iff it is
-(``loewy_length_at_most``, the test of the CLI's ``gll-search``).  The
-tangent cone comes from one block-order ``buchberger`` run on the
-homogenized generators (Lazard's method).
+I + (f).  Whether that length is at most a given N is a rank count on
+A = S/(I + n^(N+1)), whose basis is the staircase of one truncation of I
+at N + 1, kept per N: m^N lies in (f) iff the degree-N standard monomials
+lie in fA (``loewy_length_at_most``, the test of the CLI's
+``gll-search``), and no Buchberger run is made per f.  The tangent cone
+comes from one block-order ``buchberger`` run on the homogenized
+generators (Lazard's method).
 """
 
 from .errors import (InternalInconsistency, NoStabilization,
                      NotArtinianLocally, NotFound, NotGorenstein,
                      RingMismatch, ZeroPolynomial)
-from .groebner import buchberger, fglm, normal_form
+from .groebner import buchberger, fglm, normal_form, top_degree_in_multiples
 from .ideal import INFINITE, Ideal, max_ideal, max_ideal_power
 from .poly import BlockOrder, NegDegRevLex, Polynomial, PolyRing
 
@@ -106,6 +108,7 @@ class LocalRing:
         self._primary = {}      # x -> whether I + (x) is m-primary in S
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
         self._tangent_cone = None
+        self._gll_bases = {}    # N -> ds basis of I truncated at N + 1
 
     # -- length plumbing ----------------------------------------------------
 
@@ -235,14 +238,18 @@ class LocalRing:
 
     def loewy_length_at_most(self, f, N):
         """True iff m^N lies in (f) in R, for f that passes
-        ``check_parameter`` (not checked again here).  By Nakayama m^N lies
-        in the localized I + (f) iff it lies in I + (f) + n^(N+1), iff the
-        ds basis of I + (f) truncated at N + 1 has no standard monomial of
-        degree N: the last layer of its staircase is empty."""
+        ``check_parameter`` (not checked again here).  I + n^(N+1) is
+        m-primary, so A = S/(I + n^(N+1)) is R/m^(N+1), and by Nakayama m^N
+        lies in (f) iff its image in A lies in fA: a rank count on A
+        (``groebner.top_degree_in_multiples``) against one ds basis of I
+        truncated at N + 1, built once per N.  N = 0 gives False, and an
+        Artinian R whose staircase ends before degree N gives True."""
         if N < 0:
             raise ValueError(f"N must be >= 0, got {N}")
-        gb = self._ds_basis(self.I.generators + (f,), N + 1)
-        return not gb.staircase()[-1]
+        gb = self._gll_bases.get(N)
+        if gb is None:
+            gb = self._gll_bases[N] = self._ds_basis(self.I.generators, N + 1)
+        return top_degree_in_multiples(gb, f)
 
     # -- tangent cone -------------------------------------------------------
 

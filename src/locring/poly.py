@@ -11,6 +11,7 @@ tangent cone run on the homogenized generators.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import add, ge
 
@@ -42,9 +43,11 @@ def mono_divides(b, a):
     return all(map(ge, a, b))
 
 
+@lru_cache(maxsize=128)
 def monomials_of_degree(nvars, d):
-    """All exponent tuples of total degree d in nvars variables, in
-    descending lex order (stars and bars)."""
+    """All exponent tuples of total degree d in nvars variables, as a tuple
+    in descending lex order (stars and bars), enumerated once per
+    (nvars, d)."""
     out = []
     for bars in combinations(range(d + nvars - 1), nvars - 1):
         prev = -1
@@ -54,8 +57,7 @@ def monomials_of_degree(nvars, d):
             prev = b
         exps.append(d + nvars - 1 - prev - 1)
         out.append(tuple(exps))
-    out.sort(reverse=True)
-    return out
+    return tuple(sorted(out, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ no code with the walks, so the tests check each walk against them.
 ``s_polynomial`` forms in Polynomial arithmetic what the Buchberger kernel
 forms on packed ints, and ``leading_term`` reads in it what the kernel
 compares as packed ints.  ``equals`` compares two ideals by their reduced
-degrevlex bases, which are canonical.
+degrevlex bases, which are canonical.  ``ds_top_layer_empty`` is the gll
+test by one truncated ds Buchberger run on I + (f), the route that
+``LocalRing.loewy_length_at_most``'s rank count on S/(I + n^(N+1))
+replaced.
 
 ``Lex``, ``WeightedDegRevLex`` and ``Block`` are term orders the library
 does not run.  ``groebner.packing`` takes any order whose key is a tuple of
@@ -14,8 +17,9 @@ integer linear forms, so the Buchberger and packing sweeps use them to
 cover the general branch of ``groebner._order_form``."""
 
 from locring.errors import ZeroPolynomial
+from locring.groebner import buchberger
 from locring.ideal import Ideal
-from locring.poly import DegRevLex, TermOrder, mono_div
+from locring.poly import DegRevLex, NegDegRevLex, TermOrder, mono_div
 
 
 class _Parametrized(TermOrder):
@@ -136,3 +140,13 @@ def s_polynomial(f, g, order):
     def cofactor(e, c):  # lcm / (c * x^e)
         return ring.monomial(mono_div(lcm, e)).scale(ring.field.one() / c)
     return cofactor(ef, cf) * f - cofactor(eg, cg) * g
+
+
+def ds_top_layer_empty(R, f, N):
+    """True iff m^N lies in (f) in the LocalRing R, for f in the maximal
+    ideal and N >= 0: by Nakayama iff m^N lies in I + (f) + n^(N+1), iff
+    the ds basis of I + (f) truncated at N + 1 has no standard monomial of
+    degree N, the last layer of its staircase being empty."""
+    gb = buchberger(R.ring, R.I.generators + (f,), NegDegRevLex(),
+                    truncate=N + 1)
+    return not gb.staircase()[-1]

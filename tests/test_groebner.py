@@ -761,25 +761,33 @@ def test_normal_form_against_a_packed_basis_of_another_ring(other):
 
 
 def test_gll_search_test_builds_no_generators(monkeypatch):
-    # the test of cli.gll_search, LocalRing.loewy_length_at_most: one
-    # truncated ds basis, read only through its staircase
+    # the test of cli.gll_search, LocalRing.loewy_length_at_most: one ds
+    # basis of I alone per N, truncated at N + 1 and kept on the ring, and
+    # no Buchberger run per f; no basis is converted to generators
     desc = cli.RingDescription(PrimeField(32003), cli.MAIN_RING.names,
                                cli.MAIN_RING.gen_exprs)
     R = desc.local_ring()
-    f = R.ring.parse("y + 3*z^2 - x*z")
     built = []
 
-    def record(*args, **kwargs):
-        built.append(buchberger(*args, **kwargs))
-        return built[-1]
+    def record(ring, gens, order, **kwargs):
+        built.append((tuple(gens), buchberger(ring, gens, order, **kwargs)))
+        return built[-1][1]
 
     monkeypatch.setattr(localring, "buchberger", record)
+    f = R.ring.parse("y + 3*z^2 - x*z")
     assert not R.loewy_length_at_most(f, 5)  # m^5 is not inside (f): no hit
-    [gb] = built
+    [(gens, gb)] = built
+    assert gens == R.I.generators
     assert gb.order == NegDegRevLex() and gb.truncate == 6
-    assert gb.staircase()[-1]
-    assert len(gb) == len(gb.leads)
-    assert "generators" not in gb.__dict__
+    # a second f at the same N builds nothing
+    assert not R.loewy_length_at_most(R.ring.parse("z - x*y"), 5)
+    assert len(built) == 1
+    # another N builds one more basis, of I again
+    assert R.loewy_length_at_most(R.ring.parse("y"), 6)  # Loewy length 6
+    assert len(built) == 2
+    gens, gb = built[1]
+    assert gens == R.I.generators and gb.truncate == 7
+    assert all("generators" not in gb.__dict__ for _, gb in built)
 
 
 @pytest.mark.parametrize("walk", ["fglm", "artinian_colon",

@@ -9,7 +9,8 @@ The oracles below are the old computations, kept here: the
 J + n^M loop of ``local_model`` with one degrevlex Buchberger run per M,
 colengths of the truncations I + n^d, the degree-by-degree loop of
 ``multiplicity``, membership in I + n^d for ``ord_mod``,
-the per-N membership loop for the Loewy length, degrevlex membership for
+the per-N membership loop for the Loewy length, degrevlex membership and
+one ds truncation of I + (f) per f (``oracles.ds_top_layer_empty``) for
 the gll test, and the saturation by h that the tangent cone once took before
 its block-order basis.  All comparisons are exact.
 """
@@ -28,7 +29,7 @@ from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import BlockOrder, DegRevLex, Polynomial, PolyRing
 from locring.subalgebra import kernel
-from oracles import colon_by_elimination, equals
+from oracles import colon_by_elimination, ds_top_layer_empty, equals
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]
 FIELD_IDS = ["Q", "F2", "F3", "Fp"]
@@ -543,7 +544,7 @@ def _scenario_ring_over(name, field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
 @pytest.mark.parametrize("name", SCENARIO_RINGS)
 def test_loewy_length_at_most_matches_loewy_length_mod(name, field):
-    # the gll test, one ds truncation at N + 1, against the memoized
+    # the gll test, a rank count on S/(I + n^(N+1)), against the memoized
     # doubling route of loewy_length_mod, on the witnesses (and y - z on
     # ex1) and on 20 seeded gll-search draws.  On ex1, whose z-axis is a
     # component, a draw with no z in its linear part is a zerodivisor:
@@ -569,6 +570,66 @@ def test_loewy_length_at_most_matches_loewy_length_mod(name, field):
     for f, length in zip(elements, lengths):
         for N in range(4, 8):
             assert R.loewy_length_at_most(f, N) == (length <= N)
+
+
+def _small_ring_over(name, field):
+    if name == "cusp":
+        # the lead coefficient 5 gives the normal forms over Q a scale, and
+        # 5*x^2 - 7*y^3 + x*y^2 = x*y^2 in R is tested for a row that must
+        # cancel the scaled normal form of x^2 against -7*y^3
+        S = PolyRing(field, ("x", "y"))
+        return LocalRing(S, Ideal(S, ["5*x^2 - 7*y^3"]))
+    if name == "artinian":
+        S = PolyRing(field, ("x", "y"))
+        return LocalRing(S, Ideal(S, ["x^2", "y^3"]))
+    S = PolyRing(field, ("x",))
+    return LocalRing(S, Ideal(S, []))
+
+
+# per ring: the elements tested besides the draws, and the (N, answer) pairs
+# the first must give.  R/(f) has Loewy length 6 for y on main, 6 for x on
+# ex2 (5 over F_2, where x = (t^4 + t^5)^2), 2 on the cusp and on
+# k[x,y]/(x^2, y^3), where (x + y)*x = x*y and (x + y)*y = x*y + y^2, and
+# 3 for x^3 in k[x]; y and x - y^2 vanish on the z-axis of ex1
+TOP_DEGREE_RINGS = {
+    "main": (["y"], [(5, False), (6, True), (7, True)]),
+    "ex1": (["y", "x - y^2"], []),
+    "ex2": (["x"], [(4, False), (6, True)]),
+    "cusp": (["y", "5*x^2 - 7*y^3 + x*y^2"], [(1, False), (2, True)]),
+    "artinian": (["x + y"], [(1, False), (2, True)]),
+    "line": (["x^3"], [(2, False), (3, True)]),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", TOP_DEGREE_RINGS)
+def test_rank_count_matches_ds_truncation_of_i_plus_f(name, field):
+    # the gll test, a rank count on S/(I + n^(N+1)) against one memoized ds
+    # basis of I per N, against one ds truncation of I + (f) at N + 1 per f,
+    # for N = 0..7, on the forced elements and 10 seeded draws of orders 1..3
+    R = (_scenario_ring_over(name, field) if name in SCENARIO_RINGS
+         else _small_ring_over(name, field))
+    ring = R.ring
+    forced, answers = TOP_DEGREE_RINGS[name]
+    elements = [ring.parse(s) for s in forced]
+    rng = cli.SplitMix64(cli.DEFAULT_SEED)
+    while len(elements) < len(forced) + 10:
+        f = cli.sample_element(ring, rng, (1, 3), 3)
+        if not f.is_zero() and not R.I.member(f):
+            elements.append(f)
+    hits = set()  # (index of the element, N)
+    for i, f in enumerate(elements):
+        for N in range(8):
+            answer = R.loewy_length_at_most(f, N)
+            assert answer == ds_top_layer_empty(R, f, N), (f.to_str(), N)
+            if answer:
+                hits.add((i, N))
+    assert all(((0, N) in hits) == answer for N, answer in answers)
+    if name == "ex1":  # zerodivisors: R/(f) is not Artinian
+        assert not any(i < 2 for i, _ in hits)
+    if name == "main":  # draws hit from N = 6 on, and never below
+        drawn = {N for i, N in hits if i >= len(forced)}
+        assert min(drawn) == 6
 
 
 @pytest.mark.parametrize("p, samples", [(32003, 100), (3, 50)],
