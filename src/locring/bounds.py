@@ -5,13 +5,8 @@ arithmetic.
 
 from math import comb
 
-from .errors import BudgetExceeded
-from .poly import monomials_of_degree
-
 ELIMINATED = "ELIMINATED"
 UNRESOLVED = "UNRESOLVED"
-
-_MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 
 
 def macaulay_rep(d, n):
@@ -36,35 +31,13 @@ def macaulay_rep(d, n):
 
 
 def macaulay_bound(d, n):
-    """Maximal Hilbert-function growth from value d in degree n."""
+    """Maximal Hilbert-function growth from value d in degree n; ValueError
+    unless n >= 1 and d >= 0."""
+    if n < 1 or d < 0:
+        raise ValueError(f"need d >= 0 and n >= 1, got d={d}, n={n}")
     if d == 0:
         return 0
     return sum(comb(k + 1, i + 1) for k, i in macaulay_rep(d, n))
-
-
-def lex_segment_oracle(d, n, v):
-    """Growth of the lex-segment quotient: keep the d lex-smallest degree-n
-    monomials in the quotient and count the surviving degree-(n+1) ones.
-
-    Independent combinatorial check of macaulay_bound (use v >= n + d)."""
-    total_n = comb(n + v - 1, v - 1)
-    total_n1 = comb(n + v, v - 1)
-    if max(total_n, total_n1) > _MAX_MONOMIALS:
-        raise BudgetExceeded("lex_segment_oracle: too many monomials",
-                             {"total": max(total_n, total_n1)})
-    if d == 0:
-        return 0
-    if d > total_n:
-        raise ValueError("d exceeds the number of degree-n monomials")
-    monos = monomials_of_degree(v, n)
-    in_ideal = monos[:total_n - d]  # the lex-largest go into the ideal
-    next_ideal = set()
-    for m in in_ideal:
-        for i in range(v):
-            e = list(m)
-            e[i] += 1
-            next_ideal.add(tuple(e))
-    return total_n1 - len(next_ideal)
 
 
 def hf_feasible_max_length(prefix, N):

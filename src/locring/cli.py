@@ -511,6 +511,10 @@ def _emit_report(report, out_path):
 
 def _dispatch(args):
     cmd = args.command
+    # 0 skips every step the budget bounds; NaN would bound none of them
+    if cmd in ("kernel", "verify") and not args.budget_seconds >= 0:
+        raise ValueError(f"budget_seconds must be >= 0, got "
+                         f"{args.budget_seconds}")
     if cmd == "hilbert":
         R = load_ring_file(args.ring).local_ring()
         for n, v in enumerate(R.hilbert_function(args.max_degree)):

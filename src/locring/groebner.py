@@ -35,12 +35,14 @@ polynomial is an integer polynomial, and basis elements are primitive.
 Reduction over Q is fraction-free: a term c*e is removed by a divisor g with
 leading coefficient a by multiplying the work and the remainder by
 a/gcd(c, a) and subtracting (c/gcd(c, a)) * q * g, q = e - lt(g) packed, so
-the remainder comes back as lambda * NF for a positive rational scale
-lambda; dividing out the content when the multipliers grow keeps
-coefficients small.  A raw polynomial is always a positive multiple of what
-field arithmetic would give, so it has the same terms, and every divisor
-and pair choice is the same.  A divisor is (lead, lead coefficient, tail,
-top degree field), primitive over Q and monic over F_p.
+the remainder comes back as the raw normal form of m times the input, for a
+positive int multiplier m (1 over F_p).  Dividing out the content when the
+multipliers grow keeps coefficients small; the part of it that m does not
+cancel is multiplied back once, at the end.  A raw polynomial is always a
+positive multiple of what field arithmetic would give, so it has the same
+terms, and every divisor and pair choice is the same.  A divisor is (lead,
+lead coefficient, tail, top degree field), primitive over Q and monic over
+F_p.
 
 Bookkeeping: each pending pair keeps the lcm of its leading monomials as an
 int of exponent fields, the larger of fields x and y being y + (x - y) where
@@ -68,21 +70,22 @@ reducing tails need not terminate and is not needed for lengths.  The
 basis is still minimal and monic.  It records N, so that ``normal_form``
 against it truncates at N and its staircase stops below N.
 
-Staircases: ``GroebnerBasis.staircase`` is the one enumeration of standard
-monomials.  It walks them a degree at a time on the packed leads that
-``buchberger`` hands to the basis (``leads``), so a divisibility test is
-one mask; a layer is the previous one times the variables, minus the
-multiples of a lead.  The layers are tuples of packed ints, never
-unpacked: callers read counts (Hilbert functions, colengths) or the
-monomials themselves (the standard products of a colon, the rows and
-columns of the gll-search test).  It reads the number of variables off the
-basis's ring and, for a basis truncated at N, stops below N.  The staircase is walked once per basis and kept on it, for
-the colength, the colon, ``fglm`` and ``top_degree_in_multiples`` to share.
-
-The gll-search test (``top_degree_in_multiples``) is linear algebra on
-A = S/J for a truncated ds basis of J: the matrix form of FGLM's normal
-forms, with the raw normal form of each monomial computed once per basis
-and kept on it, and rows reduced fraction-free as in the walk below.
+Staircases and the normal-form table: ``GroebnerBasis.staircase`` is the
+one enumeration of standard monomials.  It walks them a degree at a time on
+the packed leads (``leads``), so a divisibility test is one mask; a layer
+is the previous one times the variables, minus the multiples of a lead.
+The layers are tuples of packed ints, never unpacked, walked once per basis
+and kept on it; for a basis truncated at N they stop below N.  Callers read
+counts (Hilbert functions, colengths) or the monomials themselves.  Each
+basis with a finite staircase also keeps one table of monomial normal forms
+(``_NormalForms``), built on first use and truncated as the basis is:
+packed monomial e -> (vec, m), vec the raw normal form of m * e.  A
+standard monomial is its own entry, and any other is reduced once, however
+many products form it.  Three readers share it: the colon (by a generator
+of one term), the intersection, and the gll-search test
+(``top_degree_in_multiples``), which is linear algebra on A = S/J for a
+truncated ds basis of J, with rows reduced fraction-free as in the walk
+below.  ``fglm`` reduces against its own truncation at d instead.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -101,14 +104,12 @@ walk finds its own columns: from 1 upwards, each independent column adds
 its multiples by the variables, and a candidate is skipped when a lead of
 I divides it or a predecessor is dead (a multiple of a kernel lead), so
 only the staircase of I + K, its border and the tails of I's basis are
-imaged.  A colon images a product with a monomial generator through the
-normal form of one monomial, kept for the rest of the walk.  The walk stays
-on ints, like ``_nf_dict``, from the divisors of I to the divisors of the
-result: each image is the packed raw normal form of a packed product with
-an integer multiplier, rows, kernel vectors and the final basis are formed
-fraction-free over Q and on residues over F_p, and divisibility of columns
-and leads is the guard-mask test.  The result is a packed basis like one
-from ``buchberger``.
+imaged.  The walk stays on ints, like ``_nf_dict``, from the divisors of I
+to the divisors of the result: each image is the packed raw normal form of
+a packed product with an integer multiplier, rows, kernel vectors and the
+final basis are formed fraction-free over Q and on residues over F_p, and
+divisibility of columns and leads is the guard-mask test.  The result is a
+packed basis like one from ``buchberger``.
 """
 
 import heapq
@@ -222,6 +223,12 @@ class GroebnerBasis:
         return len(self.leads)
 
     @cached_property
+    def _normal_forms(self):
+        """The basis's table of monomial normal forms (``_NormalForms``),
+        for a basis whose staircase is finite."""
+        return _NormalForms(self)
+
+    @cached_property
     def generators(self):
         """The monic generators, from the divisors."""
         unpack = packing(self.order, self.ring.nvars).unpack
@@ -284,8 +291,8 @@ class GroebnerBasis:
 # raw term dicts
 
 class _Remainder(dict):
-    """A raw remainder: the normal form of the reduced input is
-    self / scale, for a positive rational scale (1 over F_p)."""
+    """A raw remainder: the raw normal form of scale times the reduced
+    input, for a positive int scale (1 over F_p)."""
 
     __slots__ = ("scale",)
 
@@ -309,9 +316,8 @@ def _to_raw(terms, p, pk):
 
 
 def _from_raw(raw, scale, field, unpack):
-    """The term dict of field elements raw / scale (scale an int or a
-    Fraction, nonzero), its monomials unpacked by unpack; terms that vanish
-    mod p are dropped."""
+    """The term dict of field elements raw / scale (scale a nonzero int),
+    its monomials unpacked by unpack; terms that vanish mod p are dropped."""
     p = field.characteristic
     if p:
         inv = pow(scale, -1, p)
@@ -321,8 +327,7 @@ def _from_raw(raw, scale, field, unpack):
             if c:
                 out[unpack(e)] = PrimeFieldElement(c, p)
         return out
-    num, den = scale.numerator, scale.denominator
-    return {unpack(e): Fraction(c * den, num) for e, c in raw.items()}
+    return {unpack(e): Fraction(c, scale) for e, c in raw.items()}
 
 
 def _normalize(terms, lead, p):
@@ -363,7 +368,8 @@ def _nf_dict(terms, divisors, pk, p, truncate):
     With truncate N > 0 every term of degree >= N is dropped, on entry and
     whenever a reduction forms it; 0 means no truncation, and a reduction
     that would form a degree of DEGREE_BOUND or more raises ValueError.
-    Returns a _Remainder, empty exactly when the normal form is 0.
+    Returns a _Remainder, empty exactly when the normal form is 0: the raw
+    normal form of m times the input, for the int scale m.
     """
     guard, degree = pk.guard, pk.degree
     cap = (truncate or DEGREE_BOUND) << pk.shift
@@ -380,7 +386,9 @@ def _nf_dict(terms, divisors, pk, p, truncate):
     heap = list(work)
     heapq.heapify(heap)
     remainder = {}
-    num = den = grown = 1   # scale num/den; multipliers since the last content
+    # num: the product of the multipliers; den: of the contents divided
+    # out; grown: of the multipliers since the last division
+    num = den = grown = 1
     while heap:
         e = pop(heap)
         c = work.pop(e)
@@ -429,7 +437,37 @@ def _nf_dict(terms, divisors, pk, p, truncate):
                 push(heap, ne)
             else:
                 work[ne] = s - factor * dc
-    return _Remainder(remainder, num if den == 1 else Fraction(num, den))
+    if den != 1:
+        # remainder is num/den times the normal form: multiply back the part
+        # of the contents that num does not cancel
+        h = gcd(num, den)
+        num, den = num // h, den // h
+        remainder = {x: v * den for x, v in remainder.items()}
+    return _Remainder(remainder, num)
+
+
+class _NormalForms(dict):
+    """The table of a basis: packed monomial e -> (vec, m), vec the raw
+    normal form of m * e for an int m > 0, truncated as the basis is.  A
+    standard monomial is its own entry, ({e: 1}, 1), and any other is
+    reduced by ``_nf_dict`` on its first lookup.  The entries are plain
+    dicts, which the row loops read faster than a _Remainder.  The table
+    keeps the basis's divisors, packing, characteristic and truncation,
+    never the basis, so it makes no reference cycle."""
+
+    __slots__ = ("divisors", "pk", "p", "truncate")
+
+    def __init__(self, gb):
+        super().__init__({e: ({e: 1}, 1)
+                          for layer in gb.staircase() for e in layer})
+        self.divisors, self.truncate = gb.divisors, gb.truncate
+        self.pk = packing(gb.order, gb.ring.nvars)
+        self.p = gb.ring.field.characteristic
+
+    def __missing__(self, e):
+        r = _nf_dict({e: 1}, self.divisors, self.pk, self.p, self.truncate)
+        entry = self[e] = dict(r), r.scale
+        return entry
 
 
 def _spoly_dict(f, lt_f, g, lt_g, pk, check):
@@ -641,10 +679,9 @@ def top_degree_in_multiples(gb, f):
     pivoted on its ds-largest term, the smallest int.  A combination of
     rows then leads with the largest of its pivots, so dim(f*A meet T) is
     the number of rows whose pivot has degree N, and the test stops when
-    that number reaches dim T.  The raw normal form of every monomial of
-    degree <= N is computed once and kept on gb, as its staircase is, and a
-    row is the sum of those of f's terms times b.  Rows are formed and
-    reduced fraction-free over Q, with the gcd scaling of
+    that number reaches dim T.  A row is the sum of the normal forms of f's
+    terms times b, read off gb's table (``_NormalForms``).  Rows are formed
+    and reduced fraction-free over Q, with the gcd scaling of
     ``_extend_by_kernel``, and on residues over F_p."""
     N = gb.truncate - 1
     if N < 0:
@@ -665,12 +702,7 @@ def top_degree_in_multiples(gb, f):
     need = len(layers[N]) if len(layers) > N else 0
     if not need:
         return True
-    try:
-        known = gb._monomial_nfs
-    except AttributeError:
-        # packed monomial -> (vec, m), vec the raw normal form of m * e
-        known = gb._monomial_nfs = {e: ({e: 1}, 1)
-                                    for layer in layers for e in layer}
+    table = gb._normal_forms
     rows = {}    # pivot -> (its coefficient, row)
     found = 0
     for layer in reversed(layers[:N]):
@@ -680,14 +712,7 @@ def top_degree_in_multiples(gb, f):
                 e = t + b
                 if e & degree >= cap:
                     continue
-                nf = known.get(e)
-                if nf is None:
-                    r = _nf_dict({e: 1}, gb.divisors, pk, p, N + 1)
-                    num, den = r.scale.numerator, r.scale.denominator
-                    if den != 1:
-                        r = {x: v * den for x, v in r.items()}
-                    nf = known[e] = (r, num)
-                vec, me = nf
+                vec, me = table[e]
                 if vec:
                     k = lcm(m, me)
                     _combine(row, k // m, -c * (k // me), vec, p)
@@ -718,50 +743,32 @@ def artinian_colon(gb, gens):
     """The reduced basis of I : J, for gb the reduced basis of a
     zero-dimensional ideal I and gens the generators of J: (I : J)/I is the
     kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on
-    the standard monomials b of I.  For a generator that is one term c * e,
-    NF(b * g) is c times the normal form of the monomial e + b: that
-    monomial itself when it is standard for I (read off the basis's kept
-    staircase), and otherwise a normal form computed once per walk, however
-    many pairs (b, g) form it, as they do in colons by m and by m^n.
+    the standard monomials b of I.  A nonzero constant times one block
+    leaves that kernel as it is, so the block of g may be any fixed
+    multiple of NF(b * g).  For a generator of one term c * e it is the
+    normal form of the monomial e + b, read off the basis's table
+    (``_NormalForms``), whose entries colons by m and by m^n meet many
+    times; a product with any other generator is reduced directly.
     ValueError if I is not zero-dimensional or a product's degree would not
     fit."""
     ring = gb.ring
-    layers = gb.staircase()
-    if layers is None:
+    if gb.staircase() is None:
         raise ValueError("artinian_colon: the ideal is not zero-dimensional")
     p = ring.field.characteristic
     pk = packing(gb.order, ring.nvars)
-    standard = {e for layer in layers for e in layer}
-    raw_gens = [_to_raw(g.terms, p, pk) for g in gens]
+    raw_gens = [_to_raw(g.terms, p, pk)[0] for g in gens]
+    monomials = [min(raw) for raw in raw_gens if len(raw) == 1]
+    others = [raw for raw in raw_gens if len(raw) > 1]
     top = max(g.total_degree() for g in gens)
-    known = {}   # non-standard packed monomial -> its raw normal form
+    table = gb._normal_forms
 
     def image(b):
-        # block i, the normal form of g_i * b, is r / s for the scale
-        # s = scale * r.scale (1 over F_p)
         _check_degree(top + ((b & pk.degree) >> pk.shift))
-        blocks = []
-        for i, (raw, scale) in enumerate(raw_gens):
-            if len(raw) > 1:
-                r = _nf_dict({e + b: c for e, c in raw.items()},
-                             gb.divisors, pk, p, 0)
-                s = scale * r.scale
-            else:
-                [(e, c)] = raw.items()
-                e += b
-                if e in standard:
-                    r, s = {e: c}, scale
-                else:
-                    r = known.get(e)
-                    if r is None:
-                        r = known[e] = _nf_dict({e: 1}, gb.divisors, pk, p,
-                                                0)
-                    s = scale * r.scale
-                    if c != 1:
-                        r = ({x: v * c % p for x, v in r.items()} if p
-                             else {x: v * c for x, v in r.items()})
-            if r:
-                blocks.append((i, r, s))
+        blocks = [table[e + b] for e in monomials]
+        for raw in others:
+            r = _nf_dict({e + b: c for e, c in raw.items()}, gb.divisors, pk,
+                         p, 0)
+            blocks.append((r, r.scale))
         return _stacked(blocks)
 
     return _extend_by_kernel(ring, gb.order, gb.divisors, image)
@@ -771,47 +778,30 @@ def artinian_intersection(gb1, gb2):
     """The reduced basis of the intersection of I1 and I2, for gb1 and gb2
     the reduced bases of two zero-dimensional ideals under one order: it is
     the kernel of S -> S/I1 x S/I2, b -> (NF1(b), NF2(b)), walked from 1
-    with no base.  A monomial standard for Ii is its own normal form there
-    (read off the basis's kept staircase).  ValueError if an ideal is not
-    zero-dimensional or the orders differ."""
+    with no base, each normal form read off its basis's table
+    (``_NormalForms``).  ValueError if an ideal is not zero-dimensional or
+    the orders differ."""
     if gb1.order != gb2.order:
         raise ValueError("artinian_intersection: bases under two orders")
-    parts = []
-    for gb in (gb1, gb2):
-        layers = gb.staircase()
-        if layers is None:
-            raise ValueError("artinian_intersection: an ideal is not "
-                             "zero-dimensional")
-        parts.append(({e for layer in layers for e in layer}, gb.divisors))
-    ring = gb1.ring
-    p = ring.field.characteristic
-    pk = packing(gb1.order, ring.nvars)
-
-    def image(b):
-        blocks = []
-        for i, (standard, divisors) in enumerate(parts):
-            if b in standard:
-                blocks.append((i, {b: 1}, 1))
-            else:
-                r = _nf_dict({b: 1}, divisors, pk, p, 0)
-                if r:
-                    blocks.append((i, r, r.scale))
-        return _stacked(blocks)
-
-    return _extend_by_kernel(ring, gb1.order, [], image)
+    if gb1.staircase() is None or gb2.staircase() is None:
+        raise ValueError("artinian_intersection: an ideal is not "
+                         "zero-dimensional")
+    tables = (gb1._normal_forms, gb2._normal_forms)
+    return _extend_by_kernel(gb1.ring, gb1.order, [],
+                             lambda b: _stacked([t[b] for t in tables]))
 
 
 def _stacked(blocks):
-    """The raw image (vec, m) of row blocks (i, r, s), block i being r / s
-    for a raw remainder r and a positive scale s: the blocks are brought to
-    one multiplier m, the lcm of the numerators of the scales, and block i
-    keys its rows (i, row)."""
-    m = lcm(*(s.numerator for _, _, s in blocks))
+    """The raw image (vec, m) of blocks (r, s), r the raw normal form of s
+    times a product: the nonzero blocks are brought to one multiplier m,
+    the lcm of their s, and block i keys its rows (i, row)."""
+    m = lcm(*[s for r, s in blocks if r])
     out = {}
-    for i, r, s in blocks:
-        f = s.denominator * (m // s.numerator)
-        for e, c in r.items():
-            out[i, e] = c * f
+    for i, (r, s) in enumerate(blocks):
+        if r:
+            f = m // s
+            for e, c in r.items():
+                out[i, e] = c * f
     return out, m
 
 
@@ -822,8 +812,8 @@ def fglm(ds_basis):
     standard monomial, or N if every degree below N has one.  FGLM from
     S/m^d, whose basis is the monomials of degree d: each monomial b of
     degree < d that the walk reaches maps to its ds normal form truncated
-    at d, which m^d inside J + m^N makes exact; a raw remainder r of scale
-    num/den is the image of num * b as den * r."""
+    at d, which m^d inside J + m^N makes exact; a raw remainder r is the
+    image of r.scale * b."""
     ring = ds_basis.ring
     layers = ds_basis.staircase()
     d = len(layers) - 1 if not layers[-1] else ds_basis.truncate
@@ -835,10 +825,7 @@ def fglm(ds_basis):
     def image(b):
         r = _nf_dict({pk.pack(pk_out.unpack(b)): 1}, ds_basis.divisors,
                      pk, p, d)
-        num, den = r.scale.numerator, r.scale.denominator
-        if den != 1:
-            r = {e: c * den for e, c in r.items()}
-        return r, num
+        return r, r.scale
 
     base = [pk_out.pack(e) for e in monomials_of_degree(ring.nvars, d)]
     return _extend_by_kernel(ring, order,

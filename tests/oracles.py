@@ -9,17 +9,24 @@ compares as packed ints.  ``equals`` compares two ideals by their reduced
 degrevlex bases, which are canonical.  ``ds_top_layer_empty`` is the gll
 test by one truncated ds Buchberger run on I + (f), the route that
 ``LocalRing.loewy_length_at_most``'s rank count on S/(I + n^(N+1))
-replaced.
+replaced.  ``lex_segment_oracle`` counts the growth of a lex-segment
+quotient monomial by monomial, the independent check of
+``bounds.macaulay_bound``.
 
 ``Lex``, ``WeightedDegRevLex`` and ``Block`` are term orders the library
 does not run.  ``groebner.packing`` takes any order whose key is a tuple of
 integer linear forms, so the Buchberger and packing sweeps use them to
 cover the general branch of ``groebner._order_form``."""
 
-from locring.errors import ZeroPolynomial
+from math import comb
+
+from locring.errors import BudgetExceeded, ZeroPolynomial
 from locring.groebner import buchberger
 from locring.ideal import Ideal
-from locring.poly import DegRevLex, NegDegRevLex, TermOrder, mono_div
+from locring.poly import (DegRevLex, NegDegRevLex, TermOrder, mono_div,
+                          monomials_of_degree)
+
+_MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 
 
 class _Parametrized(TermOrder):
@@ -150,3 +157,28 @@ def ds_top_layer_empty(R, f, N):
     gb = buchberger(R.ring, R.I.generators + (f,), NegDegRevLex(),
                     truncate=N + 1)
     return not gb.staircase()[-1]
+
+
+def lex_segment_oracle(d, n, v):
+    """Growth of the lex-segment quotient: keep the d lex-smallest degree-n
+    monomials in the quotient and count the surviving degree-(n+1) ones.
+
+    Independent combinatorial check of macaulay_bound (use v >= n + d)."""
+    total_n = comb(n + v - 1, v - 1)
+    total_n1 = comb(n + v, v - 1)
+    if max(total_n, total_n1) > _MAX_MONOMIALS:
+        raise BudgetExceeded("lex_segment_oracle: too many monomials",
+                             {"total": max(total_n, total_n1)})
+    if d == 0:
+        return 0
+    if d > total_n:
+        raise ValueError("d exceeds the number of degree-n monomials")
+    monos = monomials_of_degree(v, n)
+    in_ideal = monos[:total_n - d]  # the lex-largest go into the ideal
+    next_ideal = set()
+    for m in in_ideal:
+        for i in range(v):
+            e = list(m)
+            e[i] += 1
+            next_ideal.add(tuple(e))
+    return total_n1 - len(next_ideal)

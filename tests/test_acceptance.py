@@ -9,7 +9,7 @@ tolerances.
 from itertools import combinations
 
 from locring.arith import QQ
-from locring.bounds import lex_segment_oracle, macaulay_bound
+from locring.bounds import macaulay_bound
 from locring.cli import (PASS, SKIPPED_HEAVY, SplitMix64, gll_search,
                          parse_ring_file, run_scenario, sample_element)
 from locring.groebner import GroebnerBasis, buchberger, normal_form
@@ -18,7 +18,7 @@ from locring.poly import DegRevLex, PolyRing, Polynomial
 from locring.polytope import (LatticePolygon, edge_splitting_search,
                               is_integer_irreducible, minkowski_sum,
                               newton_polygon)
-from oracles import s_polynomial
+from oracles import lex_segment_oracle, s_polynomial
 
 SEED = 42
 

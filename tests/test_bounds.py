@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 from locring.bounds import (ELIMINATED, UNRESOLVED, hf_feasible_max_length,
-                            lex_segment_oracle, macaulay_bound, macaulay_rep,
-                            order_case_report)
+                            macaulay_bound, macaulay_rep, order_case_report)
+from oracles import lex_segment_oracle
 
 
 def test_macaulay_rep_is_greedy_and_exact():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import locring
-from locring.cli import (FAIL, PASS, SKIPPED_HEAVY, Report, Runner,
-                         SplitMix64, gll_search, main, parse_ring_file,
-                         run_scenario, sample_element)
+from locring.cli import (FAIL, MAIN_RING, PASS, SKIPPED_HEAVY, Report,
+                         Runner, SplitMix64, gll_search, main,
+                         parse_ring_file, run_scenario, sample_element)
 from locring.errors import InternalInconsistency, ParseError
 
 MAIN_RING_TEXT = """\
@@ -144,6 +145,15 @@ def test_gll_search_over_f3_with_coefficients_up_to_3(tmp_path, capsys):
 def test_cli_macaulay_bound(capsys):
     assert main(["macaulay-bound", "5", "2"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+@pytest.mark.parametrize("d, n", [("0", "-5"), ("3", "-1"), ("-1", "2")])
+def test_cli_macaulay_bound_rejects_out_of_range_input(capsys, d, n):
+    # 0 -5 used to print 0 and exit 0 through the d = 0 shortcut
+    assert main(["macaulay-bound", d, n]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: need d >= 0 and n >= 1, got d={d}, n={n}\n"
 
 
 def test_cli_hilbert(ring_file, capsys):
@@ -442,6 +452,37 @@ def test_ex2_without_budget_skips_every_check():
     assert report.checks[0].actual.startswith("budget exceeded: ")
     assert all(c.actual == "skipped" for c in report.checks[1:])
     assert report.passed()
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+@pytest.mark.parametrize("command", ["verify", "kernel"])
+def test_cli_budget_below_zero_or_nan_exits_2(tmp_path, capsys, command,
+                                               budget):
+    # NaN bounded nothing, and -1 skipped the seven ex2 checks with exit 0;
+    # 0 still skips them (test_ex2_without_budget_skips_every_check)
+    mf = tmp_path / "cusp.map"
+    mf.write_text("t\nx = t^2\ny = t^3\n")
+    argv = (["verify", "--scenario", "ex2"] if command == "verify"
+            else ["kernel", str(mf)])
+    assert main(argv + ["--budget-seconds", budget]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: budget_seconds must be >= 0, got "
+                       f"{float(budget)}\n")
+
+
+def test_scenarios_and_search_leave_no_cyclic_garbage():
+    # every basis keeps its normal-form table; a table that held its basis
+    # would make one reference cycle per basis, for the collector to find
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("main", "ex1", "ex2"):
+            assert run_scenario(name).passed()
+        gll_search(MAIN_RING, 5, (1, 2), 20)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_unknown_scenario():

@@ -867,3 +867,65 @@ def test_a_model_basis_stays_packed_through_colons_and_membership(field):
         colon = model.quotient(R.n)
         assert colon.contains(model) and not model.contains(colon)
         assert model.member(f) and not model.member(ring.one())
+
+
+# ---------------------------------------------------------------------------
+# the normal-form table of a basis: packed monomial -> (vec, m), vec the raw
+# normal form of m times the monomial
+
+def _table_bases(field, draw, N):
+    """The ds bases truncated at N + 1 of the main ring and of the cusp
+    5*x^2 - 7*y^3, whose lead coefficient gives its normal forms a
+    multiplier, the degrevlex local model of the main ring plus (y), and
+    the given, unreduced degrevlex basis x + y, y + z, z^2, which reduces x
+    in a chain.  With draw, every coefficient of the generators is a draw
+    of Q_DRAWS instead: then the chain divides out a content that the
+    multipliers do not cancel."""
+    rng = random.Random(28)
+    for names, texts in ((("x", "y", "z"), ("x^2 - y^5",
+                                            "x*y^2 + y*z^3 - z^5")),
+                         (("x", "y"), ("5*x^2 - 7*y^3",)),
+                         (("x", "y", "z"), ("x + y", "y + z", "z^2"))):
+        ring = PolyRing(field, names)
+        gens = [ring.parse(t) for t in texts]
+        if draw:
+            gens = [Polynomial(ring, {e: field.from_fraction(Q_DRAWS[draw](
+                rng), 1) for e in g.terms}) for g in gens]
+        if "z^2" in texts:
+            yield GroebnerBasis(ring, gens, DegRevLex())
+            continue
+        yield buchberger(ring, gens, NegDegRevLex(), truncate=N + 1)
+        if len(names) == 3:
+            R = LocalRing(ring, Ideal(ring, gens))
+            yield R.local_model(R.I + Ideal(ring, [ring.var(1)])).groebner()
+
+
+@pytest.mark.parametrize("field, draw", [
+    (QQ, None), (PrimeField(32003), None), (QQ, "big")],
+    ids=["Q", "Fp", "Q-big"])
+def test_table_entries_are_normal_forms_with_an_int_multiplier(field, draw):
+    # the big coefficients make reduction divide out the content, which the
+    # multiplier must then carry back: the test-local division, which
+    # shares no code with the kernel, checks the bases that are not
+    # truncated
+    N = 5
+    multipliers = set()
+    for gb in _table_bases(field, draw, N):
+        ring = gb.ring
+        pk = packing(gb.order, ring.nvars)
+        standard = {e for layer in gb.staircase() for e in layer}
+        for d in range(N + 2):
+            for e in monomials_of_degree(ring.nvars, d):
+                x = pk.pack(e)
+                vec, m = gb._normal_forms[x]
+                assert type(m) is int and m > 0
+                multipliers.add(m)
+                if x in standard:
+                    assert (vec, m) == ({x: 1}, 1)
+                nf = Polynomial(ring, {pk.unpack(y): field.from_fraction(c, m)
+                                       for y, c in vec.items()})
+                assert nf == normal_form(ring.monomial(e), gb)
+                if not gb.truncate:
+                    assert nf == _divide(ring.monomial(e), gb.generators,
+                                         gb.order)
+    assert (multipliers == {1}) == bool(field.characteristic)
