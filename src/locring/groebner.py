@@ -83,9 +83,10 @@ packed monomial e -> (vec, m), vec the raw normal form of m * e.  A
 standard monomial is its own entry, and any other is reduced once, however
 many products form it.  Three readers share it: the colon (by a generator
 of one term), the intersection, and the gll-search test
-(``top_degree_in_multiples``), which is linear algebra on A = S/J for a
-truncated ds basis of J, with rows reduced fraction-free as in the walk
-below.  ``fglm`` reduces against its own truncation at d instead.
+(``top_degree_in_multiples``), a rank count on A = S/J for a truncated ds
+basis of J, for which the table also keeps the columns of multiplication
+by each term of f on the count's rows, so a test reads only f's
+coefficients.  ``fglm`` reduces against its own truncation at d instead.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -452,22 +453,65 @@ class _NormalForms(dict):
     standard monomial is its own entry, ({e: 1}, 1), and any other is
     reduced by ``_nf_dict`` on its first lookup.  The entries are plain
     dicts, which the row loops read faster than a _Remainder.  The table
-    keeps the basis's divisors, packing, characteristic and truncation,
-    never the basis, so it makes no reference cycle."""
+    keeps the basis's divisors, packing, characteristic, truncation and
+    staircase, never the basis, so it makes no reference cycle.
 
-    __slots__ = ("divisors", "pk", "p", "truncate")
+    For a ds basis truncated at N + 1 it also keeps, from the first call
+    of ``rank_data``, what the rank count of ``top_degree_in_multiples``
+    needs of the basis alone: its rows, the standard monomials of degree
+    < N from degree N - 1 down; the index of each standard monomial in ds
+    order, so the ds-largest term is the smallest index and degree N the
+    last indices; and per exponent tuple t a ``column``."""
+
+    __slots__ = ("divisors", "pk", "p", "truncate", "layers", "_rank",
+                 "_rows", "_index")
 
     def __init__(self, gb):
-        super().__init__({e: ({e: 1}, 1)
-                          for layer in gb.staircase() for e in layer})
+        self.layers = gb.staircase()
+        super().__init__({e: ({e: 1}, 1) for layer in self.layers
+                          for e in layer})
         self.divisors, self.truncate = gb.divisors, gb.truncate
         self.pk = packing(gb.order, gb.ring.nvars)
         self.p = gb.ring.field.characteristic
+        self._rank = None
 
     def __missing__(self, e):
         r = _nf_dict({e: 1}, self.divisors, self.pk, self.p, self.truncate)
         entry = self[e] = dict(r), r.scale
         return entry
+
+    def rank_data(self):
+        """(need, top, columns) of the rank count, for N = truncate - 1:
+        need standard monomials of degree N, whose indices are those from
+        top on, and the dict of the columns built so far."""
+        if self._rank is None:
+            N, layers = self.truncate - 1, self.layers
+            standard = sorted(e for layer in layers for e in layer)
+            self._index = {e: i for i, e in enumerate(standard)}
+            self._rows = [b for layer in reversed(layers[:N]) for b in layer]
+            need = len(layers[N]) if len(layers) > N else 0
+            self._rank = need, len(standard) - need, {}
+        return self._rank
+
+    def column(self, t):
+        """The column of the exponent tuple t, kept: entry i is the entry
+        of t times row i as (vec keyed by index, m), or None where that
+        entry is 0 or the product has degree > N; () if t has degree > N."""
+        rows, index = self._rows, self._index
+        col = ()
+        if sum(t) < self.truncate:
+            degree = self.pk.degree
+            cap = self.truncate << self.pk.shift
+            t_packed = self.pk.pack(t)
+            col = [None] * len(rows)
+            for i, b in enumerate(rows):
+                e = t_packed + b
+                if e & degree < cap:
+                    vec, m = self[e]
+                    if vec:
+                        col[i] = {index[x]: c for x, c in vec.items()}, m
+        self._rank[2][t] = col
+        return col
 
 
 def _spoly_dict(f, lt_f, g, lt_g, pk, check):
@@ -676,64 +720,111 @@ def top_degree_in_multiples(gb, f):
     standard monomials of degree N.  f*m^N lies in m^(N+1), so f*A is
     spanned by the rows NF(f*b) for the b in B of degree < N, taken from
     degree N - 1 down.  Each row is reduced against the earlier ones and
-    pivoted on its ds-largest term, the smallest int.  A combination of
+    pivoted on its ds-largest term, the smallest index.  A combination of
     rows then leads with the largest of its pivots, so dim(f*A meet T) is
     the number of rows whose pivot has degree N, and the test stops when
-    that number reaches dim T.  A row is the sum of the normal forms of f's
-    terms times b, read off gb's table (``_NormalForms``).  Rows are formed
-    and reduced fraction-free over Q, with the gcd scaling of
-    ``_extend_by_kernel``, and on residues over F_p."""
-    N = gb.truncate - 1
-    if N < 0:
+    that number reaches dim T.  Row i is the sum of c * entry i of the
+    column of t (``_NormalForms.column``, the normal forms of t * b kept on
+    gb's table) over the terms c * t of f, which are read as they are:
+    over F_p it is summed unreduced and reduced mod p once; over Q rows are
+    fraction-free, with the gcd scaling of ``_extend_by_kernel``."""
+    if gb.truncate < 1:
         raise ValueError("top_degree_in_multiples: the basis is not "
                          "truncated")
     ring = gb.ring
     if f.ring != ring:
         raise RingMismatch("top_degree_in_multiples: mixed rings")
-    p = ring.field.characteristic
-    pk = packing(gb.order, ring.nvars)
-    degree = pk.degree
-    cap, top = (N + 1) << pk.shift, N << pk.shift
-    raw = {t: c for t, c in _to_raw(f.terms, p, pk)[0].items()
-           if t & degree < cap}
-    if 0 in raw:
+    terms = f.terms
+    if (0,) * ring.nvars in terms:
         raise ValueError("top_degree_in_multiples: f has a constant term")
-    layers = gb.staircase()
-    need = len(layers[N]) if len(layers) > N else 0
+    table = gb._normal_forms
+    need, top, columns = table.rank_data()
     if not need:
         return True
-    table = gb._normal_forms
-    rows = {}    # pivot -> (its coefficient, row)
+    cols = []
+    for t, c in terms.items():
+        col = columns.get(t)
+        if col is None:
+            col = table.column(t)
+        if col:
+            cols.append((col, c))
+    if not cols:
+        return False
+    p = table.p
+    if p:
+        pivots = _pivots_mod_p([(col, c.value) for col, c in cols], p)
+    else:
+        den = lcm(*[c.denominator for _, c in cols])
+        pivots = _pivots_over_q([(col, c.numerator * (den // c.denominator))
+                                 for col, c in cols])
     found = 0
-    for layer in reversed(layers[:N]):
-        for b in layer:
-            row, m = {}, 1   # row = m * NF(f * b) so far
-            for t, c in raw.items():
-                e = t + b
-                if e & degree >= cap:
-                    continue
-                vec, me = table[e]
-                if vec:
-                    k = lcm(m, me)
-                    _combine(row, k // m, -c * (k // me), vec, p)
-                    m = k
-            while row:
-                pivot = min(row)
-                prev = rows.get(pivot)
-                if prev is None:
-                    break
-                a, r = prev
-                h = gcd(a, row[pivot])
-                _combine(row, a // h, row[pivot] // h, r, p)
-            if not row:
-                continue
-            row = _normalize(row, row[pivot], p)
-            rows[pivot] = row[pivot], row
-            if pivot & degree == top:
-                found += 1
-                if found == need:
-                    return True
+    for pivot in pivots:
+        if pivot >= top:
+            found += 1
+            if found == need:
+                return True
     return False
+
+
+def _pivots_mod_p(cols, p):
+    """The pivots of the rows of ``top_degree_in_multiples`` over F_p, row
+    by row: row i, the sum of c * col[i] over the (col, c) of cols, is
+    head-reduced against the earlier rows, each kept with the inverse of
+    its pivot coefficient rather than made monic; a row that vanishes
+    gives none."""
+    rows = {}    # pivot -> (inverse of its coefficient, row)
+    for i in range(len(cols[0][0])):
+        row = {}
+        for col, c in cols:
+            entry = col[i]
+            if entry:
+                for j, x in entry[0].items():
+                    row[j] = row.get(j, 0) + c * x
+        row = {j: r for j, v in row.items() if (r := v % p)}
+        while row:
+            pivot = min(row)
+            prev = rows.get(pivot)
+            if prev is None:
+                break
+            inv, r = prev
+            c = row[pivot] * inv % p
+            for j, x in r.items():
+                v = (row.get(j, 0) - c * x) % p
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+        if row:
+            rows[pivot] = pow(row[pivot], -1, p), row
+            yield pivot
+
+
+def _pivots_over_q(cols):
+    """``_pivots_mod_p`` over Q, fraction-free: a column entry (vec, m) is
+    the normal form of m times its product, and the kept rows are
+    primitive."""
+    rows = {}    # pivot -> (its coefficient, row)
+    for i in range(len(cols[0][0])):
+        row, m = {}, 1   # row = m * the sum so far
+        for col, c in cols:
+            entry = col[i]
+            if entry:
+                vec, me = entry
+                k = lcm(m, me)
+                _combine(row, k // m, -c * (k // me), vec, 0)
+                m = k
+        while row:
+            pivot = min(row)
+            prev = rows.get(pivot)
+            if prev is None:
+                break
+            a, r = prev
+            h = gcd(a, row[pivot])
+            _combine(row, a // h, row[pivot] // h, r, 0)
+        if row:
+            row = _normalize(row, row[pivot], 0)
+            rows[pivot] = row[pivot], row
+            yield pivot
 
 
 # ---------------------------------------------------------------------------

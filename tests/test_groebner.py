@@ -790,6 +790,36 @@ def test_gll_search_test_builds_no_generators(monkeypatch):
     assert all("generators" not in gb.__dict__ for _, gb in built)
 
 
+def test_gll_test_keeps_what_depends_only_on_the_terms_and_rows(monkeypatch):
+    # the rank count keeps, per basis, the normal forms of t * b for each
+    # term t of f and row b: once f has been tested, a second f with the
+    # same support reduces nothing, reads no table entry and builds no
+    # generators; only its coefficients are new
+    desc = cli.RingDescription(PrimeField(32003), cli.MAIN_RING.names,
+                               cli.MAIN_RING.gen_exprs)
+    R = desc.local_ring()
+    assert not R.loewy_length_at_most(R.ring.parse("y + 3*z^2 - x*z"), 5)
+    reduced, read = [], []
+    nf_dict = groebner._nf_dict
+
+    def counted_nf(*args):
+        reduced.append(args)
+        return nf_dict(*args)
+
+    def counted_read(table, e):
+        read.append(e)
+        return dict.__getitem__(table, e)
+
+    monkeypatch.setattr(groebner, "_nf_dict", counted_nf)
+    monkeypatch.setattr(groebner._NormalForms, "__getitem__", counted_read)
+    assert not R.loewy_length_at_most(R.ring.parse("5*y - z^2 + 7*x*z"), 5)
+    assert reduced == [] and read == []
+    assert "generators" not in R._gll_bases[5].__dict__
+    # a new term is one new column, whose products are reduced once
+    assert not R.loewy_length_at_most(R.ring.parse("y + x*y"), 5)
+    assert reduced and read
+
+
 @pytest.mark.parametrize("walk", ["fglm", "artinian_colon",
                                   "artinian_intersection"])
 @pytest.mark.parametrize("field", PACKED_FIELDS.values(),

@@ -23,7 +23,8 @@ import pytest
 from locring import cli, groebner, localring
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.bounds import macaulay_bound
-from locring.errors import NoStabilization, NotArtinianLocally, NotFound
+from locring.errors import (NoStabilization, NotArtinianLocally, NotFound,
+                            RingMismatch)
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
@@ -630,6 +631,41 @@ def test_rank_count_matches_ds_truncation_of_i_plus_f(name, field):
     if name == "main":  # draws hit from N = 6 on, and never below
         drawn = {N for i, N in hits if i >= len(forced)}
         assert min(drawn) == 6
+
+
+# per ring: elements with denominators, one with terms of degree > N for
+# every N <= 7 (x^40000 does not even fit a packed monomial), and one whose
+# terms all lie above N = 7.  On the cusp, x^2 - 7/5*y^3 + x*y^2 is x*y^2
+# in R, hit from N = 5 on; without its denominator, from N = 4
+DIRECT_ELEMENTS = {
+    "main": ["1/3*y + 2/5*z^2 - 1/7*x*y",
+             "y - x*z + z^9 - x^8*y^3 + x^40000", "x^8*y + z^9"],
+    "cusp": ["1/3*y + 2/5*x^2 - 1/7*x*y", "x^2 - 7/5*y^3 + x*y^2",
+             "y + 1/2*x*y + x^9 - y^12 + y^40000", "x^9 + x^4*y^5"],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("name", DIRECT_ELEMENTS)
+def test_rank_count_reads_f_directly_and_checks_its_input(name, field):
+    # the rank count reads f's terms and coefficients as they are, with no
+    # conversion: Fractions over Q, and a term of degree > N adds nothing
+    R = (_scenario_ring_over(name, field) if name in SCENARIO_RINGS
+         else _small_ring_over(name, field))
+    ring = R.ring
+    for text in DIRECT_ELEMENTS[name]:
+        f = ring.parse(text)
+        for N in range(8):
+            assert (R.loewy_length_at_most(f, N)
+                    == ds_top_layer_empty(R, f, N)), (text, N)
+    f = ring.parse(DIRECT_ELEMENTS[name][0])
+    with pytest.raises(ValueError, match="not truncated"):
+        groebner.top_degree_in_multiples(R.I.groebner(), f)
+    with pytest.raises(ValueError, match="constant term"):
+        R.loewy_length_at_most(f + ring.one(), 5)
+    other = PolyRing(field, ring.names + ("w",))
+    with pytest.raises(RingMismatch):
+        R.loewy_length_at_most(other.parse("y"), 5)
 
 
 @pytest.mark.parametrize("p, samples", [(32003, 100), (3, 50)],
