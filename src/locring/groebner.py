@@ -84,9 +84,9 @@ standard monomial is its own entry, and any other is reduced once, however
 many products form it.  Three readers share it: the colon (by a generator
 of one term), the intersection, and the gll-search test
 (``top_degree_in_multiples``), a rank count on A = S/J for a truncated ds
-basis of J, for which the table also keeps the columns of multiplication
-by each term of f on the count's rows, so a test reads only f's
-coefficients.  ``fglm`` reduces against its own truncation at d instead.
+basis of J, for which the basis also keeps (``_Columns``) the table's
+entries for each term of f times the count's rows, so a test reads only
+f's coefficients.  ``fglm`` reduces against its own truncation at d instead.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -228,6 +228,12 @@ class GroebnerBasis:
         """The basis's table of monomial normal forms (``_NormalForms``),
         for a basis whose staircase is finite."""
         return _NormalForms(self)
+
+    @cached_property
+    def _columns(self):
+        """The rows and product columns of the gll rank count
+        (``_Columns``), for a ds basis truncated at N + 1."""
+        return _Columns(self)
 
     @cached_property
     def generators(self):
@@ -453,64 +459,61 @@ class _NormalForms(dict):
     standard monomial is its own entry, ({e: 1}, 1), and any other is
     reduced by ``_nf_dict`` on its first lookup.  The entries are plain
     dicts, which the row loops read faster than a _Remainder.  The table
-    keeps the basis's divisors, packing, characteristic, truncation and
-    staircase, never the basis, so it makes no reference cycle.
+    keeps the basis's divisors, packing, characteristic and truncation,
+    never the basis, so it makes no reference cycle."""
 
-    For a ds basis truncated at N + 1 it also keeps, from the first call
-    of ``rank_data``, what the rank count of ``top_degree_in_multiples``
-    needs of the basis alone: its rows, the standard monomials of degree
-    < N from degree N - 1 down; the index of each standard monomial in ds
-    order, so the ds-largest term is the smallest index and degree N the
-    last indices; and per exponent tuple t a ``column``."""
-
-    __slots__ = ("divisors", "pk", "p", "truncate", "layers", "_rank",
-                 "_rows", "_index")
+    __slots__ = ("divisors", "pk", "p", "truncate")
 
     def __init__(self, gb):
-        self.layers = gb.staircase()
-        super().__init__({e: ({e: 1}, 1) for layer in self.layers
-                          for e in layer})
+        super().__init__({e: ({e: 1}, 1)
+                          for layer in gb.staircase() for e in layer})
         self.divisors, self.truncate = gb.divisors, gb.truncate
         self.pk = packing(gb.order, gb.ring.nvars)
         self.p = gb.ring.field.characteristic
-        self._rank = None
 
     def __missing__(self, e):
         r = _nf_dict({e: 1}, self.divisors, self.pk, self.p, self.truncate)
         entry = self[e] = dict(r), r.scale
         return entry
 
-    def rank_data(self):
-        """(need, top, columns) of the rank count, for N = truncate - 1:
-        need standard monomials of degree N, whose indices are those from
-        top on, and the dict of the columns built so far."""
-        if self._rank is None:
-            N, layers = self.truncate - 1, self.layers
-            standard = sorted(e for layer in layers for e in layer)
-            self._index = {e: i for i, e in enumerate(standard)}
-            self._rows = [b for layer in reversed(layers[:N]) for b in layer]
-            need = len(layers[N]) if len(layers) > N else 0
-            self._rank = need, len(standard) - need, {}
-        return self._rank
 
-    def column(self, t):
-        """The column of the exponent tuple t, kept: entry i is the entry
-        of t times row i as (vec keyed by index, m), or None where that
-        entry is 0 or the product has degree > N; () if t has degree > N."""
-        rows, index = self._rows, self._index
-        col = ()
-        if sum(t) < self.truncate:
-            degree = self.pk.degree
-            cap = self.truncate << self.pk.shift
-            t_packed = self.pk.pack(t)
-            col = [None] * len(rows)
-            for i, b in enumerate(rows):
-                e = t_packed + b
-                if e & degree < cap:
-                    vec, m = self[e]
-                    if vec:
-                        col[i] = {index[x]: c for x, c in vec.items()}, m
-        self._rank[2][t] = col
+class _Columns(dict):
+    """What the rank count of ``top_degree_in_multiples`` needs of a ds
+    basis truncated at N + 1 alone, for N >= 0: its rows, the standard
+    monomials of degree < N from degree N - 1 down; ``need``, the number
+    of standard monomials of degree N, and ``top``, the index of the first
+    of them, indices numbering the standard monomials in ds order, so the
+    ds-largest term is the smallest index and degree N the last ones; and
+    exponent tuple t of degree <= N -> its column, built on its first
+    lookup.  Entry i of a column is the table entry (``_NormalForms``) of
+    t times row i, re-keyed by index and kept with its int multiplier, or
+    None where it is 0 or the product has degree > N.  It keeps the
+    basis's table, not the basis, and the table does not keep it."""
+
+    __slots__ = ("table", "rows", "index", "need", "top")
+
+    def __init__(self, gb):
+        N, layers = gb.truncate - 1, gb.staircase()
+        standard = sorted(e for layer in layers for e in layer)
+        self.table = gb._normal_forms
+        self.index = {e: i for i, e in enumerate(standard)}
+        self.rows = [b for layer in reversed(layers[:N]) for b in layer]
+        self.need = len(layers[N]) if len(layers) > N else 0
+        self.top = len(standard) - self.need
+
+    def __missing__(self, t):
+        table, index = self.table, self.index
+        pk = table.pk
+        degree, cap = pk.degree, table.truncate << pk.shift
+        t_packed = pk.pack(t)
+        col = [None] * len(self.rows)
+        for i, b in enumerate(self.rows):
+            e = t_packed + b
+            if e & degree < cap:
+                vec, m = table[e]
+                if vec:
+                    col[i] = {index[x]: c for x, c in vec.items()}, m
+        self[t] = col
         return col
 
 
@@ -724,10 +727,13 @@ def top_degree_in_multiples(gb, f):
     rows then leads with the largest of its pivots, so dim(f*A meet T) is
     the number of rows whose pivot has degree N, and the test stops when
     that number reaches dim T.  Row i is the sum of c * entry i of the
-    column of t (``_NormalForms.column``, the normal forms of t * b kept on
-    gb's table) over the terms c * t of f, which are read as they are:
-    over F_p it is summed unreduced and reduced mod p once; over Q rows are
-    fraction-free, with the gcd scaling of ``_extend_by_kernel``."""
+    column of t (``_Columns``, kept on gb) over the terms c * t of f of
+    degree <= N, read as they are.  An entry (vec, m) is the normal form
+    of m times its product, so a row is summed fraction-free, with no
+    reduction mod p until it is complete (every m is 1 over F_p).  Over Q
+    it is reduced with the gcd scaling of ``_extend_by_kernel`` and kept
+    primitive; over F_p a kept row carries the inverse of its pivot
+    coefficient in place of being made monic."""
     if gb.truncate < 1:
         raise ValueError("top_degree_in_multiples: the basis is not "
                          "truncated")
@@ -737,94 +743,60 @@ def top_degree_in_multiples(gb, f):
     terms = f.terms
     if (0,) * ring.nvars in terms:
         raise ValueError("top_degree_in_multiples: f has a constant term")
-    table = gb._normal_forms
-    need, top, columns = table.rank_data()
+    columns = gb._columns
+    need, top, N = columns.need, columns.top, gb.truncate - 1
     if not need:
         return True
-    cols = []
-    for t, c in terms.items():
-        col = columns.get(t)
-        if col is None:
-            col = table.column(t)
-        if col:
-            cols.append((col, c))
-    if not cols:
+    terms = [(t, c) for t, c in terms.items() if sum(t) <= N]
+    if not terms:
         return False
-    p = table.p
+    p = ring.field.characteristic
     if p:
-        pivots = _pivots_mod_p([(col, c.value) for col, c in cols], p)
+        cols = [(columns[t], c.value) for t, c in terms]
     else:
-        den = lcm(*[c.denominator for _, c in cols])
-        pivots = _pivots_over_q([(col, c.numerator * (den // c.denominator))
-                                 for col, c in cols])
-    found = 0
-    for pivot in pivots:
-        if pivot >= top:
-            found += 1
-            if found == need:
-                return True
-    return False
-
-
-def _pivots_mod_p(cols, p):
-    """The pivots of the rows of ``top_degree_in_multiples`` over F_p, row
-    by row: row i, the sum of c * col[i] over the (col, c) of cols, is
-    head-reduced against the earlier rows, each kept with the inverse of
-    its pivot coefficient rather than made monic; a row that vanishes
-    gives none."""
-    rows = {}    # pivot -> (inverse of its coefficient, row)
-    for i in range(len(cols[0][0])):
-        row = {}
-        for col, c in cols:
-            entry = col[i]
-            if entry:
-                for j, x in entry[0].items():
-                    row[j] = row.get(j, 0) + c * x
-        row = {j: r for j, v in row.items() if (r := v % p)}
-        while row:
-            pivot = min(row)
-            prev = rows.get(pivot)
-            if prev is None:
-                break
-            inv, r = prev
-            c = row[pivot] * inv % p
-            for j, x in r.items():
-                v = (row.get(j, 0) - c * x) % p
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-        if row:
-            rows[pivot] = pow(row[pivot], -1, p), row
-            yield pivot
-
-
-def _pivots_over_q(cols):
-    """``_pivots_mod_p`` over Q, fraction-free: a column entry (vec, m) is
-    the normal form of m times its product, and the kept rows are
-    primitive."""
-    rows = {}    # pivot -> (its coefficient, row)
-    for i in range(len(cols[0][0])):
-        row, m = {}, 1   # row = m * the sum so far
+        den = lcm(*[c.denominator for _, c in terms])
+        cols = [(columns[t], c.numerator * (den // c.denominator))
+                for t, c in terms]
+    # pivot -> (its coefficient, row) over Q, (its inverse, row) over F_p
+    kept, found = {}, 0
+    for i in range(len(columns.rows)):
+        row, m = {}, 1     # m times the sum so far
         for col, c in cols:
             entry = col[i]
             if entry:
                 vec, me = entry
-                k = lcm(m, me)
-                _combine(row, k // m, -c * (k // me), vec, 0)
-                m = k
+                if me != m:
+                    k = lcm(m, me)
+                    if k != m:
+                        for j in row:
+                            row[j] *= k // m
+                        m = k
+                    c *= k // me
+                for j, x in vec.items():
+                    row[j] = row.get(j, 0) + c * x
+        row = {j: r for j, v in row.items() if (r := v % p if p else v)}
         while row:
             pivot = min(row)
-            prev = rows.get(pivot)
+            prev = kept.get(pivot)
             if prev is None:
                 break
             a, r = prev
-            h = gcd(a, row[pivot])
-            _combine(row, a // h, row[pivot] // h, r, 0)
+            if p:
+                _combine(row, 1, row[pivot] * a % p, r, p)
+            else:
+                h = gcd(a, row[pivot])
+                _combine(row, a // h, row[pivot] // h, r, 0)
         if row:
-            row = _normalize(row, row[pivot], 0)
-            rows[pivot] = row[pivot], row
-            yield pivot
+            if p:
+                kept[pivot] = pow(row[pivot], -1, p), row
+            else:
+                row = _normalize(row, row[pivot], 0)
+                kept[pivot] = row[pivot], row
+            if pivot >= top:
+                found += 1
+                if found == need:
+                    return True
+    return False
 
 
 # ---------------------------------------------------------------------------
