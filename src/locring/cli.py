@@ -368,13 +368,16 @@ def sample_element(ring, rng, order_range, coeff_box):
 def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
                coeff_box=3, forced=()):
     """Draw random f and test m^N inside (f) in R; every hit is a witness
-    that the Loewy length drops to N for some principal reduction.  Each f
-    costs one ``LocalRing.loewy_length_at_most(f, N)``, a rank count on
-    S/(I + n^(N+1)) against one ds basis of I truncated at N + 1, which the
-    ring builds once per search.
+    that the Loewy length drops to N for some principal reduction.  Each
+    nonzero draw costs one ``LocalRing.loewy_length_at_most(f, N)``, a rank
+    count on S/(I + n^(N+1)) against one ds basis of I truncated at N + 1,
+    which the ring builds once per search; the same call rejects a draw in
+    I (``NotArtinianLocally``), which is skipped and not counted.  Forced
+    elements go through ``LocalRing.check_parameter`` first.
     Raises ValueError on arguments that would make the search loop forever
-    (no nonzero draw possible) or report false hits (N < 1, constants in f,
-    a forced element that is a unit or lies in I).
+    (no nonzero draw possible, or every monomial of the lowest order in I,
+    checked once a draw is skipped) or report false hits (N < 1, constants
+    in f, a forced element that is a unit or lies in I).
     """
     lo, hi = order_range
     if target_n < 1:
@@ -406,12 +409,21 @@ def gll_search(desc, target_n, order_range, samples, seed=DEFAULT_SEED,
         except (ValueError, NotArtinianLocally) as exc:
             raise ValueError(f"gll-search: witness {exc}") from exc
         test(f)
-    tested = 0
+    tested, skipped = 0, False
     while tested < samples:
         f = sample_element(ring, rng, order_range, coeff_box)
-        if f.is_zero() or R.I.member(f):
+        if f.is_zero():
             continue
-        test(f)
+        try:
+            test(f)
+        except NotArtinianLocally:
+            # f lies in I; every draw does iff n^lo lies in I
+            if not skipped and R.I.contains(max_ideal_power(ring, lo)):
+                raise ValueError(f"gll-search: every monomial of degree "
+                                 f"{lo} lies in the defining ideal, so "
+                                 f"every draw does") from None
+            skipped = True
+            continue
         tested += 1
     report = Report("gll-search", seed)
     detail = f"{len(hits)} hits" + (f": {hits}" if hits else "")

@@ -713,10 +713,13 @@ def is_member(f, gb):
 
 
 def top_degree_in_multiples(gb, f):
-    """True iff f*A contains the image T of m^N in A = S/J, for gb a ds
-    basis truncated at N + 1, J = (its generators) + m^(N+1), and f in the
-    ideal of the variables; ValueError if gb is not truncated or f has a
-    constant term.
+    """The pair (whether f*A contains the image T of m^N, whether it read a
+    nonzero row of f*A), for A = S/J, gb a ds basis truncated at N + 1,
+    J = (its generators) + m^(N+1), and f in the ideal of the variables;
+    ValueError if gb is not truncated or f has a constant term.  A nonzero
+    row NF(f*b) says that f*b, and so f, lies outside J and outside the
+    ideal of gb's generators; with no row read (T = 0, or no b of degree
+    < N) or every row 0, it says nothing about f.
 
     The standard monomials B of gb are a basis of A, and the ds normal form
     of a monomial of degree N stays in degree N, so T is spanned by the
@@ -746,10 +749,10 @@ def top_degree_in_multiples(gb, f):
     columns = gb._columns
     need, top, N = columns.need, columns.top, gb.truncate - 1
     if not need:
-        return True
+        return True, False
     terms = [(t, c) for t, c in terms.items() if sum(t) <= N]
     if not terms:
-        return False
+        return False, False
     p = ring.field.characteristic
     if p:
         cols = [(columns[t], c.value) for t, c in terms]
@@ -795,8 +798,9 @@ def top_degree_in_multiples(gb, f):
             if pivot >= top:
                 found += 1
                 if found == need:
-                    return True
-    return False
+                    return True, True
+    # the first nonzero row is always kept
+    return False, bool(kept)
 
 
 # ---------------------------------------------------------------------------

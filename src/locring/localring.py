@@ -57,9 +57,11 @@ I + (f).  Whether that length is at most a given N is a rank count on
 A = S/(I + n^(N+1)), whose basis is the staircase of one truncation of I
 at N + 1, kept per N: m^N lies in (f) iff the degree-N standard monomials
 lie in fA (``loewy_length_at_most``, the test of the CLI's
-``gll-search``), and no Buchberger run is made per f.  The tangent cone
-comes from one block-order ``buchberger`` run on the homogenized
-generators (Lazard's method).
+``gll-search``), and no Buchberger run is made per f.  The same count
+rejects f in I, which maps every row of fA to 0: a nonzero row puts f
+outside I, and only an f with none is tested against I's degrevlex basis.
+The tangent cone comes from one block-order ``buchberger`` run on the
+homogenized generators (Lazard's method).
 """
 
 from .errors import (InternalInconsistency, NoStabilization,
@@ -73,6 +75,12 @@ DEFAULT_INDEX_BOUND = 10
 DEFAULT_STABILIZATION_BOUND = 20
 
 DS = NegDegRevLex()
+
+
+def _in_defining_ideal(f):
+    s = f.to_str()
+    return NotArtinianLocally(f"{s} lies in the defining ideal, so "
+                              f"R/({s}) = R is not Artinian")
 
 
 class DeltaTestResult:
@@ -237,19 +245,26 @@ class LocalRing:
                            "inside the ideal") from None
 
     def loewy_length_at_most(self, f, N):
-        """True iff m^N lies in (f) in R, for f that passes
-        ``check_parameter`` (not checked again here).  I + n^(N+1) is
+        """True iff m^N lies in (f) in R, for f in m; ValueError if f has a
+        constant term, NotArtinianLocally if f lies in I.  I + n^(N+1) is
         m-primary, so A = S/(I + n^(N+1)) is R/m^(N+1), and by Nakayama m^N
         lies in (f) iff its image in A lies in fA: a rank count on A
         (``groebner.top_degree_in_multiples``) against one ds basis of I
-        truncated at N + 1, built once per N.  N = 0 gives False, and an
-        Artinian R whose staircase ends before degree N gives True."""
+        truncated at N + 1, built once per N.  The count also decides most
+        of f in I: f*b in I maps to 0 in A, so a nonzero row of fA puts f
+        outside I.  Only when it reads no nonzero row (every row is 0, or
+        there is none, as when m^N = 0 in A or N = 0) is f tested against
+        I's degrevlex basis.  Outside I, N = 0 gives False, and an Artinian
+        R whose staircase ends before degree N gives True."""
         if N < 0:
             raise ValueError(f"N must be >= 0, got {N}")
         gb = self._gll_bases.get(N)
         if gb is None:
             gb = self._gll_bases[N] = self._ds_basis(self.I.generators, N + 1)
-        return top_degree_in_multiples(gb, f)
+        answer, outside = top_degree_in_multiples(gb, f)
+        if not outside and self.I.member(f):
+            raise _in_defining_ideal(f)
+        return answer
 
     # -- tangent cone -------------------------------------------------------
 
@@ -285,13 +300,11 @@ class LocalRing:
     def check_parameter(self, x):
         """Raise unless x lies in m and outside I, so that R/(x) can be
         Artinian: a unit or an element of I cannot be a witness."""
-        s = x.to_str()
         if (0,) * self.ring.nvars in x.terms:
-            raise ValueError(f"{s} is a unit of R: it does not lie in the "
-                             "maximal ideal")
+            raise ValueError(f"{x.to_str()} is a unit of R: it does not lie "
+                             "in the maximal ideal")
         if self.I.member(x):
-            raise NotArtinianLocally(f"{s} lies in the defining ideal, so "
-                                     f"R/({s}) = R is not Artinian")
+            raise _in_defining_ideal(x)
 
     def _socle(self, x):
         """The local model Ix of I + (x), its colon by m, whose quotient is

@@ -424,6 +424,24 @@ def test_cli_gll_search_bad_arguments_exit_2(ring_file, capsys, flags):
     assert out.err.startswith("error: gll-search: ")
 
 
+def test_cli_gll_search_every_draw_in_i_exit_2(tmp_path, capsys):
+    # every monomial of degree 2 lies in I, and so does every draw of
+    # order 2: the search used to loop forever.  With orders 1..2 the draws
+    # with a linear part are tested, and each is a hit, since m^2 = 0
+    p = tmp_path / "square-zero.ring"
+    p.write_text("field Fp 2\nvars x y\ngen x^2\ngen x*y\ngen y^2\n")
+    argv = ["gll-search", "--ring", str(p), "--target", "2"]
+    assert main(argv + ["--orders", "2..2", "--samples", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: gll-search: every monomial of degree 2 lies "
+                       "in the defining ideal, so every draw does\n")
+    assert main(argv + ["--orders", "1..2", "--coeff-box", "1",
+                        "--samples", "20"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["actual"].startswith("20 hits: ")
+
+
 @pytest.mark.parametrize("orders", ["1..x", "x", "..3"])
 def test_cli_gll_search_orders_not_integers_exit_2(ring_file, capsys,
                                                    orders):

@@ -790,6 +790,42 @@ def test_gll_search_test_builds_no_generators(monkeypatch):
     assert all("generators" not in gb.__dict__ for _, gb in built)
 
 
+def test_gll_search_draw_costs_one_rank_count(monkeypatch):
+    # a nonzero row of fA puts f outside I, so on main, where every draw
+    # at target 5 reads one, the search makes one Buchberger run, the ds
+    # basis of I truncated at N + 1, and no degrevlex basis, membership
+    # test or normal form.  At target 1 every row of a draw of order 2 is
+    # 0, and each draw is tested against I's degrevlex basis instead
+    desc = cli.RingDescription(PrimeField(32003), cli.MAIN_RING.names,
+                               cli.MAIN_RING.gen_exprs)
+    runs, normal_forms, members = [], [], []
+
+    def run(ring, gens, order, **kwargs):
+        runs.append((order, kwargs.get("truncate", 0)))
+        return buchberger(ring, gens, order, **kwargs)
+
+    def reduce(*args):
+        normal_forms.append(args)
+        return normal_form(*args)
+
+    def member(ideal, f):
+        members.append(f)
+        return is_member(f, ideal.groebner())
+
+    for module in (groebner, localring):
+        monkeypatch.setattr(module, "buchberger", run)
+        monkeypatch.setattr(module, "normal_form", reduce)
+    monkeypatch.setattr(Ideal, "member", member)
+    _report, hits = cli.gll_search(desc, 5, (1, 2), 50, seed=3)
+    assert hits == []
+    assert runs == [(NegDegRevLex(), 6)]
+    assert normal_forms == [] and members == []
+    _report, hits = cli.gll_search(desc, 1, (2, 2), 50, seed=3)
+    assert hits == []
+    assert runs[1:] == [(NegDegRevLex(), 2), (DegRevLex(), 0)]
+    assert len(normal_forms) == len(members) == 50
+
+
 def test_gll_test_keeps_what_depends_only_on_the_terms_and_rows(monkeypatch):
     # the rank count keeps, per basis, the normal forms of t * b for each
     # term t of f and row b: once f has been tested, a second f with the

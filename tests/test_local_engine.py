@@ -635,8 +635,9 @@ def test_rank_count_matches_ds_truncation_of_i_plus_f(name, field):
 
 # per ring: elements with denominators, one with terms of degree > N for
 # every N <= 7 (x^40000 does not even fit a packed monomial), and one whose
-# terms all lie above N = 7.  On the cusp, x^2 - 7/5*y^3 + x*y^2 is x*y^2
-# in R, hit from N = 5 on; without its denominator, from N = 4
+# terms all lie above N = 7, so that its rows are 0 and it is tested against
+# I's degrevlex basis.  On the cusp, x^2 - 7/5*y^3 + x*y^2 is x*y^2 in R,
+# hit from N = 5 on; without its denominator, from N = 4
 DIRECT_ELEMENTS = {
     "main": ["1/3*y + 2/5*z^2 - 1/7*x*y",
              "y - x*z + z^9 - x^8*y^3 + x^40000", "x^8*y + z^9"],
@@ -649,13 +650,19 @@ DIRECT_ELEMENTS = {
 @pytest.mark.parametrize("name", DIRECT_ELEMENTS)
 def test_rank_count_reads_f_directly_and_checks_its_input(name, field):
     # the rank count reads f's terms and coefficients as they are, with no
-    # conversion: Fractions over Q, and a term of degree > N adds nothing
+    # conversion: Fractions over Q, and a term of degree > N adds nothing.
+    # At N = 0 it reads no row, so f is tested against I's degrevlex basis,
+    # which cannot pack x^40000, as check_parameter cannot
     R = (_scenario_ring_over(name, field) if name in SCENARIO_RINGS
          else _small_ring_over(name, field))
     ring = R.ring
     for text in DIRECT_ELEMENTS[name]:
         f = ring.parse(text)
         for N in range(8):
+            if N == 0 and f.total_degree() >= groebner.DEGREE_BOUND:
+                with pytest.raises(ValueError, match="does not fit"):
+                    R.loewy_length_at_most(f, N)
+                continue
             assert (R.loewy_length_at_most(f, N)
                     == ds_top_layer_empty(R, f, N)), (text, N)
     f = ring.parse(DIRECT_ELEMENTS[name][0])
@@ -680,3 +687,53 @@ def test_gll_test_matches_degrevlex_membership(p, samples):
         assert hits == _old_gll_hits(desc, target, samples, seed=target)
         assert bool(hits) == (target == 6)
 
+
+def _gll_draws_member_first(desc, target, orders, samples, coeff_box, seed):
+    """gll_search's tested draws, hits and skipped draws in I, with the
+    degrevlex membership test of I on every draw before the gll test, the
+    path that the rank count's own answer on f in I replaced."""
+    R = desc.local_ring()
+    ring = R.ring
+    rng = cli.SplitMix64(seed)
+    tested, hits, skipped = [], [], 0
+    while len(tested) < samples:
+        f = cli.sample_element(ring, rng, orders, coeff_box)
+        if f.is_zero():
+            continue
+        if R.I.member(f):
+            skipped += 1
+            continue
+        tested.append(f.to_str())
+        if R.loewy_length_at_most(f, target):
+            hits.append(f.to_str())
+    return tested, hits, skipped
+
+
+SQUARE_ZERO = cli.RingDescription(PrimeField(2), ("x", "y"),
+                                  ("x^2", "x*y", "y^2"))
+MAIN_FP = cli.RingDescription(PrimeField(32003), cli.MAIN_RING.names,
+                              cli.MAIN_RING.gen_exprs)
+
+
+# (ring, target, orders, coeff_box): on k[x,y]/(x^2, xy, y^2) over F_2
+# about 1 draw in 9 has no linear part and lies in I; at target 1 every
+# other reads a nonzero row, and at target 2, where m^2 = 0, none is read
+# and every tested draw is a hit.  On main at target 1 every row of a draw
+# of order 2 is 0, and no draw lies in I
+@pytest.mark.parametrize("desc, target, orders, coeff_box", [
+    (SQUARE_ZERO, 1, (1, 2), 1),
+    (SQUARE_ZERO, 2, (1, 2), 1),
+    (MAIN_FP, 1, (2, 2), 3),
+], ids=["square-zero-1", "square-zero-2", "main-Fp-1"])
+def test_gll_search_matches_membership_before_every_test(desc, target,
+                                                         orders, coeff_box):
+    tested, hits, skipped = _gll_draws_member_first(desc, target, orders,
+                                                    40, coeff_box, seed=7)
+    _report, found = cli.gll_search(desc, target, orders, 40, seed=7,
+                                    coeff_box=coeff_box)
+    assert found == hits
+    if desc is SQUARE_ZERO:
+        assert skipped > 0
+        assert hits == (tested if target == 2 else [])
+    else:
+        assert skipped == 0 and hits == []

@@ -98,6 +98,26 @@ def test_loewy_length_at_most_needs_n_at_least_zero(cusp_ring, xyz):
     assert not cusp_ring.loewy_length_at_most(y, 0)
 
 
+def test_loewy_length_at_most_rejects_elements_of_i():
+    # a nonzero row of fA puts f outside I; f with every row 0, or with no
+    # row read because m^N = 0 in A, is tested against I and rejected as
+    # check_parameter rejects it.  x^2 - y^5 on main at N = 5 used to give
+    # False, and x^2 on k[x,y]/(x^2, y^3) at N = 4 True
+    R = cli.MAIN_RING.local_ring()
+    S = PolyRing(QQ, ("x", "y"))
+    A = LocalRing(S, Ideal(S, ["x^2", "y^3"]))
+    for L, f, N in ((R, R.ring.parse("x^2 - y^5"), 5),
+                    (A, S.parse("x^2"), 4)):
+        with pytest.raises(NotArtinianLocally) as raised:
+            L.loewy_length_at_most(f, N)
+        with pytest.raises(NotArtinianLocally) as expected:
+            L.check_parameter(f)
+        assert str(raised.value) == str(expected.value)
+    # every row of z^2 is 0 at N = 1, and z^2 lies outside I
+    assert not R.loewy_length_at_most(R.ring.parse("z^2"), 1)
+    assert A.loewy_length_at_most(S.parse("x + y"), 4)  # m^4 = 0 in A
+
+
 def test_tangent_cone(cusp_ring):
     tc = cusp_ring.tangent_cone()
     P = tc.ring
