@@ -86,7 +86,8 @@ of one term), the intersection, and the gll-search test
 (``top_degree_in_multiples``), a rank count on A = S/J for a truncated ds
 basis of J, for which the basis also keeps (``_Columns``) the table's
 entries for each term of f times the count's rows, so a test reads only
-f's coefficients.  ``fglm`` reduces against its own truncation at d instead.
+f's coefficients.  ``fglm`` reduces against its own truncation at d
+instead, with the reducer lookup of ``_nf_dict``, as ``buchberger`` does.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -238,10 +239,8 @@ class GroebnerBasis:
     @cached_property
     def generators(self):
         """The monic generators, from the divisors."""
-        unpack = packing(self.order, self.ring.nvars).unpack
-        return [Polynomial(self.ring, _from_raw({lt: a, **tail}, a,
-                                                self.ring.field, unpack))
-                for lt, a, tail, _ in self.divisors]
+        return _generators(self.divisors, self.ring,
+                           packing(self.order, self.ring.nvars).unpack)
 
     def staircase(self):
         """The standard monomials of the leading ideal, as layers of packed
@@ -337,6 +336,14 @@ def _from_raw(raw, scale, field, unpack):
     return {unpack(e): Fraction(c, scale) for e, c in raw.items()}
 
 
+def _generators(divisors, ring, unpack):
+    """The monic Polynomials in ring of divisors, their monomials unpacked
+    by unpack."""
+    return [Polynomial(ring, _from_raw({lt: a, **tail}, a, ring.field,
+                                       unpack))
+            for lt, a, tail, _ in divisors]
+
+
 def _normalize(terms, lead, p):
     """Canonical scaling of a raw polynomial with leading coefficient lead:
     primitive over Q (the content divided out, signs kept), monic over F_p."""
@@ -366,12 +373,19 @@ def _divisors(polys, pk, p):
             if not g.is_zero()]
 
 
-def _nf_dict(terms, divisors, pk, p, truncate):
+def _nf_dict(terms, divisors, pk, p, truncate, lookup=None):
     """Full normal form of a packed raw term dict against divisors, over
     F_p for p > 0 and over Q for p = 0, modulo m^truncate if truncate > 0.
 
     divisors: list of (lead, lead coeff, tail, top), monic over F_p, tried
     in order; the first whose leading monomial divides a term reduces it.
+    lookup, optional, is the reducer lookup of calls against one divisor
+    list that only grows at its end: packed monomial -> the first divisor
+    that divides it, or, for none, the number of divisors tried, from
+    which a later call resumes.  A run of ``buchberger`` and a walk of
+    ``fglm`` each keep one; a lookup per term costs more than a short scan,
+    so the other callers pass none.  It is passed positionally, since
+    perfbench's tracer wraps this function for positional arguments only.
     With truncate N > 0 every term of degree >= N is dropped, on entry and
     whenever a reduction forms it; 0 means no truncation, and a reduction
     that would form a degree of DEGREE_BOUND or more raises ValueError.
@@ -403,12 +417,25 @@ def _nf_dict(terms, divisors, pk, p, truncate):
             c %= p
         if not c:
             continue
-        for lt, a, tail, top in divisors:
-            if not (e - lt) & guard:
-                break
+        if lookup is None:
+            for lt, a, tail, top in divisors:
+                if not (e - lt) & guard:
+                    break
+            else:
+                remainder[e] = c
+                continue
         else:
-            remainder[e] = c
-            continue
+            g = lookup.get(e)
+            if g is None or g.__class__ is int:
+                for g in (divisors[g:] if g else divisors):
+                    if not (e - g[0]) & guard:
+                        lookup[e] = g
+                        break
+                else:
+                    lookup[e] = len(divisors)
+                    remainder[e] = c
+                    continue
+            lt, a, tail, top = g
         q = e - lt
         if not truncate and (q & degree) + top >= cap:
             _check_degree(((q & degree) + top) >> pk.shift)
@@ -614,6 +641,7 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
     sugars = []
     pairs = {}      # pending (i, j) -> exponent fields of the leads' lcm
     heap = []
+    lookup = {}     # the reducer lookup of _nf_dict: G only grows at its end
 
     def add_poly(terms, sugar):
         t = len(G)
@@ -687,7 +715,7 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
                 {"pairs_processed": processed, "basis_size": len(G),
                  "pairs_pending": len(pairs)})
         s = _spoly_dict(G[i], lts[i], G[j], lts[j], pk, not truncate)
-        r = _nf_dict(s, G, pk, p, truncate)
+        r = _nf_dict(s, G, pk, p, truncate, lookup)
         if r:
             add_poly(r, entry[0])
 
@@ -705,6 +733,19 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
                                      pk, p, 0), p, pk)
                    for g in minimal]
     return GroebnerBasis._packed(ring, order, truncate, minimal)
+
+
+def eliminate_first_variable(gb, target):
+    """The reduced degrevlex basis, in target, the ring of the variables
+    after the first, of the elements of gb free of the first variable, for
+    gb a reduced ``BlockOrder`` basis.  An element is free of it iff its
+    lead is, by the elimination property; only those are unpacked."""
+    first = (1 << _FIELD) - 1
+    unpack = packing(gb.order, gb.ring.nvars).unpack
+    kept = [g for g in gb.divisors if not g[0] & first]
+    return GroebnerBasis(target, _generators(kept, target,
+                                             lambda m: unpack(m)[1:]),
+                         DegRevLex())
 
 
 def is_member(f, gb):
@@ -880,7 +921,10 @@ def fglm(ds_basis):
     S/m^d, whose basis is the monomials of degree d: each monomial b of
     degree < d that the walk reaches maps to its ds normal form truncated
     at d, which m^d inside J + m^N makes exact; a raw remainder r is the
-    image of r.scale * b."""
+    image of r.scale * b.  That reduction never forms a term of degree
+    >= d, so the divisors whose lead has such a degree and the tail terms
+    that do are dropped before the walk, and one reducer lookup
+    (``_nf_dict``) serves the walk."""
     ring = ds_basis.ring
     layers = ds_basis.staircase()
     d = len(layers) - 1 if not layers[-1] else ds_basis.truncate
@@ -888,10 +932,15 @@ def fglm(ds_basis):
     order = DegRevLex()
     pk = packing(ds_basis.order, ring.nvars)
     pk_out = packing(order, ring.nvars)
+    degree, cap = pk.degree, d << pk.shift
+    divisors = [(lt, a, {e: c for e, c in tail.items() if e & degree < cap},
+                 top) for lt, a, tail, top in ds_basis.divisors
+                if lt & degree < cap]
+    lookup = {}
 
     def image(b):
-        r = _nf_dict({pk.pack(pk_out.unpack(b)): 1}, ds_basis.divisors,
-                     pk, p, d)
+        r = _nf_dict({pk.pack(pk_out.unpack(b)): 1}, divisors, pk, p, d,
+                     lookup)
         return r, r.scale
 
     base = [pk_out.pack(e) for e in monomials_of_degree(ring.nvars, d)]

@@ -159,10 +159,7 @@ class Ideal:
         gb = groebner.buchberger(self.ring, list(self.generators),
                                  BlockOrder(), time_budget=time_budget)
         target = PolyRing(self.ring.field, self.ring.names[1:])
-        kept = [Polynomial(target, {e[1:]: c for e, c in g.terms.items()})
-                for g in gb.generators if not any(e[0] for e in g.terms)]
-        return Ideal.from_basis(groebner.GroebnerBasis(target, kept,
-                                                       DegRevLex()))
+        return Ideal.from_basis(groebner.eliminate_first_variable(gb, target))
 
     # -- dimensions ---------------------------------------------------------
 

@@ -18,7 +18,9 @@ whatever N is.  The basis records N, and ``GroebnerBasis.staircase()``
 walks them layer by layer below it; this module only counts its layers.
 Each ring has one degree bound, ``stabilization_bound``.  One loop,
 ``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at that bound
-plus one.  Three readers scan what it yields, ``ord_mod`` and these two:
+plus one, and sooner at a known upper bound on the local length: the delta
+tests bound that of I + (x^n) by n * lambda(R/xR).  Three readers scan
+what it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
   Then the truncation is a basis of the same ideal J + n^N = J + n^d, and
@@ -124,32 +126,49 @@ class LocalRing:
         """The ds basis of (gens) + n^N, truncated at N."""
         return buchberger(self.ring, gens, DS, truncate=N)
 
-    def _truncations(self, J):
+    def _truncations(self, J, length_bound=None):
         """(HF list, ds basis) for the ds bases of J + n^N truncated at
         N = 2, 4, 8, ..., capped at the ring's bound plus one.  The list
         holds the sizes of the basis's staircase layers, HF(0), HF(1), ...
         of S/J, up to degree N - 1 or up to and including the first zero,
-        whichever comes first; HF(d) does not depend on N."""
+        whichever comes first; HF(d) does not depend on N.
+
+        With length_bound U, an upper bound on the local length of J: after
+        a truncation at N with no zero and layer sum P, each degree from N
+        up to the first zero adds at least 1, so that zero lies at or below
+        N + U - P, and the next N is at most N + U - P + 1 (more than N).
+        InternalInconsistency if P > U."""
         bound = self.stabilization_bound
         N = 2
         while True:
             gb = self._ds_basis(J.generators, N)
-            yield [len(layer) for layer in gb.staircase()], gb
+            hf = [len(layer) for layer in gb.staircase()]
+            yield hf, gb
             if N > bound:
                 return
-            N = min(2 * N, bound + 1)
+            step = 2 * N
+            if length_bound is not None:
+                P = sum(hf)
+                if P > length_bound:
+                    raise InternalInconsistency(
+                        f"local length at least {P}, above its bound "
+                        f"{length_bound}")
+                step = min(step, N + length_bound - P + 1)
+            N = min(step, bound + 1)
 
-    def _stabilize(self, J):
+    def _stabilize(self, J, length_bound=None):
         """The memo entry (hf, model) of J: hf is HF(0), ..., HF(d) of S/J
         up to its first zero HF(d) (d = 0 when J contains a unit), model
         the local model J + n^(d+1), generated by its reduced degrevlex
         basis.  On a miss, the first truncation whose staircase has an
         empty degree d is a basis of J + n^N = J + n^d, which FGLM turns
-        into that basis; NotArtinianLocally when no truncation has one."""
+        into that basis; NotArtinianLocally when no truncation has one.
+        length_bound, an upper bound on the local length of J, only
+        shortens the ladder (``_truncations``)."""
         entry = self._models.get(J.generators)
         if entry is not None:
             return entry
-        for hf, gb in self._truncations(J):
+        for hf, gb in self._truncations(J, length_bound):
             if not hf[-1]:
                 model = Ideal.from_basis(fglm(gb))
                 entry = self._models[J.generators] = (hf, model)
@@ -157,12 +176,14 @@ class LocalRing:
         raise NotArtinianLocally(
             f"no colength stabilization within n^{self.stabilization_bound}")
 
-    def local_model(self, J):
+    def local_model(self, J, length_bound=None):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
         J + n^(M-1).  It is generated by its reduced degrevlex basis, from
-        FGLM, and the same instance is returned for the same J."""
-        return self._stabilize(J)[1]
+        FGLM, and the same instance is returned for the same J.  An upper
+        bound on the local length of J, if one is known, shortens the
+        ladder of truncations and changes no answer."""
+        return self._stabilize(J, length_bound)[1]
 
     def colength_local(self, J):
         """Length of S_n/(J localized): the colength of its local model."""
@@ -344,7 +365,7 @@ class LocalRing:
         I = self.I
         S = self.ring
         Ix, soc, primary = self._socle(x)
-        model = (lambda J: J) if primary else self.local_model
+        model = (lambda J, _=None: J) if primary else self.local_model
         # (iii): x*m^n : m  inside (x)
         mn = max_ideal_power(S, n)
         J3 = model(I + Ideal(S, [x]) * mn)
@@ -353,8 +374,10 @@ class LocalRing:
         # (ii): x^n in m*C with C = (x^n) : m^n, taken on the local model
         # of I + (x^n) as one colon by m^n (equal to n colons by m); C
         # contains that model, so C and nC = I + m*C contain a power of m
-        # and each is its own local model
-        C = model(I + Ideal(S, [x ** n])).quotient(mn)
+        # and each is its own local model.  Its length is at most
+        # n * lambda(R/xR), as each x^k R / x^(k+1) R is a quotient of R/xR
+        C = model(I + Ideal(S, [x ** n]),
+                  n * Ix.vector_space_dim()).quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m.  J3 lies in

@@ -995,3 +995,55 @@ def test_table_entries_are_normal_forms_with_an_int_multiplier(field, draw):
                     assert nf == _divide(ring.monomial(e), gb.generators,
                                          gb.order)
     assert (multipliers == {1}) == bool(field.characteristic)
+
+
+# ---------------------------------------------------------------------------
+# the reducer lookup of buchberger and fglm against the plain scan
+
+LOOKUP_CASES = {"ds-truncated": (NegDegRevLex(), 5),
+                "degrevlex": (DegRevLex(), 0), "block1": (BlockOrder(), 0)}
+
+
+@pytest.mark.parametrize("order, truncate", LOOKUP_CASES.values(),
+                         ids=LOOKUP_CASES.keys())
+@pytest.mark.parametrize("field, draw", [
+    (QQ, "nonunit"), (QQ, "big"), (PrimeField(32003), None),
+    (PrimeField(3), None)], ids=["Q", "Q-big", "Fp", "F3"])
+def test_reducer_lookup_matches_the_plain_scan(field, draw, order, truncate):
+    # seeded reductions against a divisor list that grows at its end between
+    # calls, as buchberger's does, sharing one lookup: each remainder and
+    # scale is the plain scan's, a found entry is the first divisor in list
+    # order that divides its monomial, and a miss counts divisors none of
+    # which divides it
+    rng = random.Random(31)
+    ring = PolyRing(field, ("x", "y", "z"))
+    pk = packing(order, ring.nvars)
+    p = field.characteristic
+    draw = Q_DRAWS[draw] if draw else (lambda rng: rng.randint(-3, 3))
+    for _ in range(4):
+        polys = []
+        while len(polys) < 6:
+            g = _random_poly(ring, rng, draw)
+            if not g.is_zero():
+                polys.append(g)
+        everything = GroebnerBasis(ring, polys, order).divisors
+        divisors, lookup = [], {}
+        for size in (2, 4, 6):
+            divisors += everything[len(divisors):size]
+            for _ in range(5):
+                f = _random_poly(ring, rng, draw) * _random_poly(ring, rng,
+                                                                 draw)
+                if f.is_zero():
+                    continue
+                raw, _scale = groebner._to_raw(f.terms, p, pk)
+                plain = groebner._nf_dict(raw, divisors, pk, p, truncate)
+                found = groebner._nf_dict(raw, divisors, pk, p, truncate,
+                                          lookup)
+                assert list(found.items()) == list(plain.items())
+                assert found.scale == plain.scale
+            for e, g in lookup.items():
+                tried = g if type(g) is int else divisors.index(g) + 1
+                first = [h for h in divisors[:tried]
+                         if not (e - h[0]) & pk.guard]
+                assert first == ([] if type(g) is int else [g])
+        assert lookup

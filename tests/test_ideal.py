@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from locring import cli
+from locring import cli, groebner
 from locring.arith import QQ, PrimeField
 from locring.errors import RingMismatch, ZeroColon
 from locring.groebner import DEGREE_BOUND, GroebnerBasis, buchberger
 from locring.ideal import (INFINITE, Ideal, all_monomials, max_ideal,
                            max_ideal_power)
-from locring.poly import DegRevLex, Polynomial, PolyRing
+from locring.poly import BlockOrder, DegRevLex, Polynomial, PolyRing
 from locring.subalgebra import kernel
 from oracles import (Lex, colon_by_elimination, equals,
                      intersect_by_elimination, leading_term)
@@ -203,6 +203,27 @@ def test_eliminate_installs_the_reduced_basis_of_a_kernel():
     # ex2's kernel, the elimination of t from (x - t^8 - t^10, ...)
     _assert_installed_basis_is_fresh(
         kernel(cli.parse_map_file(cli.EX2_MAP_TEXT, QQ)))
+
+
+def test_eliminate_converts_only_the_elements_it_keeps(monkeypatch):
+    # ex2's kernel: the elements free of t are picked on the packed block
+    # basis, whose own generators are never built, and are those that the
+    # whole converted basis gives
+    runs = []
+    original = groebner.buchberger
+
+    def run(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(groebner, "buchberger", run)
+    E = kernel(cli.parse_map_file(cli.EX2_MAP_TEXT, QQ))
+    (gb,) = runs
+    assert gb.order == BlockOrder() and "generators" not in gb.__dict__
+    kept = [Polynomial(E.ring, {e[1:]: c for e, c in g.terms.items()})
+            for g in gb.generators if not any(e[0] for e in g.terms)]
+    assert list(E.generators) == kept
+    assert len(kept) < len(gb)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])

@@ -23,8 +23,8 @@ import pytest
 from locring import cli, groebner, localring
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.bounds import macaulay_bound
-from locring.errors import (NoStabilization, NotArtinianLocally, NotFound,
-                            RingMismatch)
+from locring.errors import (InternalInconsistency, NoStabilization,
+                            NotArtinianLocally, NotFound, RingMismatch)
 from locring.groebner import GroebnerBasis, buchberger, is_member
 from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
@@ -117,9 +117,9 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
     seen = []
     original = LocalRing.local_model
 
-    def record(self, J):
+    def record(self, J, length_bound=None):
         seen.append(J)
-        return original(self, J)
+        return original(self, J, length_bound)
 
     monkeypatch.setattr(LocalRing, "local_model", record)
     for n in range(1, 7):
@@ -149,6 +149,51 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
         nC = R.delta_one_test(x, n).nC
         _M, old = _old_local_model(nC, R.stabilization_bound)
         assert nC.groebner().generators == old.groebner().generators
+
+
+def test_bounded_ladder_matches_the_doubling_ladder(scenario_rings,
+                                                   monkeypatch):
+    # ex2's I + (x^n), whose local length is at most n * lambda(R/xR): with
+    # that bound the ladder gives the hf of the doubling ladder and the
+    # reduced basis of the J + n^M loop, and stops sooner
+    R, witness = scenario_rings["ex2"]
+    S = R.ring
+    x = S.parse(witness)
+    lam = R.local_model(R.I + Ideal(S, [x])).vector_space_dim()
+    for n in range(1, 7):
+        J = R.I + Ideal(S, [x ** n])
+        hf, model = LocalRing(S, R.I)._stabilize(J, n * lam)
+        assert hf == LocalRing(S, R.I)._stabilize(J)[0]
+        M, old = _old_local_model(J, R.stabilization_bound)
+        assert model._gb.generators == old.groebner().generators
+        assert (len(hf), sum(hf)) == (M, old.vector_space_dim())
+        # the exact length is a bound too
+        assert LocalRing(S, R.I)._stabilize(J, sum(hf))[0] == hf
+    J5 = R.I + Ideal(S, [x ** 5])
+    seen = []
+    original = LocalRing._ds_basis
+
+    def record(self, gens, N):
+        seen.append(N)
+        return original(self, gens, N)
+
+    monkeypatch.setattr(LocalRing, "_ds_basis", record)
+    LocalRing(S, R.I).local_model(J5)
+    assert seen == [2, 4, 8, 16]
+    seen.clear()
+    LocalRing(S, R.I).local_model(J5, 5 * lam)
+    assert seen == [2, 4, 8, 12]
+    # the delta test passes that bound: its three ladders (I + (x),
+    # I + x*m^5, I + (x^5)) stop at 12
+    seen.clear()
+    LocalRing(S, R.I).delta_one_test(x, 5)
+    assert max(seen) == 12
+    # a bound below the layer sum of a truncation is a wrong bound, on
+    # every call: no memo entry is left behind
+    fresh = LocalRing(S, R.I)
+    for _ in range(2):
+        with pytest.raises(InternalInconsistency):
+            fresh.local_model(J5, 2)
 
 
 @pytest.mark.parametrize("name", SCENARIO_RINGS)

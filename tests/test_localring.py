@@ -379,3 +379,16 @@ def test_non_gorenstein_ring_is_a_named_error(tmp_path, capsys):
         f"gen {g.to_str()}\n" for g in J.groebner().generators))
     assert cli.main(["index", "--ring", str(ring_file), "--witness", "x"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a12_member_of_the_ex2_series():
+    # ex2 is a = 8 of the kernels of t -> (t^a + t^(a+2), t^(a+1),
+    # t^(2a+4) + t^(4a+4)); at a = 12 the index is 7 and the witness's
+    # Loewy length 8, one above it.  x also vanishes at t = +-i, so the
+    # delta tests take local models through the bounded ladder
+    pm = parse_map_file("t\nx = t^12 + t^14\ny = t^13\nz = t^28 + t^52\n",
+                        QQ)
+    R = LocalRing(pm.source, kernel(pm))
+    x = pm.source.var(0)
+    assert R.index(x) == 7
+    assert R.loewy_length_mod(x) == 8
