@@ -455,6 +455,53 @@ def test_cli_gll_search_orders_not_integers_exit_2(ring_file, capsys,
                        f"integers A and B, got {orders}\n")
 
 
+_HF = "[1, 3, 5, 6, 7, 7, 8, 8, 8]"
+_TC = "('X*Y*Z^3', 'X*Y^2', 'X^2', 'Y*Z^6')"
+_AGREEMENT = ("[(1, False, 0), (2, False, 0), (3, False, 0), (4, False, 0), "
+              "(5, True, 1), (6, True, 1)]")
+_CASE_ROWS = ("([(1, 2, 8, 8, 'UNRESOLVED'), (1, 3, 11, 8, 'UNRESOLVED'), "
+              "(2, 4, 14, 16, 'ELIMINATED'), (2, 5, 17, 16, 'UNRESOLVED'), "
+              "(3, 6, 21, 24, 'ELIMINATED'), (4, 6, 21, 32, 'ELIMINATED')], "
+              "'all orders d > 4 eliminated: max length 21 < d*e >= 40')")
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("main", [
+        ("hilbert-function-0-8", _HF),
+        ("multiplicity", "8"),
+        ("tangent-cone", _TC),
+        ("tangent-cone-decomposition",
+         "[((0, 0, 3), (0, 2, 0), (2, 0, 0)), ((0, 0, 6), (1, 0, 0)), "
+         "((0, 1, 0), (2, 0, 0))]"),
+        ("tangent-cone-minimal-primes", "[(0, 1), (0, 2)]"),
+        ("delta-one-n5", "True"),
+        ("colon-ideal-n5", "True"),
+        ("delta-one-n4", "False"),
+        ("index", "5"),
+        ("loewy-length", "6"),
+        ("delta-agreement-1-6", _AGREEMENT),
+        ("order-case-report", _CASE_ROWS)]),
+    ("ex1", [
+        ("weighted-homogeneous-15-6-7", "True"),
+        ("hilbert-function-0-8", _HF),
+        ("multiplicity", "8"),
+        ("tangent-cone", _TC),
+        ("delta-one-n5", "True"),
+        ("colon-ideal-n5", "True"),
+        ("delta-one-n4", "False"),
+        ("index", "5"),
+        ("loewy-length", "6"),
+        ("delta-agreement-1-6", _AGREEMENT)]),
+])
+def test_main_and_ex1_reports_pin_their_answers(name, checks):
+    # every check, in its order, with the value it is held to and the one
+    # it got; ex2's are pinned by the ex2-delta benchmark digest and below
+    report = run_scenario(name)
+    assert report.scenario == name
+    assert [(c.name, c.status, c.expected, c.actual)
+            for c in report.checks] == [(n, PASS, v, v) for n, v in checks]
+
+
 def test_ex2_without_budget_skips_every_check():
     # the kernel's budget runs out, and every later check is skipped with
     # the expected value it would have been held to
