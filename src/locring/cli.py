@@ -1,6 +1,9 @@
 """Command-line surface: ring description files, scenario verification
 with JSON reports, thin wrappers over the library operations, and a
 randomized falsification search for small Loewy lengths.
+
+The built-in scenarios are data (``SCENARIOS``), and one checklist
+(``_checklist``) runs every check a scenario expects a value of.
 """
 
 import json
@@ -207,109 +210,108 @@ MAIN_RING = RingDescription(QQ, ("x", "y", "z"),
                             ("x^2 - y^5", "x*y^2 + y*z^3 - z^5"))
 EX1_RING = RingDescription(QQ, ("x", "y", "z"),
                            ("x^2 - y^5", "x*y^2 + y*z^3"))
-EX1_WEIGHTS = (15, 6, 7)
 EX2_MAP_TEXT = "t\nx = t^8 + t^10\ny = t^9\nz = t^20 + t^36\n"
 
-TANGENT_CONE_GENS = ("X^2", "X*Y^2", "X*Y*Z^3", "Y*Z^6")
-TC_COMPONENTS = (((2, 0, 0), (0, 1, 0)),
-                 ((1, 0, 0), (0, 0, 6)),
-                 ((2, 0, 0), (0, 2, 0), (0, 0, 3)))
-TC_MIN_PRIMES = ((0, 1), (0, 2))
+# the paper's claim on each ring: e = 8, index 5 on the witness, and a
+# Loewy length 6 of R modulo the Loewy element; main and ex1 also share
+# their Hilbert function, tangent cone and delta chain n = 1..6
+_PAPER = {"multiplicity": 8, "delta-one-n5": True, "delta-one-n4": False,
+          "index": 5, "loewy-length": 6}
+_MAIN_EX1 = {
+    **_PAPER,
+    "hilbert-function-0-8": [1, 3, 5, 6, 7, 7, 8, 8, 8],
+    "tangent-cone": ("X*Y*Z^3", "X*Y^2", "X^2", "Y*Z^6"),
+    "colon-ideal-n5": True,
+    "delta-agreement-1-6": [(n, n >= 5, int(n >= 5)) for n in range(1, 7)],
+}
 
-MAIN_COLON5 = ("y^5", "x*y^3", "y*z^4", "x*y*z^3", "y^3*z^2", "x*y^2*z^2",
-               "y^4*z")
-EX1_COLON5 = ("x*y^2*z", "z^5", "x*z^4", "y^3*z^2", "y^4*z", "y^2*z^3",
-              "x*y*z^3")
+# A scenario is a ring (or the map whose kernel defines it), a witness, a
+# Loewy element, the value each check is held to, and the inputs checks
+# need: the generators of x*m^5 : m modulo I, and of the kernel mod n^5.
+SCENARIOS = {
+    "main": {
+        "ring": MAIN_RING, "witness": "y", "loewy": "y",
+        "colon_n5": ("y^5", "x*y^3", "y*z^4", "x*y*z^3", "y^3*z^2",
+                     "x*y^2*z^2", "y^4*z"),
+        "expected": {
+            **_MAIN_EX1,
+            "tangent-cone-decomposition": [
+                ((0, 0, 3), (0, 2, 0), (2, 0, 0)), ((0, 0, 6), (1, 0, 0)),
+                ((0, 1, 0), (2, 0, 0))],
+            "tangent-cone-minimal-primes": [(0, 1), (0, 2)],
+            "order-case-report": (
+                [(1, 2, 8, 8, "UNRESOLVED"), (1, 3, 11, 8, "UNRESOLVED"),
+                 (2, 4, 14, 16, "ELIMINATED"), (2, 5, 17, 16, "UNRESOLVED"),
+                 (3, 6, 21, 24, "ELIMINATED"), (4, 6, 21, 32, "ELIMINATED")],
+                "all orders d > 4 eliminated: max length 21 < d*e >= 40"),
+        }},
+    "ex1": {
+        "ring": EX1_RING, "witness": "z", "loewy": "y - z",
+        "colon_n5": ("x*y^2*z", "z^5", "x*z^4", "y^3*z^2", "y^4*z",
+                     "y^2*z^3", "x*y*z^3"),
+        "expected": {"weighted-homogeneous-15-6-7": True, **_MAIN_EX1}},
+    "ex2": {
+        "map": EX2_MAP_TEXT, "witness": "x", "loewy": "x",
+        "kernel_n5": ("z^2", "y^4 - x^2*z + 2*y^2*z"),
+        "expected": _PAPER},
+}
 
 
-def _tc_target_sig(ring_desc):
-    upper = tuple(n.upper() for n in ring_desc.names)
-    P = PolyRing(QQ, upper)
-    return _ideal_sig(Ideal(P, list(TANGENT_CONE_GENS)))
+def _checklist(runner, S, R, scenario):
+    """Run, in this order, each check the scenario has an expected value
+    for, on R = S/I localized.  Only the checks read R, so a skipping
+    runner may pass None."""
+    x = S.parse(scenario["witness"])
 
+    def tangent_cone_ideal():
+        return MonomialIdeal.from_ideal(R.tangent_cone())
 
-def _colon_check(R, witness, n, expected_gens):
-    """Signature of x*m^n : m against the expected generator list mod I."""
-    # the colon of an m-primary local model is its own local model
-    colon = R.delta_one_test(witness, n).colon
-    target = Ideal(R.ring, list(expected_gens)) + R.I
-    return _ideal_sig(colon) == _ideal_sig(R.local_model(target))
+    def colon_n5():
+        # the colon of an m-primary local model is its own local model
+        target = Ideal(S, list(scenario["colon_n5"])) + R.I
+        return (_ideal_sig(R.delta_one_test(x, 5).colon)
+                == _ideal_sig(R.local_model(target)))
 
+    def case_report():
+        # embedding dimension 3, e = 8, HF of S at 2 is 6, m^5 in (f)
+        rep = order_case_report(emb=3, e=8, hf2_ambient=6, N=5, d_max=4)
+        return ([(c.order_d, c.hf2, c.max_length, c.threshold, c.status)
+                 for c in rep.entries], rep.tail_summary)
 
-def _delta_agreement(R, witness, upto):
-    out = []
-    for n in range(1, upto + 1):
-        res = R.delta_one_test(witness, n)  # raises if (ii)(iii)(iv) split
-        mu = R.delta_via_mu(witness, n)
-        out.append((n, res.verdict, mu))
-    return out
-
-
-def _case_report_summary():
-    rep = order_case_report(emb=3, e=8, hf2_ambient=6, N=5, d_max=4)
-    rows = [(c.order_d, c.hf2, c.max_length, c.threshold, c.status)
-            for c in rep.entries]
-    return rows, rep.tail_summary
-
-
-def _scenario_main_ex1(runner, desc, witness_name, loewy_expr, colon_gens,
-                       weights):
-    R = desc.local_ring()
-    ring = R.ring
-    w = ring.parse(witness_name)
-    if weights:
-        runner.run("weighted-homogeneous-15-6-7", True,
-                   lambda: weighted_homogeneity_check(
-                       R.I.generators, weights))
-    runner.run("hilbert-function-0-8", [1, 3, 5, 6, 7, 7, 8, 8, 8],
-               lambda: R.hilbert_function(8))
-    runner.run("multiplicity", 8, R.multiplicity)
-    runner.run("tangent-cone", _tc_target_sig(desc),
-               lambda: _ideal_sig(R.tangent_cone()))
-    if desc is MAIN_RING:
-        def decomposition():
-            A = MonomialIdeal.from_ideal(R.tangent_cone())
-            comps = A.irreducible_decomposition()
-            return sorted(c.generators for c in comps)
-
-        def min_primes():
-            A = MonomialIdeal.from_ideal(R.tangent_cone())
-            return sorted(tuple(sorted(p)) for p in A.minimal_primes())
-
-        expected_comps = sorted(tuple(sorted(comp))
-                                for comp in TC_COMPONENTS)
-        runner.run("tangent-cone-decomposition", expected_comps,
-                   decomposition)
-        runner.run("tangent-cone-minimal-primes",
-                   sorted(TC_MIN_PRIMES), min_primes)
-    runner.run("delta-one-n5", True,
-               lambda: R.delta_one_test(w, 5).verdict)
-    runner.run("colon-ideal-n5", True,
-               lambda: _colon_check(R, w, 5, colon_gens))
-    runner.run("delta-one-n4", False,
-               lambda: R.delta_one_test(w, 4).verdict)
-    runner.run("index", 5, lambda: R.index(w))
-    runner.run("loewy-length", 6,
-               lambda: R.loewy_length_mod(ring.parse(loewy_expr)))
-    expected_agreement = [(n, n >= 5, 1 if n >= 5 else 0)
-                          for n in range(1, 7)]
-    runner.run("delta-agreement-1-6", expected_agreement,
-               lambda: _delta_agreement(R, w, 6))
-    if desc is MAIN_RING:
-        expected_rows = [(1, 2, 8, 8, "UNRESOLVED"),
-                         (1, 3, 11, 8, "UNRESOLVED"),
-                         (2, 4, 14, 16, "ELIMINATED"),
-                         (2, 5, 17, 16, "UNRESOLVED"),
-                         (3, 6, 21, 24, "ELIMINATED"),
-                         (4, 6, 21, 32, "ELIMINATED")]
-        expected_tail = ("all orders d > 4 eliminated: max length 21 < "
-                         "d*e >= 40")
-        runner.run("order-case-report", (expected_rows, expected_tail),
-                   _case_report_summary)
+    checks = (
+        ("weighted-homogeneous-15-6-7",
+         lambda: weighted_homogeneity_check(R.I.generators, (15, 6, 7))),
+        ("hilbert-function-0-8", lambda: R.hilbert_function(8)),
+        ("multiplicity", lambda: R.multiplicity()),
+        ("tangent-cone", lambda: _ideal_sig(R.tangent_cone())),
+        ("tangent-cone-decomposition",
+         lambda: sorted(c.generators for c in
+                        tangent_cone_ideal().irreducible_decomposition())),
+        ("tangent-cone-minimal-primes",
+         lambda: sorted(tuple(sorted(p))
+                        for p in tangent_cone_ideal().minimal_primes())),
+        ("delta-one-n5", lambda: R.delta_one_test(x, 5).verdict),
+        ("colon-ideal-n5", colon_n5),
+        ("delta-one-n4", lambda: R.delta_one_test(x, 4).verdict),
+        ("index", lambda: R.index(x)),
+        ("loewy-length",
+         lambda: R.loewy_length_mod(S.parse(scenario["loewy"]))),
+        # delta_one_test raises if criteria (ii), (iii) and (iv) split
+        ("delta-agreement-1-6",
+         lambda: [(n, R.delta_one_test(x, n).verdict, R.delta_via_mu(x, n))
+                  for n in range(1, 7)]),
+        ("order-case-report", case_report),
+    )
+    expected = scenario["expected"]
+    for name, fn in checks:
+        if name in expected:
+            runner.run(name, expected[name], fn)
 
 
 def _scenario_ex2(runner, budget_seconds):
-    pm = parse_map_file(EX2_MAP_TEXT, QQ)
+    """The kernel step, then the checklist on the ring it defines."""
+    scenario = SCENARIOS["ex2"]
+    pm = parse_map_file(scenario["map"], QQ)
     src = pm.source
     box = {}
 
@@ -317,35 +319,28 @@ def _scenario_ex2(runner, budget_seconds):
         J = kernel(pm, time_budget=budget_seconds)
         box["R"] = LocalRing(src, J)
         n5 = max_ideal_power(src, 5)
-        target = Ideal(src, ["z^2", "y^4 - x^2*z + 2*y^2*z"]) + n5
+        target = Ideal(src, list(scenario["kernel_n5"])) + n5
         return _ideal_sig(J + n5) == _ideal_sig(target)
 
     runner.run("kernel-mod-n5", True, compute_kernel)
     # budget ran out before the kernel existed: skip the rest, do not fail
     runner.skipping = "R" not in box
     R = box.get("R")
-    x = src.var(0)
     runner.run("kernel-substitution", True,
                lambda: all(verify_in_kernel(g, pm) for g in R.I.generators))
-    runner.run("multiplicity", 8, lambda: R.multiplicity())
-    runner.run("delta-one-n5", True, lambda: R.delta_one_test(x, 5).verdict)
-    runner.run("delta-one-n4", False, lambda: R.delta_one_test(x, 4).verdict)
-    runner.run("index", 5, lambda: R.index(x))
-    runner.run("loewy-length", 6, lambda: R.loewy_length_mod(x))
+    _checklist(runner, src, R, scenario)
 
 
 def run_scenario(name, budget_seconds=600):
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
     report = Report(name, DEFAULT_SEED)
     runner = Runner(report)
-    if name == "main":
-        _scenario_main_ex1(runner, MAIN_RING, "y", "y", MAIN_COLON5, None)
-    elif name == "ex1":
-        _scenario_main_ex1(runner, EX1_RING, "z", "y - z", EX1_COLON5,
-                           EX1_WEIGHTS)
-    elif name == "ex2":
+    if name == "ex2":
         _scenario_ex2(runner, budget_seconds)
     else:
-        raise ValueError(f"unknown scenario {name!r}")
+        R = SCENARIOS[name]["ring"].local_ring()
+        _checklist(runner, R.ring, R, SCENARIOS[name])
     return report
 
 

@@ -176,14 +176,12 @@ class LocalRing:
         raise NotArtinianLocally(
             f"no colength stabilization within n^{self.stabilization_bound}")
 
-    def local_model(self, J, length_bound=None):
+    def local_model(self, J):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
         J + n^(M-1).  It is generated by its reduced degrevlex basis, from
-        FGLM, and the same instance is returned for the same J.  An upper
-        bound on the local length of J, if one is known, shortens the
-        ladder of truncations and changes no answer."""
-        return self._stabilize(J, length_bound)[1]
+        FGLM, and the same instance is returned for the same J."""
+        return self._stabilize(J)[1]
 
     def colength_local(self, J):
         """Length of S_n/(J localized): the colength of its local model."""
@@ -365,19 +363,23 @@ class LocalRing:
         I = self.I
         S = self.ring
         Ix, soc, primary = self._socle(x)
-        model = (lambda J, _=None: J) if primary else self.local_model
         # (iii): x*m^n : m  inside (x)
         mn = max_ideal_power(S, n)
-        J3 = model(I + Ideal(S, [x]) * mn)
+        J3 = I + Ideal(S, [x]) * mn
+        if not primary:
+            J3 = self.local_model(J3)
         colon3 = J3.quotient(self.n)
         cond_iii = Ix.contains(colon3)
         # (ii): x^n in m*C with C = (x^n) : m^n, taken on the local model
         # of I + (x^n) as one colon by m^n (equal to n colons by m); C
         # contains that model, so C and nC = I + m*C contain a power of m
         # and each is its own local model.  Its length is at most
-        # n * lambda(R/xR), as each x^k R / x^(k+1) R is a quotient of R/xR
-        C = model(I + Ideal(S, [x ** n]),
-                  n * Ix.vector_space_dim()).quotient(mn)
+        # n * lambda(R/xR), as each x^k R / x^(k+1) R is a quotient of R/xR,
+        # and that bound shortens the ladder of truncations
+        Jn = I + Ideal(S, [x ** n])
+        if not primary:
+            Jn = self._stabilize(Jn, n * Ix.vector_space_dim())[1]
+        C = Jn.quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m.  J3 lies in

@@ -107,7 +107,7 @@ def scenario_rings():
 def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
                                                      monkeypatch):
     # every ideal the delta tests at n = 1..6 take as a model, on a ring
-    # with empty memos: the models local_model builds, and, when I + (x)
+    # with empty memos: the models the ladder builds, and, when I + (x)
     # is m-primary in S (main and ex1, not ex2), I + x*m^n and I + (x^n)
     # taken as their own models, whose reduced bases must be those of the
     # loop and of local_model on a fresh ring; then the ideals I + m*C
@@ -115,13 +115,13 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
     R = LocalRing(R.ring, R.I)
     x = R.ring.parse(witness)
     seen = []
-    original = LocalRing.local_model
+    original = LocalRing._stabilize
 
     def record(self, J, length_bound=None):
         seen.append(J)
         return original(self, J, length_bound)
 
-    monkeypatch.setattr(LocalRing, "local_model", record)
+    monkeypatch.setattr(LocalRing, "_stabilize", record)
     for n in range(1, 7):
         R.delta_one_test(x, n)
     monkeypatch.undo()
@@ -181,7 +181,7 @@ def test_bounded_ladder_matches_the_doubling_ladder(scenario_rings,
     LocalRing(S, R.I).local_model(J5)
     assert seen == [2, 4, 8, 16]
     seen.clear()
-    LocalRing(S, R.I).local_model(J5, 5 * lam)
+    LocalRing(S, R.I)._stabilize(J5, 5 * lam)
     assert seen == [2, 4, 8, 12]
     # the delta test passes that bound: its three ladders (I + (x),
     # I + x*m^5, I + (x^5)) stop at 12
@@ -193,7 +193,7 @@ def test_bounded_ladder_matches_the_doubling_ladder(scenario_rings,
     fresh = LocalRing(S, R.I)
     for _ in range(2):
         with pytest.raises(InternalInconsistency):
-            fresh.local_model(J5, 2)
+            fresh._stabilize(J5, 2)
 
 
 @pytest.mark.parametrize("name", SCENARIO_RINGS)

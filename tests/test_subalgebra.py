@@ -1,6 +1,7 @@
 import pytest
 
-from locring.arith import QQ
+from locring.arith import QQ, PrimeField
+from locring.cli import EX2_MAP_TEXT
 from locring.errors import ParseError
 from locring.ideal import Ideal, max_ideal_power
 from locring.localring import LocalRing
@@ -75,6 +76,26 @@ def test_heavy_parametrization_kernel(T):
     # the quotient is a one-dimensional local ring of multiplicity 8
     R = LocalRing(src, J)
     assert R.multiplicity() == 8
+
+
+@pytest.fixture(scope="module")
+def ex2_kernel_over_q():
+    return kernel(parse_map_file(EX2_MAP_TEXT, QQ))
+
+
+@pytest.mark.parametrize("p, loewy", [(2, 5), (3, 6)])
+def test_ex2_over_small_prime_fields(ex2_kernel_over_q, p, loewy):
+    # the reduced basis of the kernel over F_p is that over Q reduced mod p,
+    # and the index is 5; the Loewy length of R/xR is the Q value 6 over
+    # F_3 but 5 over F_2, so p = 2 is exceptional for ex2
+    pm = parse_map_file(EX2_MAP_TEXT, PrimeField(p))
+    S = pm.source
+    J = kernel(pm)
+    assert J.groebner().generators == [
+        S.parse(g.to_str()) for g in ex2_kernel_over_q.groebner().generators]
+    R = LocalRing(S, J)
+    x = S.var(0)
+    assert (R.loewy_length_mod(x), R.index(x)) == (loewy, 5)
 
 
 def test_map_file_roundtrip():
