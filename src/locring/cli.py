@@ -74,8 +74,9 @@ class RingDescription:
 
 
 def parse_ring_file(text):
-    """field Q | field Fp <p>; vars ...; gen <expr> per line.  A line
-    error names the line, counted from 1 with comments and blank lines."""
+    """field Q | field Fp <p>; vars ...; gen <expr> per line, with one
+    field and one vars line.  A line error names the line, counted from 1
+    with comments and blank lines."""
     fld = None
     names = None
     gens = []
@@ -85,6 +86,9 @@ def parse_ring_file(text):
             continue
         parts = line.split()
         kw = parts[0]
+        if (kw == "field" and fld is not None
+                or kw == "vars" and names is not None):
+            raise ParseError(f"line {n}: a second {kw} line")
         if kw == "field":
             if parts[1:] == ["Q"]:
                 fld = QQ
@@ -101,6 +105,9 @@ def parse_ring_file(text):
                 raise ParseError(f"line {n}: vars line needs at least one "
                                  "name")
             names = tuple(parts[1:])
+            for name in names:
+                if not name.isidentifier():
+                    raise ParseError(f"line {n}: bad variable name {name!r}")
             if len(set(names)) < len(names):
                 raise ParseError(f"line {n}: duplicate variable names in "
                                  f"{names}")

@@ -28,8 +28,8 @@ reduced degrevlex basis each walk returns generates the result.  Every
 colon and intersection the local-ring layer takes is on an m-primary local
 model.  An ideal that is not zero-dimensional, the zero ideal among them,
 raises the walks' ValueError; the elimination routes kept as test oracles
-take those.  Each ideal keeps its colons, keyed by the divisor's
-generators, as it keeps its basis.
+take those.  An ideal keeps its basis and nothing else: each colon and
+intersection is a new walk.
 """
 
 from math import inf
@@ -73,7 +73,6 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb = None         # the reduced degrevlex basis, once known
-        self.colon_cache = {}  # J.generators -> self : J
 
     @classmethod
     def from_basis(cls, basis):
@@ -139,16 +138,12 @@ class Ideal:
     def quotient(self, other):
         """I : J, by linear algebra on S/I, generated by the reduced
         degrevlex basis of the result; ValueError unless I is
-        zero-dimensional.  The result is kept in ``colon_cache``: the same
-        generators of J give the same instance."""
+        zero-dimensional."""
         self._same_ring(other)
         if other.is_zero_ideal():
             raise ZeroColon("colon by zero ideal")
-        out = self.colon_cache.get(other.generators)
-        if out is None:
-            out = self.colon_cache[other.generators] = Ideal.from_basis(
-                groebner.artinian_colon(self.groebner(), other.generators))
-        return out
+        return Ideal.from_basis(
+            groebner.artinian_colon(self.groebner(), other.generators))
 
     # -- elimination --------------------------------------------------------
 

@@ -23,18 +23,20 @@ tests bound that of I + (x^n) by n * lambda(R/xR).  Three readers scan
 what it yields, ``ord_mod`` and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
-  Then the truncation is a basis of the same ideal J + n^N = J + n^d, and
-  ``groebner.fglm`` reads d off the same kept staircase and turns the
-  truncation, modulo n^d, into the reduced degrevlex basis that generates
-  the local model (``Ideal.from_basis``).
+  Then the truncation is a basis of the same ideal J + n^N = J + n^d.
+  Colengths and Loewy lengths read its layers alone; ``local_model`` hands
+  it to ``groebner.fglm``, which reads d off the same kept staircase and
+  turns the truncation, modulo n^d, into the reduced degrevlex basis that
+  generates the local model (``Ideal.from_basis``).
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
-Each ring keeps five memos for as long as it lives.  One holds, keyed by
-J's generators, HF of S/J up to its first zero and the local model.  The
-second holds, per witness x, whether I + (x) is m-primary in S, the third,
-per x and n, the ``DeltaTestResult``, the fourth the tangent cone, and the
-fifth, per N, the ds basis of I truncated at N + 1 that the gll test reads.
+Each ring keeps four memos for as long as it lives, none keyed by an
+ideal's generators.  One holds, per witness x, the local model Ix of
+I + (x), its colon by m and whether I + (x) is m-primary in S, the second,
+per x and n, the ``DeltaTestResult``, the third the tangent cone, and the
+fourth, per N, the ds basis of I truncated at N + 1 that the gll test
+reads.  Every other local model and colon is built on each call.
 The delta tests build m-primary ideals by construction, colons of local
 models (C = (x^n) : m^n is one colon) and the ideal nC = I + n*C over
 them, and use them as their own local models: S/J is then local, its
@@ -114,8 +116,7 @@ class LocalRing:
         self.I = defining_ideal
         self.n = max_ideal(ring)
         self.stabilization_bound = stabilization_bound
-        self._models = {}       # J.generators -> (hf, local model)
-        self._primary = {}      # x -> whether I + (x) is m-primary in S
+        self._socles = {}       # x -> (Ix, Ix : m, I + (x) m-primary in S)
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
         self._tangent_cone = None
         self._gll_bases = {}    # N -> ds basis of I truncated at N + 1
@@ -157,31 +158,24 @@ class LocalRing:
             N = min(step, bound + 1)
 
     def _stabilize(self, J, length_bound=None):
-        """The memo entry (hf, model) of J: hf is HF(0), ..., HF(d) of S/J
-        up to its first zero HF(d) (d = 0 when J contains a unit), model
-        the local model J + n^(d+1), generated by its reduced degrevlex
-        basis.  On a miss, the first truncation whose staircase has an
-        empty degree d is a basis of J + n^N = J + n^d, which FGLM turns
-        into that basis; NotArtinianLocally when no truncation has one.
-        length_bound, an upper bound on the local length of J, only
-        shortens the ladder (``_truncations``)."""
-        entry = self._models.get(J.generators)
-        if entry is not None:
-            return entry
+        """(hf, truncation) of J: hf is HF(0), ..., HF(d) of S/J up to its
+        first zero HF(d) (d = 0 when J contains a unit), truncation the
+        first ds basis of the ladder whose staircase has that empty degree
+        d, a basis of J + n^N = J + n^d; NotArtinianLocally when no
+        truncation has one.  length_bound, an upper bound on the local
+        length of J, only shortens the ladder (``_truncations``)."""
         for hf, gb in self._truncations(J, length_bound):
             if not hf[-1]:
-                model = Ideal.from_basis(fglm(gb))
-                entry = self._models[J.generators] = (hf, model)
-                return entry
+                return hf, gb
         raise NotArtinianLocally(
             f"no colength stabilization within n^{self.stabilization_bound}")
 
     def local_model(self, J):
         """m-primary representative J + n^M equal to the contraction of the
         localization of J: the first J + n^M whose colength equals that of
-        J + n^(M-1).  It is generated by its reduced degrevlex basis, from
-        FGLM, and the same instance is returned for the same J."""
-        return self._stabilize(J)[1]
+        J + n^(M-1).  It is generated by its reduced degrevlex basis, which
+        FGLM makes from the truncation of ``_stabilize``."""
+        return Ideal.from_basis(fglm(self._stabilize(J)[1]))
 
     def colength_local(self, J):
         """Length of S_n/(J localized): the colength of its local model."""
@@ -327,13 +321,16 @@ class LocalRing:
 
     def _socle(self, x):
         """The local model Ix of I + (x), its colon by m, whose quotient is
-        the socle of R/(x), and whether I + (x) is m-primary in S;
-        NotGorenstein unless that socle has dimension one.  x is a parameter
-        of the one-dimensional R, so R is Gorenstein iff R/(x) is, iff R/(x)
-        has type 1: criteria (ii) and (iii) agree only then.  I + (x) lies
-        in Ix, so it is m-primary, and equal to Ix, iff its global colength
-        is finite and equal to that of Ix: one degrevlex basis, decided
-        once per x."""
+        the socle of R/(x), and whether I + (x) is m-primary in S, built
+        once per x; NotGorenstein, with no memo entry, unless that socle
+        has dimension one.  x is a parameter of the one-dimensional R, so R
+        is Gorenstein iff R/(x) is, iff R/(x) has type 1: criteria (ii) and
+        (iii) agree only then.  I + (x) lies in Ix, so it is m-primary, and
+        equal to Ix, iff its global colength is finite and equal to that of
+        Ix: one degrevlex basis."""
+        entry = self._socles.get(x)
+        if entry is not None:
+            return entry
         Ix_global = self.I + Ideal(self.ring, [x])
         Ix = self.local_model(Ix_global)
         soc = Ix.quotient(self.n)
@@ -341,11 +338,9 @@ class LocalRing:
         if t != 1:
             raise NotGorenstein(f"R is not Gorenstein: R/({x.to_str()}) "
                                 f"has type {t}")
-        primary = self._primary.get(x)
-        if primary is None:
-            primary = self._primary[x] = (
-                Ix_global.vector_space_dim() == Ix.vector_space_dim())
-        return Ix, soc, primary
+        entry = self._socles[x] = (
+            Ix, soc, Ix_global.vector_space_dim() == Ix.vector_space_dim())
+        return entry
 
     def delta_one_test(self, x, n):
         """Evaluate the three colon criteria for delta(R/m^n) = 1 and check
@@ -378,7 +373,8 @@ class LocalRing:
         # and that bound shortens the ladder of truncations
         Jn = I + Ideal(S, [x ** n])
         if not primary:
-            Jn = self._stabilize(Jn, n * Ix.vector_space_dim())[1]
+            Jn = Ideal.from_basis(fglm(
+                self._stabilize(Jn, n * Ix.vector_space_dim())[1]))
         C = Jn.quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)

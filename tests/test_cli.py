@@ -78,6 +78,13 @@ def test_ring_file_errors_name_the_line():
              "unknown variable 'w'"),
             ("field Q\n# x twice\nvars x x\ngen x^2\n", 3,
              "duplicate variable names"),
+            # a second field or vars line used to replace the first
+            ("field Q\nvars x y z\nvars a b\ngen a^2 - b^3\n", 3,
+             "a second vars line$"),
+            ("field Q\nvars x y\nfield Fp 7\n", 3, "a second field line$"),
+            # names the expression parser can never read
+            ("field Q\n\nvars x 3y\n", 3, "bad variable name '3y'$"),
+            ("field Q\nvars y-z x\n", 2, "bad variable name 'y-z'$"),
             ("field Q\nvars x y\ngen x^2 - y^3\n\ngen y + 1\n", 5,
              "y \\+ 1 has a constant term")):
         with pytest.raises(ParseError, match=f"^line {line}: {message}"):
@@ -495,11 +502,27 @@ _CASE_ROWS = ("([(1, 2, 8, 8, 'UNRESOLVED'), (1, 3, 11, 8, 'UNRESOLVED'), "
 ])
 def test_main_and_ex1_reports_pin_their_answers(name, checks):
     # every check, in its order, with the value it is held to and the one
-    # it got; ex2's are pinned by the ex2-delta benchmark digest and below
+    # it got; ex2's are pinned below
     report = run_scenario(name)
     assert report.scenario == name
     assert [(c.name, c.status, c.expected, c.actual)
             for c in report.checks] == [(n, PASS, v, v) for n, v in checks]
+
+
+def test_ex2_report_pins_its_answers():
+    # all seven checks under the default budget, index among them, which
+    # the ex2-delta benchmark digest skips
+    report = run_scenario("ex2")
+    assert report.scenario == "ex2"
+    assert [(c.name, c.status, c.expected, c.actual)
+            for c in report.checks] == [(n, PASS, v, v) for n, v in (
+                ("kernel-mod-n5", "True"),
+                ("kernel-substitution", "True"),
+                ("multiplicity", "8"),
+                ("delta-one-n5", "True"),
+                ("delta-one-n4", "False"),
+                ("index", "5"),
+                ("loewy-length", "6"))]
 
 
 def test_ex2_without_budget_skips_every_check():

@@ -25,7 +25,7 @@ from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.bounds import macaulay_bound
 from locring.errors import (InternalInconsistency, NoStabilization,
                             NotArtinianLocally, NotFound, RingMismatch)
-from locring.groebner import GroebnerBasis, buchberger, is_member
+from locring.groebner import GroebnerBasis, buchberger, fglm, is_member
 from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import BlockOrder, DegRevLex, Polynomial, PolyRing
@@ -154,18 +154,19 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
 def test_bounded_ladder_matches_the_doubling_ladder(scenario_rings,
                                                    monkeypatch):
     # ex2's I + (x^n), whose local length is at most n * lambda(R/xR): with
-    # that bound the ladder gives the hf of the doubling ladder and the
-    # reduced basis of the J + n^M loop, and stops sooner
+    # that bound the ladder gives the hf of the doubling ladder and a
+    # truncation that FGLM turns into the reduced basis of the J + n^M
+    # loop, and stops sooner
     R, witness = scenario_rings["ex2"]
     S = R.ring
     x = S.parse(witness)
     lam = R.local_model(R.I + Ideal(S, [x])).vector_space_dim()
     for n in range(1, 7):
         J = R.I + Ideal(S, [x ** n])
-        hf, model = LocalRing(S, R.I)._stabilize(J, n * lam)
+        hf, gb = LocalRing(S, R.I)._stabilize(J, n * lam)
         assert hf == LocalRing(S, R.I)._stabilize(J)[0]
         M, old = _old_local_model(J, R.stabilization_bound)
-        assert model._gb.generators == old.groebner().generators
+        assert fglm(gb).generators == old.groebner().generators
         assert (len(hf), sum(hf)) == (M, old.vector_space_dim())
         # the exact length is a bound too
         assert LocalRing(S, R.I)._stabilize(J, sum(hf))[0] == hf
@@ -189,7 +190,7 @@ def test_bounded_ladder_matches_the_doubling_ladder(scenario_rings,
     LocalRing(S, R.I).delta_one_test(x, 5)
     assert max(seen) == 12
     # a bound below the layer sum of a truncation is a wrong bound, on
-    # every call: no memo entry is left behind
+    # every call
     fresh = LocalRing(S, R.I)
     for _ in range(2):
         with pytest.raises(InternalInconsistency):
@@ -336,19 +337,21 @@ def test_multiplicity_is_where_the_hilbert_function_settles(field):
 
 
 def test_colength_leaves_the_model_with_its_fglm_basis(monkeypatch):
+    # colength_local and loewy_length_mod read the ladder's layers alone and
+    # run no FGLM walk; local_model walks the same truncation to the basis
+    # of the J + n^M loop
     R = cli.MAIN_RING.local_ring()
-    J = R.I + Ideal(R.ring, [R.ring.parse("y")])
-    colength = R.colength_local(J)
+    y = R.ring.parse("y")
+    J = R.I + Ideal(R.ring, [y])
 
     def fail(*args, **kwargs):
-        raise AssertionError("local_model ran a basis after colength_local")
+        raise AssertionError("a length ran an FGLM walk")
 
-    monkeypatch.setattr(localring, "buchberger", fail)
     monkeypatch.setattr(localring, "fglm", fail)
-    monkeypatch.setattr(groebner, "buchberger", fail)
-    model = R.local_model(J)
-    basis = model.groebner().generators
+    colength = R.colength_local(J)
+    assert R.loewy_length_mod(y) == 6
     monkeypatch.undo()
+    basis = R.local_model(J).groebner().generators
     _M, old = _old_local_model(J, R.stabilization_bound)
     assert basis == old.groebner().generators
     assert colength == old.vector_space_dim()
