@@ -17,26 +17,28 @@ degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d),
 whatever N is.  The basis records N, and ``GroebnerBasis.staircase()``
 walks them layer by layer below it; this module only counts its layers.
 Each ring has one degree bound, ``stabilization_bound``.  One loop,
-``LocalRing._truncations``, grows N = 2, 4, 8, ..., capped at that bound
-plus one, and sooner at a known upper bound on the local length: the delta
-tests bound that of I + (x^n) by n * lambda(R/xR).  Three readers scan
-what it yields, ``ord_mod`` and these two:
+``LocalRing._truncations``, grows N from 2, at most doubling it, capped at
+that bound plus one.  Three readers scan what it yields, ``ord_mod``,
+which doubles N, and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
-  Then the truncation is a basis of the same ideal J + n^N = J + n^d.
-  Colengths and Loewy lengths read its layers alone; ``local_model`` hands
-  it to ``groebner.fglm``, which reads d off the same kept staircase and
-  turns the truncation, modulo n^d, into the reduced degrevlex basis that
+  Then the truncation is a basis of the same ideal J + n^N = J + n^d.  It
+  doubles N, and stops sooner at a known upper bound on the local length:
+  the delta tests bound that of I + (x^n) by n * lambda(R/xR).  Colengths
+  and Loewy lengths read its layers alone; ``local_model`` hands it to
+  ``groebner.fglm``, which reads d off the same kept staircase and turns
+  the truncation, modulo n^d, into the reduced degrevlex basis that
   generates the local model (``Ideal.from_basis``).
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
 Each ring keeps four memos for as long as it lives, none keyed by an
 ideal's generators.  One holds, per witness x, the local model Ix of
-I + (x), its colon by m and whether I + (x) is m-primary in S, the second,
-per x and n, the ``DeltaTestResult``, the third the tangent cone, and the
-fourth, per N, the ds basis of I truncated at N + 1 that the gll test
-reads.  Every other local model and colon is built on each call.
+I + (x), its colon by m, whether I + (x) is m-primary in S and the Loewy
+length of R/(x), the second, per x and n, the ``DeltaTestResult``, the
+third the tangent cone, and the fourth, per N, the ds basis of I truncated
+at N + 1 that the gll test reads.  Every other local model and colon is
+built on each call.
 The delta tests build m-primary ideals by construction, colons of local
 models (C = (x^n) : m^n is one colon) and the ideal nC = I + n*C over
 them, and use them as their own local models: S/J is then local, its
@@ -116,7 +118,7 @@ class LocalRing:
         self.I = defining_ideal
         self.n = max_ideal(ring)
         self.stabilization_bound = stabilization_bound
-        self._socles = {}       # x -> (Ix, Ix : m, I + (x) m-primary in S)
+        self._socles = {}       # x -> (Ix, Ix : m, primary, Loewy(R/xR))
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
         self._tangent_cone = None
         self._gll_bases = {}    # N -> ds basis of I truncated at N + 1
@@ -127,18 +129,13 @@ class LocalRing:
         """The ds basis of (gens) + n^N, truncated at N."""
         return buchberger(self.ring, gens, DS, truncate=N)
 
-    def _truncations(self, J, length_bound=None):
+    def _truncations(self, J, step):
         """(HF list, ds basis) for the ds bases of J + n^N truncated at
-        N = 2, 4, 8, ..., capped at the ring's bound plus one.  The list
-        holds the sizes of the basis's staircase layers, HF(0), HF(1), ...
-        of S/J, up to degree N - 1 or up to and including the first zero,
-        whichever comes first; HF(d) does not depend on N.
-
-        With length_bound U, an upper bound on the local length of J: after
-        a truncation at N with no zero and layer sum P, each degree from N
-        up to the first zero adds at least 1, so that zero lies at or below
-        N + U - P, and the next N is at most N + U - P + 1 (more than N).
-        InternalInconsistency if P > U."""
+        N = 2, then min(step(N, hf), bound + 1) > N, until N passes the
+        ring's bound.  The list holds the sizes of the basis's staircase
+        layers, HF(0), HF(1), ... of S/J, up to degree N - 1 or up to and
+        including the first zero, whichever comes first; HF(d) does not
+        depend on N."""
         bound = self.stabilization_bound
         N = 2
         while True:
@@ -147,24 +144,28 @@ class LocalRing:
             yield hf, gb
             if N > bound:
                 return
-            step = 2 * N
-            if length_bound is not None:
-                P = sum(hf)
-                if P > length_bound:
-                    raise InternalInconsistency(
-                        f"local length at least {P}, above its bound "
-                        f"{length_bound}")
-                step = min(step, N + length_bound - P + 1)
-            N = min(step, bound + 1)
+            N = min(step(N, hf), bound + 1)
 
     def _stabilize(self, J, length_bound=None):
         """(hf, truncation) of J: hf is HF(0), ..., HF(d) of S/J up to its
         first zero HF(d) (d = 0 when J contains a unit), truncation the
         first ds basis of the ladder whose staircase has that empty degree
         d, a basis of J + n^N = J + n^d; NotArtinianLocally when no
-        truncation has one.  length_bound, an upper bound on the local
-        length of J, only shortens the ladder (``_truncations``)."""
-        for hf, gb in self._truncations(J, length_bound):
+        truncation has one.  N doubles, or with length_bound U, a bound on
+        the local length of J, goes to at most N + U - P + 1 after layer
+        sum P and no zero, as each degree up to the first zero adds 1 or
+        more.  InternalInconsistency if P > U."""
+        def step(N, hf):
+            if length_bound is None:
+                return 2 * N
+            P = sum(hf)
+            if P > length_bound:
+                raise InternalInconsistency(
+                    f"local length at least {P}, above its bound "
+                    f"{length_bound}")
+            return min(2 * N, N + length_bound - P + 1)
+
+        for hf, gb in self._truncations(J, step):
             if not hf[-1]:
                 return hf, gb
         raise NotArtinianLocally(
@@ -207,8 +208,10 @@ class LocalRing:
         An Artinian or non-CM ring gets only that upper bound:
         k[x,y]/(x^2, y^3) has HF 1, 2, 2, 1, 0, ... and gives 2.  When
         dim R >= 2, HF grows without bound, so it never falls to d or
-        below, and this raises NoStabilization."""
-        for hf, _gb in self._truncations(self.I):
+        below, and this raises NoStabilization.  N steps to the degree, at
+        most 2N, that answers if HF stays at HF(N - 1) > N - 1."""
+        for hf, _gb in self._truncations(
+                self.I, lambda N, hf: min(2 * N, hf[-1] + 1)):
             for d in range(1, len(hf)):
                 if hf[d] <= d:
                     return hf[d]
@@ -228,7 +231,7 @@ class LocalRing:
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
             return INFINITE
-        for _hf, gb in self._truncations(self.I):
+        for _hf, gb in self._truncations(self.I, lambda N, hf: 2 * N):
             r = normal_form(f, gb)
             if not r.is_zero():
                 return r.order()
@@ -239,8 +242,9 @@ class LocalRing:
         return self.colength_local(self.I + Ideal(self.ring, [f]))
 
     def is_superficial(self, f):
-        """True iff colength(f) equals ord(f) * e, the superficiality test."""
-        d = self.ord_mod(f)
+        """True iff colength(f) equals ord(f) * e, the superficiality test;
+        False on I, 0 included."""
+        d = INFINITE if f.is_zero() else self.ord_mod(f)
         if d == INFINITE or d == 0:
             return False
         return self.colength(f) == d * self.multiplicity()
@@ -250,6 +254,8 @@ class LocalRing:
         degree of a ds standard monomial of the local model of I + (f);
         NotFound when that model does not stabilize within the bound."""
         self.check_parameter(f)
+        if f in self._socles:
+            return self._socles[f][3]
         try:
             return self._stabilize(
                 self.I + Ideal(self.ring, [f]))[0].index(0)
@@ -321,25 +327,27 @@ class LocalRing:
 
     def _socle(self, x):
         """The local model Ix of I + (x), its colon by m, whose quotient is
-        the socle of R/(x), and whether I + (x) is m-primary in S, built
-        once per x; NotGorenstein, with no memo entry, unless that socle
-        has dimension one.  x is a parameter of the one-dimensional R, so R
-        is Gorenstein iff R/(x) is, iff R/(x) has type 1: criteria (ii) and
-        (iii) agree only then.  I + (x) lies in Ix, so it is m-primary, and
-        equal to Ix, iff its global colength is finite and equal to that of
-        Ix: one degrevlex basis."""
+        the socle of R/(x), whether I + (x) is m-primary in S and the Loewy
+        length of R/(x), built once per x; NotGorenstein, with no memo
+        entry, unless that socle has dimension one.  x is a parameter of
+        the one-dimensional R, so R is Gorenstein iff R/(x) is, iff R/(x)
+        has type 1: criteria (ii) and (iii) agree only then.  I + (x) lies
+        in Ix, so it is m-primary, and equal to Ix, iff its global colength
+        is finite and equal to that of Ix: one degrevlex basis."""
         entry = self._socles.get(x)
         if entry is not None:
             return entry
         Ix_global = self.I + Ideal(self.ring, [x])
-        Ix = self.local_model(Ix_global)
+        hf, gb = self._stabilize(Ix_global)
+        Ix = Ideal.from_basis(fglm(gb))
         soc = Ix.quotient(self.n)
         t = Ix.vector_space_dim() - soc.vector_space_dim()
         if t != 1:
             raise NotGorenstein(f"R is not Gorenstein: R/({x.to_str()}) "
                                 f"has type {t}")
         entry = self._socles[x] = (
-            Ix, soc, Ix_global.vector_space_dim() == Ix.vector_space_dim())
+            Ix, soc, Ix_global.vector_space_dim() == Ix.vector_space_dim(),
+            hf.index(0))
         return entry
 
     def delta_one_test(self, x, n):
@@ -357,7 +365,7 @@ class LocalRing:
         self.check_parameter(x)
         I = self.I
         S = self.ring
-        Ix, soc, primary = self._socle(x)
+        Ix, soc, primary = self._socle(x)[:3]
         # (iii): x*m^n : m  inside (x)
         mn = max_ideal_power(S, n)
         J3 = I + Ideal(S, [x]) * mn
@@ -370,12 +378,15 @@ class LocalRing:
         # contains that model, so C and nC = I + m*C contain a power of m
         # and each is its own local model.  Its length is at most
         # n * lambda(R/xR), as each x^k R / x^(k+1) R is a quotient of R/xR,
-        # and that bound shortens the ladder of truncations
-        Jn = I + Ideal(S, [x ** n])
-        if not primary:
-            Jn = Ideal.from_basis(fglm(
-                self._stabilize(Jn, n * Ix.vector_space_dim())[1]))
-        C = Jn.quotient(mn)
+        # and that bound shortens the ladder of truncations.  At n = 1 the
+        # model is Ix and C = soc
+        C = soc
+        if n > 1:
+            Jn = I + Ideal(S, [x ** n])
+            if not primary:
+                Jn = Ideal.from_basis(fglm(
+                    self._stabilize(Jn, n * Ix.vector_space_dim())[1]))
+            C = Jn.quotient(mn)
         nC = I + self.n * C
         cond_ii = nC.member(x ** n)
         # (iv): no socle element of R/(x) lies in x*m^n : m.  J3 lies in

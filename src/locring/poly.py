@@ -13,9 +13,11 @@ tangent cone run on the homogenized generators.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from operator import add, ge
 
-from .errors import ParseError, RingMismatch, VariableClash, ZeroPolynomial
+from .errors import (FieldMismatch, ParseError, RingMismatch, VariableClash,
+                     ZeroPolynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +322,35 @@ class Polynomial:
     # -- ring moves ---------------------------------------------------------
 
     def substitute(self, values):
-        """Substitute values[i] (a Polynomial in some common ring) for var i.
-        Each value's powers are kept in one table per call, grown by one
-        multiplication at a time up to the largest exponent a term asks for."""
+        """Substitute values[i] (a Polynomial in some common ring) for var i,
+        on integers (residues over F_p): with d a common denominator, each
+        term c*x^e of d*f adds c * d^(T - |e|) * prod (d*values[i])^e_i, T
+        the degree of f, over d^(T+1); FieldMismatch for values over
+        another field."""
         ring = values[0].ring
-        powers = [[ring.one(), v] for v in values]
-        out = ring.zero()
-        for e, c in self.terms.items():
-            term = ring.one().scale(c)
-            for i, x in enumerate(e):
+        if ring.field != self.ring.field:
+            raise FieldMismatch(f"{ring.field} values for {self.ring}")
+        p = ring.field.characteristic
+        d = 1 if p else lcm(*(c.denominator for g in (self, *values)
+                              for c in g.terms.values()))
+        F, *V = [{e: c.value if p else int(c * d) for e, c in g.terms.items()}
+                 for g in (self, *values)]
+        T = max(map(sum, F), default=0)
+        one = Polynomial(ring, {(0,) * ring.nvars: 1})
+        powers = [[one, Polynomial(ring, v)] for v in V]
+        out = {}
+        for e, c in F.items():
+            term = one
+            for table, x in zip(powers, e):
+                while len(table) <= x:
+                    table.append(table[-1] * table[1])
                 if x:
-                    table = powers[i]
-                    while len(table) <= x:
-                        table.append(table[-1] * values[i])
                     term = term * table[x]
-            out = out + term
-        return out
+            c *= d ** (T - sum(e))
+            for m, t in term.terms.items():
+                out[m] = out.get(m, 0) + c * t
+        return Polynomial(ring, {m: ring.field.from_fraction(t, d ** (T + 1))
+                                 for m, t in out.items()})
 
     # -- printing -----------------------------------------------------------
 

@@ -11,7 +11,9 @@ test by one truncated ds Buchberger run on I + (f), the route that
 ``LocalRing.loewy_length_at_most``'s rank count on S/(I + n^(N+1))
 replaced.  ``lex_segment_oracle`` counts the growth of a lex-segment
 quotient monomial by monomial, the independent check of
-``bounds.macaulay_bound``.
+``bounds.macaulay_bound``.  ``substitute_in_field`` is
+``Polynomial.substitute`` in field arithmetic (``Fraction`` over Q), the
+route its integer arithmetic replaced.
 
 ``Lex``, ``WeightedDegRevLex`` and ``Block`` are term orders the library
 does not run.  ``groebner.packing`` takes any order whose key is a tuple of
@@ -147,6 +149,24 @@ def s_polynomial(f, g, order):
     def cofactor(e, c):  # lcm / (c * x^e)
         return ring.monomial(mono_div(lcm, e)).scale(ring.field.one() / c)
     return cofactor(ef, cf) * f - cofactor(eg, cg) * g
+
+
+def substitute_in_field(f, values):
+    """values[i] substituted for var i of f in Polynomial arithmetic over
+    the field, each value's powers kept in one table."""
+    ring = values[0].ring
+    powers = [[ring.one(), v] for v in values]
+    out = ring.zero()
+    for e, c in f.terms.items():
+        term = ring.one().scale(c)
+        for i, x in enumerate(e):
+            if x:
+                table = powers[i]
+                while len(table) <= x:
+                    table.append(table[-1] * values[i])
+                term = term * table[x]
+        out = out + term
+    return out
 
 
 def ds_top_layer_empty(R, f, N):

@@ -345,6 +345,15 @@ def test_cli_loewy_of_element_in_defining_ideal(ring_file, capsys):
     assert "lies in the defining ideal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("element", ["0", "x^2-y^5"])
+def test_cli_superficial_of_element_in_defining_ideal(ring_file, capsys,
+                                                      element):
+    # 0 used to exit 2 with "error: ord of 0"
+    argv = ["superficial", "--ring", ring_file, "--element", element]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "false\n"
+
+
 def test_cli_loewy_beyond_its_bound(tmp_path, capsys):
     # used to report "no colength stabilization within n^20"
     p = tmp_path / "line.ring"

@@ -103,6 +103,32 @@ def scenario_rings():
             for name, (make, witness) in SCENARIO_RINGS.items()}
 
 
+def _spy_ds_basis(monkeypatch):
+    """The truncation degrees of every ``_ds_basis`` call from now on."""
+    seen = []
+    original = LocalRing._ds_basis
+
+    def record(self, gens, N):
+        seen.append(N)
+        return original(self, gens, N)
+
+    monkeypatch.setattr(LocalRing, "_ds_basis", record)
+    return seen
+
+
+def _spy_stabilize(monkeypatch):
+    """The ideal of every ``_stabilize`` call from now on."""
+    seen = []
+    original = LocalRing._stabilize
+
+    def record(self, J, length_bound=None):
+        seen.append(J)
+        return original(self, J, length_bound)
+
+    monkeypatch.setattr(LocalRing, "_stabilize", record)
+    return seen
+
+
 @pytest.mark.parametrize("name", SCENARIO_RINGS)
 def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
                                                      monkeypatch):
@@ -114,14 +140,7 @@ def test_local_model_matches_loop_on_scenario_models(scenario_rings, name,
     R, witness = scenario_rings[name]
     R = LocalRing(R.ring, R.I)
     x = R.ring.parse(witness)
-    seen = []
-    original = LocalRing._stabilize
-
-    def record(self, J, length_bound=None):
-        seen.append(J)
-        return original(self, J, length_bound)
-
-    monkeypatch.setattr(LocalRing, "_stabilize", record)
+    seen = _spy_stabilize(monkeypatch)
     for n in range(1, 7):
         R.delta_one_test(x, n)
     monkeypatch.undo()
@@ -171,14 +190,7 @@ def test_bounded_ladder_matches_the_doubling_ladder(scenario_rings,
         # the exact length is a bound too
         assert LocalRing(S, R.I)._stabilize(J, sum(hf))[0] == hf
     J5 = R.I + Ideal(S, [x ** 5])
-    seen = []
-    original = LocalRing._ds_basis
-
-    def record(self, gens, N):
-        seen.append(N)
-        return original(self, gens, N)
-
-    monkeypatch.setattr(LocalRing, "_ds_basis", record)
+    seen = _spy_ds_basis(monkeypatch)
     LocalRing(S, R.I).local_model(J5)
     assert seen == [2, 4, 8, 16]
     seen.clear()
@@ -246,6 +258,70 @@ def _same_multiplicity(R):
     else:
         assert R.multiplicity() == expected
     return expected
+
+
+@pytest.mark.parametrize("name, ladder", [("main", [2, 4, 7, 9]),
+                                          ("ex1", [2, 4, 7, 9]),
+                                          ("ex2", [2, 4, 7, 8, 9])])
+def test_multiplicity_ladder_stops_at_its_answer(scenario_rings, name,
+                                                 ladder, monkeypatch):
+    # after a truncation at N that does not answer, the next N is the one
+    # that answers if HF stays at HF(N - 1), at most 2N: HF(3) = 6 gives
+    # 7, HF(6) = 8 gives 9, and on ex2 HF(6) = 7 gives 8 and HF(7) = 8
+    # gives 9; doubling went 2, 4, 8, 16 on all three
+    R, _witness = scenario_rings[name]
+    seen = _spy_ds_basis(monkeypatch)
+    assert LocalRing(R.ring, R.I).multiplicity() == 8
+    assert seen == ladder
+
+
+@pytest.mark.parametrize("name, loewy", [("main", 6), ("ex1", 7),
+                                         ("ex2", 6)])
+def test_witness_loewy_length_is_read_from_the_socle_memo(scenario_rings,
+                                                          name, loewy,
+                                                          monkeypatch):
+    # after a delta test on x, Loewy(R/xR) is the socle entry's: no ds
+    # basis, and the value of a fresh ring's ladder (ex1's Loewy element
+    # is y - z, not its witness z)
+    R, witness = scenario_rings[name]
+    x = R.ring.parse(witness)
+    R = LocalRing(R.ring, R.I)
+    R.delta_one_test(x, 4)
+    seen = _spy_ds_basis(monkeypatch)
+    assert R.loewy_length_mod(x) == loewy
+    assert seen == []
+    assert LocalRing(R.ring, R.I).loewy_length_mod(x) == loewy
+    assert seen
+
+
+@pytest.mark.parametrize("name", SCENARIO_RINGS)
+def test_delta_test_at_one_reads_the_socle(scenario_rings, name,
+                                           monkeypatch):
+    # at n = 1, I + (x^n) is I + (x), whose model the socle entry holds,
+    # and C = (x) : m is its socle: a fresh ring ladders I + (x) once,
+    # and, for ex2's non-primary witness, I + x*m once; the verdict, the
+    # colon and nC are those of the route through I + (x^1)
+    R, witness = scenario_rings[name]
+    S = R.ring
+    x = S.parse(witness)
+    R = LocalRing(S, R.I)
+    seen = _spy_stabilize(monkeypatch)
+    result = R.delta_one_test(x, 1)
+    Ix = (R.I + Ideal(S, [x])).generators
+    J3 = (R.I + Ideal(S, [x]) * R.n).generators
+    primary = R._socle(x)[2]
+    assert [J.generators for J in seen] == ([Ix] if primary else [Ix, J3])
+    monkeypatch.undo()
+    Jn = R.I + Ideal(S, [x])
+    if not primary:
+        Jn = R.local_model(Jn)
+    C = Jn.quotient(max_ideal_power(S, 1))
+    nC = R.I + R.n * C
+    assert nC.generators == result.nC.generators
+    assert result.verdict == nC.member(x)
+    assert not result.verdict
+    colon = R.local_model(R.I + Ideal(S, [x]) * R.n).quotient(R.n)
+    assert result.colon.groebner().generators == colon.groebner().generators
 
 
 def test_macaulay_stop_test_is_h_at_most_d():

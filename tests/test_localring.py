@@ -56,6 +56,9 @@ def test_colength_and_superficiality(cusp_ring, xyz):
     assert cusp_ring.colength(y) == 10
     # 10 > 1 * 8, so y is not superficial
     assert not cusp_ring.is_superficial(y)
+    # nor is an element of I; 0 used to raise ZeroPolynomial from ord_mod
+    for f in (xyz.zero(), xyz.parse("x^2 - y^5")):
+        assert not cusp_ring.is_superficial(f)
 
 
 def test_colength_is_colength_of_local_model(cusp_ring, xyz):

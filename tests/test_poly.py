@@ -3,11 +3,12 @@ import random
 import pytest
 
 from locring.arith import QQ, PrimeField, Rational
-from locring.errors import ParseError, VariableClash, ZeroPolynomial
+from locring.errors import (FieldMismatch, ParseError, VariableClash,
+                            ZeroPolynomial)
 from locring.poly import (BlockOrder, DegRevLex, NegDegRevLex, Polynomial,
                           PolyRing, mono_div, mono_divides, mono_lcm,
                           mono_mul)
-from oracles import leading_term
+from oracles import leading_term, substitute_in_field
 
 
 @pytest.fixture
@@ -100,6 +101,17 @@ def test_substitute(R):
     assert f.substitute([t ** 2, t ** 3, T.zero()]).is_zero()
 
 
+@pytest.mark.parametrize("source, target", [(3, 5), (0, 5), (5, 0)])
+def test_substitute_rejects_values_over_another_field(source, target):
+    # residues mod 3 read mod 5 would give a wrong polynomial, not an error
+    def ring(p, names):
+        return PolyRing(PrimeField(p) if p else QQ, names)
+
+    f = ring(source, ("x",)).parse("x^2 + x")
+    with pytest.raises(FieldMismatch):
+        f.substitute([ring(target, ("t",)).parse("t + 1")])
+
+
 def _naive_substitute(f, values):
     """Every term evaluated on its own, each power taken afresh."""
     ring = values[0].ring
@@ -112,28 +124,42 @@ def _naive_substitute(f, values):
     return out
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "Fp"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(32003)],
+                         ids=["Q", "F2", "Fp"])
 def test_substitute_matches_term_by_term_evaluation(field):
+    # the integer route against evaluation in field arithmetic, with
+    # non-integral coefficients over Q in f and in the values, values in
+    # a ring other than f's, of one and of two variables, 0 and constants
     rng = random.Random(2015)
     S = PolyRing(field, ("x", "y", "z"))
-    T = PolyRing(field, ("s", "t"))
+    targets = [PolyRing(field, ("s", "t")), PolyRing(field, ("t",)), S]
+
+    def coefficient():
+        num = rng.randint(-9, 9)
+        if field.characteristic:
+            return field.from_int(num)
+        return field.from_fraction(num, rng.choice([1, 1, 2, 3, 12, 35]))
 
     def random_poly(ring, nterms, top):
         # terms in random order, so a variable's exponents rise and fall
         return Polynomial(ring, {
             tuple(rng.randint(0, top) for _ in range(ring.nvars)):
-                field.from_int(rng.randint(-9, 9))
-            for _ in range(nterms)})
+                coefficient() for _ in range(nterms)})
 
     falls = 0
-    for _ in range(12):
+    for k in range(18):
+        T = targets[k % len(targets)]
         f = random_poly(S, 8, 6)
         exps = [e[0] for e in f.terms]
         falls += any(a > b for a, b in zip(exps, exps[1:]))
         values = [random_poly(T, 3, 2) for _ in range(S.nvars)]
         values[rng.randrange(S.nvars)] = T.zero() if rng.randint(0, 1) \
-            else T.one()
-        assert f.substitute(values) == _naive_substitute(f, values)
+            else T.constant(coefficient())
+        for g in (f, S.zero(), S.constant(coefficient())):
+            got = g.substitute(values)
+            assert got.ring == T
+            assert got == substitute_in_field(g, values) \
+                == _naive_substitute(g, values)
     assert falls
 
 
