@@ -77,17 +77,17 @@ is the previous one times the variables, minus the multiples of a lead.
 The layers are tuples of packed ints, never unpacked, walked once per basis
 and kept on it; for a basis truncated at N they stop below N.  Callers read
 counts (Hilbert functions, colengths) or the monomials themselves.  Each
-basis with a finite staircase also keeps one table of monomial normal forms
-(``_NormalForms``), built on first use and truncated as the basis is:
-packed monomial e -> (vec, m), vec the raw normal form of m * e.  A
-standard monomial is its own entry, and any other is reduced once, however
-many products form it.  Three readers share it: the colon (by a generator
-of one term), the intersection, and the gll-search test
-(``top_degree_in_multiples``), a rank count on A = S/J for a truncated ds
-basis of J, for which the basis also keeps (``_Columns``) the table's
-entries for each term of f times the count's rows, so a test reads only
-f's coefficients.  ``fglm`` reduces against its own truncation at d
-instead, with the reducer lookup of ``_nf_dict``, as ``buchberger`` does.
+basis also keeps one table of monomial normal forms (``_NormalForms``),
+built on first use and truncated as the basis is: packed monomial e ->
+(vec, m), vec the raw normal form of m * e, reduced once however many
+products form it.  Every reader of a fixed basis uses it: ``normal_form``
+and the colon sum entries, the intersection reads them, and so does the
+gll-search test (``top_degree_in_multiples``), a rank count on A = S/J for
+a truncated ds basis of J, for which the basis also keeps (``_Columns``)
+the table's entries for each term of f times the count's rows, so a test
+reads only f's coefficients.  ``fglm`` is the measured exception: it
+reduces against its own truncation at d with a reducer lookup, as
+``buchberger`` does, since the table cost it 15 %.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -226,8 +226,7 @@ class GroebnerBasis:
 
     @cached_property
     def _normal_forms(self):
-        """The basis's table of monomial normal forms (``_NormalForms``),
-        for a basis whose staircase is finite."""
+        """The basis's table of monomial normal forms (``_NormalForms``)."""
         return _NormalForms(self)
 
     @cached_property
@@ -295,17 +294,6 @@ class GroebnerBasis:
 
 # ---------------------------------------------------------------------------
 # raw term dicts
-
-class _Remainder(dict):
-    """A raw remainder: the raw normal form of scale times the reduced
-    input, for a positive int scale (1 over F_p)."""
-
-    __slots__ = ("scale",)
-
-    def __init__(self, terms, scale):
-        super().__init__(terms)
-        self.scale = scale
-
 
 def _to_raw(terms, p, pk):
     """A term dict of field elements as (raw, scale), raw = scale * terms
@@ -383,21 +371,21 @@ def _nf_dict(terms, divisors, pk, p, truncate, lookup=None):
     list that only grows at its end: packed monomial -> the first divisor
     that divides it, or, for none, the number of divisors tried, from
     which a later call resumes.  A run of ``buchberger`` and a walk of
-    ``fglm`` each keep one; a lookup per term costs more than a short scan,
-    so the other callers pass none.  It is passed positionally, since
+    ``fglm`` each keep one; the table keeps none, as a lookup per term
+    costs more than a short scan.  It is passed positionally, since
     perfbench's tracer wraps this function for positional arguments only.
     With truncate N > 0 every term of degree >= N is dropped, on entry and
     whenever a reduction forms it; 0 means no truncation, and a reduction
     that would form a degree of DEGREE_BOUND or more raises ValueError.
-    Returns a _Remainder, empty exactly when the normal form is 0: the raw
-    normal form of m times the input, for the int scale m.
+    Returns the pair (vec, m), vec the raw normal form of m times the
+    input for an int m > 0 (1 over F_p), empty exactly when it is 0.
     """
     guard, degree = pk.guard, pk.degree
     cap = (truncate or DEGREE_BOUND) << pk.shift
     if truncate:
         terms = {e: c for e, c in terms.items() if e & degree < cap}
     if not terms:
-        return _Remainder({}, 1)
+        return {}, 1
     push, pop = heapq.heappush, heapq.heappop
     # Terms that cancel stay in work as 0 (or a multiple of p) and are
     # skipped when popped; a term is pushed once, when it enters work, since
@@ -477,31 +465,44 @@ def _nf_dict(terms, divisors, pk, p, truncate, lookup=None):
         h = gcd(num, den)
         num, den = num // h, den // h
         remainder = {x: v * den for x, v in remainder.items()}
-    return _Remainder(remainder, num)
+    return remainder, num
 
 
 class _NormalForms(dict):
-    """The table of a basis: packed monomial e -> (vec, m), vec the raw
-    normal form of m * e for an int m > 0, truncated as the basis is.  A
-    standard monomial is its own entry, ({e: 1}, 1), and any other is
-    reduced by ``_nf_dict`` on its first lookup.  The entries are plain
-    dicts, which the row loops read faster than a _Remainder.  The table
-    keeps the basis's divisors, packing, characteristic and truncation,
-    never the basis, so it makes no reference cycle."""
+    """The table of a basis: packed monomial e -> (vec, m), the pair
+    ``_nf_dict`` returns for e, kept as it is.  A standard monomial is its
+    own entry, ({e: 1}, 1), entered up front on a finite staircase; any
+    other entry is made on its first lookup.  Entries are shared: no
+    reader may change one.  The table keeps the basis's divisors, packing,
+    characteristic and truncation, never the basis, so it makes no
+    reference cycle."""
 
     __slots__ = ("divisors", "pk", "p", "truncate")
 
     def __init__(self, gb):
         super().__init__({e: ({e: 1}, 1)
-                          for layer in gb.staircase() for e in layer})
+                          for layer in gb.staircase() or () for e in layer})
         self.divisors, self.truncate = gb.divisors, gb.truncate
         self.pk = packing(gb.order, gb.ring.nvars)
         self.p = gb.ring.field.characteristic
 
     def __missing__(self, e):
-        r = _nf_dict({e: 1}, self.divisors, self.pk, self.p, self.truncate)
-        entry = self[e] = dict(r), r.scale
+        entry = self[e] = _nf_dict({e: 1}, self.divisors, self.pk, self.p,
+                                   self.truncate)
         return entry
+
+
+def _entry_sum(table, raw):
+    """The pair (vec, m) of a packed raw term dict: its terms' entries on
+    table summed at the lcm m of their multipliers, the raw normal form of
+    m times it."""
+    vec, m = {}, 1
+    for e, c in raw.items():
+        r, s = table[e]
+        k = lcm(m, s)
+        _combine(vec, k // m, -c * (k // s), r, table.p)
+        m = k
+    return vec, m
 
 
 class _Columns(dict):
@@ -585,7 +586,9 @@ def _spoly_dict(f, lt_f, g, lt_g, pk, check):
 def normal_form(f, G):
     """Remainder of f on division by the GroebnerBasis G, under G's order,
     its divisors tried in list order; when G is truncated at N, terms of
-    degree >= N are dropped."""
+    degree >= N are dropped.  A term's divisor depends on its monomial
+    alone, so this is the sum of the table entries (``_NormalForms``) of
+    f's terms."""
     ring = f.ring
     if G.ring != ring:
         raise RingMismatch("normal_form: mixed rings")
@@ -596,9 +599,8 @@ def normal_form(f, G):
     if truncate:
         terms = {e: c for e, c in terms.items() if sum(e) < truncate}
     raw, scale = _to_raw(terms, p, pk)
-    r = _nf_dict(raw, G.divisors, pk, p, truncate)
-    return Polynomial(ring, _from_raw(r, scale * r.scale, ring.field,
-                                      pk.unpack))
+    vec, m = _entry_sum(G._normal_forms, raw)
+    return Polynomial(ring, _from_raw(vec, scale * m, ring.field, pk.unpack))
 
 
 def buchberger(ring, gens, order, time_budget=None, truncate=0):
@@ -715,7 +717,7 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
                 {"pairs_processed": processed, "basis_size": len(G),
                  "pairs_pending": len(pairs)})
         s = _spoly_dict(G[i], lts[i], G[j], lts[j], pk, not truncate)
-        r = _nf_dict(s, G, pk, p, truncate, lookup)
+        r = _nf_dict(s, G, pk, p, truncate, lookup)[0]
         if r:
             add_poly(r, entry[0])
 
@@ -730,7 +732,7 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
         # reduced
         minimal = [_divisor(_nf_dict({g[0]: g[1], **g[2]},
                                      [h for h in minimal if h is not g],
-                                     pk, p, 0), p, pk)
+                                     pk, p, 0)[0], p, pk)
                    for g in minimal]
     return GroebnerBasis._packed(ring, order, truncate, minimal)
 
@@ -853,10 +855,9 @@ def artinian_colon(gb, gens):
     kernel of c -> (NF(sum_b c_b * b * g))_g over the generators g of J, on
     the standard monomials b of I.  A nonzero constant times one block
     leaves that kernel as it is, so the block of g may be any fixed
-    multiple of NF(b * g).  For a generator of one term c * e it is the
-    normal form of the monomial e + b, read off the basis's table
-    (``_NormalForms``), whose entries colons by m and by m^n meet many
-    times; a product with any other generator is reduced directly.
+    multiple of NF(b * g), read off the basis's table (``_NormalForms``):
+    the entry of e + b for a generator of one term c * e, the sum of its
+    terms' entries for a longer one.
     ValueError if I is not zero-dimensional or a product's degree would not
     fit."""
     ring = gb.ring
@@ -873,10 +874,8 @@ def artinian_colon(gb, gens):
     def image(b):
         _check_degree(top + ((b & pk.degree) >> pk.shift))
         blocks = [table[e + b] for e in monomials]
-        for raw in others:
-            r = _nf_dict({e + b: c for e, c in raw.items()}, gb.divisors, pk,
-                         p, 0)
-            blocks.append((r, r.scale))
+        blocks += [_entry_sum(table, {e + b: c for e, c in raw.items()})
+                   for raw in others]
         return _stacked(blocks)
 
     return _extend_by_kernel(ring, gb.order, gb.divisors, image)
@@ -920,8 +919,8 @@ def fglm(ds_basis):
     standard monomial, or N if every degree below N has one.  FGLM from
     S/m^d, whose basis is the monomials of degree d: each monomial b of
     degree < d that the walk reaches maps to its ds normal form truncated
-    at d, which m^d inside J + m^N makes exact; a raw remainder r is the
-    image of r.scale * b.  That reduction never forms a term of degree
+    at d, which m^d inside J + m^N makes exact; a raw remainder (r, m) is
+    the image of m * b.  That reduction never forms a term of degree
     >= d, so the divisors whose lead has such a degree and the tail terms
     that do are dropped before the walk, and one reducer lookup
     (``_nf_dict``) serves the walk."""
@@ -939,9 +938,8 @@ def fglm(ds_basis):
     lookup = {}
 
     def image(b):
-        r = _nf_dict({pk.pack(pk_out.unpack(b)): 1}, divisors, pk, p, d,
-                     lookup)
-        return r, r.scale
+        return _nf_dict({pk.pack(pk_out.unpack(b)): 1}, divisors, pk, p, d,
+                        lookup)
 
     base = [pk_out.pack(e) for e in monomials_of_degree(ring.nvars, d)]
     return _extend_by_kernel(ring, order,

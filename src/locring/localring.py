@@ -252,10 +252,11 @@ class LocalRing:
     def loewy_length_mod(self, f):
         """Smallest N with m^N contained in (f) in R: one more than the top
         degree of a ds standard monomial of the local model of I + (f);
-        NotFound when that model does not stabilize within the bound."""
-        self.check_parameter(f)
+        NotFound when that model does not stabilize within the bound.  A
+        witness's memo entry, which passed the checks, answers first."""
         if f in self._socles:
             return self._socles[f][3]
+        self.check_parameter(f)
         try:
             return self._stabilize(
                 self.I + Ideal(self.ring, [f]))[0].index(0)
@@ -328,15 +329,17 @@ class LocalRing:
     def _socle(self, x):
         """The local model Ix of I + (x), its colon by m, whose quotient is
         the socle of R/(x), whether I + (x) is m-primary in S and the Loewy
-        length of R/(x), built once per x; NotGorenstein, with no memo
-        entry, unless that socle has dimension one.  x is a parameter of
-        the one-dimensional R, so R is Gorenstein iff R/(x) is, iff R/(x)
-        has type 1: criteria (ii) and (iii) agree only then.  I + (x) lies
-        in Ix, so it is m-primary, and equal to Ix, iff its global colength
-        is finite and equal to that of Ix: one degrevlex basis."""
+        length of R/(x), built once per x after ``check_parameter(x)``;
+        NotGorenstein, with no memo entry, unless that socle has dimension
+        one.  x is a parameter of the one-dimensional R, so R is Gorenstein
+        iff R/(x) is, iff R/(x) has type 1: criteria (ii) and (iii) agree
+        only then.  I + (x) lies in Ix, so it is m-primary, and equal to
+        Ix, iff its global colength is finite and equal to that of Ix: one
+        degrevlex basis."""
         entry = self._socles.get(x)
         if entry is not None:
             return entry
+        self.check_parameter(x)
         Ix_global = self.I + Ideal(self.ring, [x])
         hf, gb = self._stabilize(Ix_global)
         Ix = Ideal.from_basis(fglm(gb))
@@ -362,7 +365,6 @@ class LocalRing:
         result = self._delta_tests.get((x, n))
         if result is not None:
             return result
-        self.check_parameter(x)
         I = self.I
         S = self.ring
         Ix, soc, primary = self._socle(x)[:3]
@@ -418,7 +420,6 @@ class LocalRing:
         if max_n < 1:
             raise ValueError(f"max_n must be >= 1, got {max_n}: the index "
                              "is the least n >= 1 with delta(R/m^n) = 1")
-        self.check_parameter(x)
         hit = None
         for n in range(1, max_n + 1):
             if self.delta_one_test(x, n).verdict:

@@ -13,7 +13,11 @@ replaced.  ``lex_segment_oracle`` counts the growth of a lex-segment
 quotient monomial by monomial, the independent check of
 ``bounds.macaulay_bound``.  ``substitute_in_field`` is
 ``Polynomial.substitute`` in field arithmetic (``Fraction`` over Q), the
-route its integer arithmetic replaced.
+route its integer arithmetic replaced.  ``direct_normal_form`` and
+``direct_colon`` reduce each input against a basis's divisors in one
+``groebner._nf_dict`` call, the route that the sums of entries of the
+basis's normal-form table replaced in ``normal_form`` and in
+``artinian_colon``.
 
 ``Lex``, ``WeightedDegRevLex`` and ``Block`` are term orders the library
 does not run.  ``groebner.packing`` takes any order whose key is a tuple of
@@ -22,11 +26,12 @@ cover the general branch of ``groebner._order_form``."""
 
 from math import comb
 
+from locring import groebner
 from locring.errors import BudgetExceeded, ZeroPolynomial
 from locring.groebner import buchberger
 from locring.ideal import Ideal
-from locring.poly import (DegRevLex, NegDegRevLex, TermOrder, mono_div,
-                          monomials_of_degree)
+from locring.poly import (DegRevLex, NegDegRevLex, Polynomial, TermOrder,
+                          mono_div, monomials_of_degree)
 
 _MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 
@@ -110,6 +115,37 @@ def intersect_by_elimination(I, J):
     gens = [t * f.substitute(xs) for f in I.generators]
     gens += [(one - t) * g.substitute(xs) for g in J.generators]
     return Ideal(ext, gens).eliminate()
+
+
+def direct_normal_form(f, gb):
+    """``normal_form(f, gb)`` by one reduction of the whole of f against
+    gb's divisors, its terms of degree >= N dropped first when gb is
+    truncated at N."""
+    ring, N = f.ring, gb.truncate
+    p = ring.field.characteristic
+    pk = groebner.packing(gb.order, ring.nvars)
+    terms = {e: c for e, c in f.terms.items() if not N or sum(e) < N}
+    raw, scale = groebner._to_raw(terms, p, pk)
+    vec, m = groebner._nf_dict(raw, gb.divisors, pk, p, N)
+    return Polynomial(ring, groebner._from_raw(vec, scale * m, ring.field,
+                                               pk.unpack))
+
+
+def direct_colon(gb, gens):
+    """``artinian_colon(gb, gens)`` with each product b * g of a standard
+    monomial b of gb and a generator g reduced against gb's divisors in one
+    call: the same kernel walk, with no table."""
+    ring = gb.ring
+    p = ring.field.characteristic
+    pk = groebner.packing(gb.order, ring.nvars)
+    raws = [groebner._to_raw(g.terms, p, pk)[0] for g in gens]
+
+    def image(b):
+        return groebner._stacked([groebner._nf_dict(
+            {e + b: c for e, c in raw.items()}, gb.divisors, pk, p, 0)
+            for raw in raws])
+
+    return groebner._extend_by_kernel(ring, gb.order, gb.divisors, image)
 
 
 def colon_by_elimination(I, g):

@@ -14,10 +14,10 @@ from locring.ideal import Ideal, max_ideal_power
 from locring.localring import LocalRing
 from locring.poly import (BlockOrder, DegRevLex, NegDegRevLex, Polynomial,
                           PolyRing, mono_divides, monomials_of_degree)
-from locring.subalgebra import kernel
+from locring.subalgebra import kernel, parse_map_file
 from oracles import (Block, Lex, WeightedDegRevLex, colon_by_elimination,
-                     equals, intersect_by_elimination, leading_term,
-                     s_polynomial)
+                     direct_colon, direct_normal_form, equals,
+                     intersect_by_elimination, leading_term, s_polynomial)
 
 
 @pytest.fixture
@@ -997,6 +997,97 @@ def test_table_entries_are_normal_forms_with_an_int_multiplier(field, draw):
     assert (multipliers == {1}) == bool(field.characteristic)
 
 
+def _fixed_bases(field):
+    """Four kinds of fixed basis over field: the degrevlex bases of main's
+    I and of ex2's kernel (computed over Q, read over field), whose
+    staircases are infinite; the local model of main's I + (y), which is
+    m-primary; main's I truncated in ds at 6; and three seeded
+    polynomials listed as divisors, which are not a Groebner basis."""
+    ring = PolyRing(field, ("x", "y", "z"))
+    I = Ideal(ring, list(cli.MAIN_RING.gen_exprs))
+    ex2 = kernel(parse_map_file(cli.EX2_MAP_TEXT, QQ)).groebner()
+    K = Ideal(ring, [g.to_str() for g in ex2.generators])
+    R = LocalRing(ring, I)
+    rng = random.Random(35)
+    listed = [_random_poly(ring, rng) for _ in range(3)]
+    bases = {"main": I.groebner(), "ex2-kernel": K.groebner(),
+             "model": R.local_model(I + Ideal(ring, ["y"])).groebner(),
+             "ds-6": buchberger(ring, I.generators, NegDegRevLex(),
+                                truncate=6),
+             "listed": GroebnerBasis(ring, listed, DegRevLex())}
+    assert bases["main"].staircase() is None
+    assert bases["ex2-kernel"].staircase() is None
+    assert bases["model"].staircase() is not None
+    assert buchberger(ring, listed, DegRevLex()).generators != listed
+    return ring, bases
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_normal_form_sums_table_entries_as_the_direct_route_reduces(field):
+    # over Q the coefficients have denominators, so normal_form brings
+    # them and the entries' multipliers to one scale
+    ring, bases = _fixed_bases(field)
+    draw = Q_DRAWS["fractions"] if field == QQ else \
+        (lambda rng: rng.randint(-3, 3))
+    rng = random.Random(2035)
+    for name, gb in bases.items():
+        nonzero = 0
+        for _ in range(12):
+            f = _random_poly(ring, rng, draw) * _random_poly(ring, rng, draw)
+            f = f * _random_poly(ring, rng, draw) + _random_poly(ring, rng,
+                                                                 draw)
+            r = normal_form(f, gb)
+            assert r == direct_normal_form(f, gb), name
+            _assert_field_coefficients([r], field)
+            nonzero += not r.is_zero()
+        assert nonzero, name
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_colon_by_longer_generators_equals_the_direct_route(field):
+    # generators of two or more terms, alone and beside monomials, on the
+    # m-primary model and on I + m^5
+    ring, bases = _fixed_bases(field)
+    I = Ideal(ring, list(cli.MAIN_RING.gen_exprs))
+    I5 = I + max_ideal_power(ring, 5)
+    gens_lists = [["y - y^2"], ["x + z", "y*z - 2*x^2 + z^3"],
+                  ["x", "y + z^2", "z"], ["x^2 - y^5", "y*z + 3*x*y"]]
+    for gb in (bases["model"], I5.groebner()):
+        for texts in gens_lists:
+            gens = [ring.parse(t) for t in texts]
+            colon = artinian_colon(gb, gens)
+            assert colon.generators == direct_colon(gb, gens).generators
+    I4 = I + max_ideal_power(ring, 4)
+    g = ring.parse("x + z")
+    assert equals(Ideal.from_basis(artinian_colon(I4.groebner(), [g])),
+                  colon_by_elimination(I4, g))
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS.values(),
+                         ids=PACKED_FIELDS.keys())
+def test_readers_leave_table_entries_unchanged(field):
+    # entries are shared: normal_form and a colon sum them into new dicts
+    ring, bases = _fixed_bases(field)
+    rng = random.Random(7)
+    for name, gb in bases.items():
+        table = gb._normal_forms
+        pk = packing(gb.order, ring.nvars)
+        for d in range(7):
+            for e in monomials_of_degree(3, d):
+                table[pk.pack(e)]
+        kept = {e: (vec, dict(vec), m) for e, (vec, m) in table.items()}
+        for _ in range(6):
+            f = _random_poly(ring, rng) * _random_poly(ring, rng)
+            normal_form(f, gb)
+        if name == "model":
+            artinian_colon(gb, [ring.parse("x"), ring.parse("y - z^2"),
+                                ring.parse("x*y + z")])
+        for e, (vec, copy, m) in kept.items():
+            assert table[e][0] is vec and table[e] == (copy, m), name
+
+
 # ---------------------------------------------------------------------------
 # the reducer lookup of buchberger and fglm against the plain scan
 
@@ -1039,8 +1130,8 @@ def test_reducer_lookup_matches_the_plain_scan(field, draw, order, truncate):
                 plain = groebner._nf_dict(raw, divisors, pk, p, truncate)
                 found = groebner._nf_dict(raw, divisors, pk, p, truncate,
                                           lookup)
-                assert list(found.items()) == list(plain.items())
-                assert found.scale == plain.scale
+                assert list(found[0].items()) == list(plain[0].items())
+                assert found[1] == plain[1]
             for e, g in lookup.items():
                 tried = g if type(g) is int else divisors.index(g) + 1
                 first = [h for h in divisors[:tried]

@@ -370,6 +370,39 @@ def test_witness_must_lie_in_m_outside_I(cusp_ring, xyz, witness, error):
             check()
 
 
+def test_each_witness_is_checked_once(monkeypatch):
+    # _socle checks x before its ladder, and its memo entry stands for the
+    # check: the delta tests, index and loewy_length_mod check no further
+    calls = []
+    check_parameter = LocalRing.check_parameter
+
+    def counted(self, x):
+        calls.append(x)
+        return check_parameter(self, x)
+
+    monkeypatch.setattr(LocalRing, "check_parameter", counted)
+    R = cli.MAIN_RING.local_ring()
+    y = R.ring.parse("y")
+    assert R.index(y) == 5 and calls == [y]
+    assert R.loewy_length_mod(y) == 6 and calls == [y]
+    del calls[:]
+    assert cli.run_scenario("main").passed()
+    assert 1 <= len(calls) <= 2
+
+    # the errors still come before the ladder, and so before any criterion
+    def no_ladder(*args):
+        raise AssertionError("the ladder ran on an unchecked witness")
+
+    monkeypatch.setattr(LocalRing, "_stabilize", no_ladder)
+    for text, error in (("1 + y", ValueError),
+                        ("x^2 - y^5", NotArtinianLocally)):
+        x = R.ring.parse(text)
+        for test in (R.index, lambda x: R.delta_one_test(x, 3),
+                     R.loewy_length_mod):
+            with pytest.raises(error):
+                test(x)
+
+
 def test_non_gorenstein_ring_is_a_named_error(tmp_path, capsys):
     # R/(x) has type 3 on this curve, and the delta criteria split at n = 4
     # (ii false, iii and iv true): a hypothesis fails, not the library
