@@ -1,5 +1,6 @@
 """Binomial-representation growth bounds for Hilbert functions, and the
-case-by-case feasibility reports that mechanize the order-of-f elimination
+order-by-order feasibility table, built from a ring's embedding dimension
+and multiplicity alone, that mechanizes the order-of-f elimination
 arithmetic.
 """
 
@@ -61,23 +62,6 @@ def hf_feasible_max_length(prefix, N):
     return sum(values)
 
 
-class CaseEntry:
-    def __init__(self, order_d, hf2, prefix, max_length, threshold, status):
-        self.order_d = order_d
-        self.hf2 = hf2
-        self.prefix = prefix
-        self.max_length = max_length
-        # d * e, the least colength an order-d parameter allows
-        self.threshold = threshold
-        self.status = status
-
-
-class CaseReport:
-    def __init__(self):
-        self.entries = []
-        self.tail_summary = ""
-
-
 # Known dimensions of the degree-2 slice of the initial ideal of I + (f),
 # by the order of f: for order 1 the slice is spanned by x^2, f^2, af, bf
 # (between 3 and 4 independent); for order 2 by x^2, f (1 or 2); for higher
@@ -85,41 +69,34 @@ class CaseReport:
 DEFAULT_J2_RANGES = {1: (3, 4), 2: (1, 2)}
 
 
-def order_case_report(emb, e, hf2_ambient, N, d_max):
-    """Enumerate orders d and admissible HF prefixes for R/fR, marking each
-    case ELIMINATED when the maximal feasible length is below d*e.
-    ValueError unless emb >= 1, e >= 1, hf2_ambient >= 0, N >= 1 and
-    d_max >= 0."""
-    for name, value, least in (("emb", emb, 1), ("e", e, 1),
-                               ("hf2", hf2_ambient, 0), ("N", N, 1),
+def order_case_report(emb, e, N, d_max):
+    """(rows, tail) for R of embedding dimension emb, so HF_S(2) =
+    C(emb + 1, 2), and multiplicity e: a row (d, hf2, max_length, d*e,
+    status) per order d <= d_max and admissible HF prefix (1, HF(1), hf2)
+    of R/fR, ELIMINATED when max_length is below d*e, the least colength
+    of an order-d parameter; the tail settles every order above d_max.
+    ValueError unless emb >= 1, e >= 1, N >= 1 and d_max >= 0."""
+    for name, value, least in (("emb", emb, 1), ("e", e, 1), ("N", N, 1),
                                ("d_max", d_max, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    report = CaseReport()
+    hf2_s = comb(emb + 1, 2)
+    rows = []
     for d in range(1, d_max + 1):
         hf1 = emb - 1 if d == 1 else emb
         lo, hi = DEFAULT_J2_RANGES.get(d, (0, 0))
-        lo, hi = min(lo, hf2_ambient), min(hi, hf2_ambient)
+        lo, hi = min(lo, hf2_s), min(hi, hf2_s)
         cap = macaulay_bound(hf1, 1)
-        hf2_lo = max(0, hf2_ambient - hi)
-        hf2_hi = min(hf2_ambient - lo, cap)
-        for hf2 in range(hf2_lo, hf2_hi + 1):
-            prefix = (1, hf1, hf2)
-            max_len = hf_feasible_max_length(prefix, N)
-            threshold = d * e
-            report.entries.append(CaseEntry(
-                d, hf2, prefix, max_len, threshold,
-                ELIMINATED if max_len < threshold else UNRESOLVED))
+        for hf2 in range(max(0, hf2_s - hi), min(hf2_s - lo, cap) + 1):
+            max_len = hf_feasible_max_length((1, hf1, hf2), N)
+            rows.append((d, hf2, max_len, d * e,
+                         ELIMINATED if max_len < d * e else UNRESOLVED))
     # orders beyond d_max: the length cap is independent of d while the
     # threshold d*e grows, so one comparison settles the whole tail
     tail_cap = hf_feasible_max_length((1, emb), N) if N > 1 else 1
     tail_threshold = (d_max + 1) * e
     if tail_cap < tail_threshold:
-        report.tail_summary = (
-            f"all orders d > {d_max} eliminated: max length {tail_cap} < "
-            f"d*e >= {tail_threshold}")
-    else:
-        report.tail_summary = (
-            f"orders d > {d_max} not settled: max length {tail_cap} >= "
-            f"{tail_threshold}")
-    return report
+        return rows, (f"all orders d > {d_max} eliminated: max length "
+                      f"{tail_cap} < d*e >= {tail_threshold}")
+    return rows, (f"orders d > {d_max} not settled: max length {tail_cap} "
+                  f">= {tail_threshold}")

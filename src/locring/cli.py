@@ -264,6 +264,13 @@ SCENARIOS = {
 }
 
 
+def _case_report(R, N, d_max):
+    """``bounds.order_case_report`` on the embedding dimension HF(1) and the
+    multiplicity of R."""
+    return order_case_report(R.hilbert_function(1)[1], R.multiplicity(), N,
+                             d_max)
+
+
 def _checklist(runner, S, R, scenario):
     """Run, in this order, each check the scenario has an expected value
     for, on R = S/I localized.  Only the checks read R, so a skipping
@@ -278,12 +285,6 @@ def _checklist(runner, S, R, scenario):
         target = Ideal(S, list(scenario["colon_n5"])) + R.I
         return (_ideal_sig(R.delta_one_test(x, 5).colon)
                 == _ideal_sig(R.local_model(target)))
-
-    def case_report():
-        # embedding dimension 3, e = 8, HF of S at 2 is 6, m^5 in (f)
-        rep = order_case_report(emb=3, e=8, hf2_ambient=6, N=5, d_max=4)
-        return ([(c.order_d, c.hf2, c.max_length, c.threshold, c.status)
-                 for c in rep.entries], rep.tail_summary)
 
     checks = (
         ("weighted-homogeneous-15-6-7",
@@ -307,7 +308,8 @@ def _checklist(runner, S, R, scenario):
         ("delta-agreement-1-6",
          lambda: [(n, R.delta_one_test(x, n).verdict, R.delta_via_mu(x, n))
                   for n in range(1, 7)]),
-        ("order-case-report", case_report),
+        # m^5 in (f), orders up to 4 one by one
+        ("order-case-report", lambda: _case_report(R, 5, 4)),
     )
     expected = scenario["expected"]
     for name, fn in checks:
@@ -474,11 +476,9 @@ def _build_parser():
 
     sp = sub.add_parser("case-report",
                         help="order-by-order Hilbert feasibility table")
-    sp.add_argument("emb", type=int)
-    sp.add_argument("e", type=int)
-    sp.add_argument("hf2", type=int)
-    sp.add_argument("N", type=int)
-    sp.add_argument("d_max", type=int)
+    ring_flag(sp)
+    sp.add_argument("--target", type=int, required=True, metavar="N")
+    sp.add_argument("--d-max", type=int, required=True, metavar="D")
 
     sp = sub.add_parser("newton",
                         help="Newton polygon, its decomposability and any "
@@ -554,12 +554,12 @@ def _dispatch(args):
               else "false")
         return 0
     if cmd == "case-report":
-        rep = order_case_report(args.emb, args.e, args.hf2, args.N,
-                                args.d_max)
-        for c in rep.entries:
-            print(f"d={c.order_d} HF={c.prefix} max={c.max_length} "
-                  f"threshold={c.threshold} {c.status}")
-        print(rep.tail_summary)
+        R = load_ring_file(args.ring).local_ring()
+        rows, tail = _case_report(R, args.target, args.d_max)
+        for d, hf2, max_len, threshold, status in rows:
+            print(f"d={d} HF(2)={hf2} max={max_len} threshold={threshold} "
+                  f"{status}")
+        print(tail)
         return 0
     if cmd == "newton":
         # only here: no scenario run needs polytope

@@ -67,7 +67,8 @@ lie in fA (``loewy_length_at_most``, the test of the CLI's
 rejects f in I, which maps every row of fA to 0: a nonzero row puts f
 outside I, and only an f with none is tested against I's degrevlex basis.
 The tangent cone comes from one block-order ``buchberger`` run on the
-homogenized generators (Lazard's method).
+homogenized generators (Lazard's method); the same run on I + (x)
+tells, when its ladder fails, whether R/(x) is Artinian at all.
 """
 
 from .errors import (InternalInconsistency, NoStabilization,
@@ -252,15 +253,17 @@ class LocalRing:
     def loewy_length_mod(self, f):
         """Smallest N with m^N contained in (f) in R: one more than the top
         degree of a ds standard monomial of the local model of I + (f);
-        NotFound when that model does not stabilize within the bound.  A
+        NotFound when that model does not stabilize within the bound, and
+        ``_require_artinian``'s error when no bound would do.  A
         witness's memo entry, which passed the checks, answers first."""
         if f in self._socles:
             return self._socles[f][3]
         self.check_parameter(f)
+        J = self.I + Ideal(self.ring, [f])
         try:
-            return self._stabilize(
-                self.I + Ideal(self.ring, [f]))[0].index(0)
+            return self._stabilize(J)[0].index(0)
         except NotArtinianLocally:
+            self._require_artinian(f, J)
             raise NotFound(f"no N <= {self.stabilization_bound} with m^N "
                            "inside the ideal") from None
 
@@ -293,10 +296,10 @@ class LocalRing:
         and, on a clash with an earlier one, extended by "_"; the same
         instance on every call."""
         if self._tangent_cone is None:
-            self._tangent_cone = self._initial_ideal()
+            self._tangent_cone = self._initial_ideal(self.I)
         return self._tangent_cone
 
-    def _initial_ideal(self):
+    def _initial_ideal(self, J):
         upper = []
         for name in self.ring.names:
             name = name.upper()
@@ -309,13 +312,23 @@ class LocalRing:
         # on the homogeneous ideal of the homogenized generators the block
         # order is the homogenized local degree order, and its basis
         # dehomogenizes to a standard basis, whose initial forms generate I*.
-        homogenized = [g.homogenize("h") for g in self.I.generators]
+        homogenized = [g.homogenize("h") for g in J.generators]
         gb = buchberger(self.ring.extend("h"), homogenized, BlockOrder())
         gens = [Polynomial(target, g.dehomogenize().initial_form().terms)
                 for g in gb.generators]
         return Ideal.from_basis(Ideal(target, gens).groebner())
 
     # -- delta invariant and index ------------------------------------------
+
+    def _require_artinian(self, x, J):
+        """NotArtinianLocally naming x if R/(x) is not Artinian, iff the
+        tangent cone of J = I + (x) is not m-primary: then no bound helps a
+        failed ladder of J."""
+        if self._initial_ideal(J).vector_space_dim() == INFINITE:
+            s = x.to_str()
+            raise NotArtinianLocally(
+                f"R/({s}) is not Artinian: {s} is not a parameter of R (a "
+                "zero divisor when dim R = 1)") from None
 
     def check_parameter(self, x):
         """Raise unless x lies in m and outside I, so that R/(x) can be
@@ -341,7 +354,11 @@ class LocalRing:
             return entry
         self.check_parameter(x)
         Ix_global = self.I + Ideal(self.ring, [x])
-        hf, gb = self._stabilize(Ix_global)
+        try:
+            hf, gb = self._stabilize(Ix_global)
+        except NotArtinianLocally:
+            self._require_artinian(x, Ix_global)
+            raise
         Ix = Ideal.from_basis(fglm(gb))
         soc = Ix.quotient(self.n)
         t = Ix.vector_space_dim() - soc.vector_space_dim()

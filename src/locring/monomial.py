@@ -1,10 +1,10 @@
-"""Monomial ideals: intersection, irreducible decomposition, minimal primes.
+"""Monomial ideals: membership, irreducible decomposition, minimal primes.
 
 A MonomialIdeal stores its minimal generating set as sorted exponent tuples.
 """
 
 from .errors import UnitIdeal
-from .poly import mono_divides, mono_lcm
+from .poly import mono_divides
 
 
 def _minimalize(monos):
@@ -52,20 +52,11 @@ class MonomialIdeal:
     def is_proper(self):
         return all(sum(g) > 0 for g in self.generators)
 
-    def is_zero(self):
-        return not self.generators
-
     def member(self, mono):
         return any(mono_divides(g, mono) for g in self.generators)
 
     def contains(self, other):
         return all(self.member(g) for g in other.generators)
-
-    def intersect(self, other):
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal(self.nvars, [])
-        gens = [mono_lcm(a, b) for a in self.generators for b in other.generators]
-        return MonomialIdeal(self.nvars, gens)
 
     def plus(self, monos):
         return MonomialIdeal(self.nvars, list(self.generators) + list(monos))

@@ -11,9 +11,11 @@ test by one truncated ds Buchberger run on I + (f), the route that
 ``LocalRing.loewy_length_at_most``'s rank count on S/(I + n^(N+1))
 replaced.  ``lex_segment_oracle`` counts the growth of a lex-segment
 quotient monomial by monomial, the independent check of
-``bounds.macaulay_bound``.  ``substitute_in_field`` is
-``Polynomial.substitute`` in field arithmetic (``Fraction`` over Q), the
-route its integer arithmetic replaced.  ``direct_normal_form`` and
+``bounds.macaulay_bound``.  ``monomial_intersect`` intersects monomial
+ideals by the lcms of their generators, the check that
+``MonomialIdeal.irreducible_decomposition`` intersects back.
+``substitute_in_field`` is ``Polynomial.substitute`` in field arithmetic
+(``Fraction`` over Q), the route its integer arithmetic replaced.  ``direct_normal_form`` and
 ``direct_colon`` reduce each input against a basis's divisors in one
 ``groebner._nf_dict`` call, the route that the sums of entries of the
 basis's normal-form table replaced in ``normal_form`` and in
@@ -30,8 +32,9 @@ from locring import groebner
 from locring.errors import BudgetExceeded, ZeroPolynomial
 from locring.groebner import buchberger
 from locring.ideal import Ideal
+from locring.monomial import MonomialIdeal
 from locring.poly import (DegRevLex, NegDegRevLex, Polynomial, TermOrder,
-                          mono_div, monomials_of_degree)
+                          mono_div, mono_lcm, monomials_of_degree)
 
 _MAX_MONOMIALS = 2_000_000  # the lex-segment oracle's size guard
 
@@ -115,6 +118,14 @@ def intersect_by_elimination(I, J):
     gens = [t * f.substitute(xs) for f in I.generators]
     gens += [(one - t) * g.substitute(xs) for g in J.generators]
     return Ideal(ext, gens).eliminate()
+
+
+def monomial_intersect(A, B):
+    """A cap B for MonomialIdeals A and B, generated by the lcms of their
+    generators: the check that an irreducible decomposition intersects
+    back."""
+    return MonomialIdeal(A.nvars, [mono_lcm(a, b) for a in A.generators
+                                   for b in B.generators])
 
 
 def direct_normal_form(f, gb):

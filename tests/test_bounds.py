@@ -61,16 +61,14 @@ def test_hf_feasible_max_length_needs_a_positive_N(N):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0, 8, 6, 5, 4), "emb must be >= 1, got 0"),
-    ((3, 0, 6, 5, 4), "e must be >= 1, got 0"),
+    ((0, 8, 5, 4), "emb must be >= 1, got 0"),
+    ((3, 0, 5, 4), "e must be >= 1, got 0"),
     # a negative multiplicity used to print a table of negative thresholds
-    ((3, -8, 6, 5, 4), "e must be >= 1, got -8"),
-    # and a negative HF one of impossible prefixes
-    ((3, 8, -2, 5, 4), "hf2 must be >= 0, got -2"),
+    ((3, -8, 5, 4), "e must be >= 1, got -8"),
     # N = 0 used to end in an IndexError
-    ((3, 8, 6, 0, 4), "N must be >= 1, got 0"),
-    ((3, 8, 6, 5, -1), "d_max must be >= 0, got -1"),
-], ids=["emb", "e-zero", "e-negative", "hf2", "N", "d_max"])
+    ((3, 8, 0, 4), "N must be >= 1, got 0"),
+    ((3, 8, 5, -1), "d_max must be >= 0, got -1"),
+], ids=["emb", "e-zero", "e-negative", "N", "d_max"])
 def test_case_report_rejects_out_of_range_input(args, message):
     with pytest.raises(ValueError, match=message):
         order_case_report(*args)
@@ -78,28 +76,26 @@ def test_case_report_rejects_out_of_range_input(args, message):
 
 def test_case_report_at_the_smallest_valid_input():
     # d_max = 0 leaves only the tail, and N = 1 caps every length at 1
-    rep = order_case_report(emb=1, e=1, hf2_ambient=0, N=1, d_max=0)
-    assert rep.entries == []
-    assert rep.tail_summary == "orders d > 0 not settled: max length 1 >= 1"
+    assert order_case_report(emb=1, e=1, N=1, d_max=0) == (
+        [], "orders d > 0 not settled: max length 1 >= 1")
+    # emb = 1: HF_S(2) = 1 clips the degree-2 slice ranges to it
+    assert order_case_report(emb=1, e=1, N=1, d_max=2) == (
+        [(1, 0, 1, 1, UNRESOLVED), (2, 0, 1, 2, ELIMINATED)],
+        "all orders d > 2 eliminated: max length 1 < d*e >= 3")
 
 
 def test_case_report_eliminations():
-    rep = order_case_report(emb=3, e=8, hf2_ambient=6, N=5, d_max=4)
-    by_key = {(c.order_d, c.hf2): c for c in rep.entries}
-    assert by_key[(2, 4)].status == ELIMINATED
-    assert by_key[(2, 4)].max_length == 14
-    assert by_key[(2, 4)].threshold == 16
-    assert by_key[(3, 6)].status == ELIMINATED
-    assert by_key[(3, 6)].max_length == 21
-    assert by_key[(3, 6)].threshold == 24
-    assert by_key[(4, 6)].status == ELIMINATED
-    assert by_key[(2, 5)].status == UNRESOLVED
-    assert by_key[(1, 2)].status == UNRESOLVED
-    assert "21" in rep.tail_summary and "40" in rep.tail_summary
-    assert rep.tail_summary.startswith("all orders d > 4 eliminated")
+    # embedding dimension 3, so HF_S(2) = 6; e = 8 and m^5 in (f)
+    assert order_case_report(3, 8, 5, 4) == (
+        [(1, 2, 8, 8, UNRESOLVED), (1, 3, 11, 8, UNRESOLVED),
+         (2, 4, 14, 16, ELIMINATED), (2, 5, 17, 16, UNRESOLVED),
+         (3, 6, 21, 24, ELIMINATED), (4, 6, 21, 32, ELIMINATED)],
+        "all orders d > 4 eliminated: max length 21 < d*e >= 40")
 
 
 def test_case_report_large_multiplicity_eliminates_everything():
-    rep = order_case_report(emb=3, e=100, hf2_ambient=6, N=5, d_max=4)
-    assert all(c.status == ELIMINATED for c in rep.entries)
-    assert rep.tail_summary.startswith("all orders")
+    assert order_case_report(3, 100, 5, 4) == (
+        [(1, 2, 8, 100, ELIMINATED), (1, 3, 11, 100, ELIMINATED),
+         (2, 4, 14, 200, ELIMINATED), (2, 5, 17, 200, ELIMINATED),
+         (3, 6, 21, 300, ELIMINATED), (4, 6, 21, 400, ELIMINATED)],
+        "all orders d > 4 eliminated: max length 21 < d*e >= 500")

@@ -12,6 +12,7 @@ from locring.cli import (FAIL, MAIN_RING, PASS, SKIPPED_HEAVY, Report,
                          Runner, SplitMix64, gll_search, main,
                          parse_ring_file, run_scenario, sample_element)
 from locring.errors import InternalInconsistency, ParseError
+from locring.localring import LocalRing
 
 MAIN_RING_TEXT = """\
 field Q
@@ -255,28 +256,67 @@ def test_cli_newton_reports_a_monomial_factor(tmp_path, capsys):
     assert "monomial factor: y (the polygon misses an axis)" in out
 
 
-def test_cli_case_report(capsys):
-    assert main(["case-report", "3", "8", "6", "5", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "max=14 threshold=16 ELIMINATED" in out
-    assert "max=21 threshold=24 ELIMINATED" in out
-    assert "all orders d > 4 eliminated" in out
+def test_cli_case_report(ring_file, capsys):
+    # emb 3 and e 8 are read from the ring
+    assert main(["case-report", "--ring", ring_file, "--target", "5",
+                 "--d-max", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "d=1 HF(2)=2 max=8 threshold=8 UNRESOLVED\n"
+        "d=1 HF(2)=3 max=11 threshold=8 UNRESOLVED\n"
+        "d=2 HF(2)=4 max=14 threshold=16 ELIMINATED\n"
+        "d=2 HF(2)=5 max=17 threshold=16 UNRESOLVED\n"
+        "d=3 HF(2)=6 max=21 threshold=24 ELIMINATED\n"
+        "d=4 HF(2)=6 max=21 threshold=32 ELIMINATED\n"
+        "all orders d > 4 eliminated: max length 21 < d*e >= 40\n")
 
 
-@pytest.mark.parametrize("args, message", [
-    (["3", "8", "6", "0", "4"], "N must be >= 1, got 0"),
-    (["3", "-8", "6", "5", "4"], "e must be >= 1, got -8"),
-    (["3", "8", "-2", "5", "4"], "hf2 must be >= 0, got -2"),
-    (["0", "8", "6", "5", "4"], "emb must be >= 1, got 0"),
-    (["3", "8", "6", "5", "-1"], "d_max must be >= 0, got -1"),
-], ids=["N-zero", "e-negative", "hf2-negative", "emb-zero", "d_max-negative"])
-def test_cli_case_report_rejects_out_of_range_input(capsys, args, message):
+@pytest.mark.parametrize("ring, target, d_max, message", [
+    (MAIN_RING_TEXT, "0", "4", "N must be >= 1, got 0"),
+    (MAIN_RING_TEXT, "5", "-1", "d_max must be >= 0, got -1"),
+    # R = k: HF(1) = 0
+    ("field Q\nvars x\ngen x\n", "5", "4", "emb must be >= 1, got 0"),
+    # k[x,y]/(x, y)^2 is Artinian: HF 1, 2, 0 gives e = 0
+    ("field Q\nvars x y\ngen x^2\ngen x*y\ngen y^2\n", "5", "4",
+     "e must be >= 1, got 0"),
+], ids=["N-zero", "d_max-negative", "emb-zero", "e-zero"])
+def test_cli_case_report_rejects_out_of_range_input(tmp_path, capsys, ring,
+                                                    target, d_max, message):
     # N = 0 used to end in an IndexError traceback with exit 1, the code of
-    # a failed check, and negative e or hf2 printed a table
-    assert main(["case-report"] + args) == 2
+    # a failed check
+    p = tmp_path / "case.ring"
+    p.write_text(ring)
+    assert main(["case-report", "--ring", str(p), "--target", target,
+                 "--d-max", d_max]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {message}\n"
+
+
+def test_order_case_report_check_reads_the_ring(monkeypatch):
+    # with e = 100 every row falls below its threshold d*e, so the pinned
+    # rows fail: the check reads e from the ring, not from a literal
+    monkeypatch.setattr(LocalRing, "multiplicity", lambda self: 100)
+    check = next(c for c in run_scenario("main").checks
+                 if c.name == "order-case-report")
+    assert check.status == FAIL
+    assert check.actual == (
+        "([(1, 2, 8, 100, 'ELIMINATED'), (1, 3, 11, 100, 'ELIMINATED'), "
+        "(2, 4, 14, 200, 'ELIMINATED'), (2, 5, 17, 200, 'ELIMINATED'), "
+        "(3, 6, 21, 300, 'ELIMINATED'), (4, 6, 21, 400, 'ELIMINATED')], "
+        "'all orders d > 4 eliminated: max length 21 < d*e >= 500')")
+
+
+@pytest.mark.parametrize("witness", ["y", "x"])
+def test_cli_index_names_a_zero_divisor_witness(tmp_path, capsys, witness):
+    # used to exit 2 with "no colength stabilization within n^20"
+    p = tmp_path / "ex1.ring"
+    p.write_text("field Q\nvars x y z\ngen x^2 - y^5\ngen x*y^2 + y*z^3\n")
+    assert main(["index", "--ring", str(p), "--witness", witness]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: R/({witness}) is not Artinian: {witness} is "
+                       "not a parameter of R (a zero divisor when dim R = "
+                       "1)\n")
 
 
 @pytest.mark.parametrize("max_n", ["0", "-2"])

@@ -24,7 +24,7 @@ from locring import cli, groebner, localring
 from locring.arith import QQ, PrimeField, PrimeFieldElement
 from locring.bounds import macaulay_bound
 from locring.errors import (InternalInconsistency, NoStabilization,
-                            NotArtinianLocally, NotFound, RingMismatch)
+                            NotArtinianLocally, RingMismatch)
 from locring.groebner import GroebnerBasis, buchberger, fglm, is_member
 from locring.ideal import INFINITE, Ideal, all_monomials, max_ideal_power
 from locring.localring import LocalRing
@@ -673,7 +673,8 @@ def test_loewy_length_at_most_matches_loewy_length_mod(name, field):
     # doubling route of loewy_length_mod, on the witnesses (and y - z on
     # ex1) and on 20 seeded gll-search draws.  On ex1, whose z-axis is a
     # component, a draw with no z in its linear part is a zerodivisor:
-    # R/(f) is not Artinian, and no m^N lies in (f)
+    # R/(f) is not Artinian, no m^N lies in (f), and loewy_length_mod
+    # names f as no parameter
     R = _scenario_ring_over(name, field)
     ring = R.ring
     witnesses = [SCENARIO_RINGS[name][1]] + (["y - z"] if name == "ex1"
@@ -688,7 +689,8 @@ def test_loewy_length_at_most_matches_loewy_length_mod(name, field):
     for f in elements:
         try:
             lengths.append(R.loewy_length_mod(f))
-        except NotFound:
+        except NotArtinianLocally as exc:
+            assert "is not a parameter of R" in str(exc)
             lengths.append(INFINITE)
     assert lengths[len(witnesses) - 1] == 6  # y on main, y - z, x on ex2
     assert (INFINITE in lengths) == (name == "ex1")

@@ -92,6 +92,38 @@ def test_loewy_length_stabilizes_within_its_own_bound():
         L.loewy_length_mod(x25)
 
 
+@pytest.mark.parametrize("witness", ["y", "x"])
+def test_a_zero_divisor_witness_is_named(witness):
+    # y and x vanish on the line x = y = 0 of ex1's curve, so R/(y) and
+    # R/(x) are not Artinian; index and loewy used to report the ladder's
+    # bound, "no colength stabilization within n^20" and "no N <= 20"
+    R = cli.EX1_RING.local_ring()
+    x = R.ring.parse(witness)
+    message = (f"R/({witness}) is not Artinian: {witness} is not a "
+               "parameter of R (a zero divisor when dim R = 1)")
+    for call in (R.index, R.loewy_length_mod):
+        with pytest.raises(NotArtinianLocally) as raised:
+            call(x)
+        assert str(raised.value) == message
+    assert not R._socles
+
+
+def test_a_parameter_keeps_the_ladder_errors():
+    # z is a parameter of ex1, of index 5; y is one of main, whose Loewy
+    # length 6 is above a bound of 3, so the ladder's own errors stand
+    R = cli.EX1_RING.local_ring()
+    assert R.index(R.ring.parse("z")) == 5
+    M = cli.MAIN_RING.local_ring()
+    R = LocalRing(M.ring, M.I, stabilization_bound=3)
+    y = R.ring.parse("y")
+    with pytest.raises(NotArtinianLocally,
+                       match=r"^no colength stabilization within n\^3$"):
+        R.index(y)
+    with pytest.raises(NotFound,
+                       match=r"^no N <= 3 with m\^N inside the ideal$"):
+        R.loewy_length_mod(y)
+
+
 def test_loewy_length_at_most_needs_n_at_least_zero(cusp_ring, xyz):
     # N = -1 used to ask for an untruncated ds basis and fail inside it
     # with "min() arg is an empty sequence"; m^0 = R is never inside (y)
