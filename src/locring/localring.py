@@ -11,15 +11,19 @@ nor that dim R = 1; both caveats are surfaced in reports.
 
 Every length that is not already m-primary comes from a standard basis in
 the local order ds truncated at a degree N, built by ``LocalRing._ds_basis``
-alone (``buchberger(..., truncate=N)``) for ``_truncations``,
-``hilbert_function`` and ``loewy_length_at_most``: its standard monomials of
-degree d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d),
-whatever N is.  The basis records N, and ``GroebnerBasis.staircase()``
-walks them layer by layer below it; this module only counts its layers.
+alone (``buchberger(..., truncate=N)``): its standard monomials of degree
+d < N number HF(d) = lambda(J + n^(d+1)) - lambda(J + n^d), whatever N is.
+The basis records N, and ``GroebnerBasis.staircase()`` walks them layer by
+layer below it; this module only counts its layers.  The truncations of I
+are built once per N, by ``_truncation_of_I``, and shared by every reader
+of I: ``hilbert_function``, ``multiplicity``, ``ord_mod`` and
+``loewy_length_at_most``.
+
 Each ring has one degree bound, ``stabilization_bound``.  One loop,
 ``LocalRing._truncations``, grows N from 2, at most doubling it, capped at
-that bound plus one.  Three readers scan what it yields, ``ord_mod``,
-which doubles N, and these two:
+that bound plus one, and takes its bases from a builder: the memo for I,
+a fresh build for any other J.  Three readers scan what it yields,
+``ord_mod``, which doubles N, and these two:
 
 * ``_stabilize`` stops at the first truncation with an empty degree d.
   Then the truncation is a basis of the same ideal J + n^N = J + n^d.  It
@@ -37,7 +41,8 @@ ideal's generators.  One holds, per witness x, the local model Ix of
 I + (x), its colon by m, whether I + (x) is m-primary in S and the Loewy
 length of R/(x), the second, per x and n, the ``DeltaTestResult``, the
 third the tangent cone, and the fourth, per N, the ds basis of I truncated
-at N + 1 that the gll test reads.  Every other local model and colon is
+at N, which the Hilbert function, the ladders of ``multiplicity`` and
+``ord_mod`` and the gll test share.  Every other local model and colon is
 built on each call.
 The delta tests build m-primary ideals by construction, colons of local
 models (C = (x^n) : m^n is one colon) and the ideal nC = I + n*C over
@@ -122,7 +127,7 @@ class LocalRing:
         self._socles = {}       # x -> (Ix, Ix : m, primary, Loewy(R/xR))
         self._delta_tests = {}  # (x, n) -> DeltaTestResult
         self._tangent_cone = None
-        self._gll_bases = {}    # N -> ds basis of I truncated at N + 1
+        self._truncations_of_I = {}  # N -> ds basis of I truncated at N
 
     # -- length plumbing ----------------------------------------------------
 
@@ -130,17 +135,28 @@ class LocalRing:
         """The ds basis of (gens) + n^N, truncated at N."""
         return buchberger(self.ring, gens, DS, truncate=N)
 
-    def _truncations(self, J, step):
-        """(HF list, ds basis) for the ds bases of J + n^N truncated at
-        N = 2, then min(step(N, hf), bound + 1) > N, until N passes the
-        ring's bound.  The list holds the sizes of the basis's staircase
-        layers, HF(0), HF(1), ... of S/J, up to degree N - 1 or up to and
-        including the first zero, whichever comes first; HF(d) does not
-        depend on N."""
+    def _truncation_of_I(self, N):
+        """The ds basis of I + n^N truncated at N, built once per N and
+        kept for as long as the ring lives: the one source of I's
+        truncations for every reader."""
+        gb = self._truncations_of_I.get(N)
+        if gb is None:
+            gb = self._ds_basis(self.I.generators, N)
+            self._truncations_of_I[N] = gb
+        return gb
+
+    def _truncations(self, build, step):
+        """(HF list, ds basis) for the ds bases build(N) of J + n^N
+        truncated at N = 2, then min(step(N, hf), bound + 1) > N, until N
+        passes the ring's bound.  The list holds the sizes of the basis's
+        staircase layers, HF(0), HF(1), ... of S/J, up to degree N - 1 or
+        up to and including the first zero, whichever comes first; HF(d)
+        does not depend on N.  ``_stabilize`` builds each basis afresh;
+        the readers of I take them from ``_truncation_of_I``."""
         bound = self.stabilization_bound
         N = 2
         while True:
-            gb = self._ds_basis(J.generators, N)
+            gb = build(N)
             hf = [len(layer) for layer in gb.staircase()]
             yield hf, gb
             if N > bound:
@@ -166,7 +182,8 @@ class LocalRing:
                     f"{length_bound}")
             return min(2 * N, N + length_bound - P + 1)
 
-        for hf, gb in self._truncations(J, step):
+        for hf, gb in self._truncations(
+                lambda N: self._ds_basis(J.generators, N), step):
             if not hf[-1]:
                 return hf, gb
         raise NotArtinianLocally(
@@ -187,11 +204,12 @@ class LocalRing:
 
     def hilbert_function(self, max_degree):
         """[HF(0), ..., HF(max_degree)], HF(d) = lambda(S/(I+n^{d+1})) -
-        lambda(S/(I+n^d)), from one ds basis of I + n^(max_degree+1)."""
+        lambda(S/(I+n^d)), from I's truncation at N = max_degree + 1
+        (``_truncation_of_I``), which the other readers of I share."""
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         N = max_degree + 1
-        layers = self._ds_basis(self.I.generators, N).staircase()
+        layers = self._truncation_of_I(N).staircase()
         return [len(layer) for layer in layers] + [0] * (N - len(layers))
 
     def multiplicity(self):
@@ -212,7 +230,7 @@ class LocalRing:
         below, and this raises NoStabilization.  N steps to the degree, at
         most 2N, that answers if HF stays at HF(N - 1) > N - 1."""
         for hf, _gb in self._truncations(
-                self.I, lambda N, hf: min(2 * N, hf[-1] + 1)):
+                self._truncation_of_I, lambda N, hf: min(2 * N, hf[-1] + 1)):
             for d in range(1, len(hf)):
                 if hf[d] <= d:
                     return hf[d]
@@ -232,15 +250,23 @@ class LocalRing:
             raise ZeroPolynomial("ord of 0")
         if self.I.member(f):
             return INFINITE
-        for _hf, gb in self._truncations(self.I, lambda N, hf: 2 * N):
+        for _hf, gb in self._truncations(self._truncation_of_I,
+                                         lambda N, hf: 2 * N):
             r = normal_form(f, gb)
             if not r.is_zero():
                 return r.order()
         return self.stabilization_bound
 
     def colength(self, f):
-        """Length of R/(f) for a nonzerodivisor f."""
-        return self.colength_local(self.I + Ideal(self.ring, [f]))
+        """Length of R/(f) for a nonzerodivisor f; 0 for a unit.  When the
+        ladder of I + (f) fails, ``_require_artinian`` names an f that is
+        no parameter of R."""
+        J = self.I + Ideal(self.ring, [f])
+        try:
+            return self.colength_local(J)
+        except NotArtinianLocally:
+            self._require_artinian(f, J)
+            raise
 
     def is_superficial(self, f):
         """True iff colength(f) equals ord(f) * e, the superficiality test;
@@ -272,8 +298,9 @@ class LocalRing:
         constant term, NotArtinianLocally if f lies in I.  I + n^(N+1) is
         m-primary, so A = S/(I + n^(N+1)) is R/m^(N+1), and by Nakayama m^N
         lies in (f) iff its image in A lies in fA: a rank count on A
-        (``groebner.top_degree_in_multiples``) against one ds basis of I
-        truncated at N + 1, built once per N.  The count also decides most
+        (``groebner.top_degree_in_multiples``) against I's truncation at
+        N + 1 (``_truncation_of_I``), which ``hilbert_function(N)`` shares
+        and neither builds twice.  The count also decides most
         of f in I: f*b in I maps to 0 in A, so a nonzero row of fA puts f
         outside I.  Only when it reads no nonzero row (every row is 0, or
         there is none, as when m^N = 0 in A or N = 0) is f tested against
@@ -281,10 +308,8 @@ class LocalRing:
         R whose staircase ends before degree N gives True."""
         if N < 0:
             raise ValueError(f"N must be >= 0, got {N}")
-        gb = self._gll_bases.get(N)
-        if gb is None:
-            gb = self._gll_bases[N] = self._ds_basis(self.I.generators, N + 1)
-        answer, outside = top_degree_in_multiples(gb, f)
+        answer, outside = top_degree_in_multiples(
+            self._truncation_of_I(N + 1), f)
         if not outside and self.I.member(f):
             raise _in_defining_ideal(f)
         return answer

@@ -319,6 +319,25 @@ def test_cli_index_names_a_zero_divisor_witness(tmp_path, capsys, witness):
                        "1)\n")
 
 
+def test_cli_superficial_names_a_zero_divisor(tmp_path, capsys):
+    # y and x used to exit 2 with "no colength stabilization within n^20";
+    # the parameters z and y - z keep their answers
+    p = tmp_path / "ex1.ring"
+    p.write_text("field Q\nvars x y z\ngen x^2 - y^5\ngen x*y^2 + y*z^3\n")
+    for element in ("y", "x"):
+        assert main(["superficial", "--ring", str(p),
+                     "--element", element]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: R/({element}) is not Artinian: "
+                           f"{element} is not a parameter of R (a zero "
+                           "divisor when dim R = 1)\n")
+    for element, answer in (("z", "false"), ("y - z", "true")):
+        assert main(["superficial", "--ring", str(p),
+                     "--element", element]) == 0
+        assert capsys.readouterr().out == answer + "\n"
+
+
 @pytest.mark.parametrize("max_n", ["0", "-2"])
 def test_cli_index_rejects_a_max_n_below_one(ring_file, capsys, max_n):
     # --max-n 0 used to report "delta(R/m^n) = 0 for all n <= 0"

@@ -850,7 +850,7 @@ def test_gll_test_keeps_what_depends_only_on_the_terms_and_rows(monkeypatch):
     monkeypatch.setattr(groebner._NormalForms, "__getitem__", counted_read)
     assert not R.loewy_length_at_most(R.ring.parse("5*y - z^2 + 7*x*z"), 5)
     assert reduced == [] and read == []
-    assert "generators" not in R._gll_bases[5].__dict__
+    assert "generators" not in R._truncations_of_I[6].__dict__
     # a new term is one new column, whose products are reduced once
     assert not R.loewy_length_at_most(R.ring.parse("y + x*y"), 5)
     assert reduced and read

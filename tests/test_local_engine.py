@@ -103,13 +103,15 @@ def scenario_rings():
             for name, (make, witness) in SCENARIO_RINGS.items()}
 
 
-def _spy_ds_basis(monkeypatch):
-    """The truncation degrees of every ``_ds_basis`` call from now on."""
+def _spy_ds_basis(monkeypatch, of_i_only=False):
+    """The truncation degrees of every ``_ds_basis`` call from now on, or
+    of those on I's own generators."""
     seen = []
     original = LocalRing._ds_basis
 
     def record(self, gens, N):
-        seen.append(N)
+        if not of_i_only or gens == self.I.generators:
+            seen.append(N)
         return original(self, gens, N)
 
     monkeypatch.setattr(LocalRing, "_ds_basis", record)
@@ -273,6 +275,43 @@ def test_multiplicity_ladder_stops_at_its_answer(scenario_rings, name,
     seen = _spy_ds_basis(monkeypatch)
     assert LocalRing(R.ring, R.I).multiplicity() == 8
     assert seen == ladder
+
+
+def test_one_main_pass_builds_each_truncation_of_i_once(monkeypatch):
+    # hilbert-function-0-8 builds N = 9, multiplicity's ladder 2, 4, 7 and
+    # reads 9, and the order-case report reads HF(1) off N = 2 and e off
+    # the same ladder, which it does not rerun
+    seen = _spy_ds_basis(monkeypatch, of_i_only=True)
+    assert cli.run_scenario("main").passed()
+    assert seen == [9, 2, 4, 7]
+
+
+def test_every_reader_of_i_shares_its_truncations(scenario_rings,
+                                                   monkeypatch):
+    # after hilbert_function(8) and multiplicity, the order-case report
+    # and ord_mod's ladder (N = 2, 4 for an f of order 2) build no ds
+    # basis, nor does the gll test at N after hilbert_function(N); every
+    # answer is a fresh ring's
+    M, _witness = scenario_rings["main"]
+    S = M.ring
+    f, g = S.parse("y^2 + x*z"), S.parse("y + 3*z^2 - x*z")
+    R = LocalRing(S, M.I)
+    R.hilbert_function(8)
+    R.multiplicity()
+    seen = _spy_ds_basis(monkeypatch)
+    answers = (cli._case_report(R, 5, 4), R.ord_mod(f))
+    assert seen == []
+    fresh = LocalRing(S, M.I)
+    assert answers == (cli._case_report(fresh, 5, 4), fresh.ord_mod(f))
+    assert answers[1] == 2
+    R = LocalRing(S, M.I)
+    hf = R.hilbert_function(5)
+    seen.clear()
+    answer = R.loewy_length_at_most(g, 5)
+    assert seen == []
+    fresh = LocalRing(S, M.I)
+    assert (hf, answer) == (fresh.hilbert_function(5),
+                            fresh.loewy_length_at_most(g, 5))
 
 
 @pytest.mark.parametrize("name, loewy", [("main", 6), ("ex1", 7),

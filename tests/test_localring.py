@@ -96,16 +96,19 @@ def test_loewy_length_stabilizes_within_its_own_bound():
 def test_a_zero_divisor_witness_is_named(witness):
     # y and x vanish on the line x = y = 0 of ex1's curve, so R/(y) and
     # R/(x) are not Artinian; index and loewy used to report the ladder's
-    # bound, "no colength stabilization within n^20" and "no N <= 20"
+    # bound, "no colength stabilization within n^20" and "no N <= 20", as
+    # colength and is_superficial did
     R = cli.EX1_RING.local_ring()
     x = R.ring.parse(witness)
     message = (f"R/({witness}) is not Artinian: {witness} is not a "
                "parameter of R (a zero divisor when dim R = 1)")
-    for call in (R.index, R.loewy_length_mod):
+    for call in (R.index, R.loewy_length_mod, R.colength, R.is_superficial):
         with pytest.raises(NotArtinianLocally) as raised:
             call(x)
         assert str(raised.value) == message
     assert not R._socles
+    # a unit still has colength 0
+    assert R.colength(R.ring.parse("1 + y")) == 0
 
 
 def test_a_parameter_keeps_the_ladder_errors():
