@@ -295,11 +295,14 @@ class GroebnerBasis:
 # ---------------------------------------------------------------------------
 # raw term dicts
 
-def _to_raw(terms, p, pk):
+def _to_raw(terms, p, pk, truncate):
     """A term dict of field elements as (raw, scale), raw = scale * terms
     with packed monomials: residues over F_p with scale 1; over Q integers,
-    with scale the lcm of the denominators.  ValueError if a degree does not
+    with scale the lcm of the denominators.  With truncate = N > 0, terms
+    of degree >= N are dropped first.  ValueError if a degree does not
     fit."""
+    if truncate:
+        terms = {e: c for e, c in terms.items() if sum(e) < truncate}
     _check_degree(max(map(sum, terms), default=0))
     pack = pk.pack
     if p:
@@ -357,7 +360,7 @@ def _divisor(raw, p, pk):
 
 
 def _divisors(polys, pk, p):
-    return [_divisor(_to_raw(g.terms, p, pk)[0], p, pk) for g in polys
+    return [_divisor(_to_raw(g.terms, p, pk, 0)[0], p, pk) for g in polys
             if not g.is_zero()]
 
 
@@ -594,11 +597,7 @@ def normal_form(f, G):
         raise RingMismatch("normal_form: mixed rings")
     p = ring.field.characteristic
     pk = packing(G.order, ring.nvars)
-    truncate = G.truncate
-    terms = f.terms
-    if truncate:
-        terms = {e: c for e, c in terms.items() if sum(e) < truncate}
-    raw, scale = _to_raw(terms, p, pk)
+    raw, scale = _to_raw(f.terms, p, pk, G.truncate)
     vec, m = _entry_sum(G._normal_forms, raw)
     return Polynomial(ring, _from_raw(vec, scale * m, ring.field, pk.unpack))
 
@@ -627,10 +626,6 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("buchberger: mixed rings")
-    if truncate:
-        gens = [Polynomial(ring, {e: c for e, c in g.terms.items()
-                                  if sum(e) < truncate}) for g in gens]
-    gens = [g for g in gens if not g.is_zero()]
     p = ring.field.characteristic
     pk = packing(order, ring.nvars)
     guard, degree, shift = pk.guard, pk.degree, pk.shift
@@ -695,7 +690,8 @@ def buchberger(ring, gens, order, time_budget=None, truncate=0):
         lts.append(lt_e)
         sugars.append(sugar)
 
-    raws = [_to_raw(g.terms, p, pk)[0] for g in gens]
+    raws = [raw for raw in (_to_raw(g.terms, p, pk, truncate)[0]
+                            for g in gens) if raw]
     for terms in sorted(raws, key=lambda terms: -min(terms)):
         add_poly(terms, max(map(degree.__and__, terms)) >> shift)
 
@@ -865,7 +861,7 @@ def artinian_colon(gb, gens):
         raise ValueError("artinian_colon: the ideal is not zero-dimensional")
     p = ring.field.characteristic
     pk = packing(gb.order, ring.nvars)
-    raw_gens = [_to_raw(g.terms, p, pk)[0] for g in gens]
+    raw_gens = [_to_raw(g.terms, p, pk, 0)[0] for g in gens]
     monomials = [min(raw) for raw in raw_gens if len(raw) == 1]
     others = [raw for raw in raw_gens if len(raw) > 1]
     top = max(g.total_degree() for g in gens)

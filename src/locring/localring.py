@@ -32,7 +32,14 @@ a fresh build for any other J.  Three readers scan what it yields,
   and Loewy lengths read its layers alone; ``local_model`` hands it to
   ``groebner.fglm``, which reads d off the same kept staircase and turns
   the truncation, modulo n^d, into the reduced degrevlex basis that
-  generates the local model (``Ideal.from_basis``).
+  generates the local model (``Ideal.from_basis``).  When no truncation
+  has an empty degree, it alone decides why: S/J is not Artinian at the
+  origin (``NotArtinianLocally``) when the tangent cone of J is not
+  m-primary, and otherwise the bound was too small (``NoStabilization``).
+  Every ladder of I + (f), for the colength and Loewy length of R/(f) and
+  a witness's socle, goes through one door, ``_ladder_mod``, which checks
+  f first (a unit or an element of I is no parameter) and names f when
+  R/(f) is not Artinian.
 * ``multiplicity`` stops at the first d >= 1 with HF(d) <= d, after which
   HF never rises.
 
@@ -72,8 +79,8 @@ lie in fA (``loewy_length_at_most``, the test of the CLI's
 rejects f in I, which maps every row of fA to 0: a nonzero row puts f
 outside I, and only an f with none is tested against I's degrevlex basis.
 The tangent cone comes from one block-order ``buchberger`` run on the
-homogenized generators (Lazard's method); the same run on I + (x)
-tells, when its ladder fails, whether R/(x) is Artinian at all.
+homogenized generators (Lazard's method); the same run on J tells, when
+its ladder fails, whether S/J is Artinian at the origin at all.
 """
 
 from .errors import (InternalInconsistency, NoStabilization,
@@ -167,11 +174,16 @@ class LocalRing:
         """(hf, truncation) of J: hf is HF(0), ..., HF(d) of S/J up to its
         first zero HF(d) (d = 0 when J contains a unit), truncation the
         first ds basis of the ladder whose staircase has that empty degree
-        d, a basis of J + n^N = J + n^d; NotArtinianLocally when no
-        truncation has one.  N doubles, or with length_bound U, a bound on
-        the local length of J, goes to at most N + U - P + 1 after layer
-        sum P and no zero, as each degree up to the first zero adds 1 or
-        more.  InternalInconsistency if P > U."""
+        d, a basis of J + n^N = J + n^d.  N doubles, or with length_bound
+        U, a bound on the local length of J, goes to at most N + U - P + 1
+        after layer sum P and no zero, as each degree up to the first zero
+        adds 1 or more.  InternalInconsistency if P > U.
+
+        When no truncation has an empty degree, the tangent cone J* says
+        why, since S_n/J_n is Artinian iff its associated graded ring S/J*
+        has finite length: NotArtinianLocally when J* is not m-primary,
+        as no bound would help, and NoStabilization, a bound too small,
+        when it is."""
         def step(N, hf):
             if length_bound is None:
                 return 2 * N
@@ -186,8 +198,25 @@ class LocalRing:
                 lambda N: self._ds_basis(J.generators, N), step):
             if not hf[-1]:
                 return hf, gb
-        raise NotArtinianLocally(
+        if self._initial_ideal(J).vector_space_dim() == INFINITE:
+            raise NotArtinianLocally("S/J is not Artinian at the origin: its "
+                                     "tangent cone is not m-primary")
+        raise NoStabilization(
             f"no colength stabilization within n^{self.stabilization_bound}")
+
+    def _ladder_mod(self, f):
+        """(hf, truncation) of ``_stabilize`` on I + (f), and I + (f), after
+        ``check_parameter(f)``: the one door to the ladder of R/(f).  Its
+        NotArtinianLocally names f as no parameter of R."""
+        self.check_parameter(f)
+        J = self.I + Ideal(self.ring, [f])
+        try:
+            return (*self._stabilize(J), J)
+        except NotArtinianLocally:
+            s = f.to_str()
+            raise NotArtinianLocally(
+                f"R/({s}) is not Artinian: {s} is not a parameter of R (a "
+                "zero divisor when dim R = 1)") from None
 
     def local_model(self, J):
         """m-primary representative J + n^M equal to the contraction of the
@@ -258,15 +287,11 @@ class LocalRing:
         return self.stabilization_bound
 
     def colength(self, f):
-        """Length of R/(f) for a nonzerodivisor f; 0 for a unit.  When the
-        ladder of I + (f) fails, ``_require_artinian`` names an f that is
-        no parameter of R."""
-        J = self.I + Ideal(self.ring, [f])
-        try:
-            return self.colength_local(J)
-        except NotArtinianLocally:
-            self._require_artinian(f, J)
-            raise
+        """Length of R/(f) for a parameter f, through ``_ladder_mod`` and
+        with its errors; 0 for a unit."""
+        if (0,) * self.ring.nvars in f.terms:
+            return 0
+        return sum(self._ladder_mod(f)[0])
 
     def is_superficial(self, f):
         """True iff colength(f) equals ord(f) * e, the superficiality test;
@@ -278,20 +303,12 @@ class LocalRing:
 
     def loewy_length_mod(self, f):
         """Smallest N with m^N contained in (f) in R: one more than the top
-        degree of a ds standard monomial of the local model of I + (f);
-        NotFound when that model does not stabilize within the bound, and
-        ``_require_artinian``'s error when no bound would do.  A
-        witness's memo entry, which passed the checks, answers first."""
+        degree of a ds standard monomial of the local model of I + (f),
+        through ``_ladder_mod`` and with its errors.  A witness's memo
+        entry, which passed the checks, answers first."""
         if f in self._socles:
             return self._socles[f][3]
-        self.check_parameter(f)
-        J = self.I + Ideal(self.ring, [f])
-        try:
-            return self._stabilize(J)[0].index(0)
-        except NotArtinianLocally:
-            self._require_artinian(f, J)
-            raise NotFound(f"no N <= {self.stabilization_bound} with m^N "
-                           "inside the ideal") from None
+        return self._ladder_mod(f)[0].index(0)
 
     def loewy_length_at_most(self, f, N):
         """True iff m^N lies in (f) in R, for f in m; ValueError if f has a
@@ -345,16 +362,6 @@ class LocalRing:
 
     # -- delta invariant and index ------------------------------------------
 
-    def _require_artinian(self, x, J):
-        """NotArtinianLocally naming x if R/(x) is not Artinian, iff the
-        tangent cone of J = I + (x) is not m-primary: then no bound helps a
-        failed ladder of J."""
-        if self._initial_ideal(J).vector_space_dim() == INFINITE:
-            s = x.to_str()
-            raise NotArtinianLocally(
-                f"R/({s}) is not Artinian: {s} is not a parameter of R (a "
-                "zero divisor when dim R = 1)") from None
-
     def check_parameter(self, x):
         """Raise unless x lies in m and outside I, so that R/(x) can be
         Artinian: a unit or an element of I cannot be a witness."""
@@ -367,7 +374,7 @@ class LocalRing:
     def _socle(self, x):
         """The local model Ix of I + (x), its colon by m, whose quotient is
         the socle of R/(x), whether I + (x) is m-primary in S and the Loewy
-        length of R/(x), built once per x after ``check_parameter(x)``;
+        length of R/(x), built once per x from ``_ladder_mod(x)``;
         NotGorenstein, with no memo entry, unless that socle has dimension
         one.  x is a parameter of the one-dimensional R, so R is Gorenstein
         iff R/(x) is, iff R/(x) has type 1: criteria (ii) and (iii) agree
@@ -377,13 +384,7 @@ class LocalRing:
         entry = self._socles.get(x)
         if entry is not None:
             return entry
-        self.check_parameter(x)
-        Ix_global = self.I + Ideal(self.ring, [x])
-        try:
-            hf, gb = self._stabilize(Ix_global)
-        except NotArtinianLocally:
-            self._require_artinian(x, Ix_global)
-            raise
+        hf, gb, Ix_global = self._ladder_mod(x)
         Ix = Ideal.from_basis(fglm(gb))
         soc = Ix.quotient(self.n)
         t = Ix.vector_space_dim() - soc.vector_space_dim()

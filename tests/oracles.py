@@ -136,7 +136,7 @@ def direct_normal_form(f, gb):
     p = ring.field.characteristic
     pk = groebner.packing(gb.order, ring.nvars)
     terms = {e: c for e, c in f.terms.items() if not N or sum(e) < N}
-    raw, scale = groebner._to_raw(terms, p, pk)
+    raw, scale = groebner._to_raw(terms, p, pk, 0)
     vec, m = groebner._nf_dict(raw, gb.divisors, pk, p, N)
     return Polynomial(ring, groebner._from_raw(vec, scale * m, ring.field,
                                                pk.unpack))
@@ -149,7 +149,7 @@ def direct_colon(gb, gens):
     ring = gb.ring
     p = ring.field.characteristic
     pk = groebner.packing(gb.order, ring.nvars)
-    raws = [groebner._to_raw(g.terms, p, pk)[0] for g in gens]
+    raws = [groebner._to_raw(g.terms, p, pk, 0)[0] for g in gens]
 
     def image(b):
         return groebner._stacked([groebner._nf_dict(

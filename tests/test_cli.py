@@ -414,13 +414,15 @@ def test_cli_superficial_of_element_in_defining_ideal(ring_file, capsys,
 
 
 def test_cli_loewy_beyond_its_bound(tmp_path, capsys):
-    # used to report "no colength stabilization within n^20"
+    # R/(x^25) is Artinian, of Loewy length 25 above the bound 20: the
+    # message names the bound as the cause, as every short ladder does (it
+    # used to read "no N <= 20 with m^N inside the ideal")
     p = tmp_path / "line.ring"
     p.write_text("field Q\nvars x\n")
     assert main(["loewy", "--ring", str(p), "--element", "x^25"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: no N <= 20 with m^N inside the ideal\n"
+    assert out.err == "error: no colength stabilization within n^20\n"
 
 
 def test_runner_records_other_errors_as_fail(capsys):

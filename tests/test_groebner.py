@@ -1126,7 +1126,7 @@ def test_reducer_lookup_matches_the_plain_scan(field, draw, order, truncate):
                                                                  draw)
                 if f.is_zero():
                     continue
-                raw, _scale = groebner._to_raw(f.terms, p, pk)
+                raw, _scale = groebner._to_raw(f.terms, p, pk, 0)
                 plain = groebner._nf_dict(raw, divisors, pk, p, truncate)
                 found = groebner._nf_dict(raw, divisors, pk, p, truncate,
                                           lookup)

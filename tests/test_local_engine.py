@@ -46,7 +46,7 @@ def _old_local_model(J, bound):
         if lam == prev:
             return M, model
         prev = lam
-    raise NotArtinianLocally(f"no colength stabilization within n^{bound}")
+    raise NoStabilization(f"no colength stabilization within n^{bound}")
 
 
 def _truncation_colengths(R, top):
@@ -69,13 +69,27 @@ def _min_power_of_max_ideal_in(ideal, bound):
 def _assert_same_model(R, J):
     """local_model agrees with the loop within the ring's bound: it is
     generated by the reduced degrevlex basis of the loop's J + n^M, which
-    it has installed, and has its colength; or NotArtinianLocally on both
-    paths.  Returns whether a model exists."""
+    it has installed, and has its colength.  Where the loop finds no model
+    within the bound, the ladder fails with the class the tangent cone J*
+    of the saturation route names: NotArtinianLocally when J* is not
+    m-primary, so that S/J is not Artinian at the origin, and otherwise
+    NoStabilization; then a ring with twice the bound finds the loop's
+    model, of colength dim S/J*.  Returns whether a model exists within
+    the ring's bound."""
     try:
         _M, old = _old_local_model(J, R.stabilization_bound)
-    except NotArtinianLocally:
-        with pytest.raises(NotArtinianLocally):
-            R.local_model(J)
+    except NoStabilization:
+        cone = _saturated_tangent_cone(J)
+        length = Ideal(cone[0].ring, cone).vector_space_dim()
+        error = NotArtinianLocally if length == INFINITE else NoStabilization
+        for call in (R.local_model, R.colength_local):
+            with pytest.raises(error):
+                call(J)
+        if error is NoStabilization:
+            wider = LocalRing(R.ring, R.I,
+                              stabilization_bound=2 * R.stabilization_bound)
+            assert _assert_same_model(wider, J)
+            assert wider.colength_local(J) == length
         return False
     new = R.local_model(J)
     basis = old.groebner().generators
@@ -116,6 +130,22 @@ def _spy_ds_basis(monkeypatch, of_i_only=False):
 
     monkeypatch.setattr(LocalRing, "_ds_basis", record)
     return seen
+
+
+@pytest.mark.parametrize("name", ["main", "ex1"])
+def test_colength_of_an_element_of_i_runs_no_ladder(scenario_rings, name,
+                                                    monkeypatch):
+    # I + (f) = I for f in I: colength used to run I's ladder to the bound
+    # and then call f a zero divisor; check_parameter names f at once
+    R = LocalRing(scenario_rings[name][0].ring, scenario_rings[name][0].I)
+    f = R.ring.parse("x^2 - y^5")
+    seen = _spy_ds_basis(monkeypatch)
+    with pytest.raises(NotArtinianLocally) as raised:
+        R.colength(f)
+    assert str(raised.value) == ("-y^5 + x^2 lies in the defining ideal, so "
+                                 "R/(-y^5 + x^2) = R is not Artinian")
+    assert seen == []
+    assert R.colength(R.ring.parse("1 + y")) == 0 and seen == []
 
 
 def _spy_stabilize(monkeypatch):
@@ -489,7 +519,9 @@ def _random_poly(ring, rng, lo, hi, unit=False):
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_local_model_matches_loop_on_random_ideals(field):
     # two or three generators in two or three variables: m-primary locally
-    # or not (NotArtinianLocally on both paths), and now and then a unit
+    # or not (NotArtinianLocally from the ladder), and now and then a unit;
+    # over F_2 one is Artinian at the origin with M = 9, above the bound 7
+    # (NoStabilization; it used to raise NotArtinianLocally)
     rng = random.Random(1993)
     bound = 7
     outcomes = []
@@ -507,7 +539,9 @@ def test_local_model_matches_loop_on_random_ideals(field):
 def test_local_model_matches_loop_at_the_doubling_edge(xyz, k):
     # J = (x^k, y, z) has M = k + 1, just above the power of two k, so the
     # truncation degrees 2, 4, ..., k fall short and the next one is capped
-    # at bound + 1: exactly M for bound k, one short of it for bound k - 1
+    # at bound + 1: exactly M for bound k, one short of it for bound k - 1,
+    # where S/J is Artinian and the ladder raises NoStabilization (it used
+    # to raise NotArtinianLocally)
     R = LocalRing(xyz, Ideal(xyz, []), stabilization_bound=k)
     J = Ideal(xyz, [f"x^{k}", "y", "z"])
     assert _assert_same_model(R, J)
@@ -597,14 +631,14 @@ def _saturate(J, f):
         J = colon
 
 
-def _saturated_tangent_cone(R):
+def _saturated_tangent_cone(I):
     """The reduced basis of I* by the old route: the homogenized ideal
     saturated by h, then the initial forms of its dehomogenized block-order
     basis."""
-    homogenized = [g.homogenize("h") for g in R.I.generators]
+    homogenized = [g.homogenize("h") for g in I.generators]
     ext = homogenized[0].ring
     J = _saturate(Ideal(ext, homogenized), ext.var(0))
-    target = PolyRing(R.ring.field, tuple(n.upper() for n in R.ring.names))
+    target = PolyRing(I.ring.field, tuple(n.upper() for n in I.ring.names))
     gens = [Polynomial(target, g.dehomogenize().initial_form().terms)
             for g in buchberger(ext, list(J.generators),
                                 BlockOrder()).generators]
@@ -631,7 +665,7 @@ def test_tangent_cone_matches_the_saturation_route(scenario_rings):
             rings.append(LocalRing(ring, I))
     for R in rings:
         assert R.tangent_cone().generators == \
-            tuple(_saturated_tangent_cone(R))
+            tuple(_saturated_tangent_cone(R.I))
 
 
 def _old_ord(R, f, bound):

@@ -4,8 +4,8 @@ import pytest
 
 from locring import cli, groebner, localring
 from locring.arith import QQ, PrimeField
-from locring.errors import (NotArtinianLocally, NotFound, NotGorenstein,
-                            RingMismatch, ZeroPolynomial)
+from locring.errors import (NoStabilization, NotArtinianLocally,
+                            NotGorenstein, RingMismatch, ZeroPolynomial)
 from locring.ideal import INFINITE, Ideal
 from locring.localring import (LocalRing, weighted_degrees,
                                weighted_homogeneity_check)
@@ -73,9 +73,11 @@ def test_loewy_length(cusp_ring, xyz):
 
 
 def test_loewy_not_found():
+    # R/(x^3) is Artinian, of Loewy length 3 above the bound 2: a short
+    # bound is NoStabilization, as in every ladder (it used to be NotFound)
     R1 = PolyRing(QQ, ("x",))
     L = LocalRing(R1, Ideal(R1, []), stabilization_bound=2)
-    with pytest.raises(NotFound):
+    with pytest.raises(NoStabilization):
         L.loewy_length_mod(R1.parse("x^3"))
 
 
@@ -88,7 +90,8 @@ def test_loewy_length_stabilizes_within_its_own_bound():
     L = LocalRing(R1, Ideal(R1, []), stabilization_bound=30)
     assert L.loewy_length_mod(x25) == 25
     L = LocalRing(R1, Ideal(R1, []), stabilization_bound=24)
-    with pytest.raises(NotFound, match="no N <= 24"):
+    with pytest.raises(NoStabilization,
+                       match=r"^no colength stabilization within n\^24$"):
         L.loewy_length_mod(x25)
 
 
@@ -113,18 +116,57 @@ def test_a_zero_divisor_witness_is_named(witness):
 
 def test_a_parameter_keeps_the_ladder_errors():
     # z is a parameter of ex1, of index 5; y is one of main, whose Loewy
-    # length 6 is above a bound of 3, so the ladder's own errors stand
+    # length 6 is above a bound of 3, so R/(y) is Artinian and the bound is
+    # the cause: NoStabilization from index, colength and loewy_length_mod
+    # alike (index and colength used to raise NotArtinianLocally, and
+    # loewy_length_mod NotFound "no N <= 3 with m^N inside the ideal")
     R = cli.EX1_RING.local_ring()
     assert R.index(R.ring.parse("z")) == 5
     M = cli.MAIN_RING.local_ring()
     R = LocalRing(M.ring, M.I, stabilization_bound=3)
     y = R.ring.parse("y")
-    with pytest.raises(NotArtinianLocally,
-                       match=r"^no colength stabilization within n\^3$"):
-        R.index(y)
-    with pytest.raises(NotFound,
-                       match=r"^no N <= 3 with m\^N inside the ideal$"):
-        R.loewy_length_mod(y)
+    for call in (R.index, R.colength, R.loewy_length_mod):
+        with pytest.raises(NoStabilization,
+                           match=r"^no colength stabilization within n\^3$"):
+            call(y)
+
+
+def test_a_failed_ladder_names_its_cause(xyz):
+    # the error contract: a unit is a ValueError (colength 0), f in I and
+    # a zero divisor are NotArtinianLocally naming f, an Artinian R/(f) or
+    # S/J past the bound is NoStabilization, and an S/J that is not
+    # Artinian at the origin is NotArtinianLocally at every bound.  The
+    # surface x^2 = y^3 in k[x, y, z] used to get the bound's message
+    M = cli.MAIN_RING.local_ring()
+    X = cli.EX1_RING.local_ring()
+    for bound in (3, 20):
+        R = LocalRing(M.ring, M.I, stabilization_bound=bound)
+        unit, in_i = R.ring.parse("1 + y"), R.ring.parse("x^2 - y^5")
+        with pytest.raises(ValueError, match="is a unit of R"):
+            R.loewy_length_mod(unit)
+        assert R.colength(unit) == 0
+        for call in (R.index, R.colength, R.loewy_length_mod):
+            with pytest.raises(NotArtinianLocally,
+                               match="lies in the defining ideal"):
+                call(in_i)
+        E = LocalRing(X.ring, X.I, stabilization_bound=bound)
+        for call in (E.index, E.colength, E.loewy_length_mod):
+            with pytest.raises(NotArtinianLocally,
+                               match=r"^R/\(y\) is not Artinian: y is not "):
+                call(E.ring.parse("y"))
+        L = LocalRing(xyz, Ideal(xyz, []), stabilization_bound=bound)
+        J = Ideal(xyz, ["x^2 - y^3"])
+        for call in (L.local_model, L.colength_local):
+            with pytest.raises(NotArtinianLocally,
+                               match="^S/J is not Artinian at the origin"):
+                call(J)
+    J = M.I + Ideal(M.ring, ["y"])
+    assert M.colength_local(J) == 10
+    short = LocalRing(M.ring, M.I, stabilization_bound=3)
+    for call in (short.local_model, short.colength_local):
+        with pytest.raises(NoStabilization,
+                           match=r"^no colength stabilization within n\^3$"):
+            call(J)
 
 
 def test_loewy_length_at_most_needs_n_at_least_zero(cusp_ring, xyz):
