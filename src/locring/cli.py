@@ -568,10 +568,11 @@ def _dispatch(args):
         ring = load_ring_file(args.ring).ring()
         f = ring.parse(args.element)
         P = newton_polygon(f)
-        print("vertices:", " ".join(f"({a},{b})" for a, b in P.vertices))
         # the verdict is on the polygon: a monomial factor moves the
-        # polygon off an axis without changing its shape
+        # polygon off an axis without changing its shape.  It comes before
+        # the first line, so a polygon it rejects prints nothing
         res = is_integer_irreducible(P)
+        print("vertices:", " ".join(f"({a},{b})" for a, b in P.vertices))
         print("polygon integer-indecomposable:" if res.irreducible
               else "polygon integer-decomposable:", res.method)
         factor = ring.monomial(map(min, zip(*f.terms)))

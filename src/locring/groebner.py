@@ -84,10 +84,12 @@ products form it.  Every reader of a fixed basis uses it: ``normal_form``
 and the colon sum entries, the intersection reads them, and so does the
 gll-search test (``top_degree_in_multiples``), a rank count on A = S/J for
 a truncated ds basis of J, for which the basis also keeps (``_Columns``)
-the table's entries for each term of f times the count's rows, so a test
-reads only f's coefficients.  ``fglm`` is the measured exception: it
-reduces against its own truncation at d with a reducer lookup, as
-``buchberger`` does, since the table cost it 15 %.
+the table's entries for each term of f times the count's rows, as one flat
+list of nonzero entries per term, so a test reads only f's coefficients
+and sums every row in one pass over them, reducing mod p as it sums.
+``fglm`` is the measured exception: it reduces against its own truncation
+at d with a reducer lookup, as ``buchberger`` does, since the table cost
+it 15 %.
 
 The FGLM walk (Faugere, Gianni, Lazard and Mora, "Efficient computation of
 zero-dimensional Groebner bases by change of ordering", 1993) reads the
@@ -516,9 +518,10 @@ class _Columns(dict):
     of them, indices numbering the standard monomials in ds order, so the
     ds-largest term is the smallest index and degree N the last ones; and
     exponent tuple t of degree <= N -> its column, built on its first
-    lookup.  Entry i of a column is the table entry (``_NormalForms``) of
-    t times row i, re-keyed by index and kept with its int multiplier, or
-    None where it is 0 or the product has degree > N.  It keeps the
+    lookup.  A column is the flat list of the nonzero entries of the table
+    entries (``_NormalForms``) of t times each row, one tuple (row i,
+    index j, coefficient x, the table entry's int multiplier m) per term,
+    rows in order; a product of degree > N adds none.  It keeps the
     basis's table, not the basis, and the table does not keep it."""
 
     __slots__ = ("table", "rows", "index", "need", "top")
@@ -537,13 +540,12 @@ class _Columns(dict):
         pk = table.pk
         degree, cap = pk.degree, table.truncate << pk.shift
         t_packed = pk.pack(t)
-        col = [None] * len(self.rows)
+        col = []
         for i, b in enumerate(self.rows):
             e = t_packed + b
             if e & degree < cap:
                 vec, m = table[e]
-                if vec:
-                    col[i] = {index[x]: c for x, c in vec.items()}, m
+                col += [(i, index[x], c, m) for x, c in vec.items()]
         self[t] = col
         return col
 
@@ -768,14 +770,18 @@ def top_degree_in_multiples(gb, f):
     pivoted on its ds-largest term, the smallest index.  A combination of
     rows then leads with the largest of its pivots, so dim(f*A meet T) is
     the number of rows whose pivot has degree N, and the test stops when
-    that number reaches dim T.  Row i is the sum of c * entry i of the
-    column of t (``_Columns``, kept on gb) over the terms c * t of f of
-    degree <= N, read as they are.  An entry (vec, m) is the normal form
-    of m times its product, so a row is summed fraction-free, with no
-    reduction mod p until it is complete (every m is 1 over F_p).  Over Q
-    it is reduced with the gcd scaling of ``_extend_by_kernel`` and kept
-    primitive; over F_p a kept row carries the inverse of its pivot
-    coefficient in place of being made monic."""
+    that number reaches dim T.  Row i is the sum of c times the entries
+    of row i in the column of t (``_Columns``, kept on gb) over the terms
+    c * t of f of degree <= N, read as they are.  Every row is summed in
+    one pass over the terms, column by column.  Over F_p each update is
+    reduced mod p as it is made (every multiplier is 1); over Q an entry
+    with multiplier m holds m times its product's normal form, so each row
+    is summed fraction-free at the lcm of the multipliers it has read.  A
+    summed row may hold entries that are 0, dropped only when one would be
+    the pivot; ``_combine`` passes over them.  Over Q a row is reduced
+    with the gcd scaling of ``_extend_by_kernel`` and kept primitive; over
+    F_p a kept row carries the inverse of its pivot coefficient in place
+    of being made monic."""
     if gb.truncate < 1:
         raise ValueError("top_degree_in_multiples: the basis is not "
                          "truncated")
@@ -793,46 +799,51 @@ def top_degree_in_multiples(gb, f):
     if not terms:
         return False, False
     p = ring.field.characteristic
+    rows = [{} for _ in columns.rows]
     if p:
-        cols = [(columns[t], c.value) for t, c in terms]
+        for t, c in terms:
+            c = c.value
+            for i, j, x, _ in columns[t]:
+                row = rows[i]
+                row[j] = (row.get(j, 0) + c * x) % p
     else:
         den = lcm(*[c.denominator for _, c in terms])
-        cols = [(columns[t], c.numerator * (den // c.denominator))
-                for t, c in terms]
-    # pivot -> (its coefficient, row) over Q, (its inverse, row) over F_p
-    kept, found = {}, 0
-    for i in range(len(columns.rows)):
-        row, m = {}, 1     # m times the sum so far
-        for col, c in cols:
-            entry = col[i]
-            if entry:
-                vec, me = entry
+        scales = [1] * len(rows)    # row i is scales[i] times its sum
+        for t, c in terms:
+            c = c.numerator * (den // c.denominator)
+            for i, j, x, me in columns[t]:
+                row, m = rows[i], scales[i]
                 if me != m:
                     k = lcm(m, me)
                     if k != m:
-                        for j in row:
-                            row[j] *= k // m
-                        m = k
-                    c *= k // me
-                for j, x in vec.items():
-                    row[j] = row.get(j, 0) + c * x
-        row = {j: r for j, v in row.items() if (r := v % p if p else v)}
+                        for e in row:
+                            row[e] *= k // m
+                        scales[i] = k
+                    x *= k // me
+                row[j] = row.get(j, 0) + c * x
+    # pivot -> (its coefficient, row) over Q, (its inverse, row) over F_p
+    kept, found = {}, 0
+    for row in rows:
         while row:
             pivot = min(row)
+            a = row[pivot]
+            if not a:
+                del row[pivot]
+                continue
             prev = kept.get(pivot)
             if prev is None:
                 break
-            a, r = prev
+            b, r = prev
             if p:
-                _combine(row, 1, row[pivot] * a % p, r, p)
+                _combine(row, 1, a * b % p, r, p)
             else:
-                h = gcd(a, row[pivot])
-                _combine(row, a // h, row[pivot] // h, r, 0)
+                h = gcd(b, a)
+                _combine(row, b // h, a // h, r, 0)
         if row:
             if p:
-                kept[pivot] = pow(row[pivot], -1, p), row
+                kept[pivot] = pow(a, -1, p), row
             else:
-                row = _normalize(row, row[pivot], 0)
+                row = _normalize(row, a, 0)
                 kept[pivot] = row[pivot], row
             if pivot >= top:
                 found += 1
@@ -1054,7 +1065,8 @@ def _extend_by_kernel(ring, order, base, image):
 
 def _combine(dst, s, t, src, p):
     """dst := s * dst - t * src on raw term dicts, in place, dropping zero
-    terms.  Over F_p (p > 0) s is 1 and entries stay residues mod p."""
+    terms; src may hold zero terms.  Over F_p (p > 0) s is 1 and entries
+    stay residues mod p."""
     if s != 1:
         for e in dst:
             dst[e] *= s
@@ -1066,4 +1078,4 @@ def _combine(dst, s, t, src, p):
         if v:
             dst[e] = v
         else:
-            del dst[e]
+            dst.pop(e, None)

@@ -256,6 +256,17 @@ def test_cli_newton_reports_a_monomial_factor(tmp_path, capsys):
     assert "monomial factor: y (the polygon misses an axis)" in out
 
 
+def test_cli_newton_rejects_a_one_point_polygon(tmp_path, capsys):
+    # the polygon of z is the point (1,0): a usage error before any output,
+    # not a vertices line followed by an error
+    rf = tmp_path / "np.ring"
+    rf.write_text("field Q\nvars z y\n")
+    assert main(["newton", "--ring", str(rf), "--element", "z"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: polygon must contain at least 2 lattice points\n"
+
+
 def test_cli_case_report(ring_file, capsys):
     # emb 3 and e 8 are read from the ring
     assert main(["case-report", "--ring", ring_file, "--target", "5",

@@ -874,6 +874,43 @@ def test_rank_count_reads_f_directly_and_checks_its_input(name, field):
         R.loewy_length_at_most(other.parse("y"), 5)
 
 
+# rows whose sums hold entries that are 0 or read entries with different
+# multipliers, each with its ring, field and the N where it matters:
+# - y - z^2 on main over F_3 (N = 6): a row sums to 0 mod 3 at its smallest
+#   index, which must be dropped before it becomes a pivot with no inverse;
+# - x^2 - 7*y^3 on the cusp over Q: the normal form of x^2 is 7/5*y^3, kept
+#   as 7*y^3 with multiplier 5, and that of y^3 has multiplier 1.  f is
+#   -28/5*y^3 in R, and every row meets both columns: summed at the wrong
+#   scale it cancels to 0;
+# - x + y + x*y + z^3 on main (N = 4): a kept row holds an entry that summed
+#   to 0, at an index the row it then reduces does not hold
+ZERO_AND_SCALE_ROWS = [
+    ("main", PrimeField(3), "y - z^2"),
+    ("cusp", QQ, "x^2 - 7*y^3"),
+    *[("main", field, "x + y + x*y + z^3") for field in FIELDS],
+]
+
+
+@pytest.mark.parametrize(
+    "name, field, text", ZERO_AND_SCALE_ROWS,
+    ids=["F3-zero-pivot", "Q-cusp-multipliers",
+         *[f"{i}-zero-in-kept-row" for i in FIELD_IDS]])
+def test_rank_count_on_zero_entries_and_mixed_multipliers(name, field, text):
+    # the pair (answer, outside) of the rank count at N = 4..7 against one
+    # ds truncation of I + (f) and degrevlex membership of f in I + n^(N+1);
+    # f in both term orders, since the order decides which multiplier a row
+    # is scaled to first
+    R = (_scenario_ring_over(name, field) if name in SCENARIO_RINGS
+         else _small_ring_over(name, field))
+    f = R.ring.parse(text)
+    for g in f, Polynomial(R.ring, dict(reversed(f.terms.items()))):
+        for N in range(4, 8):
+            outside = not (R.I + max_ideal_power(R.ring, N + 1)).member(g)
+            got = groebner.top_degree_in_multiples(R._truncation_of_I(N + 1),
+                                                   g)
+            assert got == (ds_top_layer_empty(R, g, N), outside), (text, N)
+
+
 @pytest.mark.parametrize("p, samples", [(32003, 100), (3, 50)],
                          ids=["Fp", "F3"])
 def test_gll_test_matches_degrevlex_membership(p, samples):
